@@ -98,6 +98,13 @@ def _condition_label(v) -> str:
     return f"M_{v.order}"
 
 
+def _at_least(flag: str, value, least: int) -> None:
+    """Reject an integer option below its smallest meaningful value."""
+    if value is not None and value < least:
+        raise ProblemFileError(
+            0, 0, f"{flag} must be at least {least}, got {value}")
+
+
 def _load(args):
     try:
         with open(args.file, encoding="utf-8") as handle:
@@ -225,6 +232,7 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_check_deformation(args) -> int:
+    _at_least("--order", args.order, 0)
     problem = _load(args)
     out = _Out(args.output == "machine")
     out.kv("command", "check-deformation")
@@ -252,6 +260,7 @@ def _cmd_check_deformation(args) -> int:
 
 
 def _cmd_obstruction(args) -> int:
+    _at_least("--order", args.order, 1)
     problem = _load(args)
     out = _Out(args.output == "machine")
     out.kv("command", "obstruction")
@@ -289,6 +298,7 @@ def _cmd_obstruction(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    _at_least("--target-order", args.target_order, 1)
     problem = _load(args)
     out = _Out(args.output == "machine")
     out.kv("command", "extend")
@@ -381,6 +391,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_rigidity(args) -> int:
+    _at_least("--probe-order", args.probe_order, 1)
     problem = _load(args)
     out = _Out(args.output == "machine")
     out.kv("command", "rigidity")

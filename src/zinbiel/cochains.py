@@ -19,6 +19,7 @@ Arity-4 cochains exist as targets of d3 and have no outgoing differential.
 `differential` evaluates these formulas tuple by tuple; `differential_matrix`
 assembles the same operators directly from structure constants, giving a
 second, independent code path (the two are cross-checked in the tests).
+The matrices are sparse: assembly writes only the nonzero contributions.
 """
 
 from __future__ import annotations
@@ -287,16 +288,13 @@ def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
     if i not in (1, 2, 3):
         raise ValueError(f"no differential out of arity {i}")
     d, m = algebra.dim, module.dim
-    field = algebra.field
-    nrows = d ** (i + 1) * m
-    ncols = d ** i * m
-    z = field.zero()
-    grid = [[z] * ncols for _ in range(nrows)]
+    rows = [{} for _ in range(d ** (i + 1) * m)]
     gamma = algebra.gamma
     left, right = module.left, module.right
 
     def bump(row, col, v):
-        grid[row][col] = grid[row][col] + v
+        entries = rows[row]
+        entries[col] = entries[col] + v if col in entries else v
 
     if i == 1:
         # x*p(y): row (x,y), column (y; a), weight left[x][a][b]
@@ -381,7 +379,10 @@ def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
                     for zz in range(d):
                         bump((((x * d + y) * d + zz) * d + w) * m + b,
                              ((x * d + y) * d + zz) * m + a, v)
-    return Matrix(field, grid, ncols)
+    # drop the entries whose contributions cancelled
+    return Matrix.from_entries(
+        algebra.field, [{j: x for j, x in r.items() if x} for r in rows],
+        d ** i * m)
 
 
 def cohomology_dim(algebra: ZinbielAlgebra, module: Bimodule, n: int) -> int:

@@ -17,16 +17,36 @@ class FieldError(ValueError):
     """Bad field construction, parsing, or mixed-field arithmetic."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for n below _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise FieldError(
+            f"modulus {n} is too large: primality is certified only "
+            f"below {_MR_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -102,7 +122,8 @@ class ModInt:
         if isinstance(other, ModInt):
             return self.modulus == other.modulus and self.value == other.value
         if isinstance(other, int):
-            return (other - self.value) % self.modulus == 0
+            # only the canonical residue, so that equal values hash alike
+            return other == self.value
         return NotImplemented
 
     def __hash__(self):

@@ -1,14 +1,28 @@
-"""Exact dense linear algebra: rank, nullspace bases, particular solutions.
+"""Exact sparse linear algebra: rank, nullspace bases, particular solutions.
 
-Pivoting is deterministic (first nonzero entry, columns scanned left to
-right) and particular solutions set every free variable to zero, so all
-results are reproducible.  Matrices are immutable after construction and
-all operations return fresh values.
+A `Matrix` stores only its nonzero entries, one dict (column -> scalar)
+per row.  Every elimination goes through one routine, `_reduce`, which
+brings sparse rows to reduced row echelon form with each pivot on the
+leftmost nonzero column of its row.  Over F_p it works on plain ints mod
+p; over Q on primitive integer rows (fraction-free, each row standing for
+its rational multiples), and the results are turned back into `Fraction`
+values only at the end.
+
+The reduced row echelon form of a matrix is unique: its pivot columns and
+its rows depend only on the row space, not on the order in which rows
+are combined.  So the results are reproducible and do not depend on the
+elimination strategy: the nullspace basis has one vector per free column
+in ascending order with a 1 in the free position, and a particular
+solution sets every free variable to zero.  Matrices are immutable after
+construction and all operations return fresh values.
 """
 
 from __future__ import annotations
 
-from .fields import Field, FieldError
+from fractions import Fraction
+from math import gcd, lcm
+
+from .fields import Field, FieldError, ModInt
 
 
 def zero_vector(field: Field, n: int) -> list:
@@ -42,9 +56,10 @@ def vec_is_zero(u: list) -> bool:
 
 
 class Matrix:
-    """Dense row-major matrix over one field."""
+    """Sparse matrix over one field: `entries[i]` maps the column of each
+    nonzero entry of row i to its value."""
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         rows = [list(r) for r in rows]
@@ -61,31 +76,59 @@ class Matrix:
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
-        self.rows = [[field.coerce(x) for x in r] for r in rows]
+        self.entries = [{j: x for j, x in enumerate(map(field.coerce, r)) if x}
+                        for r in rows]
+
+    @classmethod
+    def from_entries(cls, field: Field, entries: list,
+                     ncols: int) -> "Matrix":
+        """Wrap rows given as dicts of nonzero scalars of field, taken as
+        they are: not copied, checked or coerced."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.nrows = len(entries)
+        m.ncols = ncols
+        m.entries = entries
+        return m
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls.from_entries(field, [{} for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, [unit_vector(field, n, i) for i in range(n)], n)
+        one = field.one()
+        return cls.from_entries(field, [{i: one} for i in range(n)], n)
+
+    @property
+    def rows(self) -> list:
+        """The rows as dense lists."""
+        zero = self.field.zero()
+        out = []
+        for entries in self.entries:
+            row = [zero] * self.ncols
+            for j, x in entries.items():
+                row[j] = x
+            out.append(row)
+        return out
 
     def column(self, j: int) -> list:
-        return [row[j] for row in self.rows]
+        zero = self.field.zero()
+        return [row.get(j, zero) for row in self.entries]
 
     def matvec(self, v: list) -> list:
         if len(v) != self.ncols:
             raise ValueError(
                 f"vector of length {len(v)} against {self.ncols} columns")
-        out = zero_vector(self.field, self.nrows)
-        for i, row in enumerate(self.rows):
-            acc = self.field.zero()
-            for a, x in zip(row, v):
-                if a and x:
+        zero = self.field.zero()
+        out = []
+        for row in self.entries:
+            acc = zero
+            for j, a in row.items():
+                x = v[j]
+                if x:
                     acc = acc + a * x
-            out[i] = acc
+            out.append(acc)
         return out
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -97,66 +140,97 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        zero = self.field.zero()
         out = []
-        for arow in self.rows:
-            crow = [zero] * other.ncols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = other.rows[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            crow[j] = crow[j] + a * b
-            out.append(crow)
-        return Matrix(self.field, out, other.ncols)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field,
-                      [self.column(j) for j in range(self.ncols)], self.nrows)
+        for arow in self.entries:
+            crow = {}
+            for k, a in arow.items():
+                for j, b in other.entries[k].items():
+                    crow[j] = crow[j] + a * b if j in crow else a * b
+            out.append({j: x for j, x in crow.items() if x})
+        return Matrix.from_entries(self.field, out, other.ncols)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.field == other.field and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.rows == other.rows)
+                and self.ncols == other.ncols
+                and self.entries == other.entries)
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 
 
-def _row_reduce(rows: list, pivot_width: int) -> list:
-    """In-place reduced row echelon form; pivots searched in the first
-    pivot_width columns only (row operations apply to full rows).
-    Returns the pivot column list, one per pivot row."""
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for c in range(pivot_width):
-        src = None
-        for rr in range(r, nrows):
-            if rows[rr][c]:
-                src = rr
-                break
-        if src is None:
+def _kernel_row(p: int, row: dict) -> dict:
+    """A row of field scalars in kernel form: ints mod p over F_p, the
+    primitive integer multiple over Q."""
+    if p:
+        return {j: x.value for j, x in row.items()}
+    scale = lcm(*(x.denominator for x in row.values()))
+    row = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    g = gcd(*row.values())
+    return row if g <= 1 else {j: x // g for j, x in row.items()}
+
+
+def _eliminate(row: dict, prow: dict, c: int, p: int) -> dict:
+    """a * row - b * prow, with a and b the entries of prow and row in
+    column c, so that column c vanishes.  Over F_p a is 1; over Q a and b
+    are first divided by their gcd, and the result by its content."""
+    a, b = prow[c], row[c]
+    if not p:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            row = {k: a * v for k, v in row.items()}
+    for k, x in prow.items():
+        v = row.get(k, 0) - b * x
+        if p:
+            v %= p
+        if v:
+            row[k] = v
+        else:
+            del row[k]
+    if p:
+        return row
+    g = gcd(*row.values())
+    return row if g <= 1 else {k: v // g for k, v in row.items()}
+
+
+def _reduce(rows: list, width: int, p: int) -> tuple[dict, list]:
+    """Reduced row echelon form of kernel rows (see `_kernel_row`), with
+    pivots searched in the columns below width only; row operations apply
+    to whole rows.  Over F_p each pivot entry is 1; over Q it is the scale
+    of its row.  Returns (pivots, rest): pivots maps each pivot column to
+    its row, rest holds the nonzero rows left with no entry below width.
+    """
+    pivots = {}
+    rest = []
+    for row in rows:
+        # every pivot row is zero in the other pivot columns, so one pass
+        # over the pivot columns of row clears them all
+        for c in [c for c in row if c in pivots]:
+            row = _eliminate(row, pivots[c], c, p)
+        lead = min((c for c in row if c < width), default=None)
+        if lead is None:
+            if row:
+                rest.append(row)
             continue
-        if src != r:
-            rows[r], rows[src] = rows[src], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            inv_row = [x / piv for x in rows[r]]
-            rows[r] = inv_row
-        for rr in range(nrows):
-            if rr != r and rows[rr][c]:
-                fac = rows[rr][c]
-                rows[rr] = [x - fac * y for x, y in zip(rows[rr], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+        if p and row[lead] != 1:
+            inv = pow(row[lead], p - 2, p)
+            row = {k: v * inv % p for k, v in row.items()}
+        # keep the earlier pivot rows zero in the new pivot column
+        for c, prow in pivots.items():
+            if lead in prow:
+                pivots[c] = _eliminate(prow, row, lead, p)
+        pivots[lead] = row
+    return pivots, rest
+
+
+def _scalar(p: int, num: int, den: int):
+    """The field scalar num/den from kernel values (den == 1 over F_p)."""
+    return ModInt(num, p) if p else Fraction(num, den)
 
 
 def rank_nullspace(m: Matrix) -> tuple[int, list[list]]:
@@ -165,42 +239,52 @@ def rank_nullspace(m: Matrix) -> tuple[int, list[list]]:
     rank + len(basis) == m.ncols.  The basis is deterministic: one vector
     per free column in ascending order, with a 1 in the free position.
     """
-    red = [list(r) for r in m.rows]
-    pivots = _row_reduce(red, m.ncols)
-    rank = len(pivots)
-    pivot_set = set(pivots)
-    basis = []
+    p = m.field.characteristic
+    pivots, _ = _reduce([_kernel_row(p, r) for r in m.entries if r],
+                        m.ncols, p)
+    free = [j for j in range(m.ncols) if j not in pivots]
+    slot = {j: i for i, j in enumerate(free)}
     one = m.field.one()
-    for fc in range(m.ncols):
-        if fc in pivot_set:
-            continue
+    basis = []
+    for j in free:
         v = zero_vector(m.field, m.ncols)
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        v[j] = one
         basis.append(v)
-    return rank, basis
+    for c, row in pivots.items():
+        scale = row[c]
+        for j, x in row.items():
+            if j != c:
+                basis[slot[j]][c] = _scalar(p, -x, scale)
+    return len(pivots), basis
 
 
 def solve(m: Matrix, b: list) -> list | None:
     """One exact solution of m x = b, or None when inconsistent.
 
-    Free variables are set to zero under first-pivot column ordering, so
-    the returned representative is deterministic.  A length mismatch
-    between b and the rows of m is a usage error, raised as ValueError.
+    Free variables are set to zero, so the returned representative is
+    deterministic.  A length mismatch between b and the rows of m is a
+    usage error, raised as ValueError.
     """
     if len(b) != m.nrows:
         raise ValueError(
             f"right-hand side of length {len(b)} against {m.nrows} rows")
-    b = [m.field.coerce(x) for x in b]
-    aug = [row + [bi] for row, bi in zip(m.rows, b)]
-    pivots = _row_reduce(aug, m.ncols)
-    for row in aug[len(pivots):]:
-        if row[m.ncols]:
-            return None
-    x = zero_vector(m.field, m.ncols)
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][m.ncols]
+    p = m.field.characteristic
+    n = m.ncols
+    aug = []
+    for row, bi in zip(m.entries, b):
+        bi = m.field.coerce(bi)
+        if bi:
+            row = dict(row)
+            row[n] = bi
+        if row:
+            aug.append(_kernel_row(p, row))
+    pivots, rest = _reduce(aug, n, p)
+    if rest:
+        return None
+    x = zero_vector(m.field, n)
+    for c, row in pivots.items():
+        if n in row:
+            x[c] = _scalar(p, row[n], row[c])
     return x
 
 
@@ -208,10 +292,21 @@ def inverse(m: Matrix) -> Matrix | None:
     """Exact inverse of a square matrix, or None when singular."""
     if m.nrows != m.ncols:
         raise ValueError("inverse of a non-square matrix")
+    p = m.field.characteristic
     n = m.nrows
-    aug = [list(row) + unit_vector(m.field, n, i)
-           for i, row in enumerate(m.rows)]
-    pivots = _row_reduce(aug, n)
+    one = m.field.one()
+    aug = []
+    for i, row in enumerate(m.entries):
+        row = dict(row)
+        row[n + i] = one
+        aug.append(_kernel_row(p, row))
+    pivots, _ = _reduce(aug, n, p)
     if len(pivots) != n:
         return None
-    return Matrix(m.field, [row[n:] for row in aug], n)
+    out = []
+    for c in range(n):
+        row = pivots[c]
+        scale = row[c]
+        out.append({j - n: _scalar(p, x, scale)
+                    for j, x in row.items() if j >= n})
+    return Matrix.from_entries(m.field, out, n)

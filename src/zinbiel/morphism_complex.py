@@ -208,24 +208,19 @@ def morphism_differential(theta: TripleCochain) -> TripleCochain:
 
 def _push_left_matrix(f: AlgebraMorphism, n: int) -> Matrix:
     r, s = f.source, f.target
-    field = r.field
     ntup = r.dim ** n
-    grid = [[field.zero()] * (ntup * r.dim) for _ in range(ntup * s.dim)]
-    for b in range(s.dim):
-        for a in range(r.dim):
-            v = f.matrix.rows[b][a]
-            if v:
-                for t in range(ntup):
-                    grid[t * s.dim + b][t * r.dim + a] = v
-    return Matrix(field, grid, ntup * r.dim)
+    rows = [{} for _ in range(ntup * s.dim)]
+    for b, fb in enumerate(f.matrix.entries):
+        for a, v in fb.items():
+            for t in range(ntup):
+                rows[t * s.dim + b][t * r.dim + a] = v
+    return Matrix.from_entries(r.field, rows, ntup * r.dim)
 
 
 def _push_right_matrix(f: AlgebraMorphism, n: int) -> Matrix:
     r, s = f.source, f.target
     field = r.field
-    nrows = r.dim ** n * s.dim
-    ncols = s.dim ** n * s.dim
-    grid = [[field.zero()] * ncols for _ in range(nrows)]
+    rows = [{} for _ in range(r.dim ** n * s.dim)]
     cols = [[(j, v) for j, v in enumerate(f.apply_basis(i)) if v]
             for i in range(r.dim)]
     for tup in all_tuples(r.dim, n):
@@ -237,51 +232,41 @@ def _push_right_matrix(f: AlgebraMorphism, n: int) -> Matrix:
                 jt = jt * s.dim + j
                 coef = coef * v
             for b in range(s.dim):
-                row = t * s.dim + b
+                row = rows[t * s.dim + b]
                 col = jt * s.dim + b
-                grid[row][col] = grid[row][col] + coef
-    return Matrix(field, grid, ncols)
+                row[col] = row[col] + coef if col in row else coef
+    # drop the entries whose contributions cancelled
+    return Matrix.from_entries(
+        field, [{j: x for j, x in row.items() if x} for row in rows],
+        s.dim ** n * s.dim)
 
 
 def morphism_differential_matrix(f: AlgebraMorphism, n: int) -> Matrix:
     """Matrix of the degree-n differential of the deformation complex,
-    under the flattening xi-block, pi-block, phi-block."""
+    under the flattening xi-block, pi-block, phi-block; the sparse blocks
+    are pasted in place."""
     if n not in (1, 2, 3):
         raise ValueError(f"no differential out of degree {n}")
     r, s = f.source, f.target
-    field = r.field
-    d_r = differential_matrix(r, r.regular_bimodule(), n)
-    d_s = differential_matrix(s, s.regular_bimodule(), n)
-    push_l = _push_left_matrix(f, n)
-    push_r = _push_right_matrix(f, n)
-    d_rs = None
-    if n > 1:
-        d_rs = differential_matrix(r, f.as_bimodule(), n - 1)
-
-    nrows = triple_dim(f, n + 1)
-    ncols = triple_dim(f, n)
-    z = field.zero()
-    grid = [[z] * ncols for _ in range(nrows)]
-
+    rows = [{} for _ in range(triple_dim(f, n + 1))]
     col_xi = r.dim ** n * r.dim
     col_pi = s.dim ** n * s.dim
     row_xi = r.dim ** (n + 1) * r.dim
     row_pi = s.dim ** (n + 1) * s.dim
 
     def paste(block: Matrix, row0: int, col0: int, sign: int) -> None:
-        # blocks occupy disjoint regions of the grid
-        for i, brow in enumerate(block.rows):
-            grow = grid[row0 + i]
-            for j, v in enumerate(brow):
-                if v:
-                    grow[col0 + j] = v if sign > 0 else -v
-    paste(d_r, 0, 0, +1)
-    paste(d_s, row_xi, col_xi, +1)
-    paste(push_l, row_xi + row_pi, 0, +1)
-    paste(push_r, row_xi + row_pi, col_xi, -1)
-    if d_rs is not None:
-        paste(d_rs, row_xi + row_pi, col_xi + col_pi, -1)
-    return Matrix(field, grid, ncols)
+        # blocks occupy disjoint regions of the matrix
+        for i, brow in enumerate(block.entries, row0):
+            rows[i].update((col0 + j, v if sign > 0 else -v)
+                           for j, v in brow.items())
+    paste(differential_matrix(r, r.regular_bimodule(), n), 0, 0, +1)
+    paste(differential_matrix(s, s.regular_bimodule(), n), row_xi, col_xi, +1)
+    paste(_push_left_matrix(f, n), row_xi + row_pi, 0, +1)
+    paste(_push_right_matrix(f, n), row_xi + row_pi, col_xi, -1)
+    if n > 1:
+        paste(differential_matrix(r, f.as_bimodule(), n - 1),
+              row_xi + row_pi, col_xi + col_pi, -1)
+    return Matrix.from_entries(r.field, rows, triple_dim(f, n))
 
 
 def morphism_cohomology_dim(f: AlgebraMorphism, n: int) -> int:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from instances import seeded_suite
 from zinbiel.fields import QQ, PrimeField
 
 _ACCEPTANCE: dict[str, str] = {}
@@ -32,3 +33,13 @@ def rng():
 @pytest.fixture(params=["Q", "F5", "F7"])
 def field(request):
     return {"Q": QQ, "F5": PrimeField(5), "F7": PrimeField(7)}[request.param]
+
+
+@pytest.fixture(scope="session")
+def suite():
+    return seeded_suite()
+
+
+@pytest.fixture(scope="session")
+def small_suite(suite):
+    return [f for f in suite if max(f.source.dim, f.target.dim) <= 2]

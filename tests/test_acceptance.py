@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each at exact tolerance.
 
 Every check here is an identity over an exact field, so the tolerance is
-literal equality of scalars.  The shared instance suite is seeded and
-covers Q, F5, F7 and F101 with algebra dimensions 0 through 3, drawn by
-randomized search through the validators plus curated examples.  A
+literal equality of scalars.  The shared instance suite (instances.py)
+is seeded and covers Q, F5, F7 and F101 with algebra dimensions 0
+through 3, drawn by randomized search through the validators plus
+curated examples.  A
 pass/fail line per criterion is printed in the terminal summary (see
 conftest) in addition to the per-test verdicts.
 """
@@ -15,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from instances import FIELDS, SEED
 from zinbiel.algebra import identity_morphism, zero_morphism
-from zinbiel.catalog import truncated_polynomials, weight_scaling, \
-    zero_algebra
+from zinbiel.catalog import truncated_polynomials, zero_algebra
 from zinbiel.cochains import Cochain, differential, differential_matrix
 from zinbiel.deformation import (DeformationError, check_deformation,
                                  extend_from_cocycle, extend_one_order,
@@ -35,49 +36,10 @@ from zinbiel.morphism_complex import (TripleCochain, coboundary_preimage,
 from zinbiel.problem_io import parse, serialize
 from zinbiel.sampling import (cocycle_basis, random_cochain,
                               random_combination, random_deformation,
-                              random_dense_invertible,
                               random_formal_isomorphism,
-                              random_morphism_instance,
                               random_triple_cochain)
 
-SEED = 20250808
-FIELDS = (QQ, PrimeField(5), PrimeField(7), PrimeField(101))
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
-
-
-def _curated(field, rng):
-    out = []
-    for dim in (1, 2, 3):
-        algebra = truncated_polynomials(field, dim)
-        out.append(identity_morphism(algebra))
-        out.append(weight_scaling(algebra, 2))
-    out.append(identity_morphism(zero_algebra(field, 0)))
-    out.append(identity_morphism(zero_algebra(field, 1)))
-    out.append(zero_morphism(truncated_polynomials(field, 2),
-                             zero_algebra(field, 1)))
-    # one dense dimension-3 instance: the graded truncation transported
-    # along a fully random change of basis
-    from zinbiel.catalog import change_of_basis
-    p = random_dense_invertible(field, 3, rng)
-    dense, _ = change_of_basis(truncated_polynomials(field, 3), p)
-    out.append(identity_morphism(dense))
-    return out
-
-
-@pytest.fixture(scope="session")
-def suite():
-    rng = random.Random(SEED)
-    instances = []
-    for field in FIELDS:
-        for _ in range(46):
-            instances.append(random_morphism_instance(field, rng, max_dim=3))
-        instances.extend(_curated(field, rng))
-    return instances
-
-
-@pytest.fixture(scope="session")
-def small_suite(suite):
-    return [f for f in suite if max(f.source.dim, f.target.dim) <= 2]
 
 
 def test_criterion_01_complex_axiom(suite):

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
@@ -191,3 +193,34 @@ def test_malformed_file_exit_2(tmp_path):
     result = run_cli("validate", str(bad))
     assert result.returncode == 2
     assert "out of range" in result.stderr
+
+
+@pytest.mark.parametrize("command, flag, value, least", [
+    ("check-deformation", "--order", "-2", 0),
+    ("obstruction", "--order", "0", 1),
+    ("extend", "--target-order", "-3", 1),
+    ("rigidity", "--probe-order", "-1", 1),
+])
+def test_out_of_range_order_is_a_usage_error(command, flag, value, least):
+    result = run_cli(command, str(PROBLEMS / "obstructed_line.zb"),
+                     flag, value)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == \
+        f"error: {flag} must be at least {least}, got {value}\n"
+
+
+def test_lowest_valid_orders_still_run():
+    line = str(PROBLEMS / "obstructed_line.zb")
+    assert run_cli("check-deformation", line, "--order", "0").returncode == 0
+    assert run_cli("obstruction", line, "--order", "1").returncode == 1
+    assert run_cli("extend", line, "--target-order", "1").returncode == 0
+    assert run_cli("rigidity", line, "--probe-order", "1").returncode == 0
+
+
+def test_unverifiable_modulus_is_a_usage_error():
+    result = run_cli("validate", str(PROBLEMS / "abelian_line.zb"),
+                     "--field", "Fp:" + str(2 ** 89 - 1))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1

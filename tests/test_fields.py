@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from zinbiel.fields import QQ, FieldError, PrimeField, field_from_spec
+from zinbiel.fields import (QQ, FieldError, PrimeField, _is_prime,
+                            field_from_spec)
 
 
 def test_rational_arithmetic_is_exact():
@@ -102,3 +104,51 @@ def test_format_parse_round_trip_random():
     for _ in range(200):
         x = f.from_int(rng.randrange(101))
         assert f.parse(f.format(x)) == x
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_primality_agrees_with_trial_division():
+    assert all(_is_prime(n) == _trial_division(n) for n in range(10 ** 5))
+
+
+def test_primality_rejects_carmichael_numbers():
+    for n in (561, 41041, 3215031751):
+        assert not _is_prime(n)
+        with pytest.raises(FieldError):
+            PrimeField(n)
+
+
+def test_large_prime_modulus_is_fast():
+    start = time.perf_counter()
+    field = field_from_spec("Fp:1000000000000000003")
+    PrimeField(2 ** 31 - 1)
+    assert time.perf_counter() - start < 0.5
+    assert field.p == 1000000000000000003
+
+
+def test_modulus_beyond_certified_range_is_rejected():
+    with pytest.raises(FieldError) as err:
+        PrimeField(2 ** 89 - 1)     # prime, but past the certified bound
+    assert "\n" not in str(err.value)
+
+
+def test_modint_equal_values_hash_alike():
+    f = PrimeField(5)
+    assert f.from_int(1) != 6
+    assert len({f.from_int(1), 6}) == 2
+    assert f.from_int(1) == 1 and len({f.from_int(1), 1}) == 1
+    for a in range(-12, 13):
+        for x in (f.from_int(a), PrimeField(7).from_int(a)):
+            for y in (a, f.from_int(a), PrimeField(7).from_int(a)):
+                if x == y:
+                    assert hash(x) == hash(y)
