@@ -16,11 +16,11 @@ from .deformation import (Certificate, DeformationError, ExtensionStep,
                           ExtensionTrace, FormalIsomorphism, LeadingTerm,
                           RigidityReport, TruncatedDeformation,
                           check_deformation, conjugate, extend_from_cocycle,
-                          extend_one_order, infinitesimal,
+                          extend_one_order, extend_to, infinitesimal,
                           infinitesimal_difference_is_coboundary,
                           invert_truncated, normalize_leading_term,
-                          obstruction, rigidity_check, theta_zero,
-                          trivial_deformation, trivialize,
+                          obstruction, order_residual, rigidity_check,
+                          theta_zero, trivial_deformation, trivialize,
                           verify_obstruction_identity)
 from .fields import QQ, Field, FieldError, ModInt, PrimeField, field_from_spec
 from .linalg import Matrix, inverse, rank_nullspace, solve

@@ -18,11 +18,10 @@ import random
 import sys
 
 from .algebra import IdentityError
-from .deformation import (DeformationError, ExtensionTrace,
-                          check_deformation, extend_from_cocycle,
-                          extend_one_order, normalize_leading_term,
-                          obstruction, rigidity_check,
-                          verify_obstruction_identity)
+from .deformation import (DeformationError, check_deformation,
+                          extend_from_cocycle, extend_to,
+                          normalize_leading_term, obstruction,
+                          rigidity_check, verify_obstruction_identity)
 from .cochains import (cohomology_dim, differential, differential_matrix,
                        product_cochain)
 from .fields import FieldError, field_from_spec
@@ -92,6 +91,16 @@ def _emit_triple(out: _Out, field, key: str, triple) -> int:
     return n
 
 
+def _emit_violations(out: _Out, field, key: str, name: str,
+                     violations) -> None:
+    """Print each failed identity instance of a validated object."""
+    for v in violations:
+        out.say(f"  at {_fmt_basis(v.where)}: residual "
+                f"{_fmt_vector(field, v.residual)}")
+        out.kv(key, name, " ".join(str(i + 1) for i in v.where),
+               *[field.format(c) for c in v.residual])
+
+
 def _condition_label(v) -> str:
     if v.kind == "product":
         return f"P_{v.order}({v.component})"
@@ -145,12 +154,8 @@ def _cmd_validate(args) -> int:
             out.kv("algebra", name, "violated", len(e.violations))
             out.say(f"algebra {name}: Zinbiel identity FAILS on "
                     f"{len(e.violations)} of {spec.dim ** 3} triples")
-            for v in e.violations:
-                out.say(f"  at {_fmt_basis(v.where)}: residual "
-                        f"{_fmt_vector(problem.field, v.residual)}")
-                out.kv("algebra.violation", name,
-                       " ".join(str(i + 1) for i in v.where),
-                       *[problem.field.format(c) for c in v.residual])
+            _emit_violations(out, problem.field, "algebra.violation", name,
+                             e.violations)
     for name, spec in problem.morphisms.items():
         if spec.source in bad_algebras or spec.target in bad_algebras:
             bad_morphisms.add(name)
@@ -168,9 +173,8 @@ def _cmd_validate(args) -> int:
             out.kv("morphism", name, "violated", len(e.violations))
             out.say(f"morphism {name}: FAILS to respect products on "
                     f"{len(e.violations)} pairs")
-            for v in e.violations:
-                out.say(f"  at {_fmt_basis(v.where)}: residual "
-                        f"{_fmt_vector(problem.field, v.residual)}")
+            _emit_violations(out, problem.field, "morphism.violation", name,
+                             e.violations)
     for name in problem.cochains:
         if problem.cochains[name].morphism in bad_morphisms:
             out.say(f"cochain {name}: skipped (its morphism was not validated)")
@@ -240,7 +244,6 @@ def _cmd_check_deformation(args) -> int:
     f, terms, order = problem.deformation_candidate(name)
     if args.order is not None:
         order = min(order, args.order)
-        terms = terms[:order + 1]
     try:
         check_deformation(f, terms, order)
     except DeformationError as e:
@@ -268,7 +271,6 @@ def _cmd_obstruction(args) -> int:
     f, terms, order = problem.deformation_candidate(name)
     if args.order is not None:
         order = min(order, args.order)
-        terms = terms[:order + 1]
     try:
         theta = check_deformation(f, terms, order)
     except DeformationError as e:
@@ -308,35 +310,24 @@ def _cmd_extend(args) -> int:
         theta_1 = problem.build_cochain(cname)
         if theta_1.degree != 2:
             raise ProblemFileError(0, 0, "extend needs a degree-2 cochain")
-        f = theta_1.morphism
         ok, _ = is_cocycle(theta_1)
         if not ok:
             out.say(f"cochain {cname} is not a 2-cocycle")
             out.kv("status", "fail")
             out.kv("reason", "not-a-cocycle")
             return 1
-        trace = extend_from_cocycle(f, theta_1, target)
+        trace = extend_from_cocycle(theta_1.morphism, theta_1, target)
     else:
         name = _pick(problem.deformations, args.deformation, "deformation")
         f, terms, order = problem.deformation_candidate(name)
         try:
-            current = check_deformation(f, terms, order)
+            theta = check_deformation(f, terms, order)
         except DeformationError:
             out.say(f"deformation {name} is itself invalid")
             out.kv("status", "fail")
             out.kv("reason", "invalid-deformation")
             return 1
-        trace = None
-        while current.order < target:
-            step = extend_one_order(current)
-            if not step.succeeded:
-                trace = ExtensionTrace(current, target,
-                                       failed_at=current.order + 1,
-                                       obstruction=step.obstruction)
-                break
-            current = step.extended
-        if trace is None:
-            trace = ExtensionTrace(current, target)
+        trace = extend_to(theta, target)
     if not trace.succeeded:
         out.say(f"extension blocked at order {trace.failed_at}: "
                 "the obstruction class is nontrivial")
@@ -392,6 +383,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_rigidity(args) -> int:
     _at_least("--probe-order", args.probe_order, 1)
+    _at_least("--demo", args.demo, 0)
     problem = _load(args)
     out = _Out(args.output == "machine")
     out.kv("command", "rigidity")

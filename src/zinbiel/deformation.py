@@ -12,6 +12,12 @@ n <= N and all basis arguments
       sum_i f_i(m_{R,n-i}(x,y)) = sum_{i+j+k=n} m_{S,i}(f_j(x), f_k(y)).
 
 All series are finite truncations; arithmetic is modulo t^{N+1}.
+`order_residual` evaluates the order-n conditions, left side minus right
+side, as a degree-3 triple (res_R; res_S; res_f).  The obstruction of an
+order-N deformation is that residual at order N+1 with theta_{N+1} = 0
+and the f-column negated, (res_R; res_S; -res_f); with this sign theta
+extends to order N+1 exactly when d(theta_{N+1}) = obstruction(theta) has
+a solution.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ from .cochains import Cochain, all_tuples, differential, identity_cochain, \
 from .linalg import solve, vec_add, vec_is_zero, vec_sub, zero_vector
 from .morphism_complex import (TripleCochain, coboundary_preimage,
                                is_cocycle, morphism_cochain,
-                               morphism_cohomology_dim,
-                               morphism_differential,
-                               morphism_differential_matrix)
+                               morphism_cohomology_dim, morphism_differential,
+                               morphism_differential_matrix,
+                               push_forward_left, push_forward_right)
 
 
 @dataclass
@@ -77,15 +83,17 @@ class TruncatedDeformation:
         if not _validated:
             if terms[0] != theta_zero(morphism):
                 raise ValueError("constant term differs from (m_R; m_S; f)")
-            report = deformation_violations(morphism, terms, self.order)
-            if report is not None:
-                n, items = report
-                raise DeformationError(
-                    f"deformation conditions fail first at order {n}", n,
-                    items)
+            _raise_on(deformation_violations(morphism, terms, self.order))
 
-    def term(self, i: int) -> TripleCochain:
-        return self.terms[i]
+    def extend(self, term: TripleCochain) -> "TruncatedDeformation":
+        """The order-(N+1) series with term as its t^{N+1} coefficient.
+
+        Orders 0..N hold already, so only order N+1 is validated.
+        """
+        grown = TruncatedDeformation(self.morphism, self.terms + [term],
+                                     _validated=True)
+        _raise_on(_order_violations(self.morphism, grown.terms, grown.order))
+        return grown
 
     def truncate(self, order: int) -> "TruncatedDeformation":
         if order >= self.order:
@@ -115,8 +123,6 @@ def check_deformation(f: AlgebraMorphism, terms: list[TripleCochain],
     """
     if not terms:
         raise ValueError("candidate series is empty")
-    if terms[0] != theta_zero(f):
-        raise ValueError("constant term differs from (m_R; m_S; f)")
     if order is None:
         order = len(terms) - 1
     terms = list(terms[:order + 1])
@@ -132,10 +138,12 @@ def trivial_deformation(f: AlgebraMorphism,
 
 
 def _product_residual(algebra, ms, n, x, y, z):
-    """sum_l m_l(m_{n-l}(x,y), z) - sum_l m_l(x, m_{n-l}(y,z) + m_{n-l}(z,y))"""
+    """sum_l m_l(m_{n-l}(x,y), z) - sum_l m_l(x, m_{n-l}(y,z) + m_{n-l}(z,y)),
+    with m_l = 0 past the end of ms (those terms are skipped)"""
     field = algebra.field
     res = zero_vector(field, algebra.dim)
-    for l in range(n + 1):
+    top = len(ms) - 1
+    for l in range(max(0, n - top), min(n, top) + 1):
         inner = ms[n - l].eval_basis((x, y))
         res = vec_add(res, ms[l].eval([inner, z]))
         sym = vec_add(ms[n - l].eval_basis((y, z)), ms[n - l].eval_basis((z, y)))
@@ -144,17 +152,57 @@ def _product_residual(algebra, ms, n, x, y, z):
 
 
 def _morphism_residual(f, ms_r, ms_s, fs, n, x, y):
-    """sum_i f_i(m_{R,n-i}(x,y)) - sum_{i+j+k=n} m_{S,i}(f_j(x), f_k(y))"""
+    """sum_i f_i(m_{R,n-i}(x,y)) - sum_{i+j+k=n} m_{S,i}(f_j(x), f_k(y)),
+    with every series zero past the end of its list"""
     field = f.source.field
     res = zero_vector(field, f.target.dim)
-    for i in range(n + 1):
+    top = len(fs) - 1
+    for i in range(max(0, n - top), min(n, top) + 1):
         res = vec_add(res, fs[i].eval([ms_r[n - i].eval_basis((x, y))]))
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
+    for i in range(min(n, top) + 1):
+        for j in range(max(0, n - i - top), min(n - i, top) + 1):
             k = n - i - j
             res = vec_sub(res, ms_s[i].eval([fs[j].eval_basis((x,)),
                                              fs[k].eval_basis((y,))]))
     return res
+
+
+def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
+                   n: int) -> TripleCochain:
+    """The order-n deformation conditions of a series as a degree-3 triple:
+    the product residual on basis triples of R and of S, the morphism
+    residual on basis pairs of R.  Terms past the end of the series count
+    as zero; terms[0] is expected to be (m_R; m_S; f)."""
+    ms_r = [t.xi for t in terms[:n + 1]]
+    ms_s = [t.pi for t in terms[:n + 1]]
+    fs = [t.phi for t in terms[:n + 1]]
+
+    def product(algebra, ms):
+        rows = [_product_residual(algebra, ms, n, x, y, z)
+                for (x, y, z) in all_tuples(algebra.dim, 3)]
+        return Cochain(algebra, algebra.regular_bimodule(), 3, rows)
+
+    rows = [_morphism_residual(f, ms_r, ms_s, fs, n, x, y)
+            for (x, y) in all_tuples(f.source.dim, 2)]
+    return TripleCochain(f, 3, product(f.source, ms_r),
+                         product(f.target, ms_s),
+                         Cochain(f.source, f.as_bimodule(), 2, rows))
+
+
+def _order_violations(f: AlgebraMorphism, terms: list[TripleCochain], n: int):
+    """None when the order-n conditions hold, otherwise (n, list of
+    ConditionViolation at order n)."""
+    res = order_residual(f, terms, n)
+    items = []
+    for kind, component, part in (("product", "R", res.xi),
+                                  ("product", "S", res.pi),
+                                  ("morphism", "f", res.phi)):
+        for where, row in zip(all_tuples(part.source.dim, part.arity),
+                              part.coeffs):
+            if not vec_is_zero(row):
+                items.append(ConditionViolation(kind, component, n, where,
+                                                row))
+    return (n, items) if items else None
 
 
 def deformation_violations(f: AlgebraMorphism, terms: list[TripleCochain],
@@ -162,37 +210,18 @@ def deformation_violations(f: AlgebraMorphism, terms: list[TripleCochain],
     """None when the conditions hold through the given order, otherwise
     (smallest failing order, list of ConditionViolation at that order).
     terms[0] is expected to be (m_R; m_S; f)."""
-    r, s = f.source, f.target
-    ms_r = [t.xi for t in terms]
-    ms_s = [t.pi for t in terms]
-    fs = [morphism_cochain(f)] + [t.phi for t in terms[1:]]
-    zero_r = Cochain.zero(r, r.regular_bimodule(), 2)
-    zero_s = Cochain.zero(s, s.regular_bimodule(), 2)
-    zero_f = Cochain.zero(r, f.as_bimodule(), 1)
-    while len(ms_r) < order + 1:
-        ms_r.append(zero_r)
-        ms_s.append(zero_s)
-        fs.append(zero_f)
     for n in range(order + 1):
-        items = []
-        for (x, y, z) in all_tuples(r.dim, 3):
-            res = _product_residual(r, ms_r, n, x, y, z)
-            if not vec_is_zero(res):
-                items.append(
-                    ConditionViolation("product", "R", n, (x, y, z), res))
-        for (x, y, z) in all_tuples(s.dim, 3):
-            res = _product_residual(s, ms_s, n, x, y, z)
-            if not vec_is_zero(res):
-                items.append(
-                    ConditionViolation("product", "S", n, (x, y, z), res))
-        for (x, y) in all_tuples(r.dim, 2):
-            res = _morphism_residual(f, ms_r, ms_s, fs, n, x, y)
-            if not vec_is_zero(res):
-                items.append(
-                    ConditionViolation("morphism", "f", n, (x, y), res))
-        if items:
-            return n, items
+        report = _order_violations(f, terms, n)
+        if report is not None:
+            return report
     return None
+
+
+def _raise_on(report) -> None:
+    if report is not None:
+        n, items = report
+        raise DeformationError(
+            f"deformation conditions fail first at order {n}", n, items)
 
 
 @dataclass
@@ -249,18 +278,14 @@ class FormalIsomorphism:
     def identity(cls, morphism: AlgebraMorphism,
                  order: int = 0) -> "FormalIsomorphism":
         r, s = morphism.source, morphism.target
-        terms = [(identity_cochain(r), identity_cochain(s))]
-        zr = Cochain.zero(r, r.regular_bimodule(), 1)
-        zs = Cochain.zero(s, s.regular_bimodule(), 1)
-        terms += [(zr, zs) for _ in range(order)]
-        return cls(morphism, terms)
+        one = cls(morphism, [(identity_cochain(r), identity_cochain(s))])
+        return cls(morphism, one.padded(order))
 
     @classmethod
     def single_term(cls, morphism: AlgebraMorphism, order: int,
                     phi_r: Cochain, phi_s: Cochain) -> "FormalIsomorphism":
         """Id + (phi_R; phi_S) t^order."""
-        iso = cls.identity(morphism, order)
-        terms = list(iso.terms)
+        terms = cls.identity(morphism, order).terms
         terms[order] = (phi_r, phi_s)
         return cls(morphism, terms)
 
@@ -328,10 +353,8 @@ def conjugate(theta: TruncatedDeformation,
     f = theta.morphism
     n_max = theta.order
     r, s = f.source, f.target
-    pr = [t[0] for t in phi.padded(n_max)]
-    ps = [t[1] for t in phi.padded(n_max)]
-    qr = _invert_series(pr, n_max, identity_cochain(r))
-    qs = _invert_series(ps, n_max, identity_cochain(s))
+    pr, ps = zip(*phi.padded(n_max))
+    qr, qs = zip(*invert_truncated(phi, n_max).terms)
     ms_r = [t.xi for t in theta.terms]
     ms_s = [t.pi for t in theta.terms]
     fs = [morphism_cochain(f)] + [t.phi for t in theta.terms[1:]]
@@ -395,55 +418,14 @@ def infinitesimal_difference_is_coboundary(
 
 
 def obstruction(theta: TruncatedDeformation) -> TripleCochain:
-    """The degree-3 obstruction of an order-N deformation (N >= 1).
-
-    Component on each algebra, on basis triples:
-        sum_{i=1}^N m_i(m_{N+1-i}(x,y), z)
-      - sum_{i=1}^N m_i(x, m_{N+1-i}(y,z) + m_{N+1-i}(z,y))
-    and on the morphism column, on basis pairs:
-        sum' m_{S,i}(f_j(x), f_k(y)) - sum_{i=1}^N f_i(m_{R,N+1-i}(x,y))
-    where sum' runs over i+j+k = N+1 with at most one index zero.
-    """
+    """The degree-3 obstruction of an order-N deformation (N >= 1): the
+    order-(N+1) residual with a zero top term, f-column negated (see the
+    module docstring)."""
     if theta.order < 1:
         raise ValueError("obstruction needs order at least 1")
     f = theta.morphism
-    r, s = f.source, f.target
-    n = theta.order
-    ms_r = [t.xi for t in theta.terms]
-    ms_s = [t.pi for t in theta.terms]
-    fs = [morphism_cochain(f)] + [t.phi for t in theta.terms[1:]]
-
-    def ob_product(algebra, ms):
-        rows = []
-        for (x, y, z) in all_tuples(algebra.dim, 3):
-            acc = zero_vector(algebra.field, algebra.dim)
-            for i in range(1, n + 1):
-                inner = ms[n + 1 - i].eval_basis((x, y))
-                acc = vec_add(acc, ms[i].eval([inner, z]))
-                sym = vec_add(ms[n + 1 - i].eval_basis((y, z)),
-                              ms[n + 1 - i].eval_basis((z, y)))
-                acc = vec_sub(acc, ms[i].eval([x, sym]))
-            rows.append(acc)
-        return Cochain(algebra, algebra.regular_bimodule(), 3, rows)
-
-    ob_r = ob_product(r, ms_r)
-    ob_s = ob_product(s, ms_s)
-
-    rows = []
-    for (x, y) in all_tuples(r.dim, 2):
-        acc = zero_vector(r.field, s.dim)
-        for i in range(n + 2):
-            for j in range(n + 2 - i):
-                k = n + 1 - i - j
-                if (i == 0) + (j == 0) + (k == 0) > 1:
-                    continue
-                acc = vec_add(acc, ms_s[i].eval([fs[j].eval_basis((x,)),
-                                                 fs[k].eval_basis((y,))]))
-        for i in range(1, n + 1):
-            acc = vec_sub(acc, fs[i].eval([ms_r[n + 1 - i].eval_basis((x, y))]))
-        rows.append(acc)
-    ob_f = Cochain(r, f.as_bimodule(), 2, rows)
-    return TripleCochain(f, 3, ob_r, ob_s, ob_f)
+    res = order_residual(f, theta.terms, theta.order + 1)
+    return TripleCochain(f, 3, res.xi, res.pi, -res.phi)
 
 
 @dataclass
@@ -463,18 +445,16 @@ def extend_one_order(theta: TruncatedDeformation) -> ExtensionStep:
     """Try to extend an order-N deformation to order N+1.
 
     Solves d(theta_{N+1}) = obstruction for the deterministic representative;
-    on success the returned series is re-validated at order N+1, on failure
-    the obstruction admits no preimage.
+    on success the returned series is validated at the new order N+1, on
+    failure the obstruction admits no preimage.
     """
     f = theta.morphism
     ob = obstruction(theta)
-    mat = morphism_differential_matrix(f, 2)
-    sol = solve(mat, ob.flatten())
+    sol = solve(morphism_differential_matrix(f, 2), ob.flatten())
     if sol is None:
         return ExtensionStep(ob, None, None)
     term = TripleCochain.from_flat(f, 2, sol)
-    extended = TruncatedDeformation(f, theta.terms + [term])
-    return ExtensionStep(ob, term, extended)
+    return ExtensionStep(ob, term, theta.extend(term))
 
 
 @dataclass
@@ -495,6 +475,20 @@ class ExtensionTrace:
         return self.failed_at is None
 
 
+def extend_to(theta: TruncatedDeformation,
+              target_order: int) -> ExtensionTrace:
+    """Extend theta one order at a time up to target_order, stopping at
+    the first obstruction that has no preimage."""
+    while theta.order < target_order:
+        step = extend_one_order(theta)
+        if not step.succeeded:
+            return ExtensionTrace(theta, target_order,
+                                  failed_at=theta.order + 1,
+                                  obstruction=step.obstruction)
+        theta = step.extended
+    return ExtensionTrace(theta, target_order)
+
+
 def extend_from_cocycle(f: AlgebraMorphism, theta_1: TripleCochain,
                         target_order: int) -> ExtensionTrace:
     """Grow a deformation with the given 2-cocycle as linear coefficient,
@@ -504,15 +498,7 @@ def extend_from_cocycle(f: AlgebraMorphism, theta_1: TripleCochain,
         raise ValueError("the proposed linear coefficient is not a 2-cocycle")
     if target_order < 1:
         raise ValueError("target order must be at least 1")
-    current = TruncatedDeformation(f, [theta_zero(f), theta_1])
-    while current.order < target_order:
-        step = extend_one_order(current)
-        if not step.succeeded:
-            return ExtensionTrace(current, target_order,
-                                  failed_at=current.order + 1,
-                                  obstruction=step.obstruction)
-        current = step.extended
-    return ExtensionTrace(current, target_order)
+    return extend_to(trivial_deformation(f).extend(theta_1), target_order)
 
 
 def normalize_leading_term(
@@ -564,7 +550,6 @@ def verify_obstruction_identity(theta: TruncatedDeformation) -> Certificate:
     """Machine check that the obstruction is natural: pushing its two
     product components through f agrees with the differential of its
     morphism component, computed by independent code paths."""
-    from .morphism_complex import push_forward_left, push_forward_right
     ob = obstruction(theta)
     f = theta.morphism
     lhs = push_forward_left(f, ob.xi) - push_forward_right(f, ob.pi)

@@ -43,14 +43,6 @@ def vec_sub(u: list, v: list) -> list:
     return [a - b for a, b in zip(u, v)]
 
 
-def vec_neg(u: list) -> list:
-    return [-a for a in u]
-
-
-def vec_scale(c, u: list) -> list:
-    return [c * a for a in u]
-
-
 def vec_is_zero(u: list) -> bool:
     return not any(u)
 

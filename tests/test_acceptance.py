@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from instances import FIELDS, SEED
+from instances import FIELDS, SEED, grown_deformations
 from zinbiel.algebra import identity_morphism, zero_morphism
 from zinbiel.catalog import truncated_polynomials, zero_algebra
 from zinbiel.cochains import Cochain, differential, differential_matrix
@@ -136,28 +136,9 @@ def test_criterion_05_infinitesimal_theorem(small_suite):
           f"conjugations (seed {SEED + 5})")
 
 
-def _grown_deformations(small_suite, rng, count):
-    """Valid deformations of orders 1..3 built by iterated extension."""
-    pool = [f for f in small_suite if f.source.dim + f.target.dim > 0]
-    grown = []
-    idx = 0
-    while len(grown) < count:
-        f = pool[idx % len(pool)]
-        target = idx % 3 + 1
-        idx += 1
-        basis = cocycle_basis(f)
-        if not basis:
-            continue
-        seed_cocycle = random_combination(basis, rng)
-        trace = extend_from_cocycle(f, seed_cocycle, target)
-        if trace.deformation.order >= 1:
-            grown.append(trace.deformation.truncate(target))
-    return grown
-
-
 def test_criterion_06_obstruction_cocycle_and_naturality(small_suite):
     rng = random.Random(SEED + 6)
-    deformations = _grown_deformations(small_suite, rng, 105)
+    deformations = grown_deformations(small_suite, rng, 105)
     for theta in deformations:
         ob = obstruction(theta)
         residual = morphism_differential(ob)
@@ -173,7 +154,7 @@ def test_criterion_06_obstruction_cocycle_and_naturality(small_suite):
 def test_criterion_07_extension_round_trip(small_suite):
     rng = random.Random(SEED + 7)
     successes = failures = 0
-    for theta in _grown_deformations(small_suite, rng, 60):
+    for theta in grown_deformations(small_suite, rng, 60):
         step = extend_one_order(theta)
         if step.succeeded:
             successes += 1

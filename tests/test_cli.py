@@ -1,10 +1,15 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+from zinbiel import cli
+from zinbiel.problem_io import parse
+
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 
 
 def run_cli(*args):
@@ -200,6 +205,7 @@ def test_malformed_file_exit_2(tmp_path):
     ("obstruction", "--order", "0", 1),
     ("extend", "--target-order", "-3", 1),
     ("rigidity", "--probe-order", "-1", 1),
+    ("rigidity", "--demo", "-1", 0),
 ])
 def test_out_of_range_order_is_a_usage_error(command, flag, value, least):
     result = run_cli(command, str(PROBLEMS / "obstructed_line.zb"),
@@ -224,3 +230,62 @@ def test_unverifiable_modulus_is_a_usage_error():
     assert result.returncode == 2
     assert result.stderr.startswith("error: ")
     assert result.stderr.count("\n") == 1
+
+
+def _documented_keys():
+    """The README machine-key table as one pattern; <k> stands for digits."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Machine output keys", 1)[1].split("\n## ", 1)[0]
+    keys = [code.split()[0] for line in table.splitlines()
+            if line.startswith("| `")
+            for code in re.findall(r"`([^`]+)`", line.split(" | ")[0])]
+    return re.compile("|".join(
+        re.escape(key).replace("<k>", r"\d+") for key in keys))
+
+
+# one failing morphism (s), one deformation failing at order 2 (D), one
+# algebra failing the Zinbiel identity (B) and a 2-cocycle (c)
+FAILING = (
+    "field Q\n"
+    "algebra L\n  dim 1\nend\n"
+    "morphism id\n  source L\n  target L\n  entry 1 1 = 1\nend\n"
+    "cochain c\n  morphism id\n  degree 2\n"
+    "  R 1 1 1 = 1\n  S 1 1 1 = 1\nend\n"
+    "deformation D\n  morphism id\n  order 2\n"
+    "  term 1 R 1 1 1 = 1\n  term 1 S 1 1 1 = 1\nend\n"
+    "algebra R\n  dim 2\n  gamma 1 1 2 = 1\nend\n"
+    "morphism s\n  source R\n  target R\n"
+    "  entry 1 2 = 1\n  entry 2 1 = 1\nend\n"
+    "algebra B\n  dim 1\n  gamma 1 1 1 = 1\nend\n")
+
+
+def test_machine_keys_are_documented(tmp_path, capsys):
+    # roundtrip prints the problem file itself, so it has no keys
+    failing = tmp_path / "failing.zb"
+    failing.write_text(FAILING)
+    documented = _documented_keys()
+    seen = set()
+    for path in sorted(PROBLEMS.glob("*.zb")) + [failing]:
+        problem = parse(path.read_text(encoding="utf-8"))
+        morphism = [f"--morphism={m}" for m in list(problem.morphisms)[:1]]
+        deformation = [f"--deformation={d}"
+                       for d in list(problem.deformations)[:1]]
+        runs = [["validate"], ["verify-identities"],
+                ["cohomology", "--degree", "2", *morphism],
+                ["cohomology", "--degree", "3", "--algebra",
+                 next(iter(problem.algebras))],
+                ["rigidity", "--demo", "1", *morphism],
+                ["check-deformation", *deformation],
+                ["obstruction", *deformation],
+                ["normalize", *deformation],
+                ["extend", "--target-order", "3", *deformation]]
+        runs += [["extend", "--target-order", "2", "--cochain", name]
+                 for name in problem.cochains]
+        for run in runs:
+            cli.main([run[0], str(path), "--output", "machine", *run[1:]])
+            for line in capsys.readouterr().out.splitlines():
+                key = line.split(" ", 1)[0]
+                assert documented.fullmatch(key), (path.name, run, line)
+                seen.add(key)
+    assert {"morphism.violation", "violation.order", "algebra.violation",
+            "obstruction.entry", "term.1.entry", "failed.at"} <= seen

@@ -6,7 +6,7 @@ from zinbiel.cochains import Cochain
 from zinbiel.deformation import (DeformationError, FormalIsomorphism,
                                  check_deformation, conjugate,
                                  extend_from_cocycle, extend_one_order,
-                                 infinitesimal,
+                                 extend_to, infinitesimal,
                                  infinitesimal_difference_is_coboundary,
                                  invert_truncated, normalize_leading_term,
                                  obstruction, rigidity_check, theta_zero,
@@ -305,6 +305,33 @@ def test_extend_round_trip_property(field, rng):
             check_deformation(f, step.extended.terms)
         else:
             assert coboundary_preimage(step.obstruction) is None
+
+
+def test_extend_validates_the_new_order(rng):
+    # with theta_1 = 0 the order-2 condition asks theta_2 to be a cocycle
+    f = identity_morphism(truncated_polynomials(QQ, 2))
+    theta = trivial_deformation(f, 1)
+    z = random_combination(cocycle_basis(f), rng)
+    assert theta.extend(z) == check_deformation(f, theta.terms + [z])
+    while True:
+        cand = random_triple_cochain(f, 2, rng)
+        if not is_cocycle(cand)[0]:
+            break
+    with pytest.raises(DeformationError) as err:
+        theta.extend(cand)
+    assert err.value.order == 2 and err.value.violations
+
+
+def test_extend_to_continues_a_deformation(rng):
+    f = identity_morphism(truncated_polynomials(QQ, 2))
+    z = random_combination(cocycle_basis(f), rng)
+    grown = extend_from_cocycle(f, z, 3)
+    again = extend_to(check_deformation(f, [theta_zero(f), z]), 3)
+    assert again.deformation == grown.deformation
+    assert again.failed_at == grown.failed_at
+    # a series already past the target comes back unchanged
+    past = extend_to(trivial_deformation(f, 3), 2)
+    assert past.succeeded and past.deformation.order == 3
 
 
 def test_extend_from_cocycle_requires_cocycle(rng):
