@@ -1,6 +1,10 @@
+import contextlib
+import io
+import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -259,29 +263,33 @@ FAILING = (
     "algebra B\n  dim 1\n  gamma 1 1 1 = 1\nend\n")
 
 
+def _runs(problem):
+    """Every subcommand except roundtrip, with the flags it needs on problem.
+
+    roundtrip prints the problem file itself, so it has no keys.
+    """
+    morphism = [f"--morphism={m}" for m in list(problem.morphisms)[:1]]
+    deformation = [f"--deformation={d}" for d in list(problem.deformations)[:1]]
+    runs = [["validate"], ["verify-identities"],
+            ["cohomology", "--degree", "2", *morphism],
+            ["cohomology", "--degree", "3", "--algebra",
+             next(iter(problem.algebras))],
+            ["rigidity", "--demo", "1", *morphism],
+            ["check-deformation", *deformation],
+            ["obstruction", *deformation],
+            ["normalize", *deformation],
+            ["extend", "--target-order", "3", *deformation]]
+    return runs + [["extend", "--target-order", "2", "--cochain", name]
+                   for name in problem.cochains]
+
+
 def test_machine_keys_are_documented(tmp_path, capsys):
-    # roundtrip prints the problem file itself, so it has no keys
     failing = tmp_path / "failing.zb"
     failing.write_text(FAILING)
     documented = _documented_keys()
     seen = set()
     for path in sorted(PROBLEMS.glob("*.zb")) + [failing]:
-        problem = parse(path.read_text(encoding="utf-8"))
-        morphism = [f"--morphism={m}" for m in list(problem.morphisms)[:1]]
-        deformation = [f"--deformation={d}"
-                       for d in list(problem.deformations)[:1]]
-        runs = [["validate"], ["verify-identities"],
-                ["cohomology", "--degree", "2", *morphism],
-                ["cohomology", "--degree", "3", "--algebra",
-                 next(iter(problem.algebras))],
-                ["rigidity", "--demo", "1", *morphism],
-                ["check-deformation", *deformation],
-                ["obstruction", *deformation],
-                ["normalize", *deformation],
-                ["extend", "--target-order", "3", *deformation]]
-        runs += [["extend", "--target-order", "2", "--cochain", name]
-                 for name in problem.cochains]
-        for run in runs:
+        for run in _runs(parse(path.read_text(encoding="utf-8"))):
             cli.main([run[0], str(path), "--output", "machine", *run[1:]])
             for line in capsys.readouterr().out.splitlines():
                 key = line.split(" ", 1)[0]
@@ -289,3 +297,96 @@ def test_machine_keys_are_documented(tmp_path, capsys):
                 seen.add(key)
     assert {"morphism.violation", "violation.order", "algebra.violation",
             "obstruction.entry", "term.1.entry", "failed.at"} <= seen
+
+
+# Exit code, stdout and stderr of every transcript below, byte for byte.
+# Rewrite them after an intended output change with
+#   PYTHONPATH=src python tests/test_cli.py
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+# extra files next to problems/*.zb: FAILING, a malformed file (gamma
+# index out of range) and a degree-2 cochain that is not a 2-cocycle
+GOLDEN_FILES = {
+    "failing.zb": FAILING,
+    "malformed.zb": "field Q\nalgebra R\n  dim 1\n  gamma 1 1 2 = 1\nend\n",
+    "noncocycle.zb": (
+        "field Q\n"
+        "algebra R\n  dim 2\n  gamma 1 1 2 = 1\nend\n"
+        "morphism id\n  source R\n  target R\n"
+        "  entry 1 1 = 1\n  entry 2 2 = 1\nend\n"
+        "cochain n\n  morphism id\n  degree 2\n  R 1 1 1 = 1\nend\n"),
+}
+
+
+def _golden_files():
+    """Name -> text of every file the transcripts read."""
+    files = {p.name: p.read_text(encoding="utf-8")
+             for p in sorted(PROBLEMS.glob("*.zb"))}
+    return files | GOLDEN_FILES
+
+
+def _golden_argvs():
+    argvs = []
+    files = _golden_files()
+    for name in [*(p.name for p in sorted(PROBLEMS.glob("*.zb"))),
+                 "failing.zb"]:
+        for run in _runs(parse(files[name])) + [["roundtrip"]]:
+            for output in ("report", "machine"):
+                for field in ([], ["--field", "Fp:5"]):
+                    argvs.append([run[0], name, "--output", output,
+                                  *run[1:], *field])
+    extra = [
+        # a missing name fails after the command echo
+        ["cohomology", "graded_dim3.zb", "--degree", "2", "--morphism",
+         "nope"],
+        ["validate", "malformed.zb"],
+        ["validate", "missing.zb"],
+        ["check-deformation", "obstructed_line.zb", "--order", "-1"],
+        ["obstruction", "obstructed_line.zb", "--order", "0"],
+        ["extend", "obstructed_line.zb", "--target-order", "0"],
+        ["extend", "noncocycle.zb", "--cochain", "n", "--target-order", "1"],
+    ]
+    for argv in extra:
+        for output in ("report", "machine"):
+            argvs.append([*argv, "--output", output])
+    return argvs
+
+
+def _transcripts():
+    """Run every golden argv in-process, from a directory holding the
+    problem files under their plain names, so no path varies."""
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _golden_files().items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        with contextlib.chdir(tmp):
+            for argv in _golden_argvs():
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                records.append({"argv": argv, "exit": code,
+                                "stdout": out.getvalue(),
+                                "stderr": err.getvalue()})
+    return records
+
+
+def _status_agrees(record):
+    codes = {"status ok": 0, "status fail": 1}
+    return all(codes[line] == record["exit"]
+               for line in record["stdout"].splitlines()
+               if line in codes)
+
+
+def test_cli_transcripts_are_unchanged():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    live = _transcripts()
+    assert [r["argv"] for r in live] == [r["argv"] for r in golden]
+    for now, then in zip(live, golden):
+        assert now == then, now["argv"]
+        assert _status_agrees(now), now["argv"]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_transcripts(), indent=1) + "\n",
+                      encoding="utf-8")
