@@ -131,6 +131,8 @@ def _pick(table: dict, requested: str | None, kind: str):
         return requested
     if len(table) == 1:
         return next(iter(table))
+    if not table:
+        raise ProblemFileError(0, 0, f"the file has no {kind}")
     raise ProblemFileError(
         0, 0, f"--{kind} is required when the file has {len(table)} of them")
 

@@ -228,6 +228,12 @@ def test_lowest_valid_orders_still_run():
     assert run_cli("rigidity", line, "--probe-order", "1").returncode == 0
 
 
+def test_a_missing_kind_is_named(capsys):
+    code = cli.main(["obstruction", str(PROBLEMS / "nilpotent_dim2.zb")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: the file has no deformation\n"
+
+
 def test_unverifiable_modulus_is_a_usage_error():
     result = run_cli("validate", str(PROBLEMS / "abelian_line.zb"),
                      "--field", "Fp:" + str(2 ** 89 - 1))
