@@ -5,6 +5,14 @@ or deformation condition fails, an obstruction class is nontrivial, a
 leading term is not a coboundary), 2 = usage error (bad flags, unreadable
 or malformed problem file).
 
+Each handler states every fact once, as one `emit(key, *values,
+report=...)` call: an optional machine key with its values and an
+optional report line.  `main` picks the renderer once from `--output`
+and each fact prints as it is emitted, so a usage error partway through
+a command leaves the facts emitted before it on stdout.  `main` also
+echoes `command <name>` once the problem file has loaded (not for
+`roundtrip`, which prints the file itself).
+
 Human-readable reports label the per-order deformation conditions as
 P_n(R), P_n(S) (product condition at order n) and M_n (morphism
 condition at order n).  `--output machine` emits stable `key value`
@@ -18,12 +26,12 @@ import random
 import sys
 
 from .algebra import IdentityError
+from .cochains import (all_tuples, cohomology_dim, differential,
+                       differential_matrix, product_cochain)
 from .deformation import (DeformationError, check_deformation,
                           extend_from_cocycle, extend_to,
                           normalize_leading_term, obstruction,
-                          rigidity_check, verify_obstruction_identity)
-from .cochains import (cohomology_dim, differential, differential_matrix,
-                       product_cochain)
+                          obstruction_naturality, rigidity_check)
 from .fields import FieldError, field_from_spec
 from .morphism_complex import (coboundary_preimage, is_cocycle,
                                morphism_cohomology_dim,
@@ -33,19 +41,20 @@ from .problem_io import ProblemFileError, parse, serialize
 from .sampling import random_cochain
 
 
-class _Out:
-    """Collects either prose lines or `key value` pairs, one mode per run."""
+def _emitter(machine: bool):
+    """The one renderer, chosen from --output: each fact prints as it is
+    emitted, as a `key value...` line or as its report line."""
+    def emit(key: str | None = None, *values, report: str | None = None):
+        if machine:
+            if key is not None:
+                print(" ".join([key] + [str(v) for v in values]))
+        elif report is not None:
+            print(report)
+    return emit
 
-    def __init__(self, machine: bool):
-        self.machine = machine
 
-    def say(self, text: str) -> None:
-        if not self.machine:
-            print(text)
-
-    def kv(self, key: str, *parts) -> None:
-        if self.machine:
-            print(" ".join([key] + [str(p) for p in parts]))
+def _indices(where) -> str:
+    return " ".join(str(i + 1) for i in where)
 
 
 def _fmt_vector(field, vec) -> str:
@@ -57,48 +66,35 @@ def _fmt_basis(where) -> str:
     return "(" + ",".join(f"e{i + 1}" for i in where) + ")"
 
 
-def _emit_cochain_entries(out: _Out, field, key: str, name: str, cochain,
-                          dim_in: int) -> int:
-    """Print the nonzero coefficients of one component; returns the count."""
+def _emit_cochain_entries(emit, key: str, name: str, cochain) -> int:
+    """Emit the nonzero coefficients of one component; returns the count."""
     count = 0
-    arity = cochain.arity
-    for t, row in enumerate(cochain.coeffs):
-        idx = []
-        rem = t
-        for _ in range(arity):
-            idx.append(rem % dim_in)
-            rem //= dim_in
-        idx = tuple(reversed(idx))
+    field = cochain.field
+    for idx, row in zip(all_tuples(cochain.source.dim, cochain.arity),
+                        cochain.coeffs):
         for b, c in enumerate(row):
             if c:
                 count += 1
-                pos = " ".join(str(i + 1) for i in idx)
-                sep = " " if pos else ""
-                out.kv(f"{key}.entry", name, f"{pos}{sep}{b + 1}",
-                       field.format(c))
-                out.say(f"  {name}{_fmt_basis(idx)} -> "
-                        f"{field.format(c)}*e{b + 1}")
+                emit(f"{key}.entry", name, _indices(idx + (b,)),
+                     field.format(c), report=f"  {name}{_fmt_basis(idx)} -> "
+                                             f"{field.format(c)}*e{b + 1}")
     return count
 
 
-def _emit_triple(out: _Out, field, key: str, triple) -> int:
-    f = triple.morphism
-    n = _emit_cochain_entries(out, field, key, "R", triple.xi, f.source.dim)
-    n += _emit_cochain_entries(out, field, key, "S", triple.pi, f.target.dim)
+def _emit_triple(emit, key: str, triple) -> int:
+    n = _emit_cochain_entries(emit, key, "R", triple.xi)
+    n += _emit_cochain_entries(emit, key, "S", triple.pi)
     if triple.phi is not None:
-        n += _emit_cochain_entries(out, field, key, "f", triple.phi,
-                                   f.source.dim)
+        n += _emit_cochain_entries(emit, key, "f", triple.phi)
     return n
 
 
-def _emit_violations(out: _Out, field, key: str, name: str,
-                     violations) -> None:
-    """Print each failed identity instance of a validated object."""
+def _emit_violations(emit, field, key: str, name: str, violations) -> None:
+    """Emit each failed identity instance of a validated object."""
     for v in violations:
-        out.say(f"  at {_fmt_basis(v.where)}: residual "
-                f"{_fmt_vector(field, v.residual)}")
-        out.kv(key, name, " ".join(str(i + 1) for i in v.where),
-               *[field.format(c) for c in v.residual])
+        emit(key, name, _indices(v.where), *map(field.format, v.residual),
+             report=f"  at {_fmt_basis(v.where)}: residual "
+                    f"{_fmt_vector(field, v.residual)}")
 
 
 def _condition_label(v) -> str:
@@ -107,11 +103,10 @@ def _condition_label(v) -> str:
     return f"M_{v.order}"
 
 
-def _at_least(flag: str, value, least: int) -> None:
-    """Reject an integer option below its smallest meaningful value."""
-    if value is not None and value < least:
-        raise ProblemFileError(
-            0, 0, f"{flag} must be at least {least}, got {value}")
+# the smallest meaningful value of each integer option, per subcommand
+_LEAST = {"check-deformation": {"--order": 0}, "obstruction": {"--order": 1},
+          "extend": {"--target-order": 1},
+          "rigidity": {"--probe-order": 1, "--demo": 0}}
 
 
 def _load(args):
@@ -137,111 +132,113 @@ def _pick(table: dict, requested: str | None, kind: str):
         0, 0, f"--{kind} is required when the file has {len(table)} of them")
 
 
-def _cmd_validate(args) -> int:
-    problem = _load(args)
-    out = _Out(args.output == "machine")
-    out.kv("command", "validate")
+def _deformation(problem, args, emit, order=None, explain=False):
+    """The deformation named by --deformation, validated through order
+    (default: its own); (name, None) once it is reported invalid."""
+    name = _pick(problem.deformations, args.deformation, "deformation")
+    f, terms, top = problem.deformation_candidate(name)
+    try:
+        return name, check_deformation(
+            f, terms, top if order is None else min(top, order))
+    except DeformationError as e:
+        v = e.violations[0]
+        why = (f": {_condition_label(v)} fails at {_fmt_basis(v.where)}"
+               if explain else "")
+        emit("status", "fail",
+             report=f"deformation {name} is itself invalid{why}")
+        emit("reason", "invalid-deformation")
+        return name, None
+
+
+def _cmd_validate(problem, args, emit) -> int:
     failed = 0
     bad_algebras = set()
     bad_morphisms = set()
+
+    def skipped(kind: str, name: str, spec) -> bool:
+        skip = spec.morphism in bad_morphisms
+        if skip:
+            emit(kind, name, "skipped", report=f"{kind} {name}: skipped "
+                                               "(its morphism was not validated)")
+        return skip
+
     for name, spec in problem.algebras.items():
         try:
             problem.build_algebra(name)
-            out.say(f"algebra {name}: Zinbiel identity verified on "
-                    f"{spec.dim ** 3} triples")
-            out.kv("algebra", name, "ok", spec.dim ** 3)
+            emit("algebra", name, "ok", spec.dim ** 3,
+                 report=f"algebra {name}: Zinbiel identity verified on "
+                        f"{spec.dim ** 3} triples")
         except IdentityError as e:
             failed += 1
             bad_algebras.add(name)
-            out.kv("algebra", name, "violated", len(e.violations))
-            out.say(f"algebra {name}: Zinbiel identity FAILS on "
-                    f"{len(e.violations)} of {spec.dim ** 3} triples")
-            _emit_violations(out, problem.field, "algebra.violation", name,
+            emit("algebra", name, "violated", len(e.violations),
+                 report=f"algebra {name}: Zinbiel identity FAILS on "
+                        f"{len(e.violations)} of {spec.dim ** 3} triples")
+            _emit_violations(emit, problem.field, "algebra.violation", name,
                              e.violations)
     for name, spec in problem.morphisms.items():
         if spec.source in bad_algebras or spec.target in bad_algebras:
             bad_morphisms.add(name)
-            out.say(f"morphism {name}: skipped (an algebra it uses is invalid)")
-            out.kv("morphism", name, "skipped")
+            emit("morphism", name, "skipped", report=f"morphism {name}: "
+                 "skipped (an algebra it uses is invalid)")
             continue
         try:
             f = problem.build_morphism(name)
-            out.say(f"morphism {name}: respects products on "
-                    f"{f.source.dim ** 2} pairs")
-            out.kv("morphism", name, "ok", f.source.dim ** 2)
+            emit("morphism", name, "ok", f.source.dim ** 2,
+                 report=f"morphism {name}: respects products on "
+                        f"{f.source.dim ** 2} pairs")
         except IdentityError as e:
             failed += 1
             bad_morphisms.add(name)
-            out.kv("morphism", name, "violated", len(e.violations))
-            out.say(f"morphism {name}: FAILS to respect products on "
-                    f"{len(e.violations)} pairs")
-            _emit_violations(out, problem.field, "morphism.violation", name,
+            emit("morphism", name, "violated", len(e.violations),
+                 report=f"morphism {name}: FAILS to respect products on "
+                        f"{len(e.violations)} pairs")
+            _emit_violations(emit, problem.field, "morphism.violation", name,
                              e.violations)
-    for name in problem.cochains:
-        if problem.cochains[name].morphism in bad_morphisms:
-            out.say(f"cochain {name}: skipped (its morphism was not validated)")
-            out.kv("cochain", name, "skipped")
-            continue
-        problem.build_cochain(name)
-        out.say(f"cochain {name}: well-formed")
-        out.kv("cochain", name, "ok")
-    for name in problem.deformations:
-        if problem.deformations[name].morphism in bad_morphisms:
-            out.say(f"deformation {name}: skipped (its morphism was not validated)")
-            out.kv("deformation", name, "skipped")
+    for name, spec in problem.cochains.items():
+        if not skipped("cochain", name, spec):
+            problem.build_cochain(name)
+            emit("cochain", name, "ok", report=f"cochain {name}: well-formed")
+    for name, spec in problem.deformations.items():
+        if skipped("deformation", name, spec):
             continue
         f, terms, order = problem.deformation_candidate(name)
         try:
             check_deformation(f, terms, order)
-            out.say(f"deformation {name}: conditions hold through order {order}")
-            out.kv("deformation", name, "ok", order)
+            emit("deformation", name, "ok", order, report=f"deformation "
+                 f"{name}: conditions hold through order {order}")
         except DeformationError as e:
             failed += 1
             v = e.violations[0]
-            out.say(f"deformation {name}: {_condition_label(v)} fails at "
-                    f"{_fmt_basis(v.where)}: residual "
-                    f"{_fmt_vector(problem.field, v.residual)}")
-            out.kv("deformation", name, "violated", e.order)
-    for name in problem.isomorphisms:
-        if problem.isomorphisms[name].morphism in bad_morphisms:
-            out.say(f"isomorphism {name}: skipped (its morphism was not validated)")
-            out.kv("isomorphism", name, "skipped")
-            continue
-        problem.build_isomorphism(name)
-        out.say(f"isomorphism {name}: well-formed (identity constant term)")
-        out.kv("isomorphism", name, "ok")
-    out.kv("status", "ok" if not failed else "fail")
+            emit("deformation", name, "violated", e.order,
+                 report=f"deformation {name}: {_condition_label(v)} fails "
+                        f"at {_fmt_basis(v.where)}: residual "
+                        f"{_fmt_vector(problem.field, v.residual)}")
+    for name, spec in problem.isomorphisms.items():
+        if not skipped("isomorphism", name, spec):
+            problem.build_isomorphism(name)
+            emit("isomorphism", name, "ok", report=f"isomorphism {name}: "
+                 "well-formed (identity constant term)")
+    emit("status", "ok" if not failed else "fail")
     return 0 if not failed else 1
 
 
-def _cmd_cohomology(args) -> int:
-    problem = _load(args)
-    out = _Out(args.output == "machine")
-    out.kv("command", "cohomology")
+def _cmd_cohomology(problem, args, emit) -> int:
     n = args.degree
     if args.algebra is not None:
-        algebra = problem.build_algebra(
-            _pick(problem.algebras, args.algebra, "algebra"))
+        name = _pick(problem.algebras, args.algebra, "algebra")
+        algebra = problem.build_algebra(name)
         dim = cohomology_dim(algebra, algebra.regular_bimodule(), n)
-        out.say(f"dim H^{n}({args.algebra},{args.algebra}) = {dim}")
-        out.kv("h.degree", n)
-        out.kv("h.dim", dim)
     else:
         name = _pick(problem.morphisms, args.morphism, "morphism")
-        f = problem.build_morphism(name)
-        dim = morphism_cohomology_dim(f, n)
-        out.say(f"dim H^{n}({name},{name}) = {dim}")
-        out.kv("h.degree", n)
-        out.kv("h.dim", dim)
-    out.kv("status", "ok")
+        dim = morphism_cohomology_dim(problem.build_morphism(name), n)
+    emit("h.degree", n)
+    emit("h.dim", dim, report=f"dim H^{n}({name},{name}) = {dim}")
+    emit("status", "ok")
     return 0
 
 
-def _cmd_check_deformation(args) -> int:
-    _at_least("--order", args.order, 0)
-    problem = _load(args)
-    out = _Out(args.output == "machine")
-    out.kv("command", "check-deformation")
+def _cmd_check_deformation(problem, args, emit) -> int:
     name = _pick(problem.deformations, args.deformation, "deformation")
     f, terms, order = problem.deformation_candidate(name)
     if args.order is not None:
@@ -249,179 +246,127 @@ def _cmd_check_deformation(args) -> int:
     try:
         check_deformation(f, terms, order)
     except DeformationError as e:
-        out.kv("status", "fail")
-        out.kv("violation.order", e.order)
+        emit("status", "fail")
+        emit("violation.order", e.order)
         for v in e.violations:
-            out.say(f"{_condition_label(v)} fails at {_fmt_basis(v.where)}: "
-                    f"residual {_fmt_vector(problem.field, v.residual)}")
-            out.kv("violation", v.kind, v.component, v.order,
-                   " ".join(str(i + 1) for i in v.where),
-                   *[problem.field.format(c) for c in v.residual])
+            emit("violation", v.kind, v.component, v.order, _indices(v.where),
+                 *map(problem.field.format, v.residual),
+                 report=f"{_condition_label(v)} fails at "
+                        f"{_fmt_basis(v.where)}: residual "
+                        f"{_fmt_vector(problem.field, v.residual)}")
         return 1
-    out.say(f"deformation {name}: conditions hold through order {order}")
-    out.kv("status", "ok")
-    out.kv("order", order)
+    emit("status", "ok", report=f"deformation {name}: conditions hold "
+                                f"through order {order}")
+    emit("order", order)
     return 0
 
 
-def _cmd_obstruction(args) -> int:
-    _at_least("--order", args.order, 1)
-    problem = _load(args)
-    out = _Out(args.output == "machine")
-    out.kv("command", "obstruction")
-    name = _pick(problem.deformations, args.deformation, "deformation")
-    f, terms, order = problem.deformation_candidate(name)
-    if args.order is not None:
-        order = min(order, args.order)
-    try:
-        theta = check_deformation(f, terms, order)
-    except DeformationError as e:
-        v = e.violations[0]
-        out.say(f"deformation {name} is itself invalid: {_condition_label(v)} "
-                f"fails at {_fmt_basis(v.where)}")
-        out.kv("status", "fail")
-        out.kv("reason", "invalid-deformation")
+def _cmd_obstruction(problem, args, emit) -> int:
+    name, theta = _deformation(problem, args, emit, args.order, explain=True)
+    if theta is None:
         return 1
     ob = obstruction(theta)
-    out.say(f"obstruction of {name} at order {theta.order}:")
-    count = _emit_triple(out, problem.field, "obstruction", ob)
-    if count == 0:
-        out.say("  0 (extends with the zero term)")
-    out.kv("obstruction.nonzero", "true" if count else "false")
-    pre = coboundary_preimage(ob) if count else ob
-    if count and pre is None:
-        out.say("the obstruction class is nontrivial: no extension exists")
-        out.kv("obstruction.coboundary", "false")
-        out.kv("status", "fail")
+    emit(report=f"obstruction of {name} at order {theta.order}:")
+    count = _emit_triple(emit, "obstruction", ob)
+    emit("obstruction.nonzero", "true" if count else "false",
+         report=None if count else "  0 (extends with the zero term)")
+    if count and coboundary_preimage(ob) is None:
+        emit("obstruction.coboundary", "false", report="the obstruction "
+             "class is nontrivial: no extension exists")
+        emit("status", "fail")
         return 1
     if count:
-        out.say("the obstruction is a coboundary: an extension exists")
-        out.kv("obstruction.coboundary", "true")
-    out.kv("status", "ok")
+        emit("obstruction.coboundary", "true", report="the obstruction is "
+             "a coboundary: an extension exists")
+    emit("status", "ok")
     return 0
 
 
-def _cmd_extend(args) -> int:
-    _at_least("--target-order", args.target_order, 1)
-    problem = _load(args)
-    out = _Out(args.output == "machine")
-    out.kv("command", "extend")
+def _cmd_extend(problem, args, emit) -> int:
     target = args.target_order
     if args.cochain is not None:
         cname = _pick(problem.cochains, args.cochain, "cochain")
         theta_1 = problem.build_cochain(cname)
         if theta_1.degree != 2:
             raise ProblemFileError(0, 0, "extend needs a degree-2 cochain")
-        ok, _ = is_cocycle(theta_1)
-        if not ok:
-            out.say(f"cochain {cname} is not a 2-cocycle")
-            out.kv("status", "fail")
-            out.kv("reason", "not-a-cocycle")
-            return 1
-        trace = extend_from_cocycle(theta_1.morphism, theta_1, target)
-    else:
-        name = _pick(problem.deformations, args.deformation, "deformation")
-        f, terms, order = problem.deformation_candidate(name)
         try:
-            theta = check_deformation(f, terms, order)
-        except DeformationError:
-            out.say(f"deformation {name} is itself invalid")
-            out.kv("status", "fail")
-            out.kv("reason", "invalid-deformation")
+            trace = extend_from_cocycle(theta_1.morphism, theta_1, target)
+        except ValueError:   # target >= 1, so theta_1 is no 2-cocycle
+            emit("status", "fail", report=f"cochain {cname} is not a "
+                                          "2-cocycle")
+            emit("reason", "not-a-cocycle")
+            return 1
+    else:
+        _, theta = _deformation(problem, args, emit)
+        if theta is None:
             return 1
         trace = extend_to(theta, target)
     if not trace.succeeded:
-        out.say(f"extension blocked at order {trace.failed_at}: "
-                "the obstruction class is nontrivial")
-        out.say("obstruction residual:")
-        _emit_triple(out, problem.field, "obstruction", trace.obstruction)
-        out.kv("status", "fail")
-        out.kv("failed.at", trace.failed_at)
+        emit(report=f"extension blocked at order {trace.failed_at}: "
+                    "the obstruction class is nontrivial")
+        emit(report="obstruction residual:")
+        _emit_triple(emit, "obstruction", trace.obstruction)
+        emit("status", "fail")
+        emit("failed.at", trace.failed_at)
         return 1
-    out.say(f"extended to order {trace.deformation.order}")
-    out.kv("status", "ok")
-    out.kv("order", trace.deformation.order)
+    emit("status", "ok", report=f"extended to order {trace.deformation.order}")
+    emit("order", trace.deformation.order)
     for i, term in enumerate(trace.deformation.terms[1:], start=1):
-        out.say(f"term {i}:" if not term.is_zero() else f"term {i}: 0")
-        _emit_triple(out, problem.field, f"term.{i}", term)
+        emit(report=f"term {i}:" if not term.is_zero() else f"term {i}: 0")
+        _emit_triple(emit, f"term.{i}", term)
     return 0
 
 
-def _cmd_normalize(args) -> int:
-    problem = _load(args)
-    out = _Out(args.output == "machine")
-    out.kv("command", "normalize")
-    name = _pick(problem.deformations, args.deformation, "deformation")
-    f, terms, order = problem.deformation_candidate(name)
-    try:
-        theta = check_deformation(f, terms, order)
-    except DeformationError:
-        out.say(f"deformation {name} is itself invalid")
-        out.kv("status", "fail")
-        out.kv("reason", "invalid-deformation")
+def _cmd_normalize(problem, args, emit) -> int:
+    _, theta = _deformation(problem, args, emit)
+    if theta is None:
         return 1
     try:
         phi, bar = normalize_leading_term(theta)
     except DeformationError as e:
-        out.say(str(e))
-        out.kv("status", "fail")
-        out.kv("reason", "not-a-coboundary")
+        emit("status", "fail", report=str(e))
+        emit("reason", "not-a-coboundary")
         return 1
     lead = next((i for i in range(1, bar.order + 1)
                  if not bar.terms[i].is_zero()), None)
     zero_through = bar.order if lead is None else lead - 1
-    out.say(f"conjugation kills all terms through order {zero_through}")
-    out.kv("status", "ok")
-    out.kv("zero.through", zero_through)
-    for k, (pr, ps) in enumerate(phi.terms):
-        if k == 0:
-            continue
-        _emit_cochain_entries(out, problem.field, f"iso.{k}", "R", pr,
-                              f.source.dim)
-        _emit_cochain_entries(out, problem.field, f"iso.{k}", "S", ps,
-                              f.target.dim)
+    emit("status", "ok", report=f"conjugation kills all terms through "
+                                f"order {zero_through}")
+    emit("zero.through", zero_through)
+    for k, (pr, ps) in enumerate(phi.terms[1:], start=1):
+        _emit_cochain_entries(emit, f"iso.{k}", "R", pr)
+        _emit_cochain_entries(emit, f"iso.{k}", "S", ps)
     return 0
 
 
-def _cmd_rigidity(args) -> int:
-    _at_least("--probe-order", args.probe_order, 1)
-    _at_least("--demo", args.demo, 0)
-    problem = _load(args)
-    out = _Out(args.output == "machine")
-    out.kv("command", "rigidity")
+def _cmd_rigidity(problem, args, emit) -> int:
     name = _pick(problem.morphisms, args.morphism, "morphism")
-    f = problem.build_morphism(name)
-    report = rigidity_check(f, probe_order=args.probe_order,
-                            demo_count=args.demo, seed=args.seed)
-    out.say(f"dim H^2({name},{name}) = {report.h2_dim}, {report.verdict}")
-    out.kv("h2.dim", report.h2_dim)
-    out.kv("verdict", report.verdict)
-    if report.demos_run:
-        out.say(f"trivialized {report.demos_trivialized} of "
-                f"{report.demos_run} random order-{report.probe_order} "
-                f"deformations (seed {args.seed})")
-        out.kv("demo.run", report.demos_run)
-        out.kv("demo.trivialized", report.demos_trivialized)
-        out.kv("demo.seed", args.seed)
-    out.kv("status", "ok")
+    rigidity = rigidity_check(problem.build_morphism(name),
+                              probe_order=args.probe_order,
+                              demo_count=args.demo, seed=args.seed)
+    emit("h2.dim", rigidity.h2_dim, report=f"dim H^2({name},{name}) = "
+         f"{rigidity.h2_dim}, {rigidity.verdict}")
+    emit("verdict", rigidity.verdict)
+    if rigidity.demos_run:
+        emit("demo.run", rigidity.demos_run,
+             report=f"trivialized {rigidity.demos_trivialized} of "
+                    f"{rigidity.demos_run} random order-"
+                    f"{rigidity.probe_order} deformations (seed {args.seed})")
+        emit("demo.trivialized", rigidity.demos_trivialized)
+        emit("demo.seed", args.seed)
+    emit("status", "ok")
     return 0
 
 
-def _cmd_verify_identities(args) -> int:
-    problem = _load(args)
-    out = _Out(args.output == "machine")
-    out.kv("command", "verify-identities")
+def _cmd_verify_identities(problem, args, emit) -> int:
     rng = random.Random(args.seed)
     failed = 0
 
     def check(label: str, ok: bool) -> None:
         nonlocal failed
-        if ok:
-            out.say(f"verified: {label}")
-        else:
-            failed += 1
-            out.say(f"FAILED: {label}")
-        out.kv("identity", label.replace(" ", "-"), "ok" if ok else "fail")
+        failed += not ok
+        emit("identity", label.replace(" ", "-"), "ok" if ok else "fail",
+             report=f"{'verified' if ok else 'FAILED'}: {label}")
 
     for name in problem.algebras:
         algebra = problem.build_algebra(name)
@@ -459,16 +404,15 @@ def _cmd_verify_identities(args) -> int:
         check(f"deformation {name}: is a valid deformation", True)
         if theta.order >= 1:
             ob = obstruction(theta)
-            ok, _ = is_cocycle(ob)
-            check(f"deformation {name}: obstruction is a 3-cocycle", ok)
+            check(f"deformation {name}: obstruction is a 3-cocycle",
+                  is_cocycle(ob)[0])
             check(f"deformation {name}: obstruction naturality",
-                  verify_obstruction_identity(theta).ok)
-    out.kv("status", "ok" if not failed else "fail")
+                  obstruction_naturality(ob).ok)
+    emit("status", "ok" if not failed else "fail")
     return 0 if not failed else 1
 
 
-def _cmd_roundtrip(args) -> int:
-    problem = _load(args)
+def _cmd_roundtrip(problem, args, emit) -> int:
     text = serialize(problem)
     if parse(text, field_override=problem.field) != problem:
         print("round-trip mismatch", file=sys.stderr)
@@ -558,12 +502,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    emit = _emitter(args.output == "machine")
     try:
-        return args.handler(args)
-    except ProblemFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FieldError as e:
+        for flag, least in _LEAST.get(args.command, {}).items():
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is not None and value < least:
+                raise ProblemFileError(
+                    0, 0, f"{flag} must be at least {least}, got {value}")
+        problem = _load(args)
+        if args.command != "roundtrip":   # it prints the file, not facts
+            emit("command", args.command)
+        return args.handler(problem, args, emit)
+    except (ProblemFileError, FieldError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except IdentityError as e:

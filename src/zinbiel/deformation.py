@@ -29,8 +29,8 @@ from .cochains import Cochain, all_tuples, differential, identity_cochain, \
     product_cochain
 from .linalg import solve, vec_add, vec_is_zero, vec_sub, zero_vector
 from .morphism_complex import (TripleCochain, coboundary_preimage,
-                               is_cocycle, morphism_cochain,
-                               morphism_cohomology_dim, morphism_differential,
+                               morphism_cochain, morphism_cohomology_dim,
+                               morphism_differential,
                                morphism_differential_matrix,
                                push_forward_left, push_forward_right)
 
@@ -492,13 +492,19 @@ def extend_to(theta: TruncatedDeformation,
 def extend_from_cocycle(f: AlgebraMorphism, theta_1: TripleCochain,
                         target_order: int) -> ExtensionTrace:
     """Grow a deformation with the given 2-cocycle as linear coefficient,
-    one order at a time, up to target_order."""
-    ok, _ = is_cocycle(theta_1)
-    if not ok:
-        raise ValueError("the proposed linear coefficient is not a 2-cocycle")
+    one order at a time, up to target_order.
+
+    The order-1 deformation condition is the 2-cocycle condition, so
+    validating theta_1 as the order-1 term is the cocycle check.
+    """
+    try:
+        theta = trivial_deformation(f).extend(theta_1)
+    except DeformationError:
+        raise ValueError("the proposed linear coefficient is not a "
+                         "2-cocycle") from None
     if target_order < 1:
         raise ValueError("target order must be at least 1")
-    return extend_to(trivial_deformation(f).extend(theta_1), target_order)
+    return extend_to(theta, target_order)
 
 
 def normalize_leading_term(
@@ -550,11 +556,15 @@ def verify_obstruction_identity(theta: TruncatedDeformation) -> Certificate:
     """Machine check that the obstruction is natural: pushing its two
     product components through f agrees with the differential of its
     morphism component, computed by independent code paths."""
-    ob = obstruction(theta)
-    f = theta.morphism
+    return obstruction_naturality(obstruction(theta))
+
+
+def obstruction_naturality(ob: TripleCochain) -> Certificate:
+    """The naturality check of verify_obstruction_identity on an
+    obstruction already computed."""
+    f = ob.morphism
     lhs = push_forward_left(f, ob.xi) - push_forward_right(f, ob.pi)
-    rhs = differential(ob.phi)
-    residual = lhs - rhs
+    residual = lhs - differential(ob.phi)
     return Certificate(residual.is_zero(), residual)
 
 

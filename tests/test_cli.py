@@ -228,6 +228,46 @@ def test_lowest_valid_orders_still_run():
     assert run_cli("rigidity", line, "--probe-order", "1").returncode == 0
 
 
+def _counted(monkeypatch, name):
+    """Count the calls of a library function through every zinbiel
+    module that binds it."""
+    modules = [m for key, m in sorted(sys.modules.items())
+               if key.split(".")[0] == "zinbiel" and hasattr(m, name)]
+    original = getattr(sys.modules["zinbiel"], name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for module in modules:
+        if getattr(module, name) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_verify_identities_computes_each_obstruction_once(monkeypatch,
+                                                          capsys):
+    calls = _counted(monkeypatch, "obstruction")
+    code = cli.main(["verify-identities", str(PROBLEMS / "graded_dim3.zb")])
+    assert code == 0
+    assert len(calls) == 1
+    out = capsys.readouterr().out
+    assert "verified: deformation D: obstruction is a 3-cocycle\n" in out
+    assert "verified: deformation D: obstruction naturality\n" in out
+
+
+def test_extend_from_cochain_checks_the_cocycle_once(monkeypatch, capsys,
+                                                     tmp_path):
+    path = tmp_path / "failing.zb"
+    path.write_text(FAILING)
+    calls = _counted(monkeypatch, "is_cocycle")
+    code = cli.main(["extend", str(path), "--cochain", "c",
+                     "--target-order", "1", "--output", "machine"])
+    assert code == 0
+    assert len(calls) <= 1
+    assert "status ok\norder 1\n" in capsys.readouterr().out
+
+
 def test_a_missing_kind_is_named(capsys):
     code = cli.main(["obstruction", str(PROBLEMS / "nilpotent_dim2.zb")])
     assert code == 2
