@@ -75,9 +75,9 @@ def _emit_cochain_entries(emit, key: str, name: str, cochain) -> int:
         for b, c in enumerate(row):
             if c:
                 count += 1
-                emit(f"{key}.entry", name, _indices(idx + (b,)),
-                     field.format(c), report=f"  {name}{_fmt_basis(idx)} -> "
-                                             f"{field.format(c)}*e{b + 1}")
+                scalar = field.format(c)
+                emit(f"{key}.entry", name, _indices(idx + (b,)), scalar,
+                     report=f"  {name}{_fmt_basis(idx)} -> {scalar}*e{b + 1}")
     return count
 
 
@@ -144,9 +144,9 @@ def _deformation(problem, args, emit, order=None, explain=False):
         v = e.violations[0]
         why = (f": {_condition_label(v)} fails at {_fmt_basis(v.where)}"
                if explain else "")
-        emit("status", "fail",
+        emit("status", "fail")
+        emit("reason", "invalid-deformation",
              report=f"deformation {name} is itself invalid{why}")
-        emit("reason", "invalid-deformation")
         return name, None
 
 
@@ -159,7 +159,7 @@ def _cmd_validate(problem, args, emit) -> int:
         skip = spec.morphism in bad_morphisms
         if skip:
             emit(kind, name, "skipped", report=f"{kind} {name}: skipped "
-                                               "(its morphism was not validated)")
+                 "(its morphism was not validated)")
         return skip
 
     for name, spec in problem.algebras.items():
@@ -255,9 +255,9 @@ def _cmd_check_deformation(problem, args, emit) -> int:
                         f"{_fmt_basis(v.where)}: residual "
                         f"{_fmt_vector(problem.field, v.residual)}")
         return 1
-    emit("status", "ok", report=f"deformation {name}: conditions hold "
+    emit("status", "ok")
+    emit("order", order, report=f"deformation {name}: conditions hold "
                                 f"through order {order}")
-    emit("order", order)
     return 0
 
 
@@ -292,9 +292,9 @@ def _cmd_extend(problem, args, emit) -> int:
         try:
             trace = extend_from_cocycle(theta_1.morphism, theta_1, target)
         except ValueError:   # target >= 1, so theta_1 is no 2-cocycle
-            emit("status", "fail", report=f"cochain {cname} is not a "
-                                          "2-cocycle")
-            emit("reason", "not-a-cocycle")
+            emit("status", "fail")
+            emit("reason", "not-a-cocycle",
+                 report=f"cochain {cname} is not a 2-cocycle")
             return 1
     else:
         _, theta = _deformation(problem, args, emit)
@@ -302,6 +302,8 @@ def _cmd_extend(problem, args, emit) -> int:
             return 1
         trace = extend_to(theta, target)
     if not trace.succeeded:
+        # the report names the blocked order before the residual, machine
+        # output after it
         emit(report=f"extension blocked at order {trace.failed_at}: "
                     "the obstruction class is nontrivial")
         emit(report="obstruction residual:")
@@ -309,8 +311,9 @@ def _cmd_extend(problem, args, emit) -> int:
         emit("status", "fail")
         emit("failed.at", trace.failed_at)
         return 1
-    emit("status", "ok", report=f"extended to order {trace.deformation.order}")
-    emit("order", trace.deformation.order)
+    emit("status", "ok")
+    emit("order", trace.deformation.order,
+         report=f"extended to order {trace.deformation.order}")
     for i, term in enumerate(trace.deformation.terms[1:], start=1):
         emit(report=f"term {i}:" if not term.is_zero() else f"term {i}: 0")
         _emit_triple(emit, f"term.{i}", term)
@@ -324,15 +327,15 @@ def _cmd_normalize(problem, args, emit) -> int:
     try:
         phi, bar = normalize_leading_term(theta)
     except DeformationError as e:
-        emit("status", "fail", report=str(e))
-        emit("reason", "not-a-coboundary")
+        emit("status", "fail")
+        emit("reason", "not-a-coboundary", report=str(e))
         return 1
     lead = next((i for i in range(1, bar.order + 1)
                  if not bar.terms[i].is_zero()), None)
     zero_through = bar.order if lead is None else lead - 1
-    emit("status", "ok", report=f"conjugation kills all terms through "
-                                f"order {zero_through}")
-    emit("zero.through", zero_through)
+    emit("status", "ok")
+    emit("zero.through", zero_through,
+         report=f"conjugation kills all terms through order {zero_through}")
     for k, (pr, ps) in enumerate(phi.terms[1:], start=1):
         _emit_cochain_entries(emit, f"iso.{k}", "R", pr)
         _emit_cochain_entries(emit, f"iso.{k}", "S", ps)

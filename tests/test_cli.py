@@ -231,7 +231,7 @@ def test_lowest_valid_orders_still_run():
 def _counted(monkeypatch, name):
     """Count the calls of a library function through every zinbiel
     module that binds it."""
-    modules = [m for key, m in sorted(sys.modules.items())
+    modules = [m for key, m in sys.modules.items()
                if key.split(".")[0] == "zinbiel" and hasattr(m, name)]
     original = getattr(sys.modules["zinbiel"], name)
     calls = []
@@ -315,7 +315,8 @@ def _runs(problem):
     roundtrip prints the problem file itself, so it has no keys.
     """
     morphism = [f"--morphism={m}" for m in list(problem.morphisms)[:1]]
-    deformation = [f"--deformation={d}" for d in list(problem.deformations)[:1]]
+    deformation = [f"--deformation={d}"
+                   for d in list(problem.deformations)[:1]]
     runs = [["validate"], ["verify-identities"],
             ["cohomology", "--degree", "2", *morphism],
             ["cohomology", "--degree", "3", "--algebra",
