@@ -375,8 +375,7 @@ def _golden_files():
 def _golden_argvs():
     argvs = []
     files = _golden_files()
-    for name in [*(p.name for p in sorted(PROBLEMS.glob("*.zb"))),
-                 "failing.zb"]:
+    for name in sorted(p.name for p in PROBLEMS.glob("*.zb")) + ["failing.zb"]:
         for run in _runs(parse(files[name])) + [["roundtrip"]]:
             for output in ("report", "machine"):
                 for field in ([], ["--field", "Fp:5"]):
