@@ -26,8 +26,9 @@ import random
 import sys
 
 from .algebra import IdentityError
-from .cochains import (all_tuples, cohomology_dim, differential,
-                       differential_matrix, product_cochain)
+from .cochains import (COHOMOLOGY_DEGREES, DEGREES, all_tuples,
+                       cohomology_dim, differential, differential_matrix,
+                       product_cochain)
 from .deformation import (DeformationError, check_deformation,
                           extend_from_cocycle, extend_to,
                           normalize_leading_term, obstruction,
@@ -364,6 +365,8 @@ def _cmd_rigidity(problem, args, emit) -> int:
 def _cmd_verify_identities(problem, args, emit) -> int:
     rng = random.Random(args.seed)
     failed = 0
+    bad_algebras = set()
+    bad_morphisms = set()
 
     def check(label: str, ok: bool) -> None:
         nonlocal failed
@@ -371,25 +374,44 @@ def _cmd_verify_identities(problem, args, emit) -> int:
         emit("identity", label.replace(" ", "-"), "ok" if ok else "fail",
              report=f"{'verified' if ok else 'FAILED'}: {label}")
 
+    def skip(label: str, why: str) -> None:
+        emit("identity", label.replace(" ", "-"), "skipped",
+             report=f"skipped: {label} ({why})")
+
     for name in problem.algebras:
-        algebra = problem.build_algebra(name)
+        try:
+            algebra = problem.build_algebra(name)
+        except IdentityError:
+            bad_algebras.add(name)
+            check(f"algebra {name}: satisfies the Zinbiel identity", False)
+            continue
         reg = algebra.regular_bimodule()
-        for i in (1, 2):
+        for i in DEGREES[:-1]:
             prod = (differential_matrix(algebra, reg, i + 1)
                     @ differential_matrix(algebra, reg, i))
             check(f"algebra {name}: d{i + 1} after d{i} vanishes",
                   prod.is_zero())
         check(f"algebra {name}: the product is a 2-cocycle",
               differential(product_cochain(algebra)).is_zero())
-    for name in problem.morphisms:
-        f = problem.build_morphism(name)
-        for i in (1, 2):
+    for name, spec in problem.morphisms.items():
+        label = f"morphism {name}: respects products"
+        if spec.source in bad_algebras or spec.target in bad_algebras:
+            bad_morphisms.add(name)
+            skip(label, "an algebra it uses is invalid")
+            continue
+        try:
+            f = problem.build_morphism(name)
+        except IdentityError:
+            bad_morphisms.add(name)
+            check(label, False)
+            continue
+        for i in DEGREES[:-1]:
             prod = (morphism_differential_matrix(f, i + 1)
                     @ morphism_differential_matrix(f, i))
             check(f"morphism {name}: d{i + 1} after d{i} vanishes",
                   prod.is_zero())
         r, s = f.source, f.target
-        for i in (1, 2, 3):
+        for i in DEGREES:
             xi = random_cochain(r, r.regular_bimodule(), i, rng)
             pi = random_cochain(s, s.regular_bimodule(), i, rng)
             ok = (push_forward_left(f, differential(xi))
@@ -397,14 +419,18 @@ def _cmd_verify_identities(problem, args, emit) -> int:
             ok = ok and (push_forward_right(f, differential(pi))
                          == differential(push_forward_right(f, pi)))
             check(f"morphism {name}: push-forwards commute with d{i}", ok)
-    for name in problem.deformations:
+    for name, spec in problem.deformations.items():
+        label = f"deformation {name}: is a valid deformation"
+        if spec.morphism in bad_morphisms:
+            skip(label, "its morphism was not validated")
+            continue
         f, terms, order = problem.deformation_candidate(name)
         try:
             theta = check_deformation(f, terms, order)
         except DeformationError:
-            check(f"deformation {name}: is a valid deformation", False)
+            check(label, False)
             continue
-        check(f"deformation {name}: is a valid deformation", True)
+        check(label, True)
         if theta.order >= 1:
             ob = obstruction(theta)
             check(f"deformation {name}: obstruction is a 3-cocycle",
@@ -444,7 +470,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="dimension of H^2 or H^3")
     common(p)
-    p.add_argument("--degree", type=int, choices=(2, 3), required=True)
+    p.add_argument("--degree", type=int, choices=COHOMOLOGY_DEGREES,
+                   required=True)
     which = p.add_mutually_exclusive_group()
     which.add_argument("--morphism", default=None)
     which.add_argument("--algebra", default=None,

@@ -1,5 +1,5 @@
-"""Multilinear cochains with bimodule coefficients and the low-degree
-differentials of the associated complex.
+"""Multilinear cochains with bimodule coefficients and the differentials
+of the associated complex.
 
 A cochain of arity n on an algebra R with coefficients in a bimodule A is
 a map R^n -> A, stored densely: coeffs[t][b] is the a_b coefficient of
@@ -16,10 +16,19 @@ runs in degrees 1..4 with differentials
 where a product with a module-valued factor means the bimodule action.
 Arity-4 cochains exist as targets of d3 and have no outgoing differential.
 
-`differential` evaluates these formulas tuple by tuple; `differential_matrix`
-assembles the same operators directly from structure constants, giving a
-second, independent code path (the two are cross-checked in the tests).
-The matrices are sparse: assembly writes only the nonzero contributions.
+All three follow one formula: for p of arity n,
+
+    (d p)(x0..xn) = x0*(sum of signed reorderings of p(x1..xn))
+                    - p(x0*x1, x2..xn)
+                    + sum_{k=1}^{n-1} (-1)^(k+1) p(.., x_k*x_{k+1} + x_{k+1}*x_k, ..)
+                    + (-1)^(n+1) p(x0..x_{n-1})*x_n
+
+and only the signed reorderings depend on n.  They form the one table
+`_TAIL_ORDERS`, whose keys are the degree range of the complex.
+`differential_matrix` assembles d^n from structure constants in one pass
+per term of this formula; `differential` applies that sparse matrix.  The
+tuple-by-tuple evaluation of the three formulas above is kept in the
+tests as the oracle the matrices are checked against.
 """
 
 from __future__ import annotations
@@ -29,7 +38,18 @@ import itertools
 from .algebra import Bimodule, ZinbielAlgebra
 from .linalg import Matrix, rank_nullspace, vec_add, vec_sub, zero_vector
 
-MAX_ARITY = 4
+# p(x1..xn) reordered inside the left action of d^n: (sign, order) pairs,
+# order[k] being the tail position of the k-th argument of p
+_TAIL_ORDERS = {
+    1: ((1, (0,)),),
+    2: ((1, (0, 1)), (1, (1, 0))),
+    3: ((1, (0, 1, 2)), (-1, (1, 2, 0)), (1, (1, 0, 2)), (-1, (2, 1, 0))),
+}
+# the arities with an outgoing differential, those with a differential in
+# and out (the cohomology degrees), and the largest arity of the complex
+DEGREES = tuple(_TAIL_ORDERS)
+COHOMOLOGY_DEGREES = DEGREES[1:]
+MAX_ARITY = DEGREES[-1] + 1
 
 
 def tuple_index(dim: int, tup: tuple) -> int:
@@ -187,71 +207,6 @@ def complex_dim(algebra: ZinbielAlgebra, module: Bimodule, n: int) -> int:
     return algebra.dim ** n * module.dim
 
 
-def differential(phi: Cochain) -> Cochain:
-    """Apply the complex differential; defined for arities 1, 2, 3."""
-    if phi.arity == 1:
-        return _d1(phi)
-    if phi.arity == 2:
-        return _d2(phi)
-    if phi.arity == 3:
-        return _d3(phi)
-    raise ValueError(f"no differential out of arity {phi.arity}")
-
-
-def _d1(phi: Cochain) -> Cochain:
-    r, a = phi.source, phi.module
-    rows = []
-    for i in range(r.dim):
-        for j in range(r.dim):
-            out = a.left_act(i, phi.eval_basis((j,)))
-            out = vec_sub(out, phi.eval([r.product_basis(i, j)]))
-            out = vec_add(out, a.right_act(phi.eval_basis((i,)), j))
-            rows.append(out)
-    return Cochain(r, a, 2, rows)
-
-
-def _d2(phi: Cochain) -> Cochain:
-    r, a = phi.source, phi.module
-    rows = []
-    for i in range(r.dim):
-        for j in range(r.dim):
-            for k in range(r.dim):
-                out = a.left_act(i, vec_add(phi.eval_basis((j, k)),
-                                            phi.eval_basis((k, j))))
-                out = vec_sub(out, phi.eval([r.product_basis(i, j), k]))
-                sym = vec_add(r.product_basis(j, k), r.product_basis(k, j))
-                out = vec_add(out, phi.eval([i, sym]))
-                out = vec_sub(out, a.right_act(phi.eval_basis((i, j)), k))
-                rows.append(out)
-    return Cochain(r, a, 3, rows)
-
-
-def _d3(phi: Cochain) -> Cochain:
-    r, a = phi.source, phi.module
-    rows = []
-    for i in range(r.dim):
-        for j in range(r.dim):
-            for k in range(r.dim):
-                for l in range(r.dim):
-                    inner = vec_sub(phi.eval_basis((j, k, l)),
-                                    phi.eval_basis((k, l, j)))
-                    inner = vec_add(inner, phi.eval_basis((k, j, l)))
-                    inner = vec_sub(inner, phi.eval_basis((l, k, j)))
-                    out = a.left_act(i, inner)
-                    out = vec_sub(out,
-                                  phi.eval([r.product_basis(i, j), k, l]))
-                    sym = vec_add(r.product_basis(j, k),
-                                  r.product_basis(k, j))
-                    out = vec_add(out, phi.eval([i, sym, l]))
-                    sym = vec_add(r.product_basis(k, l),
-                                  r.product_basis(l, k))
-                    out = vec_sub(out, phi.eval([i, j, sym]))
-                    out = vec_add(
-                        out, a.right_act(phi.eval_basis((i, j, k)), l))
-                    rows.append(out)
-    return Cochain(r, a, 4, rows)
-
-
 def _left_nonzeros(left):
     # yields (i, a, b, value) with e_i * a_a having a_b coefficient value
     for i, col in enumerate(left):
@@ -279,116 +234,71 @@ def _gamma_nonzeros(gamma):
 
 
 def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
-                        i: int) -> Matrix:
-    """Matrix of d^i under row-major flattening with output index fastest.
-
-    Assembled entry by entry from structure constants, independently of
-    `differential`.
-    """
-    if i not in (1, 2, 3):
-        raise ValueError(f"no differential out of arity {i}")
+                        n: int) -> Matrix:
+    """Matrix of d^n under row-major flattening with output index fastest,
+    assembled from structure constants in one pass per term of the formula
+    in the module docstring."""
+    if n not in _TAIL_ORDERS:
+        raise ValueError(f"no differential out of arity {n}")
     d, m = algebra.dim, module.dim
-    rows = [{} for _ in range(d ** (i + 1) * m)]
-    gamma = algebra.gamma
-    left, right = module.left, module.right
+    rows = [{} for _ in range(d ** (n + 1) * m)]
 
     def bump(row, col, v):
         entries = rows[row]
         entries[col] = entries[col] + v if col in entries else v
 
-    if i == 1:
-        # x*p(y): row (x,y), column (y; a), weight left[x][a][b]
-        for x, a, b, v in _left_nonzeros(left):
-            for y in range(d):
-                bump((x * d + y) * m + b, y * m + a, v)
-        # -p(x*y): row (x,y), column (k; b), weight -gamma[x][y][k]
-        for x, y, k, g in _gamma_nonzeros(gamma):
-            for b in range(m):
-                bump((x * d + y) * m + b, k * m + b, -g)
-        # p(x)*y: row (x,y), column (x; a), weight right[a][y][b]
-        for a, y, b, v in _right_nonzeros(right):
-            for x in range(d):
-                bump((x * d + y) * m + b, x * m + a, v)
-    elif i == 2:
-        # x*(p(y,z) + p(z,y))
-        for x, a, b, v in _left_nonzeros(left):
-            for y in range(d):
-                for zz in range(d):
-                    row = ((x * d + y) * d + zz) * m + b
-                    bump(row, (y * d + zz) * m + a, v)
-                    bump(row, (zz * d + y) * m + a, v)
-        # -p(x*y, z)
-        for x, y, p, g in _gamma_nonzeros(gamma):
-            for zz in range(d):
-                for b in range(m):
-                    bump(((x * d + y) * d + zz) * m + b,
-                         (p * d + zz) * m + b, -g)
-        # +p(x, y*z + z*y)
-        for u, v_, q, g in _gamma_nonzeros(gamma):
-            for x in range(d):
-                for b in range(m):
-                    col = (x * d + q) * m + b
-                    bump(((x * d + u) * d + v_) * m + b, col, g)
-                    bump(((x * d + v_) * d + u) * m + b, col, g)
-        # -p(x,y)*z
-        for a, zz, b, v in _right_nonzeros(right):
-            for x in range(d):
-                for y in range(d):
-                    bump(((x * d + y) * d + zz) * m + b,
-                         (x * d + y) * m + a, -v)
-    else:
-        # x*(p(y,z,w) - p(z,w,y) + p(z,y,w) - p(w,z,y))
-        for x, a, b, v in _left_nonzeros(left):
-            for y in range(d):
-                for zz in range(d):
-                    for w in range(d):
-                        row = (((x * d + y) * d + zz) * d + w) * m + b
-                        bump(row, ((y * d + zz) * d + w) * m + a, v)
-                        bump(row, ((zz * d + w) * d + y) * m + a, -v)
-                        bump(row, ((zz * d + y) * d + w) * m + a, v)
-                        bump(row, ((w * d + zz) * d + y) * m + a, -v)
-        # -p(x*y, z, w)
-        for x, y, p, g in _gamma_nonzeros(gamma):
-            for zz in range(d):
-                for w in range(d):
-                    for b in range(m):
-                        bump((((x * d + y) * d + zz) * d + w) * m + b,
-                             ((p * d + zz) * d + w) * m + b, -g)
-        # +p(x, y*z + z*y, w)
-        for u, v_, q, g in _gamma_nonzeros(gamma):
-            for x in range(d):
-                for w in range(d):
-                    for b in range(m):
-                        col = ((x * d + q) * d + w) * m + b
-                        bump((((x * d + u) * d + v_) * d + w) * m + b, col, g)
-                        bump((((x * d + v_) * d + u) * d + w) * m + b, col, g)
-        # -p(x, y, z*w + w*z)
-        for u, v_, rr, g in _gamma_nonzeros(gamma):
-            for x in range(d):
-                for y in range(d):
-                    for b in range(m):
-                        col = ((x * d + y) * d + rr) * m + b
-                        bump((((x * d + y) * d + u) * d + v_) * m + b,
-                             col, -g)
-                        bump((((x * d + y) * d + v_) * d + u) * m + b,
-                             col, -g)
-        # +p(x,y,z)*w
-        for a, w, b, v in _right_nonzeros(right):
-            for x in range(d):
-                for y in range(d):
-                    for zz in range(d):
-                        bump((((x * d + y) * d + zz) * d + w) * m + b,
-                             ((x * d + y) * d + zz) * m + a, v)
+    # x0*(signed reorderings of p(x1..xn)): the column offsets of each tail
+    reordered = [[(s, tuple_index(d, tuple(tail[k] for k in order)) * m)
+                  for s, order in _TAIL_ORDERS[n]]
+                 for tail in all_tuples(d, n)]
+    for x, a, b, v in _left_nonzeros(module.left):
+        for t, cols in enumerate(reordered, x * d ** n):
+            row = t * m + b
+            for s, col in cols:
+                bump(row, col + a, v if s > 0 else -v)
+    # (-1)^(k+1) p(.., x_k*x_{k+1}, ..) at slot 0 and
+    # (-1)^(k+1) p(.., x_k*x_{k+1} + x_{k+1}*x_k, ..) at each slot k >= 1
+    for k in range(n):
+        after = d ** (n - 1 - k)
+        for u, w, q, g in _gamma_nonzeros(algebra.gamma):
+            g = g if k % 2 else -g
+            pairs = ((u, w),) if k == 0 else ((u, w), (w, u))
+            for head in range(d ** k):
+                col0 = (head * d + q) * after
+                for y, z in pairs:
+                    row0 = ((head * d + y) * d + z) * after
+                    for tail in range(after):
+                        row, col = (row0 + tail) * m, (col0 + tail) * m
+                        for b in range(m):
+                            bump(row + b, col + b, g)
+    # (-1)^(n+1) p(x0..x_{n-1})*x_n
+    for a, y, b, v in _right_nonzeros(module.right):
+        v = v if n % 2 else -v
+        for head in range(d ** n):
+            bump((head * d + y) * m + b, head * m + a, v)
     # drop the entries whose contributions cancelled
     return Matrix.from_entries(
         algebra.field, [{j: x for j, x in r.items() if x} for r in rows],
-        d ** i * m)
+        d ** n * m)
+
+
+def differential(phi: Cochain) -> Cochain:
+    """Apply d^n, n = phi.arity, through its assembled matrix."""
+    flat = differential_matrix(phi.source, phi.module,
+                               phi.arity).matvec(phi.flatten())
+    return Cochain.from_flat(phi.source, phi.module, phi.arity + 1, flat)
+
+
+def check_cohomology_degree(n: int) -> None:
+    if n not in COHOMOLOGY_DEGREES:
+        raise ValueError("cohomology defined in degrees "
+                         f"{' and '.join(map(str, COHOMOLOGY_DEGREES))}, "
+                         f"not {n}")
 
 
 def cohomology_dim(algebra: ZinbielAlgebra, module: Bimodule, n: int) -> int:
-    """dim ker(d^n) - rank(d^{n-1}), for n = 2 or 3."""
-    if n not in (2, 3):
-        raise ValueError(f"cohomology defined in degrees 2 and 3, not {n}")
+    """dim ker(d^n) - rank(d^{n-1}), for n in COHOMOLOGY_DEGREES."""
+    check_cohomology_degree(n)
     rank_out, _ = rank_nullspace(differential_matrix(algebra, module, n))
     kernel = complex_dim(algebra, module, n) - rank_out
     rank_in, _ = rank_nullspace(differential_matrix(algebra, module, n - 1))

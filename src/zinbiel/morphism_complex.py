@@ -8,8 +8,14 @@ degree-1 triples are just pairs (xi; pi).  The differential is
 
     d(xi; pi; phi) = (d xi; d pi; f.xi - pi.f - d phi)
 
-with f.xi and pi.f the push-forwards along f.  The complex runs in
-degrees 1..4; degree-4 triples exist as targets of the last differential.
+with f.xi and pi.f the push-forwards along f.  The complex runs in the
+degrees of the bimodule complex (`zinbiel.cochains`); triples of the top
+degree exist as targets of the last differential.
+`morphism_differential_matrix` pastes the assembled matrices of d on R, on
+S and on the phi column next to those of the push-forwards, and
+`morphism_differential` applies it.  The tuple-by-tuple differential,
+built from the tuple formulas and the push-forwards below, is kept in the
+tests as the oracle.
 """
 
 from __future__ import annotations
@@ -17,11 +23,10 @@ from __future__ import annotations
 import itertools
 
 from .algebra import AlgebraMorphism
-from .cochains import (Cochain, all_tuples, differential,
-                       differential_matrix, tuple_index)
+from .cochains import (COHOMOLOGY_DEGREES, DEGREES, MAX_ARITY, Cochain,
+                       all_tuples, check_cohomology_degree,
+                       differential, differential_matrix, tuple_index)
 from .linalg import Matrix, rank_nullspace, solve, zero_vector
-
-MAX_DEGREE = 4
 
 
 def morphism_cochain(f: AlgebraMorphism) -> Cochain:
@@ -78,8 +83,8 @@ class TripleCochain:
 
     def __init__(self, morphism: AlgebraMorphism, degree: int, xi: Cochain,
                  pi: Cochain, phi: Cochain | None):
-        if not 1 <= degree <= MAX_DEGREE:
-            raise ValueError(f"degree {degree} outside 1..{MAX_DEGREE}")
+        if not 1 <= degree <= MAX_ARITY:
+            raise ValueError(f"degree {degree} outside 1..{MAX_ARITY}")
         if xi.source != morphism.source or \
                 xi.module != morphism.source.regular_bimodule():
             raise ValueError(
@@ -195,15 +200,11 @@ def triple_dim(f: AlgebraMorphism, n: int) -> int:
 
 
 def morphism_differential(theta: TripleCochain) -> TripleCochain:
-    """d(xi; pi; phi) = (d xi; d pi; f.xi - pi.f - d phi); degrees 1..3."""
-    if theta.degree >= MAX_DEGREE:
-        raise ValueError(f"no differential out of degree {theta.degree}")
-    f = theta.morphism
-    third = push_forward_left(f, theta.xi) - push_forward_right(f, theta.pi)
-    if theta.phi is not None:
-        third = third - differential(theta.phi)
-    return TripleCochain(f, theta.degree + 1, differential(theta.xi),
-                         differential(theta.pi), third)
+    """d(xi; pi; phi) = (d xi; d pi; f.xi - pi.f - d phi), through the
+    assembled matrix."""
+    f, n = theta.morphism, theta.degree
+    flat = morphism_differential_matrix(f, n).matvec(theta.flatten())
+    return TripleCochain.from_flat(f, n + 1, flat)
 
 
 def _push_left_matrix(f: AlgebraMorphism, n: int) -> Matrix:
@@ -245,7 +246,7 @@ def morphism_differential_matrix(f: AlgebraMorphism, n: int) -> Matrix:
     """Matrix of the degree-n differential of the deformation complex,
     under the flattening xi-block, pi-block, phi-block; the sparse blocks
     are pasted in place."""
-    if n not in (1, 2, 3):
+    if n not in DEGREES:
         raise ValueError(f"no differential out of degree {n}")
     r, s = f.source, f.target
     rows = [{} for _ in range(triple_dim(f, n + 1))]
@@ -270,9 +271,9 @@ def morphism_differential_matrix(f: AlgebraMorphism, n: int) -> Matrix:
 
 
 def morphism_cohomology_dim(f: AlgebraMorphism, n: int) -> int:
-    """dim ker(d^n) - rank(d^{n-1}) in the deformation complex, n = 2 or 3."""
-    if n not in (2, 3):
-        raise ValueError(f"cohomology defined in degrees 2 and 3, not {n}")
+    """dim ker(d^n) - rank(d^{n-1}) in the deformation complex, for n in
+    COHOMOLOGY_DEGREES."""
+    check_cohomology_degree(n)
     rank_out, _ = rank_nullspace(morphism_differential_matrix(f, n))
     kernel = triple_dim(f, n) - rank_out
     rank_in, _ = rank_nullspace(morphism_differential_matrix(f, n - 1))
@@ -283,14 +284,14 @@ def is_cocycle(x) -> tuple[bool, "Cochain | TripleCochain"]:
     """Whether d(x) vanishes, together with the exact residual d(x).
 
     Accepts a Cochain (bimodule complex) or TripleCochain (morphism
-    complex) of degree 2 or 3.
+    complex) of a degree in COHOMOLOGY_DEGREES.
     """
     if isinstance(x, TripleCochain):
-        if x.degree not in (2, 3):
+        if x.degree not in COHOMOLOGY_DEGREES:
             raise ValueError(f"cocycle test at degree {x.degree} undefined")
         res = morphism_differential(x)
     elif isinstance(x, Cochain):
-        if x.arity not in (2, 3):
+        if x.arity not in COHOMOLOGY_DEGREES:
             raise ValueError(f"cocycle test at arity {x.arity} undefined")
         res = differential(x)
     else:
@@ -302,7 +303,7 @@ def coboundary_preimage(x):
     """Some y with d(y) = x, or None; the representative is deterministic
     (free coefficients set to zero under the fixed flattening)."""
     if isinstance(x, TripleCochain):
-        if x.degree not in (2, 3):
+        if x.degree not in COHOMOLOGY_DEGREES:
             raise ValueError(f"preimage at degree {x.degree} undefined")
         mat = morphism_differential_matrix(x.morphism, x.degree - 1)
         sol = solve(mat, x.flatten())
@@ -310,7 +311,7 @@ def coboundary_preimage(x):
             return None
         return TripleCochain.from_flat(x.morphism, x.degree - 1, sol)
     if isinstance(x, Cochain):
-        if x.arity not in (2, 3):
+        if x.arity not in COHOMOLOGY_DEGREES:
             raise ValueError(f"preimage at arity {x.arity} undefined")
         mat = differential_matrix(x.source, x.module, x.arity - 1)
         sol = solve(mat, x.flatten())

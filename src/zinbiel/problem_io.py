@@ -54,7 +54,7 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import AlgebraMorphism, ZinbielAlgebra
-from .cochains import Cochain
+from .cochains import MAX_ARITY, Cochain
 from .deformation import FormalIsomorphism, theta_zero
 from .fields import Field, FieldError, field_from_spec
 from .morphism_complex import TripleCochain
@@ -501,9 +501,9 @@ def _parse_cochain(name, body, problem, parse_scalar, take_name, take_index,
             tgt_dim = problem.algebras[mspec.target].dim
         elif tok == "degree":
             degree, dcol = line.take_int("degree")
-            if not 1 <= degree <= 4:
-                raise ProblemFileError(line.lineno, dcol,
-                                       "degree must be within 1..4")
+            if not 1 <= degree <= MAX_ARITY:
+                raise ProblemFileError(
+                    line.lineno, dcol, f"degree must be within 1..{MAX_ARITY}")
             line.done()
         elif tok in ("R", "S", "f"):
             if morphism is None or degree is None:

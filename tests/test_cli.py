@@ -268,6 +268,38 @@ def test_extend_from_cochain_checks_the_cocycle_once(monkeypatch, capsys,
     assert "status ok\norder 1\n" in capsys.readouterr().out
 
 
+def test_verify_identities_checks_past_a_failing_object():
+    # on failing.zb the invalid algebra B and morphism s are failed facts;
+    # the morphism id and deformation D after them are still checked
+    records = [r for r in json.loads(GOLDEN.read_text(encoding="utf-8"))
+               if r["argv"][:2] == ["verify-identities", "failing.zb"]]
+    assert len(records) == 4
+    for record in records:
+        out = record["stdout"].replace("-", " ")
+        assert record["exit"] == 1 and record["stderr"] == ""
+        for fact in ("algebra B: satisfies the Zinbiel identity",
+                     "morphism s: respects products",
+                     "deformation D: is a valid deformation"):
+            assert out.count(fact) == 1
+        assert out.count("morphism id: ") == 5
+        if "machine" in record["argv"]:
+            assert record["stdout"].endswith("status fail\n")
+
+
+def test_verify_identities_skips_what_depends_on_a_failure(capsys,
+                                                           tmp_path):
+    path = tmp_path / "dependent.zb"
+    path.write_text(FAILING + "morphism b\n  source B\n  target L\nend\n"
+                    "deformation E\n  morphism b\n  order 1\nend\n")
+    code = cli.main(["verify-identities", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert ("skipped: morphism b: respects products (an algebra it uses "
+            "is invalid)\n") in out
+    assert ("skipped: deformation E: is a valid deformation (its morphism "
+            "was not validated)\n") in out
+
+
 def test_a_missing_kind_is_named(capsys):
     code = cli.main(["obstruction", str(PROBLEMS / "nilpotent_dim2.zb")])
     assert code == 2

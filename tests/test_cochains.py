@@ -1,5 +1,6 @@
 import pytest
 
+import differential_oracle as oracle
 from zinbiel.catalog import truncated_polynomials, zero_algebra
 from zinbiel.cochains import (Cochain, cohomology_dim, complex_dim,
                               differential, differential_matrix,
@@ -59,15 +60,16 @@ def test_dd_is_zero_matrices(field, rng):
 
 
 def test_matrix_is_the_differential(field, rng):
-    # the two independent implementations agree on random cochains and
-    # on every basis cochain
+    # the assembled matrix agrees with the tuple-by-tuple oracle on random
+    # cochains
     for _ in range(4):
         f = random_morphism_instance(field, rng, max_dim=2)
         algebra, module = f.source, f.as_bimodule()
         for arity in (1, 2, 3):
             mat = differential_matrix(algebra, module, arity)
             phi = random_cochain(algebra, module, arity, rng)
-            assert mat.matvec(phi.flatten()) == differential(phi).flatten()
+            assert mat.matvec(phi.flatten()) == \
+                oracle.differential(phi).flatten()
 
 
 def test_matrix_shape_and_trivial_case():
