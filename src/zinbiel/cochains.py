@@ -20,7 +20,8 @@ All three follow one formula: for p of arity n,
 
     (d p)(x0..xn) = x0*(sum of signed reorderings of p(x1..xn))
                     - p(x0*x1, x2..xn)
-                    + sum_{k=1}^{n-1} (-1)^(k+1) p(.., x_k*x_{k+1} + x_{k+1}*x_k, ..)
+                    + sum_{k=1}^{n-1} (-1)^(k+1)
+                          p(.., x_k*x_{k+1} + x_{k+1}*x_k, ..)
                     + (-1)^(n+1) p(x0..x_{n-1})*x_n
 
 and only the signed reorderings depend on n.  They form the one table
@@ -33,6 +34,7 @@ tests as the oracle the matrices are checked against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .algebra import Bimodule, ZinbielAlgebra
@@ -207,30 +209,33 @@ def complex_dim(algebra: ZinbielAlgebra, module: Bimodule, n: int) -> int:
     return algebra.dim ** n * module.dim
 
 
-def _left_nonzeros(left):
-    # yields (i, a, b, value) with e_i * a_a having a_b coefficient value
-    for i, col in enumerate(left):
-        for a, v in enumerate(col):
-            for b, x in enumerate(v):
-                if x:
-                    yield i, a, b, x
-
-
-def _right_nonzeros(right):
-    # yields (a, i, b, value) with a_a * e_i having a_b coefficient value
-    for a, col in enumerate(right):
-        for i, v in enumerate(col):
-            for b, x in enumerate(v):
-                if x:
-                    yield a, i, b, x
-
-
-def _gamma_nonzeros(gamma):
-    for i, plane in enumerate(gamma):
+def _nonzeros(tensor):
+    """(i, j, k, x) for each nonzero x = tensor[i][j][k]: in gamma e_i*e_j
+    has e_k coefficient x, in a left action e_i*a_j has a_k coefficient x,
+    and in a right action a_i*e_j has a_k coefficient x."""
+    for i, plane in enumerate(tensor):
         for j, row in enumerate(plane):
             for k, x in enumerate(row):
                 if x:
                     yield i, j, k, x
+
+
+def _slot_sign(k: int, v):
+    """v times (-1)^(k+1), the sign of the term of d^n at slot k: the
+    product of x_k and x_{k+1} for k < n, the right action for k = n."""
+    return v if k % 2 else -v
+
+
+@functools.lru_cache(maxsize=64)
+def _reordered_columns(d: int, m: int, orders: tuple) -> tuple:
+    """(sign, columns) for each (sign, order) of a table entry: the column
+    offset of p(tail[order[0]], .., tail[order[n-1]]) for each tail in
+    row-major order.  Cached: it depends only on the dimensions, and
+    rebuilding it made small assemblies measurably slower."""
+    tails = list(all_tuples(d, len(orders[0][1])))
+    return tuple((s, tuple(tuple_index(d, map(tail.__getitem__, order)) * m
+                           for tail in tails))
+                 for s, order in orders)
 
 
 def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
@@ -247,23 +252,21 @@ def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
         entries = rows[row]
         entries[col] = entries[col] + v if col in entries else v
 
-    # x0*(signed reorderings of p(x1..xn)): the column offsets of each tail
-    reordered = [[(s, tuple_index(d, tuple(tail[k] for k in order)) * m)
-                  for s, order in _TAIL_ORDERS[n]]
-                 for tail in all_tuples(d, n)]
-    for x, a, b, v in _left_nonzeros(module.left):
-        for t, cols in enumerate(reordered, x * d ** n):
-            row = t * m + b
-            for s, col in cols:
-                bump(row, col + a, v if s > 0 else -v)
+    # x0*(signed reorderings of p(x1..xn))
+    reordered = _reordered_columns(d, m, _TAIL_ORDERS[n])
+    for x, a, b, v in _nonzeros(module.left):
+        for s, cols in reordered:
+            signed = v if s > 0 else -v
+            for t, col in enumerate(cols, x * d ** n):
+                bump(t * m + b, col + a, signed)
     # (-1)^(k+1) p(.., x_k*x_{k+1}, ..) at slot 0 and
     # (-1)^(k+1) p(.., x_k*x_{k+1} + x_{k+1}*x_k, ..) at each slot k >= 1
     for k in range(n):
-        after = d ** (n - 1 - k)
-        for u, w, q, g in _gamma_nonzeros(algebra.gamma):
-            g = g if k % 2 else -g
+        heads, after = range(d ** k), d ** (n - 1 - k)
+        for u, w, q, g in _nonzeros(algebra.gamma):
+            g = _slot_sign(k, g)
             pairs = ((u, w),) if k == 0 else ((u, w), (w, u))
-            for head in range(d ** k):
+            for head in heads:
                 col0 = (head * d + q) * after
                 for y, z in pairs:
                     row0 = ((head * d + y) * d + z) * after
@@ -272,8 +275,8 @@ def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
                         for b in range(m):
                             bump(row + b, col + b, g)
     # (-1)^(n+1) p(x0..x_{n-1})*x_n
-    for a, y, b, v in _right_nonzeros(module.right):
-        v = v if n % 2 else -v
+    for a, y, b, v in _nonzeros(module.right):
+        v = _slot_sign(n, v)
         for head in range(d ** n):
             bump((head * d + y) * m + b, head * m + a, v)
     # drop the entries whose contributions cancelled
@@ -289,17 +292,19 @@ def differential(phi: Cochain) -> Cochain:
     return Cochain.from_flat(phi.source, phi.module, phi.arity + 1, flat)
 
 
-def check_cohomology_degree(n: int) -> None:
+def cohomology_from(n: int, assemble, *args) -> int:
+    """dim ker(d^n) - rank(d^{n-1}) for n in COHOMOLOGY_DEGREES, with
+    assemble(*args, k) the matrix of d^k; shared by both complexes."""
     if n not in COHOMOLOGY_DEGREES:
         raise ValueError("cohomology defined in degrees "
                          f"{' and '.join(map(str, COHOMOLOGY_DEGREES))}, "
                          f"not {n}")
+    out = assemble(*args, n)
+    rank_out, _ = rank_nullspace(out)
+    rank_in, _ = rank_nullspace(assemble(*args, n - 1))
+    return out.ncols - rank_out - rank_in
 
 
 def cohomology_dim(algebra: ZinbielAlgebra, module: Bimodule, n: int) -> int:
     """dim ker(d^n) - rank(d^{n-1}), for n in COHOMOLOGY_DEGREES."""
-    check_cohomology_degree(n)
-    rank_out, _ = rank_nullspace(differential_matrix(algebra, module, n))
-    kernel = complex_dim(algebra, module, n) - rank_out
-    rank_in, _ = rank_nullspace(differential_matrix(algebra, module, n - 1))
-    return kernel - rank_in
+    return cohomology_from(n, differential_matrix, algebra, module)

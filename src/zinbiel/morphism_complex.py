@@ -24,9 +24,9 @@ import itertools
 
 from .algebra import AlgebraMorphism
 from .cochains import (COHOMOLOGY_DEGREES, DEGREES, MAX_ARITY, Cochain,
-                       all_tuples, check_cohomology_degree,
-                       differential, differential_matrix, tuple_index)
-from .linalg import Matrix, rank_nullspace, solve, zero_vector
+                       all_tuples, cohomology_from, differential,
+                       differential_matrix, tuple_index)
+from .linalg import Matrix, solve, zero_vector
 
 
 def morphism_cochain(f: AlgebraMorphism) -> Cochain:
@@ -273,11 +273,7 @@ def morphism_differential_matrix(f: AlgebraMorphism, n: int) -> Matrix:
 def morphism_cohomology_dim(f: AlgebraMorphism, n: int) -> int:
     """dim ker(d^n) - rank(d^{n-1}) in the deformation complex, for n in
     COHOMOLOGY_DEGREES."""
-    check_cohomology_degree(n)
-    rank_out, _ = rank_nullspace(morphism_differential_matrix(f, n))
-    kernel = triple_dim(f, n) - rank_out
-    rank_in, _ = rank_nullspace(morphism_differential_matrix(f, n - 1))
-    return kernel - rank_in
+    return cohomology_from(n, morphism_differential_matrix, f)
 
 
 def is_cocycle(x) -> tuple[bool, "Cochain | TripleCochain"]:

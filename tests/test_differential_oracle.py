@@ -51,11 +51,12 @@ def test_a_flipped_left_action_sign_is_caught(suite, monkeypatch, n, k):
     assert _disagreements(suite, n) > 0
 
 
-def test_a_flipped_right_action_sign_is_caught(suite, monkeypatch):
-    original = cochains._right_nonzeros
+@pytest.mark.parametrize("n", DEGREES)
+def test_a_flipped_right_action_sign_is_caught(suite, monkeypatch, n):
+    # slot n of d^n is the right action; the product slots keep their sign
+    original = cochains._slot_sign
 
-    def flipped(right):
-        return ((a, i, b, -v) for a, i, b, v in original(right))
-    monkeypatch.setattr(cochains, "_right_nonzeros", flipped)
-    for n in DEGREES:
-        assert _disagreements(suite, n) > 0
+    def flipped(k, v):
+        return -original(k, v) if k == n else original(k, v)
+    monkeypatch.setattr(cochains, "_slot_sign", flipped)
+    assert _disagreements(suite, n) > 0
