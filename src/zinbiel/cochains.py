@@ -230,8 +230,8 @@ def _slot_sign(k: int, v):
 def _reordered_columns(d: int, m: int, orders: tuple) -> tuple:
     """(sign, columns) for each (sign, order) of a table entry: the column
     offset of p(tail[order[0]], .., tail[order[n-1]]) for each tail in
-    row-major order.  Cached: it depends only on the dimensions, and
-    rebuilding it made small assemblies measurably slower."""
+    row-major order.  Cached: it depends only on the dimensions and the
+    table entry, and rebuilding it slowed small assemblies."""
     tails = list(all_tuples(d, len(orders[0][1])))
     return tuple((s, tuple(tuple_index(d, map(tail.__getitem__, order)) * m
                            for tail in tails))
