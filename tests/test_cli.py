@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -427,22 +429,43 @@ def _golden_argvs():
     for argv in extra:
         for output in ("report", "machine"):
             argvs.append([*argv, "--output", output])
-    return argvs
+    return argvs + ARGPARSE_ARGVS
 
 
-def _transcripts():
-    """Run every golden argv in-process, from a directory holding the
-    problem files under their plain names, so no path varies."""
+# what argparse itself prints: the help texts and its usage errors (no
+# subcommand, a degree outside the choices, an unknown option, a missing
+# required option), each ending in SystemExit
+ARGPARSE_ARGVS = [["--help"]] + [
+    [command, "--help"]
+    for command in ("validate", "cohomology", "check-deformation",
+                    "obstruction", "extend", "normalize", "rigidity",
+                    "verify-identities", "roundtrip")] + [
+    [],
+    ["cohomology", "graded_dim3.zb", "--degree", "4"],
+    ["validate", "abelian_line.zb", "--bogus"],
+    ["extend", "obstructed_line.zb"],
+]
+
+
+def _transcripts(argvs=None):
+    """Run the given argvs (by default every golden argv) in-process, in
+    order, from a directory holding the problem files under their plain
+    names, so no path varies.  Help text wraps at COLUMNS, so it is
+    pinned."""
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in _golden_files().items():
             Path(tmp, name).write_text(text, encoding="utf-8")
-        with contextlib.chdir(tmp):
-            for argv in _golden_argvs():
+        with contextlib.chdir(tmp), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            for argv in _golden_argvs() if argvs is None else argvs:
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), \
                         contextlib.redirect_stderr(err):
-                    code = cli.main(argv)
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as e:
+                        code = e.code
                 records.append({"argv": argv, "exit": code,
                                 "stdout": out.getvalue(),
                                 "stderr": err.getvalue()})
@@ -463,6 +486,20 @@ def test_cli_transcripts_are_unchanged():
     for now, then in zip(live, golden):
         assert now == then, now["argv"]
         assert _status_agrees(now), now["argv"]
+
+
+def test_argparse_output_does_not_depend_on_earlier_calls():
+    # a usage error, a valid call and a help text in one process: each
+    # must match its golden record, whatever ran before it
+    golden = {tuple(r["argv"]): r
+              for r in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+    sequence = [["extend", "obstructed_line.zb"],
+                ["validate", "abelian_line.zb", "--output", "report"],
+                ["--help"],
+                ["cohomology", "graded_dim3.zb", "--degree", "4"],
+                ["cohomology", "--help"]]
+    for record in _transcripts(sequence):
+        assert record == golden[tuple(record["argv"])], record["argv"]
 
 
 if __name__ == "__main__":
