@@ -22,6 +22,7 @@ lines with exact scalars; the key vocabulary is documented in README.md.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -450,7 +451,11 @@ def _cmd_roundtrip(problem, args, emit) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and prog is fixed, so help and usage text do not
+    depend on the caller."""
     parser = argparse.ArgumentParser(
         prog="zinbiel",
         description="Exact deformation cohomology of Zinbiel algebra "
