@@ -18,6 +18,22 @@ order-N deformation is that residual at order N+1 with theta_{N+1} = 0
 and the f-column negated, (res_R; res_S; -res_f); with this sign theta
 extends to order N+1 exactly when d(theta_{N+1}) = obstruction(theta) has
 a solution.
+
+Every sum here is a sparse contraction.  Each m_l, f_l, phi_i and psi_i
+is read once per call as sparse rows (for each basis input, the pairs
+(output, value) of its nonzero values), and the terms are accumulated
+straight from those rows, over plain ints mod p on F_p (as in `linalg`)
+and over `Fraction`s on Q.  The scalars are exact, so the order of
+summation changes no value.  Conjugation composes whole series in three
+stages (psi x (x) psi y, then m, then phi), each a convolution of two
+series, so every order is summed once.
+
+The order-(N+1) sums split in two: the zero-top part, the terms without
+theta_{N+1} (the obstruction, up to the f-column sign), and the terms
+pairing theta_{N+1} with theta_0.  `extend_one_order` computes the
+zero-top part once, as the obstruction, and validates order N+1 by adding
+only the new terms to it; the whole residual is still formed and
+compared with zero.
 """
 
 from __future__ import annotations
@@ -27,7 +43,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraMorphism
 from .cochains import Cochain, all_tuples, differential, identity_cochain, \
     product_cochain
-from .linalg import solve, vec_add, vec_is_zero, vec_sub, zero_vector
+from .linalg import solve
 from .morphism_complex import (TripleCochain, coboundary_preimage,
                                morphism_cochain, morphism_cohomology_dim,
                                morphism_differential,
@@ -137,34 +153,125 @@ def trivial_deformation(f: AlgebraMorphism,
     return TruncatedDeformation(f, terms, _validated=True)
 
 
-def _product_residual(algebra, ms, n, x, y, z):
-    """sum_l m_l(m_{n-l}(x,y), z) - sum_l m_l(x, m_{n-l}(y,z) + m_{n-l}(z,y)),
-    with m_l = 0 past the end of ms (those terms are skipped)"""
-    field = algebra.field
-    res = zero_vector(field, algebra.dim)
-    top = len(ms) - 1
-    for l in range(max(0, n - top), min(n, top) + 1):
-        inner = ms[n - l].eval_basis((x, y))
-        res = vec_add(res, ms[l].eval([inner, z]))
-        sym = vec_add(ms[n - l].eval_basis((y, z)), ms[n - l].eval_basis((z, y)))
-        res = vec_sub(res, ms[l].eval([x, sym]))
-    return res
+def _read(cochain: Cochain, p: int) -> list:
+    """For each basis input, in row-major order, the (output, value) pairs
+    of the cochain's nonzero values; values are ints mod p when p > 0."""
+    if p:
+        return [[(b, v.value) for b, v in enumerate(row) if v]
+                for row in cochain.coeffs]
+    return [[(b, v) for b, v in enumerate(row) if v]
+            for row in cochain.coeffs]
 
 
-def _morphism_residual(f, ms_r, ms_s, fs, n, x, y):
-    """sum_i f_i(m_{R,n-i}(x,y)) - sum_{i+j+k=n} m_{S,i}(f_j(x), f_k(y)),
-    with every series zero past the end of its list"""
-    field = f.source.field
-    res = zero_vector(field, f.target.dim)
-    top = len(fs) - 1
-    for i in range(max(0, n - top), min(n, top) + 1):
-        res = vec_add(res, fs[i].eval([ms_r[n - i].eval_basis((x, y))]))
-    for i in range(min(n, top) + 1):
-        for j in range(max(0, n - i - top), min(n - i, top) + 1):
-            k = n - i - j
-            res = vec_sub(res, ms_s[i].eval([fs[j].eval_basis((x,)),
-                                             fs[k].eval_basis((y,))]))
-    return res
+def _settle(acc: dict, p: int) -> list:
+    """An accumulated row as the (output, value) pairs of its nonzero
+    values, reduced mod p when p > 0."""
+    if p:
+        return [(b, v % p) for b, v in acc.items() if v % p]
+    return [(b, v) for b, v in acc.items() if v]
+
+
+def _cochain(source, module, arity: int, rows) -> Cochain:
+    """The dense cochain with the given rows of (output, value) pairs."""
+    zero = source.field.zero()
+    dense = []
+    for row in rows:
+        vec = [zero] * module.dim
+        for b, v in row:
+            vec[b] = v
+        dense.append(vec)
+    return Cochain(source, module, arity, dense)
+
+
+def _symmetrized(rows: list, d: int) -> list:
+    """For each basis pair (y, z), the pairs of m(y,z) and of m(z,y): the
+    inner argument of the right side of the product condition."""
+    return [rows[y * d + z] + rows[z * d + y]
+            for y in range(d) for z in range(d)]
+
+
+def _pairs(n: int, top: int, top_only: bool) -> list:
+    """(l, n - l) with both indices at most top; with top_only, only the
+    pairs holding index n."""
+    return [(l, n - l) for l in range(max(0, n - top), min(n, top) + 1)
+            if not top_only or n in (l, n - l)]
+
+
+def _triples(n: int, top: int, top_only: bool) -> list:
+    """(i, j, k) with i + j + k = n and every index at most top; with
+    top_only, only the triples holding index n."""
+    return [(i, j, n - i - j) for i in range(min(n, top) + 1)
+            for j in range(max(0, n - i - top), min(n - i, top) + 1)
+            if not top_only or n in (i, j, n - i - j)]
+
+
+def _product_sums(d: int, ms: list, syms: list, pairs: list) -> list:
+    """sum_(l,q) m_l(m_q(x,y), z) - m_l(x, m_q(y,z) + m_q(z,y)) on every
+    basis triple, as accumulated rows; ms and syms are sparse rows."""
+    out = []
+    for x in range(d):
+        for y in range(d):
+            for z in range(d):
+                acc = {}
+                for l, q in pairs:
+                    outer = ms[l]
+                    for k, v in ms[q][x * d + y]:
+                        for b, w in outer[k * d + z]:
+                            acc[b] = acc.get(b, 0) + v * w
+                    for k, v in syms[q][y * d + z]:
+                        for b, w in outer[x * d + k]:
+                            acc[b] = acc.get(b, 0) - v * w
+                out.append(acc)
+    return out
+
+
+def _morphism_sums(dr: int, ds: int, ms_r: list, ms_s: list, fs: list,
+                   pairs: list, triples: list) -> list:
+    """sum_(i,q) f_i(m_{R,q}(x,y)) - sum_(i,j,k) m_{S,i}(f_j(x), f_k(y)) on
+    every basis pair of R, as accumulated rows."""
+    out = []
+    for x in range(dr):
+        for y in range(dr):
+            acc = {}
+            for i, q in pairs:
+                rows = fs[i]
+                for k, v in ms_r[q][x * dr + y]:
+                    for b, w in rows[k]:
+                        acc[b] = acc.get(b, 0) + v * w
+            for i, j, k in triples:
+                outer = ms_s[i]
+                for a, u in fs[j][x]:
+                    for c, v in fs[k][y]:
+                        uv = u * v
+                        for b, w in outer[a * ds + c]:
+                            acc[b] = acc.get(b, 0) - uv * w
+            out.append(acc)
+    return out
+
+
+def _residual(f: AlgebraMorphism, terms: list[TripleCochain], n: int,
+              top_only: bool) -> TripleCochain:
+    """The order-n sums of the series terms as a degree-3 triple; with
+    top_only, only the terms that contain theta_n (each paired with
+    theta_0)."""
+    r, s = f.source, f.target
+    p = r.field.characteristic
+    ms_r = [_read(t.xi, p) for t in terms]
+    ms_s = [_read(t.pi, p) for t in terms]
+    fs = [_read(t.phi, p) for t in terms]
+    top = len(terms) - 1
+    pairs = _pairs(n, top, top_only)
+    res_r = _product_sums(r.dim, ms_r, [_symmetrized(m, r.dim) for m in ms_r],
+                          pairs)
+    res_s = _product_sums(s.dim, ms_s, [_symmetrized(m, s.dim) for m in ms_s],
+                          pairs)
+    res_f = _morphism_sums(r.dim, s.dim, ms_r, ms_s, fs, pairs,
+                           _triples(n, top, top_only))
+    return TripleCochain(
+        f, 3,
+        _cochain(r, r.regular_bimodule(), 3, (a.items() for a in res_r)),
+        _cochain(s, s.regular_bimodule(), 3, (a.items() for a in res_s)),
+        _cochain(r, f.as_bimodule(), 2, (a.items() for a in res_f)))
 
 
 def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
@@ -173,36 +280,28 @@ def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
     the product residual on basis triples of R and of S, the morphism
     residual on basis pairs of R.  Terms past the end of the series count
     as zero; terms[0] is expected to be (m_R; m_S; f)."""
-    ms_r = [t.xi for t in terms[:n + 1]]
-    ms_s = [t.pi for t in terms[:n + 1]]
-    fs = [t.phi for t in terms[:n + 1]]
-
-    def product(algebra, ms):
-        rows = [_product_residual(algebra, ms, n, x, y, z)
-                for (x, y, z) in all_tuples(algebra.dim, 3)]
-        return Cochain(algebra, algebra.regular_bimodule(), 3, rows)
-
-    rows = [_morphism_residual(f, ms_r, ms_s, fs, n, x, y)
-            for (x, y) in all_tuples(f.source.dim, 2)]
-    return TripleCochain(f, 3, product(f.source, ms_r),
-                         product(f.target, ms_s),
-                         Cochain(f.source, f.as_bimodule(), 2, rows))
+    return _residual(f, terms[:n + 1], n, top_only=False)
 
 
-def _order_violations(f: AlgebraMorphism, terms: list[TripleCochain], n: int):
-    """None when the order-n conditions hold, otherwise (n, list of
+def _violations(n: int, res: TripleCochain):
+    """None when the order-n residual vanishes, otherwise (n, list of
     ConditionViolation at order n)."""
-    res = order_residual(f, terms, n)
     items = []
     for kind, component, part in (("product", "R", res.xi),
                                   ("product", "S", res.pi),
                                   ("morphism", "f", res.phi)):
         for where, row in zip(all_tuples(part.source.dim, part.arity),
                               part.coeffs):
-            if not vec_is_zero(row):
+            if any(row):
                 items.append(ConditionViolation(kind, component, n, where,
                                                 row))
     return (n, items) if items else None
+
+
+def _order_violations(f: AlgebraMorphism, terms: list[TripleCochain], n: int):
+    """None when the order-n conditions hold, otherwise (n, list of
+    ConditionViolation at order n)."""
+    return _violations(n, order_residual(f, terms, n))
 
 
 def deformation_violations(f: AlgebraMorphism, terms: list[TripleCochain],
@@ -308,23 +407,65 @@ class FormalIsomorphism:
         return f"FormalIsomorphism(order={self.order})"
 
 
-def _compose1(outer: Cochain, inner: Cochain) -> Cochain:
-    """outer after inner, both 1-cochains with matching middle space."""
-    rows = [outer.eval([row]) for row in inner.coeffs]
-    return Cochain(inner.source, outer.module, 1, rows)
+def _splits(n: int) -> list:
+    """(a, c) with a + c = n: the terms of order n of a product of two
+    series."""
+    return [(a, n - a) for a in range(n + 1)]
 
 
-def _invert_series(terms: list[Cochain], order: int,
-                   ident: Cochain) -> list[Cochain]:
-    """psi with sum_i terms[i] . psi[n-i] = 0 for 1 <= n <= order."""
-    psi = [ident]
+def _compose_series(outer: list, inner: list, top: int, p: int) -> list:
+    """sum_{a+c=n} outer[a] . inner[c] for every order n <= top, as sparse
+    rows: outer[a] holds the sparse rows of a linear map, inner[c] one
+    sparse vector of its input space per basis input."""
+    out = []
+    for n in range(top + 1):
+        rows = []
+        for i in range(len(inner[0])):
+            acc = {}
+            for a, c in _splits(n):
+                outer_a = outer[a]
+                for k, v in inner[c][i]:
+                    for b, w in outer_a[k]:
+                        acc[b] = acc.get(b, 0) + v * w
+            rows.append(_settle(acc, p))
+        out.append(rows)
+    return out
+
+
+def _square_series(series: list, d: int, top: int, p: int) -> list:
+    """sum_{c+e=n} series[c](x) (x) series[e](y) on every basis pair (x, y),
+    for every order n <= top, as sparse vectors on basis pairs."""
+    out = []
+    for n in range(top + 1):
+        rows = []
+        for x in range(d):
+            for y in range(d):
+                acc = {}
+                for c, e in _splits(n):
+                    right = series[e][y]
+                    for u, v in series[c][x]:
+                        for w, z in right:
+                            acc[u * d + w] = acc.get(u * d + w, 0) + v * z
+                rows.append(_settle(acc, p))
+        out.append(rows)
+    return out
+
+
+def _invert_series(terms: list, order: int, d: int, p: int) -> list:
+    """The sparse rows of psi with sum_i terms[i] . psi[n-i] = 0 for
+    1 <= n <= order, psi[0] the identity; terms are sparse rows too."""
+    psi = [[[(x, 1)] for x in range(d)]]
     for n in range(1, order + 1):
-        acc = None
-        for i in range(1, n + 1):
-            if i < len(terms) and not terms[i].is_zero():
-                piece = _compose1(terms[i], psi[n - i])
-                acc = piece if acc is None else acc + piece
-        psi.append(-acc if acc is not None else ident.scale(0))
+        rows = []
+        for x in range(d):
+            acc = {}
+            for i in range(1, min(n, len(terms) - 1) + 1):
+                term = terms[i]
+                for k, v in psi[n - i][x]:
+                    for b, w in term[k]:
+                        acc[b] = acc.get(b, 0) - v * w
+            rows.append(_settle(acc, p))
+        psi.append(rows)
     return psi
 
 
@@ -335,11 +476,15 @@ def invert_truncated(phi: FormalIsomorphism,
     if order is None:
         order = phi.order
     r, s = phi.morphism.source, phi.morphism.target
-    terms_r = [t[0] for t in phi.terms]
-    terms_s = [t[1] for t in phi.terms]
-    psi_r = _invert_series(terms_r, order, identity_cochain(r))
-    psi_s = _invert_series(terms_s, order, identity_cochain(s))
-    return FormalIsomorphism(phi.morphism, list(zip(psi_r, psi_s)))
+    p = r.field.characteristic
+    psi_r = _invert_series([_read(t[0], p) for t in phi.terms], order,
+                           r.dim, p)
+    psi_s = _invert_series([_read(t[1], p) for t in phi.terms], order,
+                           s.dim, p)
+    return FormalIsomorphism(phi.morphism, [
+        (_cochain(r, r.regular_bimodule(), 1, qr),
+         _cochain(s, s.regular_bimodule(), 1, qs))
+        for qr, qs in zip(psi_r, psi_s)])
 
 
 def conjugate(theta: TruncatedDeformation,
@@ -351,45 +496,29 @@ def conjugate(theta: TruncatedDeformation,
     is re-validated on construction.
     """
     f = theta.morphism
-    n_max = theta.order
+    top = theta.order
     r, s = f.source, f.target
-    pr, ps = zip(*phi.padded(n_max))
-    qr, qs = zip(*invert_truncated(phi, n_max).terms)
-    ms_r = [t.xi for t in theta.terms]
-    ms_s = [t.pi for t in theta.terms]
-    fs = [morphism_cochain(f)] + [t.phi for t in theta.terms[1:]]
+    p = r.field.characteristic
+    padded = phi.padded(top)
+    pr = [_read(t[0], p) for t in padded]
+    ps = [_read(t[1], p) for t in padded]
+    qr = _invert_series(pr, top, r.dim, p)
+    qs = _invert_series(ps, top, s.dim, p)
+    fs = [_read(morphism_cochain(f), p)] + [_read(t.phi, p)
+                                            for t in theta.terms[1:]]
 
-    def conj_product(algebra, module, outer, ms, inner, n):
-        rows = []
-        for (x, y) in all_tuples(algebra.dim, 2):
-            acc = zero_vector(algebra.field, algebra.dim)
-            for a in range(n + 1):
-                for b in range(n + 1 - a):
-                    for c in range(n + 1 - a - b):
-                        dd = n - a - b - c
-                        mid = ms[b].eval([inner[c].eval_basis((x,)),
-                                          inner[dd].eval_basis((y,))])
-                        acc = vec_add(acc, outer[a].eval([mid]))
-            rows.append(acc)
-        return Cochain(algebra, module, 2, rows)
+    def conj_product(d, outer, ms, inner):
+        return _compose_series(outer, _compose_series(
+            ms, _square_series(inner, d, top, p), top, p), top, p)
 
-    def conj_map(n):
-        rows = []
-        for x in range(r.dim):
-            acc = zero_vector(r.field, s.dim)
-            for a in range(n + 1):
-                for b in range(n + 1 - a):
-                    c = n - a - b
-                    mid = fs[b].eval([qr[c].eval_basis((x,))])
-                    acc = vec_add(acc, ps[a].eval([mid]))
-            rows.append(acc)
-        return Cochain(r, f.as_bimodule(), 1, rows)
-
+    xi = conj_product(r.dim, pr, [_read(t.xi, p) for t in theta.terms], qr)
+    pi = conj_product(s.dim, ps, [_read(t.pi, p) for t in theta.terms], qs)
+    maps = _compose_series(ps, _compose_series(fs, qr, top, p), top, p)
     new_terms = []
-    for n in range(n_max + 1):
-        xi = conj_product(r, r.regular_bimodule(), pr, ms_r, qr, n)
-        pi = conj_product(s, s.regular_bimodule(), ps, ms_s, qs, n)
-        term = TripleCochain(f, 2, xi, pi, conj_map(n))
+    for n in range(top + 1):
+        term = TripleCochain(f, 2, _cochain(r, r.regular_bimodule(), 2, xi[n]),
+                             _cochain(s, s.regular_bimodule(), 2, pi[n]),
+                             _cochain(r, f.as_bimodule(), 1, maps[n]))
         if n == 0 and term != theta_zero(f):
             raise AssertionError("conjugation moved the constant term")
         new_terms.append(term)
@@ -445,8 +574,9 @@ def extend_one_order(theta: TruncatedDeformation) -> ExtensionStep:
     """Try to extend an order-N deformation to order N+1.
 
     Solves d(theta_{N+1}) = obstruction for the deterministic representative;
-    on success the returned series is validated at the new order N+1, on
-    failure the obstruction admits no preimage.
+    on success the returned series is validated at the new order N+1 (the
+    obstruction's sums plus the terms with theta_{N+1}, see the module
+    docstring), on failure the obstruction admits no preimage.
     """
     f = theta.morphism
     ob = obstruction(theta)
@@ -454,7 +584,13 @@ def extend_one_order(theta: TruncatedDeformation) -> ExtensionStep:
     if sol is None:
         return ExtensionStep(ob, None, None)
     term = TripleCochain.from_flat(f, 2, sol)
-    return ExtensionStep(ob, term, theta.extend(term))
+    grown = TruncatedDeformation(f, theta.terms + [term], _validated=True)
+    # the order-(N+1) residual: the zero-top sums, which the obstruction
+    # holds with its f-column negated, plus the terms with theta_{N+1}
+    zero_top = TripleCochain(f, 3, ob.xi, ob.pi, -ob.phi)
+    _raise_on(_violations(grown.order, zero_top + _residual(
+        f, grown.terms, grown.order, top_only=True)))
+    return ExtensionStep(ob, term, grown)
 
 
 @dataclass

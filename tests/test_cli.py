@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 
 from zinbiel import cli
+from zinbiel.deformation import check_deformation, extend_one_order
 from zinbiel.problem_io import parse
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -268,6 +269,18 @@ def test_extend_from_cochain_checks_the_cocycle_once(monkeypatch, capsys,
     assert code == 0
     assert len(calls) <= 1
     assert "status ok\norder 1\n" in capsys.readouterr().out
+
+
+def test_extend_sums_the_zero_top_order_once(monkeypatch):
+    # order_residual at order N+1 of an order-N series is the zero-top
+    # contraction; one extension step computes it for the obstruction and
+    # validates order N+1 by adding only the terms with theta_{N+1}
+    problem = parse((PROBLEMS / "graded_dim3.zb").read_text(encoding="utf-8"))
+    theta = check_deformation(*problem.deformation_candidate("D"))
+    calls = _counted(monkeypatch, "order_residual")
+    step = extend_one_order(theta)
+    assert step.succeeded and step.extended.order == theta.order + 1
+    assert [n for _, _, n in calls] == [theta.order + 1]
 
 
 def test_verify_identities_checks_past_a_failing_object():
