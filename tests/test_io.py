@@ -1,10 +1,18 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zinbiel.cochains import MAX_ARITY, all_tuples
 from zinbiel.deformation import check_deformation
 from zinbiel.fields import QQ, PrimeField
-from zinbiel.problem_io import ProblemFileError, parse, serialize
+from zinbiel.problem_io import (AlgebraSpec, CochainSpec, DeformationSpec,
+                                IsomorphismSpec, MorphismSpec, Problem,
+                                ProblemFileError, parse, serialize)
+from zinbiel.sampling import (random_deformation, random_formal_isomorphism,
+                              random_morphism_instance, random_triple_cochain)
 
 NILPOTENT = """\
 field Q
@@ -171,3 +179,76 @@ def test_comments_and_blank_lines_ignored():
     text = "# header\nfield Q  # trailing\n\nalgebra R # name\n  dim 1\nend\n"
     problem = parse(text)
     assert problem.algebras["R"].dim == 1
+
+
+# -- round trips of generated problems ------------------------------------
+
+def _entries(cochain, component, prefix=()):
+    """(prefix.., component, input tuple, output, scalar) per nonzero value."""
+    return [prefix + (component, tup, b, c)
+            for tup, row in zip(all_tuples(cochain.source.dim, cochain.arity),
+                                cochain.coeffs)
+            for b, c in enumerate(row) if c]
+
+
+def _triple_entries(triple, prefix=()):
+    out = _entries(triple.xi, "R", prefix) + _entries(triple.pi, "S", prefix)
+    if triple.phi is not None:
+        out += _entries(triple.phi, "f", prefix)
+    return sorted(out, key=lambda e: e[:-1])
+
+
+def _generated_problem(field, seed, order, dims):
+    """A problem in the form parse gives back: a random morphism between
+    algebras of the given dimensions, a cochain of a random degree, a random deformation and a
+    random formal isomorphism of the given order, nonzero entries only,
+    each list sorted as parse sorts it."""
+    rng = random.Random(seed)
+    f = random_morphism_instance(field, rng, dims=dims)
+    theta = random_deformation(f, order, rng)
+    iso = random_formal_isomorphism(f, order, rng)
+    cochain = random_triple_cochain(f, rng.randint(1, MAX_ARITY), rng)
+
+    def algebra(name, a):
+        return AlgebraSpec(name, a.dim, [
+            (i, j, k, c) for i, j in itertools.product(range(a.dim), repeat=2)
+            for k, c in enumerate(a.gamma[i][j]) if c])
+
+    iso_entries = sorted(
+        ((k, comp, i, b, c) for k, pair in enumerate(iso.terms[1:], start=1)
+         for comp, one in zip("RS", pair)
+         for i, row in enumerate(one.coeffs) for b, c in enumerate(row) if c),
+        key=lambda e: e[:-1])
+    return Problem(
+        field,
+        algebras={"A": algebra("A", f.source), "B": algebra("B", f.target)},
+        morphisms={"f": MorphismSpec("f", "A", "B", [
+            (b, i, c) for b in range(f.target.dim)
+            for i in range(f.source.dim)
+            if (c := f.apply_basis(i)[b])])},
+        cochains={"c": CochainSpec("c", "f", cochain.degree,
+                                   _triple_entries(cochain))},
+        deformations={"D": DeformationSpec("D", "f", order, sorted(
+            (e for k, t in enumerate(theta.terms[1:], start=1)
+             for e in _triple_entries(t, (k,))), key=lambda e: e[:-1]))},
+        isomorphisms={"Phi": IsomorphismSpec("Phi", "f", order, iso_entries)})
+
+
+problems = st.builds(
+    _generated_problem,
+    st.sampled_from([QQ, PrimeField(5), PrimeField(101)]),
+    st.integers(0, 2 ** 32), st.integers(0, 3),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems)
+def test_generated_problems_round_trip(problem):
+    assert parse(serialize(problem)) == problem
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems)
+def test_serialize_is_idempotent(problem):
+    text = serialize(problem)
+    assert serialize(parse(text)) == text
