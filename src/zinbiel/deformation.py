@@ -205,9 +205,10 @@ def _triples(n: int, top: int, top_only: bool) -> list:
             if not top_only or n in (i, j, n - i - j)]
 
 
-def _product_sums(d: int, ms: list, syms: list, pairs: list) -> list:
+def _product_sums(d: int, ms: list, pairs: list) -> list:
     """sum_(l,q) m_l(m_q(x,y), z) - m_l(x, m_q(y,z) + m_q(z,y)) on every
-    basis triple, as accumulated rows; ms and syms are sparse rows."""
+    basis triple, as accumulated rows; ms holds sparse rows."""
+    syms = {q: _symmetrized(ms[q], d) for _, q in pairs}
     out = []
     for x in range(d):
         for y in range(d):
@@ -249,22 +250,24 @@ def _morphism_sums(dr: int, ds: int, ms_r: list, ms_s: list, fs: list,
     return out
 
 
-def _residual(f: AlgebraMorphism, terms: list[TripleCochain], n: int,
-              top_only: bool) -> TripleCochain:
-    """The order-n sums of the series terms as a degree-3 triple; with
-    top_only, only the terms that contain theta_n (each paired with
-    theta_0)."""
+def _read_series(f: AlgebraMorphism, terms: list[TripleCochain]) -> tuple:
+    """The m_R, m_S and f series of the terms, each term as sparse rows."""
+    p = f.source.field.characteristic
+    return ([_read(t.xi, p) for t in terms], [_read(t.pi, p) for t in terms],
+            [_read(t.phi, p) for t in terms])
+
+
+def _sums(f: AlgebraMorphism, series: tuple, n: int,
+          top_only: bool) -> TripleCochain:
+    """The order-n sums of a series read by _read_series, as a degree-3
+    triple; terms past its end count as zero.  With top_only, only the
+    terms that contain theta_n (each paired with theta_0)."""
     r, s = f.source, f.target
-    p = r.field.characteristic
-    ms_r = [_read(t.xi, p) for t in terms]
-    ms_s = [_read(t.pi, p) for t in terms]
-    fs = [_read(t.phi, p) for t in terms]
-    top = len(terms) - 1
+    ms_r, ms_s, fs = series
+    top = len(fs) - 1
     pairs = _pairs(n, top, top_only)
-    res_r = _product_sums(r.dim, ms_r, [_symmetrized(m, r.dim) for m in ms_r],
-                          pairs)
-    res_s = _product_sums(s.dim, ms_s, [_symmetrized(m, s.dim) for m in ms_s],
-                          pairs)
+    res_r = _product_sums(r.dim, ms_r, pairs)
+    res_s = _product_sums(s.dim, ms_s, pairs)
     res_f = _morphism_sums(r.dim, s.dim, ms_r, ms_s, fs, pairs,
                            _triples(n, top, top_only))
     return TripleCochain(
@@ -280,7 +283,7 @@ def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
     the product residual on basis triples of R and of S, the morphism
     residual on basis pairs of R.  Terms past the end of the series count
     as zero; terms[0] is expected to be (m_R; m_S; f)."""
-    return _residual(f, terms[:n + 1], n, top_only=False)
+    return _sums(f, _read_series(f, terms[:n + 1]), n, top_only=False)
 
 
 def _violations(n: int, res: TripleCochain):
@@ -309,8 +312,9 @@ def deformation_violations(f: AlgebraMorphism, terms: list[TripleCochain],
     """None when the conditions hold through the given order, otherwise
     (smallest failing order, list of ConditionViolation at that order).
     terms[0] is expected to be (m_R; m_S; f)."""
+    series = _read_series(f, terms[:order + 1])
     for n in range(order + 1):
-        report = _order_violations(f, terms, n)
+        report = _violations(n, _sums(f, series, n, top_only=False))
         if report is not None:
             return report
     return None
@@ -588,8 +592,8 @@ def extend_one_order(theta: TruncatedDeformation) -> ExtensionStep:
     # the order-(N+1) residual: the zero-top sums, which the obstruction
     # holds with its f-column negated, plus the terms with theta_{N+1}
     zero_top = TripleCochain(f, 3, ob.xi, ob.pi, -ob.phi)
-    _raise_on(_violations(grown.order, zero_top + _residual(
-        f, grown.terms, grown.order, top_only=True)))
+    _raise_on(_violations(grown.order, zero_top + _sums(
+        f, _read_series(f, grown.terms), grown.order, top_only=True)))
     return ExtensionStep(ob, term, grown)
 
 

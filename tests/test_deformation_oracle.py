@@ -114,8 +114,8 @@ def test_split_order_sums_add_up_to_the_whole_residual(series):
         tops += [step.term] if step.succeeded else []
         for top in tops:
             terms = theta.terms + [top]
-            split = order_residual(f, theta.terms, n) + \
-                deformation._residual(f, terms, n, top_only=True)
+            split = order_residual(f, theta.terms, n) + deformation._sums(
+                f, deformation._read_series(f, terms), n, top_only=True)
             whole = oracle.order_residual(f, terms, n)
             assert split == whole and _exact(split) == _exact(whole)
             assert (top is not step.term) or whole.is_zero()
