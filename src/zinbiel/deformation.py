@@ -22,11 +22,13 @@ a solution.
 Every sum here is a sparse contraction.  Each m_l, f_l, phi_i and psi_i
 is read once per call as sparse rows (for each basis input, the pairs
 (output, value) of its nonzero values), and the terms are accumulated
-straight from those rows, over plain ints mod p on F_p (as in `linalg`)
-and over `Fraction`s on Q.  The scalars are exact, so the order of
-summation changes no value.  Conjugation composes whole series in three
-stages (psi x (x) psi y, then m, then phi), each a convolution of two
-series, so every order is summed once.
+straight from those rows.  Over F_p the values are plain ints mod p, as
+in `linalg`.  Over Q the condition sums run on ints too: the series is
+scaled by the least common denominator of its values, and each result is
+divided back once; conjugation runs on `Fraction`s.  The scalars are
+exact, so the order of summation changes no value.  Conjugation composes
+whole series in three stages (psi x (x) psi y, then m, then phi), each a
+convolution of two series, so every order is summed once.
 
 The order-(N+1) sums split in two: the zero-top part, the terms without
 theta_{N+1} (the obstruction, up to the f-column sign), and the terms
@@ -39,6 +41,8 @@ compared with zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .algebra import AlgebraMorphism
 from .cochains import Cochain, all_tuples, differential, identity_cochain, \
@@ -171,14 +175,16 @@ def _settle(acc: dict, p: int) -> list:
     return [(b, v) for b, v in acc.items() if v]
 
 
-def _cochain(source, module, arity: int, rows) -> Cochain:
-    """The dense cochain with the given rows of (output, value) pairs."""
+def _cochain(source, module, arity: int, rows, den: int = 1) -> Cochain:
+    """The dense cochain with the given rows of (output, value) pairs, each
+    value divided by den."""
     zero = source.field.zero()
     dense = []
     for row in rows:
         vec = [zero] * module.dim
         for b, v in row:
-            vec[b] = v
+            if v:
+                vec[b] = v if den == 1 else Fraction(v, den)
         dense.append(vec)
     return Cochain(source, module, arity, dense)
 
@@ -227,9 +233,10 @@ def _product_sums(d: int, ms: list, pairs: list) -> list:
 
 
 def _morphism_sums(dr: int, ds: int, ms_r: list, ms_s: list, fs: list,
-                   pairs: list, triples: list) -> list:
+                   pairs: list, triples: list, den: int) -> list:
     """sum_(i,q) f_i(m_{R,q}(x,y)) - sum_(i,j,k) m_{S,i}(f_j(x), f_k(y)) on
-    every basis pair of R, as accumulated rows."""
+    every basis pair of R, as accumulated rows; the products of two values
+    are scaled by den to meet those of three."""
     out = []
     for x in range(dr):
         for y in range(dr):
@@ -237,6 +244,7 @@ def _morphism_sums(dr: int, ds: int, ms_r: list, ms_s: list, fs: list,
             for i, q in pairs:
                 rows = fs[i]
                 for k, v in ms_r[q][x * dr + y]:
+                    v *= den
                     for b, w in rows[k]:
                         acc[b] = acc.get(b, 0) + v * w
             for i, j, k in triples:
@@ -251,10 +259,24 @@ def _morphism_sums(dr: int, ds: int, ms_r: list, ms_s: list, fs: list,
 
 
 def _read_series(f: AlgebraMorphism, terms: list[TripleCochain]) -> tuple:
-    """The m_R, m_S and f series of the terms, each term as sparse rows."""
+    """The m_R, m_S and f series of the terms, each term as sparse rows of
+    ints, and their common denominator.  Over F_p the ints are the values
+    mod p, over 1.  Over Q they are the values scaled by the least common
+    denominator of the whole series (fraction-free, as in linalg), so the
+    sums run on ints over both fields."""
     p = f.source.field.characteristic
-    return ([_read(t.xi, p) for t in terms], [_read(t.pi, p) for t in terms],
-            [_read(t.phi, p) for t in terms])
+    if p:
+        return ([_read(t.xi, p) for t in terms],
+                [_read(t.pi, p) for t in terms],
+                [_read(t.phi, p) for t in terms], 1)
+    den = lcm(*{v.denominator for t in terms for c in (t.xi, t.pi, t.phi)
+                for row in c.coeffs for v in row})
+
+    def scaled(c):
+        return [[(b, v.numerator * (den // v.denominator))
+                 for b, v in enumerate(row) if v] for row in c.coeffs]
+    return ([scaled(t.xi) for t in terms], [scaled(t.pi) for t in terms],
+            [scaled(t.phi) for t in terms], den)
 
 
 def _sums(f: AlgebraMorphism, series: tuple, n: int,
@@ -263,18 +285,21 @@ def _sums(f: AlgebraMorphism, series: tuple, n: int,
     triple; terms past its end count as zero.  With top_only, only the
     terms that contain theta_n (each paired with theta_0)."""
     r, s = f.source, f.target
-    ms_r, ms_s, fs = series
+    ms_r, ms_s, fs, den = series
     top = len(fs) - 1
     pairs = _pairs(n, top, top_only)
     res_r = _product_sums(r.dim, ms_r, pairs)
     res_s = _product_sums(s.dim, ms_s, pairs)
     res_f = _morphism_sums(r.dim, s.dim, ms_r, ms_s, fs, pairs,
-                           _triples(n, top, top_only))
+                           _triples(n, top, top_only), den)
     return TripleCochain(
         f, 3,
-        _cochain(r, r.regular_bimodule(), 3, (a.items() for a in res_r)),
-        _cochain(s, s.regular_bimodule(), 3, (a.items() for a in res_s)),
-        _cochain(r, f.as_bimodule(), 2, (a.items() for a in res_f)))
+        _cochain(r, r.regular_bimodule(), 3, (a.items() for a in res_r),
+                 den ** 2),
+        _cochain(s, s.regular_bimodule(), 3, (a.items() for a in res_s),
+                 den ** 2),
+        _cochain(r, f.as_bimodule(), 2, (a.items() for a in res_f),
+                 den ** 3))
 
 
 def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
