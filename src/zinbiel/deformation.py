@@ -112,7 +112,8 @@ class TruncatedDeformation:
         """
         grown = TruncatedDeformation(self.morphism, self.terms + [term],
                                      _validated=True)
-        _raise_on(_order_violations(self.morphism, grown.terms, grown.order))
+        _raise_on(_violations(grown.order, order_residual(
+            self.morphism, grown.terms, grown.order)))
         return grown
 
     def truncate(self, order: int) -> "TruncatedDeformation":
@@ -326,12 +327,6 @@ def _violations(n: int, res: TripleCochain):
     return (n, items) if items else None
 
 
-def _order_violations(f: AlgebraMorphism, terms: list[TripleCochain], n: int):
-    """None when the order-n conditions hold, otherwise (n, list of
-    ConditionViolation at order n)."""
-    return _violations(n, order_residual(f, terms, n))
-
-
 def deformation_violations(f: AlgebraMorphism, terms: list[TripleCochain],
                            order: int):
     """None when the conditions hold through the given order, otherwise
@@ -533,8 +528,7 @@ def conjugate(theta: TruncatedDeformation,
     ps = [_read(t[1], p) for t in padded]
     qr = _invert_series(pr, top, r.dim, p)
     qs = _invert_series(ps, top, s.dim, p)
-    fs = [_read(morphism_cochain(f), p)] + [_read(t.phi, p)
-                                            for t in theta.terms[1:]]
+    fs = [_read(t.phi, p) for t in theta.terms]
 
     def conj_product(d, outer, ms, inner):
         return _compose_series(outer, _compose_series(
