@@ -27,8 +27,9 @@ in `linalg`.  Over Q the condition sums run on ints too: the series is
 scaled by the least common denominator of its values, and each result is
 divided back once; conjugation runs on `Fraction`s.  The scalars are
 exact, so the order of summation changes no value.  Conjugation composes
-whole series in three stages (psi x (x) psi y, then m, then phi), each a
-convolution of two series, so every order is summed once.
+whole series: m with psi in its first slot, then in its second, then phi
+after it, each a convolution of two series, so every order is summed
+once.
 
 The order-(N+1) sums split in two: the zero-top part, the terms without
 theta_{N+1} (the obstruction, up to the f-column sign), and the terms
@@ -456,25 +457,6 @@ def _compose_series(outer: list, inner: list, top: int, p: int) -> list:
     return out
 
 
-def _square_series(series: list, d: int, top: int, p: int) -> list:
-    """sum_{c+e=n} series[c](x) (x) series[e](y) on every basis pair (x, y),
-    for every order n <= top, as sparse vectors on basis pairs."""
-    out = []
-    for n in range(top + 1):
-        rows = []
-        for x in range(d):
-            for y in range(d):
-                acc = {}
-                for c, e in _splits(n):
-                    right = series[e][y]
-                    for u, v in series[c][x]:
-                        for w, z in right:
-                            acc[u * d + w] = acc.get(u * d + w, 0) + v * z
-                rows.append(_settle(acc, p))
-        out.append(rows)
-    return out
-
-
 def _invert_series(terms: list, order: int, d: int, p: int) -> list:
     """The sparse rows of psi with sum_i terms[i] . psi[n-i] = 0 for
     1 <= n <= order, psi[0] the identity; terms are sparse rows too."""
@@ -531,8 +513,15 @@ def conjugate(theta: TruncatedDeformation,
     fs = [_read(t.phi, p) for t in theta.terms]
 
     def conj_product(d, outer, ms, inner):
-        return _compose_series(outer, _compose_series(
-            ms, _square_series(inner, d, top, p), top, p), top, p)
+        # phi . m . (psi (x) 1) . (1 (x) psi), psi acting on one slot of
+        # each basis pair (x, y)
+        pairs = [(x, y) for x in range(d) for y in range(d)]
+        first = [[[(u * d + y, v) for u, v in q[x]] for x, y in pairs]
+                 for q in inner]
+        second = [[[(x * d + w, v) for w, v in q[y]] for x, y in pairs]
+                  for q in inner]
+        return _compose_series(outer, _compose_series(_compose_series(
+            ms, first, top, p), second, top, p), top, p)
 
     xi = conj_product(r.dim, pr, [_read(t.xi, p) for t in theta.terms], qr)
     pi = conj_product(s.dim, ps, [_read(t.pi, p) for t in theta.terms], qs)
