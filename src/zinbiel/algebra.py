@@ -8,18 +8,31 @@ bilinear product x*y obeying
 A bimodule over such an algebra carries left and right actions for which
 the same identity holds whenever exactly one of the three arguments comes
 from the module.  Everything is basis-presented through structure
-constants, and every constructor verifies its defining identities
-exhaustively on basis tuples; `IdentityError` carries the full list of
-violations with exact residual vectors.
+constants; `IdentityError` carries the full list of violations with exact
+residual vectors.
+
+Each identity is checked in one place, exhaustively on basis tuples:
+`ZinbielAlgebra` checks the Zinbiel identity, `AlgebraMorphism` checks
+f(xy) = f(x)f(y), and `Bimodule` checks the three mixed identities of
+the actions its caller supplies.  The first two checks are the order-0
+deformation conditions of (m_R; m_S; f) and share their sparse sums with
+`zinbiel.deformation`: `_product_sums` and `_morphism_sums` at order 0.
+The mixed identities are the Zinbiel identity of the square-zero
+extension R + A, so `_product_sums` computes them too.
+
+The two derived bimodules are built unchecked, because their identities
+hold by construction.  In `regular_bimodule()` all three mixed identities
+are the Zinbiel identity of the algebra.  In `bimodule_via_morphism` they
+follow from f(xy) = f(x)f(y) and the Zinbiel identity of the target.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .fields import Field, FieldError
-from .linalg import (Matrix, unit_vector, vec_add, vec_is_zero, vec_sub,
-                     zero_vector)
+from .linalg import Matrix, unit_vector, zero_vector
 
 
 @dataclass
@@ -86,8 +99,8 @@ class ZinbielAlgebra:
     def regular_bimodule(self) -> "Bimodule":
         """The algebra acting on itself by its own product (cached)."""
         if self._regular is None:
-            g = self.gamma
-            self._regular = Bimodule(self, self.dim, g, g)
+            self._regular = _derived_bimodule(self, self.dim, self.gamma,
+                                              self.gamma)
         return self._regular
 
     def __eq__(self, other):
@@ -101,36 +114,99 @@ class ZinbielAlgebra:
 
 
 def zinbiel_violations(field: Field, dim: int, gamma) -> list[Violation]:
-    """Residuals of (x*y)*z - x*(y*z) - x*(z*y) on all basis triples."""
+    """Residuals of (x*y)*z - x*(y*z) - x*(z*y) on all basis triples: the
+    order-0 product sums of the deformation conditions."""
     _check_cube_shape(dim, gamma)
+    rows = _read([[field.coerce(x) for x in row] for plane in gamma
+                  for row in plane], field.characteristic)
+    wheres = itertools.product(range(dim), repeat=3)
+    return _found("zinbiel", field, dim, wheres,
+                  _product_sums(dim, [rows], [(0, 0)]))
+
+
+def _read(rows, p: int) -> list:
+    """For each dense row of field values, the (output, value) pairs of its
+    nonzero values; values are ints mod p when p > 0."""
+    if p:
+        return [[(b, v.value) for b, v in enumerate(row) if v]
+                for row in rows]
+    return [[(b, v) for b, v in enumerate(row) if v] for row in rows]
+
+
+def _settle(acc: dict, p: int) -> list:
+    """An accumulated row as the (output, value) pairs of its nonzero
+    values, reduced mod p when p > 0."""
+    if p:
+        return [(b, v % p) for b, v in acc.items() if v % p]
+    return [(b, v) for b, v in acc.items() if v]
+
+
+def _symmetrized(rows: list, d: int) -> list:
+    """For each basis pair (y, z), the pairs of m(y,z) and of m(z,y): the
+    inner argument of the right side of the product condition."""
+    return [rows[y * d + z] + rows[z * d + y]
+            for y in range(d) for z in range(d)]
+
+
+def _product_sums(d: int, ms: list, pairs: list) -> list:
+    """sum_(l,q) m_l(m_q(x,y), z) - m_l(x, m_q(y,z) + m_q(z,y)) on every
+    basis triple, as accumulated rows; ms holds sparse rows."""
+    syms = {q: _symmetrized(ms[q], d) for _, q in pairs}
     out = []
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                res = _zinbiel_residual(field, dim, gamma, i, j, k)
-                if not vec_is_zero(res):
-                    out.append(Violation("zinbiel", (i, j, k), res))
+    for x in range(d):
+        for y in range(d):
+            for z in range(d):
+                acc = {}
+                for l, q in pairs:
+                    outer = ms[l]
+                    for k, v in ms[q][x * d + y]:
+                        for b, w in outer[k * d + z]:
+                            acc[b] = acc.get(b, 0) + v * w
+                    for k, v in syms[q][y * d + z]:
+                        for b, w in outer[x * d + k]:
+                            acc[b] = acc.get(b, 0) - v * w
+                out.append(acc)
     return out
 
 
-def _zinbiel_residual(field, dim, gamma, i, j, k):
-    res = zero_vector(field, dim)
-    for p, c in enumerate(gamma[i][j]):      # (e_i e_j) e_k
-        if c:
-            for b, g in enumerate(gamma[p][k]):
-                if g:
-                    res[b] = res[b] + c * g
-    for q, c in enumerate(gamma[j][k]):      # e_i (e_j e_k)
-        if c:
-            for b, g in enumerate(gamma[i][q]):
-                if g:
-                    res[b] = res[b] - c * g
-    for q, c in enumerate(gamma[k][j]):      # e_i (e_k e_j)
-        if c:
-            for b, g in enumerate(gamma[i][q]):
-                if g:
-                    res[b] = res[b] - c * g
-    return res
+def _morphism_sums(dr: int, ds: int, ms_r: list, ms_s: list, fs: list,
+                   pairs: list, triples: list, den: int) -> list:
+    """sum_(i,q) f_i(m_{R,q}(x,y)) - sum_(i,j,k) m_{S,i}(f_j(x), f_k(y)) on
+    every basis pair of R, as accumulated rows; the products of two values
+    are scaled by den to meet those of three."""
+    out = []
+    for x in range(dr):
+        for y in range(dr):
+            acc = {}
+            for i, q in pairs:
+                rows = fs[i]
+                for k, v in ms_r[q][x * dr + y]:
+                    v *= den
+                    for b, w in rows[k]:
+                        acc[b] = acc.get(b, 0) + v * w
+            for i, j, k in triples:
+                outer = ms_s[i]
+                for a, u in fs[j][x]:
+                    for c, v in fs[k][y]:
+                        uv = u * v
+                        for b, w in outer[a * ds + c]:
+                            acc[b] = acc.get(b, 0) - uv * w
+            out.append(acc)
+    return out
+
+
+def _found(label: str, field: Field, dim: int, wheres, sums) -> list:
+    """A Violation, with its residual as a dense vector of field values,
+    for each accumulated row of sums that does not vanish."""
+    out = []
+    for where, acc in zip(wheres, sums):
+        nonzero = _settle(acc, field.characteristic)
+        if nonzero:
+            res = zero_vector(field, dim)
+            for b, v in nonzero:
+                res[b] = field.coerce(v)
+            out.append(Violation(label, where, res))
+    return out
 
 
 class Bimodule:
@@ -138,7 +214,8 @@ class Bimodule:
 
     left[i][a] is the vector e_i * a_a, right[a][i] is a_a * e_i, both of
     length dim.  The mixed Zinbiel identities (one module slot among the
-    three arguments) are verified on construction.
+    three arguments) are verified on construction.  The derived bimodules
+    of the module docstring are built by `_derived_bimodule` instead.
     """
 
     __slots__ = ("algebra", "dim", "left", "right")
@@ -169,27 +246,6 @@ class Bimodule:
     def field(self):
         return self.algebra.field
 
-    def left_act(self, i: int, avec: list) -> list:
-        """e_i acting on a module vector."""
-        out = zero_vector(self.field, self.dim)
-        col = self.left[i]
-        for a, c in enumerate(avec):
-            if c:
-                for b, v in enumerate(col[a]):
-                    if v:
-                        out[b] = out[b] + c * v
-        return out
-
-    def right_act(self, avec: list, i: int) -> list:
-        """A module vector acted on by e_i from the right."""
-        out = zero_vector(self.field, self.dim)
-        for a, c in enumerate(avec):
-            if c:
-                for b, v in enumerate(self.right[a][i]):
-                    if v:
-                        out[b] = out[b] + c * v
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Bimodule):
             return NotImplemented
@@ -200,75 +256,53 @@ class Bimodule:
         return f"Bimodule(dim={self.dim} over {self.algebra!r})"
 
 
+def _derived_bimodule(algebra: ZinbielAlgebra, dim: int, left,
+                      right) -> Bimodule:
+    """A bimodule whose identities hold by construction, from actions
+    already of field values: taken as they are, neither copied, coerced
+    nor checked."""
+    module = Bimodule.__new__(Bimodule)
+    module.algebra, module.dim = algebra, dim
+    module.left, module.right = left, right
+    return module
+
+
 def bimodule_violations(algebra: ZinbielAlgebra, dim: int, left,
                         right) -> list[Violation]:
-    """Mixed-identity residuals, one family per placement of the module slot."""
+    """Mixed-identity residuals, one family per placement of the module
+    slot.  They are the Zinbiel identity of the square-zero extension
+    R + A, with product (x, a)(y, b) = (xy, x*b + a*y), on the triples
+    with one argument in A, so they are its order-0 product sums."""
     field = algebra.field
     d = algebra.dim
-    gamma = algebra.gamma
+    n = d + dim
+    # the extension's product on basis pairs: e_i is basis vector i, a_a
+    # is basis vector d + a
+    table = [[field.zero()] * n for _ in range(n * n)]
 
-    def lact(i, avec):
-        out = zero_vector(field, dim)
-        for a, c in enumerate(avec):
-            if c:
-                for b, v in enumerate(left[i][a]):
-                    if v:
-                        out[b] = out[b] + c * v
-        return out
-
-    def ract(avec, i):
-        out = zero_vector(field, dim)
-        for a, c in enumerate(avec):
-            if c:
-                for b, v in enumerate(right[a][i]):
-                    if v:
-                        out[b] = out[b] + c * v
-        return out
-
-    def by_gamma(i, j, table):
-        # table[k] for e_k, combined along the product e_i e_j
-        out = zero_vector(field, dim)
-        for k, g in enumerate(gamma[i][j]):
-            if g:
-                for b, v in enumerate(table[k]):
-                    if v:
-                        out[b] = out[b] + g * v
-        return out
-
-    out = []
-    for a in range(dim):
-        for j in range(d):
-            for k in range(d):
-                # (a*y)*z = a*(y z) + a*(z y)
-                lhs = ract(right[a][j], k)
-                rhs = vec_add(by_gamma(j, k, right[a]),
-                              by_gamma(k, j, right[a]))
-                res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
-                    out.append(Violation("module-first", (a, j, k), res))
+    def put(x, y, offset, vec):
+        for b, v in enumerate(vec):
+            table[x * n + y][offset + b] = field.coerce(v)
     for i in range(d):
+        for j in range(d):
+            put(i, j, 0, algebra.gamma[i][j])
         for a in range(dim):
-            for k in range(d):
-                # (x*a)*z = x*(a*z) + x*(z*a)
-                lhs = ract(left[i][a], k)
-                rhs = vec_add(lact(i, right[a][k]), lact(i, left[k][a]))
-                res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
-                    out.append(Violation("module-middle", (i, a, k), res))
-    for i in range(d):
-        for j in range(d):
-            for a in range(dim):
-                # (x y)*a = x*(y*a) + x*(a*y)
-                lhs = zero_vector(field, dim)
-                for k, g in enumerate(gamma[i][j]):
-                    if g:
-                        for b, v in enumerate(left[k][a]):
-                            if v:
-                                lhs[b] = lhs[b] + g * v
-                rhs = vec_add(lact(i, left[j][a]), lact(i, right[a][j]))
-                res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
-                    out.append(Violation("module-last", (i, j, a), res))
+            put(i, d + a, d, left[i][a])
+            put(d + a, i, d, right[a][i])
+    sums = _product_sums(n, [_read(table, field.characteristic)], [(0, 0)])
+    out = []
+    for slot, label in enumerate(("module-first", "module-middle",
+                                  "module-last")):
+        ranges = [range(d)] * 3
+        ranges[slot] = range(dim)
+        wheres = list(itertools.product(*ranges))
+        # with one argument in A, every term lands in A
+        rows = []
+        for where in wheres:
+            x, y, z = (w + d if k == slot else w for k, w in enumerate(where))
+            rows.append({b - d: v for b, v in
+                         sums[(x * n + y) * n + z].items()})
+        out += _found(label, field, dim, wheres, rows)
     return out
 
 
@@ -326,17 +360,18 @@ class AlgebraMorphism:
 
 def morphism_violations(source: ZinbielAlgebra, target: ZinbielAlgebra,
                         matrix: Matrix) -> list[Violation]:
-    """Residuals of f(e_i e_j) - f(e_i) f(e_j) on all basis pairs."""
-    out = []
-    cols = [matrix.column(i) for i in range(source.dim)]
-    for i in range(source.dim):
-        for j in range(source.dim):
-            lhs = matrix.matvec(source.product_basis(i, j))
-            rhs = target.product(cols[i], cols[j])
-            res = vec_sub(lhs, rhs)
-            if not vec_is_zero(res):
-                out.append(Violation("morphism", (i, j), res))
-    return out
+    """Residuals of f(e_i e_j) - f(e_i) f(e_j) on all basis pairs: the
+    order-0 morphism sums of the deformation conditions."""
+    p = source.field.characteristic
+
+    def rows(algebra):
+        return _read((row for plane in algebra.gamma for row in plane), p)
+    fs = _read([matrix.column(i) for i in range(source.dim)], p)
+    wheres = itertools.product(range(source.dim), repeat=2)
+    return _found("morphism", source.field, target.dim, wheres,
+                  _morphism_sums(source.dim, target.dim, [rows(source)],
+                                 [rows(target)], [fs], [(0, 0)], [(0, 0, 0)],
+                                 1))
 
 
 def identity_morphism(algebra: ZinbielAlgebra) -> AlgebraMorphism:
@@ -360,4 +395,4 @@ def bimodule_via_morphism(g: AlgebraMorphism) -> Bimodule:
              for a in range(m)] for i in range(source.dim)]
     right = [[target.product(unit_vector(field, m, a), cols[i])
               for i in range(source.dim)] for a in range(m)]
-    return Bimodule(source, m, left, right)
+    return _derived_bimodule(source, m, left, right)

@@ -38,7 +38,7 @@ import functools
 import itertools
 
 from .algebra import Bimodule, ZinbielAlgebra
-from .linalg import Matrix, rank_nullspace, vec_add, vec_sub, zero_vector
+from .linalg import Matrix, rank_nullspace, vec_add, vec_sub
 
 # p(x1..xn) reordered inside the left action of d^n: (sign, order) pairs,
 # order[k] being the tail position of the k-th argument of p
@@ -101,42 +101,6 @@ class Cochain:
     def eval_basis(self, tup: tuple) -> list:
         """Value on a basis tuple (a coefficient row; treat as read-only)."""
         return self.coeffs[tuple_index(self.source.dim, tup)]
-
-    def eval(self, args: list) -> list:
-        """Value on a mixed argument list: basis indices (int) or vectors."""
-        if len(args) != self.arity:
-            raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        if all(isinstance(a, int) for a in args):
-            return list(self.eval_basis(tuple(args)))
-        field = self.field
-        d = self.source.dim
-        out = zero_vector(field, self.module.dim)
-        pools = []
-        for a in args:
-            if isinstance(a, int):
-                pools.append(((a, None),))
-            else:
-                pool = tuple((t, c) for t, c in enumerate(a) if c)
-                if not pool:
-                    return out
-                pools.append(pool)
-        for combo in itertools.product(*pools):
-            coef = None
-            flat = 0
-            for t, c in combo:
-                flat = flat * d + t
-                if c is not None:
-                    coef = c if coef is None else coef * c
-            row = self.coeffs[flat]
-            if coef is None:
-                for b, v in enumerate(row):
-                    if v:
-                        out[b] = out[b] + v
-            else:
-                for b, v in enumerate(row):
-                    if v:
-                        out[b] = out[b] + coef * v
-        return out
 
     def _compatible(self, other: "Cochain") -> None:
         if (self.source != other.source or self.module != other.module

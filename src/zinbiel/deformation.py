@@ -19,7 +19,14 @@ and the f-column negated, (res_R; res_S; -res_f); with this sign theta
 extends to order N+1 exactly when d(theta_{N+1}) = obstruction(theta) has
 a solution.
 
-Every sum here is a sparse contraction.  Each m_l, f_l, phi_i and psi_i
+Order 0 is never validated here.  With theta_0 = (m_R; m_S; f), which
+`TruncatedDeformation` checks, its conditions are the Zinbiel identities
+of R and S and f(xy) = f(x)f(y), and the constructors in
+`zinbiel.algebra` verify exactly those, with the same order-0 sums.  So
+`deformation_violations` starts at order 1.
+
+Every sum here is a sparse contraction (the product and morphism sums
+live in `zinbiel.algebra`).  Each m_l, f_l, phi_i and psi_i
 is read once per call as sparse rows (for each basis input, the pairs
 (output, value) of its nonzero values), and the terms are accumulated
 straight from those rows.  Over F_p the values are plain ints mod p, as
@@ -45,7 +52,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import AlgebraMorphism
+from .algebra import (AlgebraMorphism, _morphism_sums, _product_sums, _read,
+                      _settle)
 from .cochains import Cochain, all_tuples, differential, identity_cochain, \
     product_cochain
 from .linalg import solve
@@ -159,24 +167,6 @@ def trivial_deformation(f: AlgebraMorphism,
     return TruncatedDeformation(f, terms, _validated=True)
 
 
-def _read(cochain: Cochain, p: int) -> list:
-    """For each basis input, in row-major order, the (output, value) pairs
-    of the cochain's nonzero values; values are ints mod p when p > 0."""
-    if p:
-        return [[(b, v.value) for b, v in enumerate(row) if v]
-                for row in cochain.coeffs]
-    return [[(b, v) for b, v in enumerate(row) if v]
-            for row in cochain.coeffs]
-
-
-def _settle(acc: dict, p: int) -> list:
-    """An accumulated row as the (output, value) pairs of its nonzero
-    values, reduced mod p when p > 0."""
-    if p:
-        return [(b, v % p) for b, v in acc.items() if v % p]
-    return [(b, v) for b, v in acc.items() if v]
-
-
 def _cochain(source, module, arity: int, rows, den: int = 1) -> Cochain:
     """The dense cochain with the given rows of (output, value) pairs, each
     value divided by den."""
@@ -189,13 +179,6 @@ def _cochain(source, module, arity: int, rows, den: int = 1) -> Cochain:
                 vec[b] = v if den == 1 else Fraction(v, den)
         dense.append(vec)
     return Cochain(source, module, arity, dense)
-
-
-def _symmetrized(rows: list, d: int) -> list:
-    """For each basis pair (y, z), the pairs of m(y,z) and of m(z,y): the
-    inner argument of the right side of the product condition."""
-    return [rows[y * d + z] + rows[z * d + y]
-            for y in range(d) for z in range(d)]
 
 
 def _pairs(n: int, top: int, top_only: bool) -> list:
@@ -213,53 +196,6 @@ def _triples(n: int, top: int, top_only: bool) -> list:
             if not top_only or n in (i, j, n - i - j)]
 
 
-def _product_sums(d: int, ms: list, pairs: list) -> list:
-    """sum_(l,q) m_l(m_q(x,y), z) - m_l(x, m_q(y,z) + m_q(z,y)) on every
-    basis triple, as accumulated rows; ms holds sparse rows."""
-    syms = {q: _symmetrized(ms[q], d) for _, q in pairs}
-    out = []
-    for x in range(d):
-        for y in range(d):
-            for z in range(d):
-                acc = {}
-                for l, q in pairs:
-                    outer = ms[l]
-                    for k, v in ms[q][x * d + y]:
-                        for b, w in outer[k * d + z]:
-                            acc[b] = acc.get(b, 0) + v * w
-                    for k, v in syms[q][y * d + z]:
-                        for b, w in outer[x * d + k]:
-                            acc[b] = acc.get(b, 0) - v * w
-                out.append(acc)
-    return out
-
-
-def _morphism_sums(dr: int, ds: int, ms_r: list, ms_s: list, fs: list,
-                   pairs: list, triples: list, den: int) -> list:
-    """sum_(i,q) f_i(m_{R,q}(x,y)) - sum_(i,j,k) m_{S,i}(f_j(x), f_k(y)) on
-    every basis pair of R, as accumulated rows; the products of two values
-    are scaled by den to meet those of three."""
-    out = []
-    for x in range(dr):
-        for y in range(dr):
-            acc = {}
-            for i, q in pairs:
-                rows = fs[i]
-                for k, v in ms_r[q][x * dr + y]:
-                    v *= den
-                    for b, w in rows[k]:
-                        acc[b] = acc.get(b, 0) + v * w
-            for i, j, k in triples:
-                outer = ms_s[i]
-                for a, u in fs[j][x]:
-                    for c, v in fs[k][y]:
-                        uv = u * v
-                        for b, w in outer[a * ds + c]:
-                            acc[b] = acc.get(b, 0) - uv * w
-            out.append(acc)
-    return out
-
-
 def _read_series(f: AlgebraMorphism, terms: list[TripleCochain]) -> tuple:
     """The m_R, m_S and f series of the terms, each term as sparse rows of
     ints, and their common denominator.  Over F_p the ints are the values
@@ -268,9 +204,9 @@ def _read_series(f: AlgebraMorphism, terms: list[TripleCochain]) -> tuple:
     sums run on ints over both fields."""
     p = f.source.field.characteristic
     if p:
-        return ([_read(t.xi, p) for t in terms],
-                [_read(t.pi, p) for t in terms],
-                [_read(t.phi, p) for t in terms], 1)
+        return ([_read(t.xi.coeffs, p) for t in terms],
+                [_read(t.pi.coeffs, p) for t in terms],
+                [_read(t.phi.coeffs, p) for t in terms], 1)
     den = lcm(*{v.denominator for t in terms for c in (t.xi, t.pi, t.phi)
                 for row in c.coeffs for v in row})
 
@@ -332,9 +268,13 @@ def deformation_violations(f: AlgebraMorphism, terms: list[TripleCochain],
                            order: int):
     """None when the conditions hold through the given order, otherwise
     (smallest failing order, list of ConditionViolation at that order).
-    terms[0] is expected to be (m_R; m_S; f)."""
+
+    Requires terms[0] == theta_zero(f), as TruncatedDeformation checks.
+    Order 0 is then not evaluated: its conditions are the Zinbiel
+    identities of R and S and f(xy) = f(x)f(y), which the constructors of
+    R, S and f verified."""
     series = _read_series(f, terms[:order + 1])
-    for n in range(order + 1):
+    for n in range(1, order + 1):
         report = _violations(n, _sums(f, series, n, top_only=False))
         if report is not None:
             return report
@@ -483,10 +423,10 @@ def invert_truncated(phi: FormalIsomorphism,
         order = phi.order
     r, s = phi.morphism.source, phi.morphism.target
     p = r.field.characteristic
-    psi_r = _invert_series([_read(t[0], p) for t in phi.terms], order,
-                           r.dim, p)
-    psi_s = _invert_series([_read(t[1], p) for t in phi.terms], order,
-                           s.dim, p)
+    psi_r = _invert_series([_read(t[0].coeffs, p) for t in phi.terms],
+                           order, r.dim, p)
+    psi_s = _invert_series([_read(t[1].coeffs, p) for t in phi.terms],
+                           order, s.dim, p)
     return FormalIsomorphism(phi.morphism, [
         (_cochain(r, r.regular_bimodule(), 1, qr),
          _cochain(s, s.regular_bimodule(), 1, qs))
@@ -506,11 +446,11 @@ def conjugate(theta: TruncatedDeformation,
     r, s = f.source, f.target
     p = r.field.characteristic
     padded = phi.padded(top)
-    pr = [_read(t[0], p) for t in padded]
-    ps = [_read(t[1], p) for t in padded]
+    pr = [_read(t[0].coeffs, p) for t in padded]
+    ps = [_read(t[1].coeffs, p) for t in padded]
     qr = _invert_series(pr, top, r.dim, p)
     qs = _invert_series(ps, top, s.dim, p)
-    fs = [_read(t.phi, p) for t in theta.terms]
+    fs = [_read(t.phi.coeffs, p) for t in theta.terms]
 
     def conj_product(d, outer, ms, inner):
         # phi . m . (psi (x) 1) . (1 (x) psi), psi acting on one slot of
@@ -523,8 +463,10 @@ def conjugate(theta: TruncatedDeformation,
         return _compose_series(outer, _compose_series(_compose_series(
             ms, first, top, p), second, top, p), top, p)
 
-    xi = conj_product(r.dim, pr, [_read(t.xi, p) for t in theta.terms], qr)
-    pi = conj_product(s.dim, ps, [_read(t.pi, p) for t in theta.terms], qs)
+    xi = conj_product(r.dim, pr,
+                      [_read(t.xi.coeffs, p) for t in theta.terms], qr)
+    pi = conj_product(s.dim, ps,
+                      [_read(t.pi.coeffs, p) for t in theta.terms], qs)
     maps = _compose_series(ps, _compose_series(fs, qr, top, p), top, p)
     new_terms = []
     for n in range(top + 1):
@@ -703,7 +645,9 @@ def trivialize(theta: TruncatedDeformation,
 def verify_obstruction_identity(theta: TruncatedDeformation) -> Certificate:
     """Machine check that the obstruction is natural: pushing its two
     product components through f agrees with the differential of its
-    morphism component, computed by independent code paths."""
+    morphism component.  The obstruction comes from the sparse deformation
+    sums; f, the right push-forward and the differential are applied as
+    assembled matrices, so the two sides run through independent code."""
     return obstruction_naturality(obstruction(theta))
 
 

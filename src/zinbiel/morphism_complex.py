@@ -13,9 +13,10 @@ degrees of the bimodule complex (`zinbiel.cochains`); triples of the top
 degree exist as targets of the last differential.
 `morphism_differential_matrix` pastes the assembled matrices of d on R, on
 S and on the phi column next to those of the push-forwards, and
-`morphism_differential` applies it.  The tuple-by-tuple differential,
-built from the tuple formulas and the push-forwards below, is kept in the
-tests as the oracle.
+`morphism_differential` applies it; `push_forward_right` applies the
+push-forward block.  The tuple-by-tuple differential, built from the
+tuple formulas and the tuple push-forward, is kept in the tests as the
+oracle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .algebra import AlgebraMorphism
 from .cochains import (COHOMOLOGY_DEGREES, DEGREES, MAX_ARITY, Cochain,
                        all_tuples, cohomology_from, differential,
                        differential_matrix, tuple_index)
-from .linalg import Matrix, solve, zero_vector
+from .linalg import Matrix, solve
 
 
 def morphism_cochain(f: AlgebraMorphism) -> Cochain:
@@ -47,30 +48,8 @@ def push_forward_right(f: AlgebraMorphism, pi: Cochain) -> Cochain:
     """Precompose with f in every slot: (pi.f)(x1..xn) = pi(f x1, .., f xn)."""
     if pi.source != f.target or pi.module.dim != f.target.dim:
         raise ValueError("cochain must map the target of f into itself")
-    n = pi.arity
-    src = f.source
-    cols = [[(j, v) for j, v in enumerate(f.apply_basis(i)) if v]
-            for i in range(src.dim)]
-    rows = []
-    for tup in all_tuples(src.dim, n):
-        out = zero_vector(src.field, f.target.dim)
-        for combo in itertools.product(*(cols[i] for i in tup)):
-            coef = None
-            jt = 0
-            for j, v in combo:
-                jt = jt * f.target.dim + j
-                coef = v if coef is None else coef * v
-            row = pi.coeffs[jt]
-            if coef is None:
-                for b, x in enumerate(row):
-                    if x:
-                        out[b] = out[b] + x
-            else:
-                for b, x in enumerate(row):
-                    if x:
-                        out[b] = out[b] + coef * x
-        rows.append(out)
-    return Cochain(src, f.as_bimodule(), n, rows)
+    flat = _push_right_matrix(f, pi.arity).matvec(pi.flatten())
+    return Cochain.from_flat(f.source, f.as_bimodule(), pi.arity, flat)
 
 
 class TripleCochain:

@@ -3,11 +3,12 @@ contraction in `zinbiel.deformation`.
 
 These are the library's former `order_residual` and `conjugate` (with the
 series inversion under them), kept unchanged as an independent code path:
-every term is a `Cochain.eval` on dense rows, summed with `vec_add`, one
-order and one basis tuple at a time.  The library must reproduce them
-exactly, value for value and repr for repr.
+every term is a dense `evaluate` (oracle_helpers.py), summed with
+`vec_add`, one order and one basis tuple at a time.  The library must
+reproduce them exactly, value for value and repr for repr.
 """
 
+from oracle_helpers import evaluate
 from zinbiel.algebra import AlgebraMorphism
 from zinbiel.cochains import Cochain, all_tuples, identity_cochain
 from zinbiel.deformation import (FormalIsomorphism, TruncatedDeformation,
@@ -24,9 +25,9 @@ def _product_residual(algebra, ms, n, x, y, z):
     top = len(ms) - 1
     for l in range(max(0, n - top), min(n, top) + 1):
         inner = ms[n - l].eval_basis((x, y))
-        res = vec_add(res, ms[l].eval([inner, z]))
+        res = vec_add(res, evaluate(ms[l], [inner, z]))
         sym = vec_add(ms[n - l].eval_basis((y, z)), ms[n - l].eval_basis((z, y)))
-        res = vec_sub(res, ms[l].eval([x, sym]))
+        res = vec_sub(res, evaluate(ms[l], [x, sym]))
     return res
 
 
@@ -37,12 +38,13 @@ def _morphism_residual(f, ms_r, ms_s, fs, n, x, y):
     res = zero_vector(field, f.target.dim)
     top = len(fs) - 1
     for i in range(max(0, n - top), min(n, top) + 1):
-        res = vec_add(res, fs[i].eval([ms_r[n - i].eval_basis((x, y))]))
+        res = vec_add(res,
+                      evaluate(fs[i], [ms_r[n - i].eval_basis((x, y))]))
     for i in range(min(n, top) + 1):
         for j in range(max(0, n - i - top), min(n - i, top) + 1):
             k = n - i - j
-            res = vec_sub(res, ms_s[i].eval([fs[j].eval_basis((x,)),
-                                             fs[k].eval_basis((y,))]))
+            res = vec_sub(res, evaluate(ms_s[i], [fs[j].eval_basis((x,)),
+                                                  fs[k].eval_basis((y,))]))
     return res
 
 
@@ -71,7 +73,7 @@ def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
 
 def _compose1(outer: Cochain, inner: Cochain) -> Cochain:
     """outer after inner, both 1-cochains with matching middle space."""
-    rows = [outer.eval([row]) for row in inner.coeffs]
+    rows = [evaluate(outer, [row]) for row in inner.coeffs]
     return Cochain(inner.source, outer.module, 1, rows)
 
 
@@ -128,9 +130,9 @@ def conjugate(theta: TruncatedDeformation,
                 for b in range(n + 1 - a):
                     for c in range(n + 1 - a - b):
                         dd = n - a - b - c
-                        mid = ms[b].eval([inner[c].eval_basis((x,)),
-                                          inner[dd].eval_basis((y,))])
-                        acc = vec_add(acc, outer[a].eval([mid]))
+                        mid = evaluate(ms[b], [inner[c].eval_basis((x,)),
+                                               inner[dd].eval_basis((y,))])
+                        acc = vec_add(acc, evaluate(outer[a], [mid]))
             rows.append(acc)
         return Cochain(algebra, module, 2, rows)
 
@@ -141,8 +143,8 @@ def conjugate(theta: TruncatedDeformation,
             for a in range(n + 1):
                 for b in range(n + 1 - a):
                     c = n - a - b
-                    mid = fs[b].eval([qr[c].eval_basis((x,))])
-                    acc = vec_add(acc, ps[a].eval([mid]))
+                    mid = evaluate(fs[b], [qr[c].eval_basis((x,))])
+                    acc = vec_add(acc, evaluate(ps[a], [mid]))
             rows.append(acc)
         return Cochain(r, f.as_bimodule(), 1, rows)
 

@@ -2,18 +2,21 @@
 
 These are the library's former differentials, kept as an independent code
 path: d1, d2 and d3 are evaluated on each basis tuple straight from the
-formulas in the `zinbiel.cochains` docstring, through `Cochain.eval` and
-the bimodule actions, and the morphism-complex differential is put
-together from them and the tuple push-forwards.  `differential_matrix`,
-`morphism_differential_matrix` and the library's `differential` and
-`morphism_differential`, which apply those matrices, must reproduce them
-exactly.
+formulas in the `zinbiel.cochains` docstring, through the dense
+evaluation and actions of oracle_helpers.py, and the morphism-complex
+differential is put together from them, the library's `push_forward_left`
+(f applied to each value) and the tuple push-forward below.
+`differential_matrix`, `morphism_differential_matrix` and the library's
+`differential`, `morphism_differential` and `push_forward_right`, which
+apply those matrices, must reproduce them exactly.
 """
 
-from zinbiel.cochains import MAX_ARITY as MAX_DEGREE, Cochain
-from zinbiel.linalg import vec_add, vec_sub
-from zinbiel.morphism_complex import (TripleCochain, push_forward_left,
-                                      push_forward_right)
+import itertools
+
+from oracle_helpers import evaluate, left_act, right_act
+from zinbiel.cochains import MAX_ARITY as MAX_DEGREE, Cochain, all_tuples
+from zinbiel.linalg import vec_add, vec_sub, zero_vector
+from zinbiel.morphism_complex import TripleCochain, push_forward_left
 
 
 def differential(phi: Cochain) -> Cochain:
@@ -32,9 +35,9 @@ def _d1(phi: Cochain) -> Cochain:
     rows = []
     for i in range(r.dim):
         for j in range(r.dim):
-            out = a.left_act(i, phi.eval_basis((j,)))
-            out = vec_sub(out, phi.eval([r.product_basis(i, j)]))
-            out = vec_add(out, a.right_act(phi.eval_basis((i,)), j))
+            out = left_act(a, i, phi.eval_basis((j,)))
+            out = vec_sub(out, evaluate(phi, [r.product_basis(i, j)]))
+            out = vec_add(out, right_act(a, phi.eval_basis((i,)), j))
             rows.append(out)
     return Cochain(r, a, 2, rows)
 
@@ -45,12 +48,12 @@ def _d2(phi: Cochain) -> Cochain:
     for i in range(r.dim):
         for j in range(r.dim):
             for k in range(r.dim):
-                out = a.left_act(i, vec_add(phi.eval_basis((j, k)),
-                                            phi.eval_basis((k, j))))
-                out = vec_sub(out, phi.eval([r.product_basis(i, j), k]))
+                out = left_act(a, i, vec_add(phi.eval_basis((j, k)),
+                                             phi.eval_basis((k, j))))
+                out = vec_sub(out, evaluate(phi, [r.product_basis(i, j), k]))
                 sym = vec_add(r.product_basis(j, k), r.product_basis(k, j))
-                out = vec_add(out, phi.eval([i, sym]))
-                out = vec_sub(out, a.right_act(phi.eval_basis((i, j)), k))
+                out = vec_add(out, evaluate(phi, [i, sym]))
+                out = vec_sub(out, right_act(a, phi.eval_basis((i, j)), k))
                 rows.append(out)
     return Cochain(r, a, 3, rows)
 
@@ -66,19 +69,48 @@ def _d3(phi: Cochain) -> Cochain:
                                     phi.eval_basis((k, l, j)))
                     inner = vec_add(inner, phi.eval_basis((k, j, l)))
                     inner = vec_sub(inner, phi.eval_basis((l, k, j)))
-                    out = a.left_act(i, inner)
-                    out = vec_sub(out,
-                                  phi.eval([r.product_basis(i, j), k, l]))
+                    out = left_act(a, i, inner)
+                    out = vec_sub(out, evaluate(
+                        phi, [r.product_basis(i, j), k, l]))
                     sym = vec_add(r.product_basis(j, k),
                                   r.product_basis(k, j))
-                    out = vec_add(out, phi.eval([i, sym, l]))
+                    out = vec_add(out, evaluate(phi, [i, sym, l]))
                     sym = vec_add(r.product_basis(k, l),
                                   r.product_basis(l, k))
-                    out = vec_sub(out, phi.eval([i, j, sym]))
+                    out = vec_sub(out, evaluate(phi, [i, j, sym]))
                     out = vec_add(
-                        out, a.right_act(phi.eval_basis((i, j, k)), l))
+                        out, right_act(a, phi.eval_basis((i, j, k)), l))
                     rows.append(out)
     return Cochain(r, a, 4, rows)
+
+
+def push_forward_right(f, pi: Cochain) -> Cochain:
+    """Precompose with f in every slot: (pi.f)(x1..xn) = pi(f x1, .., f xn),
+    expanded tuple by tuple over the columns of f."""
+    n = pi.arity
+    src = f.source
+    cols = [[(j, v) for j, v in enumerate(f.apply_basis(i)) if v]
+            for i in range(src.dim)]
+    rows = []
+    for tup in all_tuples(src.dim, n):
+        out = zero_vector(src.field, f.target.dim)
+        for combo in itertools.product(*(cols[i] for i in tup)):
+            coef = None
+            jt = 0
+            for j, v in combo:
+                jt = jt * f.target.dim + j
+                coef = v if coef is None else coef * v
+            row = pi.coeffs[jt]
+            if coef is None:
+                for b, x in enumerate(row):
+                    if x:
+                        out[b] = out[b] + x
+            else:
+                for b, x in enumerate(row):
+                    if x:
+                        out[b] = out[b] + coef * x
+        rows.append(out)
+    return Cochain(src, f.as_bimodule(), n, rows)
 
 
 def morphism_differential(theta: TripleCochain) -> TripleCochain:

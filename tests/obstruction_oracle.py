@@ -7,6 +7,7 @@ deformation condition.  The library obstruction must reproduce it
 exactly.
 """
 
+from oracle_helpers import evaluate
 from zinbiel.cochains import Cochain, all_tuples
 from zinbiel.linalg import vec_add, vec_sub, zero_vector
 from zinbiel.morphism_complex import TripleCochain, morphism_cochain
@@ -35,10 +36,10 @@ def obstruction(theta) -> TripleCochain:
             acc = zero_vector(algebra.field, algebra.dim)
             for i in range(1, n + 1):
                 inner = ms[n + 1 - i].eval_basis((x, y))
-                acc = vec_add(acc, ms[i].eval([inner, z]))
+                acc = vec_add(acc, evaluate(ms[i], [inner, z]))
                 sym = vec_add(ms[n + 1 - i].eval_basis((y, z)),
                               ms[n + 1 - i].eval_basis((z, y)))
-                acc = vec_sub(acc, ms[i].eval([x, sym]))
+                acc = vec_sub(acc, evaluate(ms[i], [x, sym]))
             rows.append(acc)
         return Cochain(algebra, algebra.regular_bimodule(), 3, rows)
 
@@ -50,10 +51,12 @@ def obstruction(theta) -> TripleCochain:
                 k = n + 1 - i - j
                 if (i == 0) + (j == 0) + (k == 0) > 1:
                     continue
-                acc = vec_add(acc, ms_s[i].eval([fs[j].eval_basis((x,)),
-                                                 fs[k].eval_basis((y,))]))
+                acc = vec_add(acc, evaluate(ms_s[i],
+                                            [fs[j].eval_basis((x,)),
+                                             fs[k].eval_basis((y,))]))
         for i in range(1, n + 1):
-            acc = vec_sub(acc, fs[i].eval([ms_r[n + 1 - i].eval_basis((x, y))]))
+            acc = vec_sub(acc, evaluate(
+                fs[i], [ms_r[n + 1 - i].eval_basis((x, y))]))
         rows.append(acc)
     ob_f = Cochain(r, f.as_bimodule(), 2, rows)
     return TripleCochain(f, 3, ob_product(r, ms_r), ob_product(s, ms_s), ob_f)

@@ -2,8 +2,8 @@ import pytest
 
 from zinbiel.algebra import (AlgebraMorphism, Bimodule, IdentityError,
                              ZinbielAlgebra, bimodule_via_morphism,
-                             identity_morphism, zero_morphism,
-                             zinbiel_violations)
+                             bimodule_violations, identity_morphism,
+                             zero_morphism, zinbiel_violations)
 from zinbiel.catalog import (change_of_basis, direct_sum,
                              single_product_algebra, truncated_polynomials,
                              weight_scaling, zero_algebra)
@@ -145,10 +145,27 @@ def test_bimodule_via_morphism_structure_constants():
 
 def test_bimodule_via_random_morphisms_validates(field, rng):
     # the mixed identities must hold whenever the underlying map is a
-    # morphism; Bimodule construction re-verifies them
+    # morphism; the derived bimodule is built unchecked, so check here
     for _ in range(15):
         f = random_morphism_instance(field, rng, max_dim=2)
-        bimodule_via_morphism(f)
+        module = bimodule_via_morphism(f)
+        assert bimodule_violations(f.source, module.dim, module.left,
+                                   module.right) == []
+
+
+def test_derived_bimodules_equal_the_checked_construction(suite):
+    # regular_bimodule() and as_bimodule() skip the mixed-identity check;
+    # on every suite instance the check passes and the checked
+    # constructor builds the same value from the same actions
+    for f in suite:
+        for module in (f.source.regular_bimodule(),
+                       f.target.regular_bimodule(), f.as_bimodule()):
+            args = (module.algebra, module.dim, module.left, module.right)
+            assert bimodule_violations(*args) == []
+            checked = Bimodule(*args)
+            assert checked == module
+            assert repr((checked.left, checked.right)) == \
+                repr((module.left, module.right))
 
 
 def test_invalid_actions_rejected():
