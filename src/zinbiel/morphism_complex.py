@@ -52,6 +52,11 @@ def push_forward_right(f: AlgebraMorphism, pi: Cochain) -> Cochain:
     return Cochain.from_flat(f.source, f.as_bimodule(), pi.arity, flat)
 
 
+def _same(a, b) -> bool:
+    """a == b, with no comparison when they are the very same object."""
+    return a is b or a == b
+
+
 class TripleCochain:
     """Degree-n element (xi; pi; phi) of the deformation complex of f.
 
@@ -64,12 +69,11 @@ class TripleCochain:
                  pi: Cochain, phi: Cochain | None):
         if not 1 <= degree <= MAX_ARITY:
             raise ValueError(f"degree {degree} outside 1..{MAX_ARITY}")
-        if xi.source != morphism.source or \
-                xi.module != morphism.source.regular_bimodule():
+        r, s = morphism.source, morphism.target
+        if not (_same(xi.source, r) and _same(xi.module, r.regular_bimodule())):
             raise ValueError(
                 "first component must have regular coefficients on the source")
-        if pi.source != morphism.target or \
-                pi.module != morphism.target.regular_bimodule():
+        if not (_same(pi.source, s) and _same(pi.module, s.regular_bimodule())):
             raise ValueError(
                 "second component must have regular coefficients on the target")
         if xi.arity != degree or pi.arity != degree:
@@ -81,9 +85,9 @@ class TripleCochain:
         else:
             if phi is None:
                 raise ValueError(f"degree-{degree} triple needs a third component")
-            if phi.arity != degree - 1 or phi.source != morphism.source:
+            if phi.arity != degree - 1 or not _same(phi.source, r):
                 raise ValueError("third component has the wrong shape")
-            if phi.module.dim != morphism.target.dim:
+            if phi.module.dim != s.dim:
                 raise ValueError("third component must take values in the target")
         self.morphism = morphism
         self.degree = degree

@@ -37,15 +37,17 @@ Grammar (one directive per line, '#' starts a comment, indices 1-based):
       order M
       term K R I B = SCALAR      # K in 1..M; term 0 is the identity pair
       term K S I B = SCALAR
-
     end
 
 Scalars are exact literals: 'a/b' or integers over Q, integers mod p over
 Fp:<p> (fractions with invertible denominators are accepted there too).
-Names must be defined before they are referenced.  Zero-valued entries are
-dropped, duplicate entries and unknown directives are errors, all with
-line/column positions.  serialize() is the exact inverse of parse() on
-the parsed representation.
+Names must be defined before they are referenced.  Each header directive
+(dim; source, target; morphism, degree; morphism, order) appears exactly
+once in its section, before the first entry.  Zero-valued entries are
+dropped; duplicate entries, repeated headers and unknown directives are
+errors, all with line/column positions.  One table, `_SECTIONS`, drives
+both parse() and serialize(); serialize() is the exact inverse of parse()
+on the parsed representation.
 """
 
 from __future__ import annotations
@@ -54,12 +56,13 @@ import re
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import AlgebraMorphism, ZinbielAlgebra
-from .cochains import MAX_ARITY, Cochain
+from .cochains import MAX_ARITY, Cochain, tuple_index
 from .deformation import FormalIsomorphism, theta_zero
 from .fields import Field, FieldError, field_from_spec
 from .morphism_complex import TripleCochain
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_TOKEN_RE = re.compile(r"\S+")
 
 
 class ProblemFileError(ValueError):
@@ -158,32 +161,18 @@ class Problem:
     def _triple_from_entries(self, f: AlgebraMorphism, degree: int,
                              entries) -> TripleCochain:
         r, s = f.source, f.target
-        triple = TripleCochain.zero(f, degree)
-        xi = [list(row) for row in triple.xi.coeffs]
-        pi = [list(row) for row in triple.pi.coeffs]
-        phi = None if triple.phi is None else \
-            [list(row) for row in triple.phi.coeffs]
+        z = self.field.zero()
+        rows = {"R": [[z] * r.dim for _ in range(r.dim ** degree)],
+                "S": [[z] * s.dim for _ in range(s.dim ** degree)],
+                "f": [[z] * s.dim for _ in range(r.dim ** (degree - 1))]}
         for (component, indices, b, c) in entries:
-            if component == "R":
-                t = 0
-                for i in indices:
-                    t = t * r.dim + i
-                xi[t][b] = c
-            elif component == "S":
-                t = 0
-                for i in indices:
-                    t = t * s.dim + i
-                pi[t][b] = c
-            else:
-                t = 0
-                for i in indices:
-                    t = t * r.dim + i
-                phi[t][b] = c
-        xi_c = Cochain(r, r.regular_bimodule(), degree, xi)
-        pi_c = Cochain(s, s.regular_bimodule(), degree, pi)
-        phi_c = None if phi is None else \
-            Cochain(r, f.as_bimodule(), degree - 1, phi)
-        return TripleCochain(f, degree, xi_c, pi_c, phi_c)
+            dim = s.dim if component == "S" else r.dim
+            rows[component][tuple_index(dim, indices)][b] = c
+        phi = None if degree == 1 else \
+            Cochain(r, f.as_bimodule(), degree - 1, rows["f"])
+        return TripleCochain(
+            f, degree, Cochain(r, r.regular_bimodule(), degree, rows["R"]),
+            Cochain(s, s.regular_bimodule(), degree, rows["S"]), phi)
 
     def build_cochain(self, name: str) -> TripleCochain:
         spec = self.cochains[name]
@@ -207,23 +196,42 @@ class Problem:
     def build_isomorphism(self, name: str) -> FormalIsomorphism:
         spec = self.isomorphisms[name]
         f = self.build_morphism(spec.morphism)
-        iso = FormalIsomorphism.identity(f, spec.order)
-        r, s = f.source, f.target
-        terms = [[Cochain.zero(r, r.regular_bimodule(), 1),
-                  Cochain.zero(s, s.regular_bimodule(), 1)]
-                 for _ in range(spec.order + 1)]
-        for (k, component, i, b, c) in spec.entries:
-            which = 0 if component == "R" else 1
-            rows = [list(row) for row in terms[k][which].coeffs]
-            rows[i][b] = c
-            algebra = r if component == "R" else s
-            terms[k][which] = Cochain(algebra, algebra.regular_bimodule(), 1,
-                                      rows)
-        full = [iso.terms[0]] + [tuple(t) for t in terms[1:]]
-        return FormalIsomorphism(f, full)
+        z = self.field.zero()
+        sides = (("R", f.source), ("S", f.target))
+        orders = range(1, spec.order + 1)
+        rows = {(k, side): [[z] * a.dim for _ in range(a.dim)]
+                for k in orders for side, a in sides}
+        for (k, side, i, b, c) in spec.entries:
+            rows[k, side][i][b] = c
+        terms = [tuple(Cochain(a, a.regular_bimodule(), 1, rows[k, side])
+                       for side, a in sides) for k in orders]
+        return FormalIsomorphism(f, FormalIsomorphism.identity(f).terms + terms)
 
 
-_SECTIONS = ("algebra", "morphism", "cochain", "deformation", "isomorphism")
+# kind -> (spec class, header directives in the order of its fields, entry
+# keywords, what its entries are called when one precedes the headers)
+_SECTIONS = {
+    "algebra": (AlgebraSpec, ("dim",), ("gamma",), "gamma entries"),
+    "morphism": (MorphismSpec, ("source", "target"), ("entry",), "entries"),
+    "cochain": (CochainSpec, ("morphism", "degree"), ("R", "S", "f"),
+                "entries"),
+    "deformation": (DeformationSpec, ("morphism", "order"), ("term",),
+                    "term entries"),
+    "isomorphism": (IsomorphismSpec, ("morphism", "order"), ("term",),
+                    "term entries"),
+}
+
+# count header -> (what it counts, least, greatest or None, message outside)
+_COUNTS = {
+    "dim": ("dimension", 0, None, "dimension must be nonnegative"),
+    "degree": ("degree", 1, MAX_ARITY,
+               f"degree must be within 1..{MAX_ARITY}"),
+    "order": ("order", 0, None, "order must be nonnegative"),
+}
+
+# reference header -> the kind of section it names
+_REFERENCES = {"source": "algebra", "target": "algebra",
+               "morphism": "morphism"}
 
 
 class _Tokens:
@@ -232,11 +240,8 @@ class _Tokens:
     def __init__(self, lineno: int, text: str):
         self.lineno = lineno
         self.items = [(m.group(0), m.start() + 1)
-                      for m in re.finditer(r"\S+", text)]
+                      for m in _TOKEN_RE.finditer(text)]
         self.pos = 0
-
-    def peek(self):
-        return self.items[self.pos][0] if self.pos < len(self.items) else None
 
     def take(self, what: str) -> tuple[str, int]:
         if self.pos >= len(self.items):
@@ -254,20 +259,39 @@ class _Tokens:
             raise ProblemFileError(self.lineno, col,
                                    f"expected {what}, got {tok!r}") from None
 
-    def expect(self, literal: str) -> None:
-        tok, col = self.take(repr(literal))
-        if tok != literal:
-            raise ProblemFileError(self.lineno, col,
-                                   f"expected {literal!r}, got {tok!r}")
-
     def done(self) -> None:
         if self.pos < len(self.items):
             tok, col = self.items[self.pos]
             raise ProblemFileError(self.lineno, col,
                                    f"unexpected trailing token {tok!r}")
 
-    def remaining(self) -> int:
-        return len(self.items) - self.pos
+    def name(self, what: str) -> tuple[str, int]:
+        tok, col = self.take(what)
+        if not _NAME_RE.match(tok):
+            raise ProblemFileError(self.lineno, col, f"bad name {tok!r}")
+        return tok, col
+
+    def index(self, bound: int, what: str) -> int:
+        """A 1-based index within 1..bound, returned 0-based."""
+        val, col = self.take_int(what)
+        if not 1 <= val <= bound:
+            raise ProblemFileError(self.lineno, col,
+                                   f"{what} {val} out of range 1..{bound}")
+        return val - 1
+
+    def value(self, field: Field):
+        """'= SCALAR' and the end of the line."""
+        tok, col = self.take("'='")
+        if tok != "=":
+            raise ProblemFileError(self.lineno, col,
+                                   f"expected '=', got {tok!r}")
+        tok, col = self.take("scalar")
+        try:
+            c = field.parse(tok)
+        except FieldError as e:
+            raise ProblemFileError(self.lineno, col, str(e)) from None
+        self.done()
+        return c
 
 
 def _logical_lines(text: str):
@@ -280,11 +304,6 @@ def _logical_lines(text: str):
 def parse(text: str, field_override: Field | None = None) -> Problem:
     """Parse a problem file.  Structural problems raise ProblemFileError."""
     lines = list(_logical_lines(text))
-    field = field_override
-    declared = None
-    problem = None
-    idx = 0
-
     # field line must come first so scalars can be parsed in one pass
     if not lines:
         raise ProblemFileError(1, 1, "empty problem file: missing field line")
@@ -299,357 +318,171 @@ def parse(text: str, field_override: Field | None = None) -> Problem:
         declared = field_from_spec(spec_tok)
     except FieldError as e:
         raise ProblemFileError(first.lineno, spec_col, str(e)) from None
-    if field is None:
-        field = declared
-    problem = Problem(field)
+    problem = Problem(declared if field_override is None else field_override)
+
     idx = 1
-
-    def parse_scalar(tokens: _Tokens):
-        tok, col = tokens.take("scalar")
-        try:
-            return field.parse(tok), col
-        except FieldError as e:
-            raise ProblemFileError(tokens.lineno, col, str(e)) from None
-
-    def take_name(tokens: _Tokens, what: str) -> tuple[str, int]:
-        tok, col = tokens.take(what)
-        if not _NAME_RE.match(tok):
-            raise ProblemFileError(tokens.lineno, col, f"bad name {tok!r}")
-        return tok, col
-
-    def take_index(tokens: _Tokens, bound: int, what: str) -> int:
-        val, col = tokens.take_int(what)
-        if not 1 <= val <= bound:
-            raise ProblemFileError(
-                tokens.lineno, col,
-                f"{what} {val} out of range 1..{bound}")
-        return val - 1
-
-    def resolve(table: dict, name: str, kind: str, lineno: int,
-                col: int) -> None:
-        if name not in table:
-            raise ProblemFileError(lineno, col,
-                                   f"unknown {kind} {name!r}")
-
     while idx < len(lines):
         header = lines[idx]
         idx += 1
-        tok, col = header.take("directive")
-        if tok == "field":
+        kind, col = header.take("directive")
+        if kind == "field":
             raise ProblemFileError(header.lineno, col,
                                    "duplicate field declaration")
-        if tok not in _SECTIONS:
+        if kind not in _SECTIONS:
             raise ProblemFileError(header.lineno, col,
-                                   f"unknown directive {tok!r}")
-        name, ncol = take_name(header, f"{tok} name")
+                                   f"unknown directive {kind!r}")
+        name, ncol = header.name(f"{kind} name")
         header.done()
-        table = getattr(problem, tok + "s")
+        table = getattr(problem, kind + "s")
         if name in table:
             raise ProblemFileError(header.lineno, ncol,
-                                   f"duplicate {tok} {name!r}")
-
-        body = []
-        closed = False
-        while idx < len(lines):
-            line = lines[idx]
+                                   f"duplicate {kind} {name!r}")
+        start = idx
+        while idx < len(lines) and not (len(lines[idx].items) == 1
+                                        and lines[idx].items[0][0] == "end"):
             idx += 1
-            if line.peek() == "end" and line.remaining() == 1:
-                closed = True
-                break
-            body.append(line)
-        if not closed:
+        if idx == len(lines):
             raise ProblemFileError(header.lineno, col,
-                                   f"{tok} {name!r} is never closed by 'end'")
-
-        if tok == "algebra":
-            table[name] = _parse_algebra(name, body, parse_scalar, take_index)
-        elif tok == "morphism":
-            table[name] = _parse_morphism(name, body, problem, parse_scalar,
-                                          take_name, take_index, resolve)
-        elif tok == "cochain":
-            table[name] = _parse_cochain(name, body, problem, parse_scalar,
-                                         take_name, take_index, resolve)
-        elif tok == "deformation":
-            table[name] = _parse_series(name, body, problem, parse_scalar,
-                                        take_name, take_index, resolve,
-                                        DeformationSpec, degree=2)
-        else:
-            table[name] = _parse_series(name, body, problem, parse_scalar,
-                                        take_name, take_index, resolve,
-                                        IsomorphismSpec, degree=1)
+                                   f"{kind} {name!r} is never closed by 'end'")
+        table[name] = _section(problem, kind, name, header.lineno, col,
+                               lines[start:idx])
+        idx += 1
     return problem
 
 
-def _parse_algebra(name, body, parse_scalar, take_index) -> AlgebraSpec:
-    dim = None
-    entries = []
-    seen = set()
+def _section(problem: Problem, kind: str, name: str, lineno: int, col: int,
+             body: list):
+    """The spec of one section: each header once, then its entries."""
+    spec_cls, headers, keywords, called = _SECTIONS[kind]
+    head = {}
+    dims = None     # set once every header is read
+    values = {}
     for line in body:
-        tok, col = line.take("directive")
-        if tok == "dim":
-            if dim is not None:
-                raise ProblemFileError(line.lineno, col, "duplicate dim")
-            dim, dcol = line.take_int("dimension")
-            if dim < 0:
-                raise ProblemFileError(line.lineno, dcol,
-                                       "dimension must be nonnegative")
-            line.done()
-        elif tok == "gamma":
-            if dim is None:
-                raise ProblemFileError(line.lineno, col,
-                                       "dim must precede gamma entries")
-            i = take_index(line, dim, "first index")
-            j = take_index(line, dim, "second index")
-            k = take_index(line, dim, "output index")
-            line.expect("=")
-            c, _ = parse_scalar(line)
-            line.done()
-            if (i, j, k) in seen:
-                raise ProblemFileError(line.lineno, col,
-                                       "duplicate gamma entry")
-            seen.add((i, j, k))
-            if c:
-                entries.append((i, j, k, c))
-        else:
-            raise ProblemFileError(line.lineno, col,
-                                   f"unknown algebra directive {tok!r}")
-    if dim is None:
-        raise ProblemFileError(body[0].lineno if body else 1, 1,
-                               f"algebra {name!r} has no dim")
-    entries.sort(key=lambda e: e[:3])
-    return AlgebraSpec(name, dim, entries)
-
-
-def _parse_morphism(name, body, problem, parse_scalar, take_name, take_index,
-                    resolve) -> MorphismSpec:
-    source = target = None
-    src_dim = tgt_dim = None
-    entries = []
-    seen = set()
-    for line in body:
-        tok, col = line.take("directive")
-        if tok in ("source", "target"):
-            ref, rcol = take_name(line, tok)
-            line.done()
-            resolve(problem.algebras, ref, "algebra", line.lineno, rcol)
-            if tok == "source":
-                if source is not None:
-                    raise ProblemFileError(line.lineno, col, "duplicate source")
-                source, src_dim = ref, problem.algebras[ref].dim
-            else:
-                if target is not None:
-                    raise ProblemFileError(line.lineno, col, "duplicate target")
-                target, tgt_dim = ref, problem.algebras[ref].dim
-        elif tok == "entry":
-            if source is None or target is None:
+        tok, tcol = line.take("directive")
+        if tok in headers:
+            if tok in head:
+                raise ProblemFileError(line.lineno, tcol, f"duplicate {tok}")
+            head[tok] = _header(line, tok, problem)
+            if len(head) == len(headers):
+                dims = _dims(problem, head)
+        elif tok in keywords:
+            if dims is None:
                 raise ProblemFileError(
-                    line.lineno, col, "source and target must precede entries")
-            b = take_index(line, tgt_dim, "target index")
-            i = take_index(line, src_dim, "source index")
-            line.expect("=")
-            c, _ = parse_scalar(line)
-            line.done()
-            if (b, i) in seen:
-                raise ProblemFileError(line.lineno, col, "duplicate entry")
-            seen.add((b, i))
-            if c:
-                entries.append((b, i, c))
+                    line.lineno, tcol,
+                    f"{' and '.join(headers)} must precede {called}")
+            key = _entry(line, kind, tok, tcol, head, *dims)
+            c = line.value(problem.field)
+            if key in values:
+                raise ProblemFileError(
+                    line.lineno, tcol,
+                    "duplicate gamma entry" if tok == "gamma"
+                    else "duplicate entry")
+            values[key] = c
         else:
-            raise ProblemFileError(line.lineno, col,
-                                   f"unknown morphism directive {tok!r}")
-    if source is None or target is None:
-        raise ProblemFileError(body[0].lineno if body else 1, 1,
-                               f"morphism {name!r} needs source and target")
-    entries.sort(key=lambda e: e[:2])
-    return MorphismSpec(name, source, target, entries)
+            raise ProblemFileError(line.lineno, tcol,
+                                   f"unknown {kind} directive {tok!r}")
+    if dims is None:
+        raise ProblemFileError(lineno, col, f"{kind} {name!r} " + (
+            f"has no {headers[0]}" if len(headers) == 1
+            else f"needs {' and '.join(headers)}"))
+    entries = [key + (c,) for key, c in sorted(values.items()) if c]
+    return spec_cls(name, *(head[h] for h in headers), entries)
 
 
-def _component_arity(component: str, degree: int) -> int:
-    return degree if component in ("R", "S") else degree - 1
-
-
-def _parse_component_entry(line, component, degree, src_dim, tgt_dim,
-                           parse_scalar, take_index):
-    arity = _component_arity(component, degree)
-    dim_in = src_dim if component in ("R", "f") else tgt_dim
-    dim_out = src_dim if component == "R" else tgt_dim
-    indices = tuple(take_index(line, dim_in, f"input index {t + 1}")
-                    for t in range(arity))
-    b = take_index(line, dim_out, "output index")
-    line.expect("=")
-    c, _ = parse_scalar(line)
+def _header(line: _Tokens, directive: str, problem: Problem):
+    """A count within its bounds, or the name of a section defined above."""
+    if directive in _REFERENCES:
+        kind = _REFERENCES[directive]
+        ref, col = line.name(directive)
+        line.done()
+        if ref not in getattr(problem, kind + "s"):
+            raise ProblemFileError(line.lineno, col, f"unknown {kind} {ref!r}")
+        return ref
+    what, least, most, message = _COUNTS[directive]
+    n, col = line.take_int(what)
+    if n < least or most is not None and n > most:
+        raise ProblemFileError(line.lineno, col, message)
     line.done()
-    return indices, b, c
+    return n
 
 
-def _parse_cochain(name, body, problem, parse_scalar, take_name, take_index,
-                   resolve) -> CochainSpec:
-    morphism = None
-    degree = None
-    src_dim = tgt_dim = None
-    entries = []
-    seen = set()
-    for line in body:
-        tok, col = line.take("directive")
-        if tok == "morphism":
-            ref, rcol = take_name(line, "morphism")
-            line.done()
-            resolve(problem.morphisms, ref, "morphism", line.lineno, rcol)
-            morphism = ref
-            mspec = problem.morphisms[ref]
-            src_dim = problem.algebras[mspec.source].dim
-            tgt_dim = problem.algebras[mspec.target].dim
-        elif tok == "degree":
-            degree, dcol = line.take_int("degree")
-            if not 1 <= degree <= MAX_ARITY:
-                raise ProblemFileError(
-                    line.lineno, dcol, f"degree must be within 1..{MAX_ARITY}")
-            line.done()
-        elif tok in ("R", "S", "f"):
-            if morphism is None or degree is None:
-                raise ProblemFileError(
-                    line.lineno, col,
-                    "morphism and degree must precede entries")
-            if tok == "f" and degree == 1:
-                raise ProblemFileError(
-                    line.lineno, col,
-                    "degree-1 cochains have no third component")
-            indices, b, c = _parse_component_entry(
-                line, tok, degree, src_dim, tgt_dim, parse_scalar, take_index)
-            if (tok, indices, b) in seen:
-                raise ProblemFileError(line.lineno, col, "duplicate entry")
-            seen.add((tok, indices, b))
-            if c:
-                entries.append((tok, indices, b, c))
-        else:
+def _dims(problem: Problem, head: dict) -> tuple[int, int]:
+    """Dimensions of R and S, the source and target the entries index."""
+    if "dim" in head:
+        return head["dim"], head["dim"]
+    if "morphism" in head:   # a morphism's spec has its source and target
+        head = vars(problem.morphisms[head["morphism"]])
+    return (problem.algebras[head["source"]].dim,
+            problem.algebras[head["target"]].dim)
+
+
+def _entry(line: _Tokens, kind: str, keyword: str, col: int, head: dict,
+           r: int, s: int) -> tuple:
+    """The slots of one entry line after its keyword, indices 0-based: the
+    entry less its scalar."""
+    if kind == "algebra":
+        return tuple(line.index(r, f"{which} index")
+                     for which in ("first", "second", "output"))
+    if kind == "morphism":
+        return line.index(s, "target index"), line.index(r, "source index")
+    if kind == "cochain":
+        key, component, degree = (), keyword, head["degree"]
+        if component == "f" and degree == 1:
             raise ProblemFileError(line.lineno, col,
-                                   f"unknown cochain directive {tok!r}")
-    if morphism is None or degree is None:
-        raise ProblemFileError(body[0].lineno if body else 1, 1,
-                               f"cochain {name!r} needs morphism and degree")
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    return CochainSpec(name, morphism, degree, entries)
-
-
-def _parse_series(name, body, problem, parse_scalar, take_name, take_index,
-                  resolve, spec_cls, degree):
-    morphism = None
-    order = None
-    src_dim = tgt_dim = None
-    entries = []
-    seen = set()
-    for line in body:
-        tok, col = line.take("directive")
-        if tok == "morphism":
-            ref, rcol = take_name(line, "morphism")
-            line.done()
-            resolve(problem.morphisms, ref, "morphism", line.lineno, rcol)
-            morphism = ref
-            mspec = problem.morphisms[ref]
-            src_dim = problem.algebras[mspec.source].dim
-            tgt_dim = problem.algebras[mspec.target].dim
-        elif tok == "order":
-            order, ocol = line.take_int("order")
-            if order < 0:
-                raise ProblemFileError(line.lineno, ocol,
-                                       "order must be nonnegative")
-            line.done()
-        elif tok == "term":
-            if morphism is None or order is None:
-                raise ProblemFileError(
-                    line.lineno, col,
-                    "morphism and order must precede term entries")
-            k, kcol = line.take_int("term order")
-            if not 1 <= k <= order:
-                raise ProblemFileError(line.lineno, kcol,
-                                       f"term order {k} outside 1..{order}")
-            comp, ccol = line.take("component")
-            allowed = ("R", "S", "f") if spec_cls is DeformationSpec \
-                else ("R", "S")
-            if comp not in allowed:
-                raise ProblemFileError(
-                    line.lineno, ccol,
-                    f"component must be one of {'/'.join(allowed)}")
-            if spec_cls is DeformationSpec:
-                indices, b, c = _parse_component_entry(
-                    line, comp, degree, src_dim, tgt_dim, parse_scalar,
-                    take_index)
-                key = (k, comp, indices, b)
-                entry = (k, comp, indices, b, c)
-            else:
-                dim = src_dim if comp == "R" else tgt_dim
-                i = take_index(line, dim, "input index")
-                b = take_index(line, dim, "output index")
-                line.expect("=")
-                c, _ = parse_scalar(line)
-                line.done()
-                key = (k, comp, i, b)
-                entry = (k, comp, i, b, c)
-            if key in seen:
-                raise ProblemFileError(line.lineno, col, "duplicate entry")
-            seen.add(key)
-            if c:
-                entries.append(entry)
-        else:
+                                   "degree-1 cochains have no third component")
+    else:
+        k, kcol = line.take_int("term order")
+        if not 1 <= k <= head["order"]:
+            raise ProblemFileError(line.lineno, kcol,
+                                   f"term order {k} outside 1..{head['order']}")
+        component, ccol = line.take("component")
+        allowed = ("R", "S", "f") if kind == "deformation" else ("R", "S")
+        if component not in allowed:
             raise ProblemFileError(
-                line.lineno, col,
-                f"unknown {spec_cls.__name__.lower()} directive {tok!r}")
-    if morphism is None or order is None:
-        raise ProblemFileError(body[0].lineno if body else 1, 1,
-                               f"{name!r} needs morphism and order")
-    entries.sort(key=lambda e: e[:-1])
-    return spec_cls(name, morphism, order, entries)
+                line.lineno, ccol,
+                f"component must be one of {'/'.join(allowed)}")
+        if kind == "isomorphism":
+            dim = r if component == "R" else s
+            return (k, component, line.index(dim, "input index"),
+                    line.index(dim, "output index"))
+        key, degree = (k,), 2
+    arity = degree - 1 if component == "f" else degree
+    inputs = tuple(line.index(s if component == "S" else r,
+                              f"input index {t + 1}") for t in range(arity))
+    return key + (component, inputs,
+                  line.index(r if component == "R" else s, "output index"))
 
 
 def serialize(problem: Problem) -> str:
     """Render a Problem back to text; parse(serialize(p)) == p."""
     field = problem.field
     out = [f"field {field.spec()}", ""]
-
-    def scalar(c):
-        return field.format(c)
-
-    for spec in problem.algebras.values():
-        out.append(f"algebra {spec.name}")
-        out.append(f"  dim {spec.dim}")
-        for (i, j, k, c) in spec.entries:
-            out.append(f"  gamma {i + 1} {j + 1} {k + 1} = {scalar(c)}")
-        out.append("end")
-        out.append("")
-    for spec in problem.morphisms.values():
-        out.append(f"morphism {spec.name}")
-        out.append(f"  source {spec.source}")
-        out.append(f"  target {spec.target}")
-        for (b, i, c) in spec.entries:
-            out.append(f"  entry {b + 1} {i + 1} = {scalar(c)}")
-        out.append("end")
-        out.append("")
-    for spec in problem.cochains.values():
-        out.append(f"cochain {spec.name}")
-        out.append(f"  morphism {spec.morphism}")
-        out.append(f"  degree {spec.degree}")
-        for (comp, indices, b, c) in spec.entries:
-            idx = " ".join(str(i + 1) for i in indices)
-            sep = " " if idx else ""
-            out.append(f"  {comp} {idx}{sep}{b + 1} = {scalar(c)}")
-        out.append("end")
-        out.append("")
-    for spec in problem.deformations.values():
-        out.append(f"deformation {spec.name}")
-        out.append(f"  morphism {spec.morphism}")
-        out.append(f"  order {spec.order}")
-        for (k, comp, indices, b, c) in spec.entries:
-            idx = " ".join(str(i + 1) for i in indices)
-            sep = " " if idx else ""
-            out.append(f"  term {k} {comp} {idx}{sep}{b + 1} = {scalar(c)}")
-        out.append("end")
-        out.append("")
-    for spec in problem.isomorphisms.values():
-        out.append(f"isomorphism {spec.name}")
-        out.append(f"  morphism {spec.morphism}")
-        out.append(f"  order {spec.order}")
-        for (k, comp, i, b, c) in spec.entries:
-            out.append(f"  term {k} {comp} {i + 1} {b + 1} = {scalar(c)}")
-        out.append("end")
-        out.append("")
+    for kind, (_, headers, keywords, _) in _SECTIONS.items():
+        # a cochain's keyword is its component, the first slot of an entry
+        lead = "  " if len(keywords) > 1 else f"  {keywords[0]} "
+        ordered = keywords == ("term",)
+        for spec in getattr(problem, kind + "s").values():
+            out.append(f"{kind} {spec.name}")
+            out += [f"  {h} {getattr(spec, h)}" for h in headers]
+            for entry in spec.entries:
+                # the term order is written as it is, not as an index
+                words = [str(entry[0]), *_words(entry[1:-1])] if ordered \
+                    else _words(entry[:-1])
+                out.append(lead + " ".join(words) +
+                           f" = {field.format(entry[-1])}")
+            out += ["end", ""]
     return "\n".join(out)
+
+
+def _words(slots) -> list[str]:
+    """The slots of an entry as written: names as they are, indices
+    1-based."""
+    words = []
+    for slot in slots:
+        if isinstance(slot, str):
+            words.append(slot)
+        elif isinstance(slot, int):
+            words.append(str(slot + 1))
+        else:
+            words += [str(i + 1) for i in slot]
+    return words

@@ -11,6 +11,7 @@ from unittest import mock
 
 import pytest
 
+from test_io import REPEATED_HEADERS
 from zinbiel import cli
 from zinbiel.deformation import check_deformation, extend_one_order
 from zinbiel.problem_io import parse
@@ -205,6 +206,13 @@ def test_malformed_file_exit_2(tmp_path):
     result = run_cli("validate", str(bad))
     assert result.returncode == 2
     assert "out of range" in result.stderr
+    # a repeated header once gave a traceback or was accepted silently
+    for text, line, column, message in REPEATED_HEADERS:
+        bad.write_text(text)
+        for command in ("validate", "roundtrip"):
+            result = run_cli(command, str(bad))
+            assert (result.returncode, result.stdout, result.stderr) == (
+                2, "", f"error: line {line}, column {column}: {message}\n")
 
 
 @pytest.mark.parametrize("command, flag, value, least", [

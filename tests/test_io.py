@@ -114,36 +114,178 @@ def test_zero_entries_are_dropped():
     assert parse(text).algebras["R"].entries == []
 
 
-def _assert_error(text, fragment, line=None):
-    with pytest.raises(ProblemFileError) as err:
-        parse(text)
-    assert fragment in str(err.value)
-    if line is not None:
-        assert err.value.line == line
+# two algebras (R of dim 2, L of dim 1) and a morphism on each (f on R, g on
+# L) in 15 lines: a section after them starts on line 16
+MAPS = ("field Q\n"
+        "algebra R\n  dim 2\nend\n"
+        "algebra L\n  dim 1\nend\n"
+        "morphism f\n  source R\n  target R\nend\n"
+        "morphism g\n  source L\n  target L\nend\n")
+ALG = "field Q\nalgebra R\n  dim 2\nend\n"
+ONE = "field Q\nalgebra R\n  dim 1\n"
+COCHAIN = MAPS + "cochain c\n  morphism f\n"
+DEFORMATION = MAPS + "deformation D\n  morphism f\n  order 2\n"
+ISOMORPHISM = MAPS + "isomorphism P\n  morphism f\n  order 1\n"
+
+# (text, line, column, message) for every ProblemFileError that parse
+# raises, at least one row per raise site, each message in full
+ERRORS = [
+    # the field line
+    ("", 1, 1, "empty problem file: missing field line"),
+    ("# nothing but a comment\n\n", 1, 1,
+     "empty problem file: missing field line"),
+    ("algebra R\n  dim 1\nend\n", 1, 1, "the first directive must be 'field'"),
+    ("field\n", 1, 6, "expected field descriptor"),
+    ("field Q Q\n", 1, 9, "unexpected trailing token 'Q'"),
+    ("field Fp:6\n", 1, 7, "modulus 6 is not prime"),
+    ("field Q\nfield Q\n", 2, 1, "duplicate field declaration"),
+    # section headers
+    ("field Q\nwidget W\nend\n", 2, 1, "unknown directive 'widget'"),
+    ("field Q\nalgebra\nend\n", 2, 8, "expected algebra name"),
+    ("field Q\nalgebra 1R\nend\n", 2, 9, "bad name '1R'"),
+    ("field Q\nalgebra R S\nend\n", 2, 11, "unexpected trailing token 'S'"),
+    (ONE, 2, 1, "algebra 'R' is never closed by 'end'"),
+    (ONE + "end\nalgebra R\n  dim 1\nend\n", 5, 9, "duplicate algebra 'R'"),
+    # algebra
+    ("field Q\nalgebra R\nend\n", 2, 1, "algebra 'R' has no dim"),
+    ("field Q\nalgebra R\n  dim\nend\n", 3, 6, "expected dimension"),
+    ("field Q\nalgebra R\n  dim two\nend\n", 3, 7,
+     "expected dimension, got 'two'"),
+    ("field Q\nalgebra R\n  dim -1\nend\n", 3, 7,
+     "dimension must be nonnegative"),
+    ("field Q\nalgebra R\n  dim 1 2\nend\n", 3, 9,
+     "unexpected trailing token '2'"),
+    (ONE + "  dim 1\nend\n", 4, 3, "duplicate dim"),
+    ("field Q\nalgebra R\n  gamma 1 1 1 = 1\nend\n", 3, 3,
+     "dim must precede gamma entries"),
+    (ONE + "  gamma 1 1 2 = 1\nend\n", 4, 13,
+     "output index 2 out of range 1..1"),
+    (ONE + "  gamma 0 1 1 = 1\nend\n", 4, 9,
+     "first index 0 out of range 1..1"),
+    (ONE + "  gamma 1 1\nend\n", 4, 12, "expected output index"),
+    (ONE + "  gamma 1 1 1\nend\n", 4, 14, "expected '='"),
+    (ONE + "  gamma 1 1 1 : 1\nend\n", 4, 15, "expected '=', got ':'"),
+    (ONE + "  gamma 1 1 1 =\nend\n", 4, 16, "expected scalar"),
+    (ONE + "  gamma 1 1 1 = x\nend\n", 4, 17, "bad rational literal: 'x'"),
+    (ONE.replace("Q", "Fp:5") + "  gamma 1 1 1 = 1/5\nend\n", 4, 17,
+     "denominator of 1/5 is divisible by 5"),
+    (ONE + "  gamma 1 1 1 = 1 junk\nend\n", 4, 19,
+     "unexpected trailing token 'junk'"),
+    (ONE + "  gamma 1 1 1 = 1\n  gamma 1 1 1 = 2\nend\n", 5, 3,
+     "duplicate gamma entry"),
+    (ONE + "  widget\nend\n", 4, 3, "unknown algebra directive 'widget'"),
+    # morphism
+    (ALG + "morphism f\nend\n", 5, 1, "morphism 'f' needs source and target"),
+    (ALG + "morphism f\n  source R\nend\n", 5, 1,
+     "morphism 'f' needs source and target"),
+    (ALG + "morphism f\n  source X\nend\n", 6, 10, "unknown algebra 'X'"),
+    (ALG + "morphism f\n  source 1R\nend\n", 6, 10, "bad name '1R'"),
+    (ALG + "morphism f\n  source\nend\n", 6, 9, "expected source"),
+    (ALG + "morphism f\n  source R R\nend\n", 6, 12,
+     "unexpected trailing token 'R'"),
+    (ALG + "morphism f\n  source R\n  source R\nend\n", 7, 3,
+     "duplicate source"),
+    (ALG + "morphism f\n  source R\n  source 1R\nend\n", 7, 3,
+     "duplicate source"),
+    (ALG + "morphism f\n  target R\n  target R\nend\n", 7, 3,
+     "duplicate target"),
+    (ALG + "morphism f\n  source R\n  entry 1 1 = 1\nend\n", 7, 3,
+     "source and target must precede entries"),
+    (ALG + "morphism f\n  source R\n  target R\n  entry 3 1 = 1\nend\n", 8, 9,
+     "target index 3 out of range 1..2"),
+    (ALG + "morphism f\n  source R\n  target R\n  entry 1 3 = 1\nend\n", 8, 11,
+     "source index 3 out of range 1..2"),
+    (ALG + "morphism f\n  source R\n  target R\n  entry 1 1 = 1\n"
+     "  entry 1 1 = 0\nend\n", 9, 3, "duplicate entry"),
+    (ALG + "morphism f\n  source R\n  target R\n  matrix\nend\n", 8, 3,
+     "unknown morphism directive 'matrix'"),
+    # cochain
+    (MAPS + "cochain c\nend\n", 16, 1, "cochain 'c' needs morphism and degree"),
+    (COCHAIN + "end\n", 16, 1, "cochain 'c' needs morphism and degree"),
+    (MAPS + "cochain c\n  morphism h\nend\n", 17, 12, "unknown morphism 'h'"),
+    (MAPS + "cochain c\n  degree 5\nend\n", 17, 10,
+     "degree must be within 1..4"),
+    (MAPS + "cochain c\n  degree 0\nend\n", 17, 10,
+     "degree must be within 1..4"),
+    (COCHAIN + "  R 1 1 1 = 1\nend\n", 18, 3,
+     "morphism and degree must precede entries"),
+    (COCHAIN + "  degree 1\n  f 1 = 1\nend\n", 19, 3,
+     "degree-1 cochains have no third component"),
+    (COCHAIN + "  degree 2\n  R 1 3 1 = 1\nend\n", 19, 7,
+     "input index 2 3 out of range 1..2"),
+    (COCHAIN + "  degree 2\n  S 1 1 3 = 1\nend\n", 19, 9,
+     "output index 3 out of range 1..2"),
+    (COCHAIN + "  degree 2\n  f 1 1\nend\n", 19, 8, "expected '='"),
+    (COCHAIN + "  degree 2\n  f 1 1 = 1\n  f 1 1 = 2\nend\n", 20, 3,
+     "duplicate entry"),
+    (COCHAIN + "  degree 2\n  T 1 1 1 = 1\nend\n", 19, 3,
+     "unknown cochain directive 'T'"),
+    # deformation
+    (MAPS + "deformation D\nend\n", 16, 1,
+     "deformation 'D' needs morphism and order"),
+    (MAPS + "deformation D\n  morphism f\nend\n", 16, 1,
+     "deformation 'D' needs morphism and order"),
+    (MAPS + "deformation D\n  order -1\nend\n", 17, 9,
+     "order must be nonnegative"),
+    (MAPS + "deformation D\n  order x\nend\n", 17, 9,
+     "expected order, got 'x'"),
+    (MAPS + "deformation D\n  morphism f\n  term 1 R 1 1 1 = 1\nend\n", 18, 3,
+     "morphism and order must precede term entries"),
+    (DEFORMATION + "  term\nend\n", 19, 7, "expected term order"),
+    (DEFORMATION + "  term x\nend\n", 19, 8, "expected term order, got 'x'"),
+    (DEFORMATION + "  term 3 R 1 1 1 = 1\nend\n", 19, 8,
+     "term order 3 outside 1..2"),
+    (DEFORMATION + "  term 0 R 1 1 1 = 1\nend\n", 19, 8,
+     "term order 0 outside 1..2"),
+    (DEFORMATION + "  term 1\nend\n", 19, 9, "expected component"),
+    (DEFORMATION + "  term 1 T 1 1 1 = 1\nend\n", 19, 10,
+     "component must be one of R/S/f"),
+    (DEFORMATION + "  term 1 R 1 3 1 = 1\nend\n", 19, 14,
+     "input index 2 3 out of range 1..2"),
+    (DEFORMATION + "  term 1 f 1 3 = 1\nend\n", 19, 14,
+     "output index 3 out of range 1..2"),
+    (DEFORMATION + "  term 1 S 1 1 1 = 1\n  term 1 S 1 1 1 = 1\nend\n", 20, 3,
+     "duplicate entry"),
+    (DEFORMATION + "  degree 2\nend\n", 19, 3,
+     "unknown deformation directive 'degree'"),
+    # isomorphism
+    (MAPS + "isomorphism P\n  order 1\nend\n", 16, 1,
+     "isomorphism 'P' needs morphism and order"),
+    (ISOMORPHISM + "  order 1 y\nend\n", 19, 3, "duplicate order"),
+    (ISOMORPHISM + "  term 1 f 1 1 = 1\nend\n", 19, 10,
+     "component must be one of R/S"),
+    (ISOMORPHISM + "  term 1 R 3 1 = 1\nend\n", 19, 12,
+     "input index 3 out of range 1..2"),
+    (ISOMORPHISM + "  term 1 S 1 3 = 1\nend\n", 19, 14,
+     "output index 3 out of range 1..2"),
+    (ISOMORPHISM + "  term 1 R 1 1 1 = 1\nend\n", 19, 16,
+     "expected '=', got '1'"),
+    (ISOMORPHISM + "  term 1 R 1 1 = 1\n  term 1 R 1 1 = 2\nend\n", 20, 3,
+     "duplicate entry"),
+    (ISOMORPHISM + "  widget\nend\n", 19, 3,
+     "unknown isomorphism directive 'widget'"),
+]
+
+# a header repeated after entries that were read under its first value
+REPEATED_HEADERS = [
+    (COCHAIN + "  degree 2\n  R 2 2 2 = 1\n  morphism g\nend\n", 20, 3,
+     "duplicate morphism"),
+    (COCHAIN + "  degree 3\n  f 1 1 1 = 1\n  degree 1\nend\n", 20, 3,
+     "duplicate degree"),
+    (MAPS + "deformation D\n  morphism f\n  order 3\n  term 3 R 1 1 1 = 1\n"
+     "  order 1\nend\n", 20, 3, "duplicate order"),
+    (ISOMORPHISM + "  term 1 S 2 2 = 1\n  morphism g\nend\n", 20, 3,
+     "duplicate morphism"),
+]
 
 
 def test_error_positions_and_messages():
-    _assert_error("", "missing field line")
-    _assert_error("algebra R\n  dim 1\nend\n", "first directive", line=1)
-    _assert_error("field Fp:6\n", "not prime", line=1)
-    _assert_error("field Q\nwidget W\nend\n", "unknown directive", line=2)
-    _assert_error("field Q\nalgebra R\n  dim 1\n", "never closed", line=2)
-    _assert_error("field Q\nalgebra R\n  gamma 1 1 1 = 1\nend\n",
-                  "dim must precede", line=3)
-    _assert_error("field Q\nalgebra R\n  dim 1\n  gamma 1 1 2 = 1\nend\n",
-                  "out of range", line=4)
-    _assert_error("field Q\nalgebra R\n  dim 1\n  gamma 1 1 1 = x\nend\n",
-                  "bad rational literal", line=4)
-    _assert_error(
-        "field Q\nalgebra R\n  dim 1\n  gamma 1 1 1 = 1\n"
-        "  gamma 1 1 1 = 2\nend\n", "duplicate gamma entry", line=5)
-    _assert_error("field Q\nmorphism f\n  source R\nend\n",
-                  "unknown algebra", line=3)
-    _assert_error("field Q\nalgebra R\n  dim 1\nend\nalgebra R\n  dim 1\nend\n",
-                  "duplicate algebra", line=5)
-    _assert_error("field Q\nfield Q\n", "duplicate field", line=2)
-    _assert_error("field Q\nalgebra R\n  dim 1\n  gamma 1 1 1 = 1 junk\nend\n",
-                  "trailing token", line=4)
+    for text, line, column, message in ERRORS + REPEATED_HEADERS:
+        with pytest.raises(ProblemFileError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column, err.value.detail) == \
+            (line, column, message), text
+        assert str(err.value) == f"line {line}, column {column}: {message}"
 
 
 def test_cochain_degree1_has_no_third_component():
