@@ -24,6 +24,10 @@ The two derived bimodules are built unchecked, because their identities
 hold by construction.  In `regular_bimodule()` all three mixed identities
 are the Zinbiel identity of the algebra.  In `bimodule_via_morphism` they
 follow from f(xy) = f(x)f(y) and the Zinbiel identity of the target.
+
+A `Bimodule` and an `AlgebraMorphism` keep, in `_ranks`, the rank of
+each differential of their complex once it has been computed (see
+`zinbiel.cochains.cohomology_from`): plain ints, no matrix.
 """
 
 from __future__ import annotations
@@ -104,6 +108,8 @@ class ZinbielAlgebra:
         return self._regular
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, ZinbielAlgebra):
             return NotImplemented
         return (self.field == other.field and self.dim == other.dim
@@ -218,7 +224,7 @@ class Bimodule:
     of the module docstring are built by `_derived_bimodule` instead.
     """
 
-    __slots__ = ("algebra", "dim", "left", "right")
+    __slots__ = ("algebra", "dim", "left", "right", "_ranks")
 
     def __init__(self, algebra: ZinbielAlgebra, dim: int, left, right):
         if dim < 0:
@@ -233,6 +239,7 @@ class Bimodule:
             raise ValueError(f"right action must be {dim}x{d}x{dim}")
         self.algebra = algebra
         self.dim = dim
+        self._ranks = {}
         self.left = [[[field.coerce(x) for x in v] for v in col]
                      for col in left]
         self.right = [[[field.coerce(x) for x in v] for v in col]
@@ -247,6 +254,8 @@ class Bimodule:
         return self.algebra.field
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Bimodule):
             return NotImplemented
         return (self.algebra == other.algebra and self.dim == other.dim
@@ -264,6 +273,7 @@ def _derived_bimodule(algebra: ZinbielAlgebra, dim: int, left,
     module = Bimodule.__new__(Bimodule)
     module.algebra, module.dim = algebra, dim
     module.left, module.right = left, right
+    module._ranks = {}
     return module
 
 
@@ -313,7 +323,7 @@ class AlgebraMorphism:
     coordinates of its image.
     """
 
-    __slots__ = ("source", "target", "matrix", "_bimodule")
+    __slots__ = ("source", "target", "matrix", "_bimodule", "_ranks")
 
     def __init__(self, source: ZinbielAlgebra, target: ZinbielAlgebra,
                  matrix: Matrix | list):
@@ -329,6 +339,7 @@ class AlgebraMorphism:
         self.target = target
         self.matrix = matrix
         self._bimodule = None
+        self._ranks = {}
         bad = morphism_violations(source, target, matrix)
         if bad:
             raise IdentityError(
@@ -348,6 +359,8 @@ class AlgebraMorphism:
         return self._bimodule
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, AlgebraMorphism):
             return NotImplemented
         return (self.source == other.source and self.target == other.target

@@ -38,7 +38,7 @@ import functools
 import itertools
 
 from .algebra import Bimodule, ZinbielAlgebra
-from .linalg import Matrix, rank_nullspace, vec_add, vec_sub
+from .linalg import Matrix, _echelon, rank_nullspace, vec_add, vec_sub
 
 # p(x1..xn) reordered inside the left action of d^n: (sign, order) pairs,
 # order[k] being the tail position of the k-th argument of p
@@ -72,7 +72,7 @@ class Cochain:
 
     def __init__(self, source: ZinbielAlgebra, module: Bimodule, arity: int,
                  coeffs):
-        if module.algebra is not source and module.algebra != source:
+        if module.algebra != source:
             raise ValueError("module is not over the cochain's source algebra")
         if not 0 <= arity <= MAX_ARITY:
             raise ValueError(f"arity {arity} outside 0..{MAX_ARITY}")
@@ -256,19 +256,31 @@ def differential(phi: Cochain) -> Cochain:
     return Cochain.from_flat(phi.source, phi.module, phi.arity + 1, flat)
 
 
-def cohomology_from(n: int, assemble, *args) -> int:
-    """dim ker(d^n) - rank(d^{n-1}) for n in COHOMOLOGY_DEGREES, with
-    assemble(*args, k) the matrix of d^k; shared by both complexes."""
+def cohomology_from(n: int, dim: int, ranks: dict, assemble,
+                    shared=()) -> int:
+    """dim ker(d^n) - rank(d^{n-1}) for n in COHOMOLOGY_DEGREES, shared by
+    both complexes: dim is the dimension of degree n, assemble(k) the
+    matrix of d^k and ranks the {degree: rank} dict kept on the complex's
+    object.  A degree missing from ranks is assembled and ranked once;
+    the ranks of its matrix's diagonal `_blocks` come with that
+    elimination and go into the dicts of shared, one per block."""
     if n not in COHOMOLOGY_DEGREES:
         raise ValueError("cohomology defined in degrees "
                          f"{' and '.join(map(str, COHOMOLOGY_DEGREES))}, "
                          f"not {n}")
-    out = assemble(*args, n)
-    rank_out, _ = rank_nullspace(out)
-    rank_in, _ = rank_nullspace(assemble(*args, n - 1))
-    return out.ncols - rank_out - rank_in
+    for k in (n, n - 1):
+        if k not in ranks:
+            m = assemble(k)
+            ranks[k], _ = rank_nullspace(m)
+            for (_, block), block_ranks in zip(m._blocks, shared):
+                block_ranks[k] = len(_echelon(block))
+    return dim - ranks[n] - ranks[n - 1]
 
 
 def cohomology_dim(algebra: ZinbielAlgebra, module: Bimodule, n: int) -> int:
-    """dim ker(d^n) - rank(d^{n-1}), for n in COHOMOLOGY_DEGREES."""
-    return cohomology_from(n, differential_matrix, algebra, module)
+    """dim ker(d^n) - rank(d^{n-1}), for n in COHOMOLOGY_DEGREES.  The ranks
+    are kept on the module when it is over this very algebra."""
+    ranks = module._ranks if module.algebra is algebra else {}
+    return cohomology_from(n, complex_dim(algebra, module, n), ranks,
+                           functools.partial(differential_matrix, algebra,
+                                             module))

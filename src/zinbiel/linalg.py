@@ -15,6 +15,17 @@ elimination strategy: the nullspace basis has one vector per free column
 in ascending order with a 1 in the free position, and a particular
 solution sets every free variable to zero.  Matrices are immutable after
 construction and all operations return fresh values.
+
+`rank_nullspace` reads the pivot rows off `_echelon`, which keeps them on
+the matrix for as long as the matrix lives.  A matrix may declare
+diagonal blocks (`Matrix._blocks`), as the morphism complex's d^n does
+with d^n on R and on S.  The block rows touch disjoint columns and never
+combine, so the shifted pivot rows of the blocks together are already
+the reduced echelon form of those rows.  The elimination starts from
+copies of them (`_seeded`) and reduces only the remaining rows; a block
+that occurs twice is eliminated once.  Since that form is unique, the
+pivot columns and rows, hence every rank, nullspace basis and solution,
+are the ones that eliminating all rows would give.
 """
 
 from __future__ import annotations
@@ -49,9 +60,14 @@ def vec_is_zero(u: list) -> bool:
 
 class Matrix:
     """Sparse matrix over one field: `entries[i]` maps the column of each
-    nonzero entry of row i to its value."""
+    nonzero entry of row i to its value.
 
-    __slots__ = ("field", "nrows", "ncols", "entries")
+    `_blocks` declares diagonal blocks, as (column offset, block) pairs:
+    the leading rows of the matrix are the rows of each block in turn,
+    shifted right by its offset and zero elsewhere, and no two blocks
+    share a column.  It is empty unless the assembler sets it."""
+
+    __slots__ = ("field", "nrows", "ncols", "entries", "_blocks", "_pivots")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         rows = [list(r) for r in rows]
@@ -70,6 +86,8 @@ class Matrix:
         self.ncols = ncols
         self.entries = [{j: x for j, x in enumerate(map(field.coerce, r)) if x}
                         for r in rows]
+        self._blocks = ()
+        self._pivots = None
 
     @classmethod
     def from_entries(cls, field: Field, entries: list,
@@ -81,6 +99,8 @@ class Matrix:
         m.nrows = len(entries)
         m.ncols = ncols
         m.entries = entries
+        m._blocks = ()
+        m._pivots = None
         return m
 
     @classmethod
@@ -190,14 +210,18 @@ def _eliminate(row: dict, prow: dict, c: int, p: int) -> dict:
     return row if g <= 1 else {k: v // g for k, v in row.items()}
 
 
-def _reduce(rows: list, width: int, p: int) -> tuple[dict, list]:
+def _reduce(rows: list, width: int, p: int,
+            pivots: dict | None = None) -> tuple[dict, list]:
     """Reduced row echelon form of kernel rows (see `_kernel_row`), with
     pivots searched in the columns below width only; row operations apply
     to whole rows.  Over F_p each pivot entry is 1; over Q it is the scale
     of its row.  Returns (pivots, rest): pivots maps each pivot column to
     its row, rest holds the nonzero rows left with no entry below width.
+    A given pivots dict, already in this form, is the start and is
+    extended in place; its rows are edited, so they must be copies.
     """
-    pivots = {}
+    if pivots is None:
+        pivots = {}
     rest = []
     for row in rows:
         # every pivot row is zero in the other pivot columns, so one pass
@@ -225,6 +249,29 @@ def _scalar(p: int, num: int, den: int):
     return ModInt(num, p) if p else Fraction(num, den)
 
 
+def _seeded(m: Matrix) -> dict:
+    """Copies of the pivot rows of each block of m, shifted to its
+    columns: together they are the reduced echelon form of the block rows
+    of m, since no two blocks share a column."""
+    pivots = {}
+    for col0, block in m._blocks:
+        for c, row in _echelon(block).items():
+            pivots[col0 + c] = {col0 + j: x for j, x in row.items()}
+    return pivots
+
+
+def _echelon(m: Matrix) -> dict:
+    """The pivot rows of m (see `_reduce`), computed once per matrix:
+    from its blocks' pivot rows, then the rows below the blocks."""
+    if m._pivots is None:
+        p = m.field.characteristic
+        start = sum(block.nrows for _, block in m._blocks)
+        m._pivots, _ = _reduce(
+            [_kernel_row(p, r) for r in m.entries[start:] if r], m.ncols, p,
+            _seeded(m))
+    return m._pivots
+
+
 def rank_nullspace(m: Matrix) -> tuple[int, list[list]]:
     """Exact rank and a basis of the right nullspace.
 
@@ -232,8 +279,7 @@ def rank_nullspace(m: Matrix) -> tuple[int, list[list]]:
     per free column in ascending order, with a 1 in the free position.
     """
     p = m.field.characteristic
-    pivots, _ = _reduce([_kernel_row(p, r) for r in m.entries if r],
-                        m.ncols, p)
+    pivots = _echelon(m)
     free = [j for j in range(m.ncols) if j not in pivots]
     slot = {j: i for i, j in enumerate(free)}
     one = m.field.one()

@@ -21,6 +21,7 @@ oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .algebra import AlgebraMorphism
@@ -52,11 +53,6 @@ def push_forward_right(f: AlgebraMorphism, pi: Cochain) -> Cochain:
     return Cochain.from_flat(f.source, f.as_bimodule(), pi.arity, flat)
 
 
-def _same(a, b) -> bool:
-    """a == b, with no comparison when they are the very same object."""
-    return a is b or a == b
-
-
 class TripleCochain:
     """Degree-n element (xi; pi; phi) of the deformation complex of f.
 
@@ -70,10 +66,10 @@ class TripleCochain:
         if not 1 <= degree <= MAX_ARITY:
             raise ValueError(f"degree {degree} outside 1..{MAX_ARITY}")
         r, s = morphism.source, morphism.target
-        if not (_same(xi.source, r) and _same(xi.module, r.regular_bimodule())):
+        if xi.source != r or xi.module != r.regular_bimodule():
             raise ValueError(
                 "first component must have regular coefficients on the source")
-        if not (_same(pi.source, s) and _same(pi.module, s.regular_bimodule())):
+        if pi.source != s or pi.module != s.regular_bimodule():
             raise ValueError(
                 "second component must have regular coefficients on the target")
         if xi.arity != degree or pi.arity != degree:
@@ -85,7 +81,7 @@ class TripleCochain:
         else:
             if phi is None:
                 raise ValueError(f"degree-{degree} triple needs a third component")
-            if phi.arity != degree - 1 or not _same(phi.source, r):
+            if phi.arity != degree - 1 or phi.source != r:
                 raise ValueError("third component has the wrong shape")
             if phi.module.dim != s.dim:
                 raise ValueError("third component must take values in the target")
@@ -227,36 +223,48 @@ def _push_right_matrix(f: AlgebraMorphism, n: int) -> Matrix:
 
 def morphism_differential_matrix(f: AlgebraMorphism, n: int) -> Matrix:
     """Matrix of the degree-n differential of the deformation complex,
-    under the flattening xi-block, pi-block, phi-block; the sparse blocks
-    are pasted in place."""
+    under the flattening xi-block, pi-block, phi-block.
+
+    Its rows are the rows of d^n on R, kept as they are, then those of
+    d^n on S, shifted to the pi columns, then the phi rows
+    f.xi - pi.f - d phi, pasted from their sparse blocks.  The first two
+    are recorded as the matrix's diagonal `_blocks`, so that its
+    elimination starts from their pivot rows and reduces only the phi
+    rows (see `zinbiel.linalg`); when S is R both are the same matrix."""
     if n not in DEGREES:
         raise ValueError(f"no differential out of degree {n}")
     r, s = f.source, f.target
-    rows = [{} for _ in range(triple_dim(f, n + 1))]
-    col_xi = r.dim ** n * r.dim
-    col_pi = s.dim ** n * s.dim
-    row_xi = r.dim ** (n + 1) * r.dim
-    row_pi = s.dim ** (n + 1) * s.dim
+    d_r = differential_matrix(r, r.regular_bimodule(), n)
+    d_s = d_r if s is r else differential_matrix(s, s.regular_bimodule(), n)
+    col_xi, col_pi = d_r.ncols, d_s.ncols
+    phi = [{} for _ in range(r.dim ** n * s.dim)]
 
-    def paste(block: Matrix, row0: int, col0: int, sign: int) -> None:
-        # blocks occupy disjoint regions of the matrix
-        for i, brow in enumerate(block.entries, row0):
-            rows[i].update((col0 + j, v if sign > 0 else -v)
-                           for j, v in brow.items())
-    paste(differential_matrix(r, r.regular_bimodule(), n), 0, 0, +1)
-    paste(differential_matrix(s, s.regular_bimodule(), n), row_xi, col_xi, +1)
-    paste(_push_left_matrix(f, n), row_xi + row_pi, 0, +1)
-    paste(_push_right_matrix(f, n), row_xi + row_pi, col_xi, -1)
+    def paste(block: Matrix, col0: int, sign: int) -> None:
+        # the phi rows' blocks occupy disjoint columns
+        for row, brow in zip(phi, block.entries):
+            row.update((col0 + j, v if sign > 0 else -v)
+                       for j, v in brow.items())
+    paste(_push_left_matrix(f, n), 0, +1)
+    paste(_push_right_matrix(f, n), col_xi, -1)
     if n > 1:
         paste(differential_matrix(r, f.as_bimodule(), n - 1),
-              row_xi + row_pi, col_xi + col_pi, -1)
-    return Matrix.from_entries(r.field, rows, triple_dim(f, n))
+              col_xi + col_pi, -1)
+    shifted = [{col_xi + j: v for j, v in row.items()} for row in d_s.entries]
+    m = Matrix.from_entries(r.field, d_r.entries + shifted + phi,
+                            triple_dim(f, n))
+    m._blocks = ((0, d_r), (col_xi, d_s))
+    return m
 
 
 def morphism_cohomology_dim(f: AlgebraMorphism, n: int) -> int:
     """dim ker(d^n) - rank(d^{n-1}) in the deformation complex, for n in
-    COHOMOLOGY_DEGREES."""
-    return cohomology_from(n, morphism_differential_matrix, f)
+    COHOMOLOGY_DEGREES.  The ranks of d^n on R and on S come with the
+    elimination of d^n and are kept for their own complexes too."""
+    r, s = f.source, f.target
+    return cohomology_from(
+        n, triple_dim(f, n), f._ranks,
+        functools.partial(morphism_differential_matrix, f),
+        (r.regular_bimodule()._ranks, s.regular_bimodule()._ranks))
 
 
 def is_cocycle(x) -> tuple[bool, "Cochain | TripleCochain"]:
