@@ -349,9 +349,6 @@ class AlgebraMorphism:
     def apply_basis(self, i: int) -> list:
         return self.matrix.column(i)
 
-    def apply(self, vec: list) -> list:
-        return self.matrix.matvec(vec)
-
     def as_bimodule(self) -> Bimodule:
         """The target as a source-bimodule through this morphism (cached)."""
         if self._bimodule is None:

@@ -28,15 +28,14 @@ import sys
 
 from .algebra import IdentityError
 from .cochains import (COHOMOLOGY_DEGREES, DEGREES, all_tuples,
-                       cohomology_dim, differential, differential_matrix,
-                       product_cochain)
+                       coboundary_preimage, cohomology_dim, differential,
+                       differential_matrix, is_cocycle, product_cochain)
 from .deformation import (DeformationError, check_deformation,
                           extend_from_cocycle, extend_to,
                           normalize_leading_term, obstruction,
                           obstruction_naturality, rigidity_check)
 from .fields import FieldError, field_from_spec
-from .morphism_complex import (coboundary_preimage, is_cocycle,
-                               morphism_cohomology_dim,
+from .morphism_complex import (morphism_cohomology_dim,
                                morphism_differential_matrix,
                                push_forward_left, push_forward_right)
 from .problem_io import ProblemFileError, parse, serialize
@@ -115,7 +114,7 @@ def _load(args):
     try:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ProblemFileError(0, 0, f"cannot read {args.file}: {e}") from None
     override = field_from_spec(args.field) if args.field else None
     return parse(text, field_override=override)
@@ -332,8 +331,7 @@ def _cmd_normalize(problem, args, emit) -> int:
         emit("status", "fail")
         emit("reason", "not-a-coboundary", report=str(e))
         return 1
-    lead = next((i for i in range(1, bar.order + 1)
-                 if not bar.terms[i].is_zero()), None)
+    lead = bar.leading_order()
     zero_through = bar.order if lead is None else lead - 1
     emit("status", "ok")
     emit("zero.through", zero_through,

@@ -27,9 +27,18 @@ All three follow one formula: for p of arity n,
 and only the signed reorderings depend on n.  They form the one table
 `_TAIL_ORDERS`, whose keys are the degree range of the complex.
 `differential_matrix` assembles d^n from structure constants in one pass
-per term of this formula; `differential` applies that sparse matrix.  The
-tuple-by-tuple evaluation of the three formulas above is kept in the
-tests as the oracle the matrices are checked against.
+per term of this formula.  The tuple-by-tuple evaluation of the three
+formulas above is kept in the tests as the oracle the matrices are
+checked against.
+
+`ComplexElement` is the one element protocol of this complex and of the
+deformation complex of a morphism (`zinbiel.morphism_complex`).  An
+element is a flat vector under a fixed flattening; `Cochain` and
+`TripleCochain` supply their space, degree, rebuild from a flat vector
+and matrix of d^n, and the base holds the only copy of +, -, negation
+and scaling.  `differential`, `is_cocycle` and `coboundary_preimage` act
+on an element of either complex: they apply its d^n, test the result for
+zero, or solve against its d^(n-1).
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ import functools
 import itertools
 
 from .algebra import Bimodule, ZinbielAlgebra
-from .linalg import Matrix, _echelon, rank_nullspace, vec_add, vec_sub
+from .linalg import (Matrix, _echelon, rank_nullspace, solve, vec_add,
+                     vec_sub)
 
 # p(x1..xn) reordered inside the left action of d^n: (sign, order) pairs,
 # order[k] being the tail position of the k-th argument of p
@@ -65,8 +75,45 @@ def all_tuples(dim: int, arity: int):
     return itertools.product(range(dim), repeat=arity)
 
 
-class Cochain:
-    """A multilinear map R^arity -> A as a dense coefficient grid."""
+class ComplexElement:
+    """An element of one degree of a cochain complex: a `Cochain` of the
+    bimodule complex or a `TripleCochain` of the deformation complex of a
+    morphism.
+
+    A subclass keeps its own parts, `__eq__`, `zero` and `is_zero`, and
+    supplies `_space()` (what two elements must share to be added),
+    `degree`, `field`, `flatten()`, `_rebuild(flat, degree)` (the element
+    of its complex with that flat vector at that degree) and
+    `_d_matrix(n)` (the matrix of d^n of its complex).  The arithmetic
+    here, `differential`, `is_cocycle` and `coboundary_preimage` run on
+    the flat vector."""
+
+    __slots__ = ()
+
+    def _combine(self, other, op):
+        if not isinstance(other, ComplexElement):
+            return NotImplemented
+        if type(other) is not type(self) or other._space() != self._space():
+            raise ValueError("cochains live in different spaces")
+        return self._rebuild(op(self.flatten(), other.flatten()), self.degree)
+
+    def __add__(self, other):
+        return self._combine(other, vec_add)
+
+    def __sub__(self, other):
+        return self._combine(other, vec_sub)
+
+    def __neg__(self):
+        return self._rebuild([-x for x in self.flatten()], self.degree)
+
+    def scale(self, c):
+        c = self.field.coerce(c)
+        return self._rebuild([c * x for x in self.flatten()], self.degree)
+
+
+class Cochain(ComplexElement):
+    """A multilinear map R^arity -> A as a dense coefficient grid; its
+    degree in the complex is its arity."""
 
     __slots__ = ("source", "module", "arity", "coeffs")
 
@@ -91,6 +138,19 @@ class Cochain:
     def field(self):
         return self.source.field
 
+    @property
+    def degree(self) -> int:
+        return self.arity
+
+    def _space(self) -> tuple:
+        return self.source, self.module, self.arity
+
+    def _rebuild(self, flat: list, degree: int) -> "Cochain":
+        return Cochain.from_flat(self.source, self.module, degree, flat)
+
+    def _d_matrix(self, n: int) -> Matrix:
+        return differential_matrix(self.source, self.module, n)
+
     @classmethod
     def zero(cls, source: ZinbielAlgebra, module: Bimodule,
              arity: int) -> "Cochain":
@@ -101,30 +161,6 @@ class Cochain:
     def eval_basis(self, tup: tuple) -> list:
         """Value on a basis tuple (a coefficient row; treat as read-only)."""
         return self.coeffs[tuple_index(self.source.dim, tup)]
-
-    def _compatible(self, other: "Cochain") -> None:
-        if (self.source != other.source or self.module != other.module
-                or self.arity != other.arity):
-            raise ValueError("cochains live in different spaces")
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._compatible(other)
-        rows = [vec_add(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        return Cochain(self.source, self.module, self.arity, rows)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        self._compatible(other)
-        rows = [vec_sub(a, b) for a, b in zip(self.coeffs, other.coeffs)]
-        return Cochain(self.source, self.module, self.arity, rows)
-
-    def __neg__(self) -> "Cochain":
-        rows = [[-x for x in r] for r in self.coeffs]
-        return Cochain(self.source, self.module, self.arity, rows)
-
-    def scale(self, c) -> "Cochain":
-        c = self.field.coerce(c)
-        rows = [[c * x for x in r] for r in self.coeffs]
-        return Cochain(self.source, self.module, self.arity, rows)
 
     def is_zero(self) -> bool:
         return all(not x for r in self.coeffs for x in r)
@@ -249,11 +285,35 @@ def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
         d ** n * m)
 
 
-def differential(phi: Cochain) -> Cochain:
-    """Apply d^n, n = phi.arity, through its assembled matrix."""
-    flat = differential_matrix(phi.source, phi.module,
-                               phi.arity).matvec(phi.flatten())
-    return Cochain.from_flat(phi.source, phi.module, phi.arity + 1, flat)
+def differential(x: ComplexElement) -> ComplexElement:
+    """Apply d^n, n = x.degree, through the assembled matrix of the
+    complex of x."""
+    n = x.degree
+    return x._rebuild(x._d_matrix(n).matvec(x.flatten()), n + 1)
+
+
+def _cohomology_degree(x, what: str) -> int:
+    if not isinstance(x, ComplexElement):
+        raise TypeError(f"not a cochain: {x!r}")
+    if x.degree not in COHOMOLOGY_DEGREES:
+        raise ValueError(f"{what} at degree {x.degree} undefined")
+    return x.degree
+
+
+def is_cocycle(x: ComplexElement) -> tuple[bool, ComplexElement]:
+    """Whether d(x) vanishes, together with the exact residual d(x), for
+    x of a degree in COHOMOLOGY_DEGREES."""
+    _cohomology_degree(x, "cocycle test")
+    res = differential(x)
+    return res.is_zero(), res
+
+
+def coboundary_preimage(x: ComplexElement) -> ComplexElement | None:
+    """Some y with d(y) = x, or None; the representative is deterministic
+    (free coefficients set to zero under the fixed flattening)."""
+    n = _cohomology_degree(x, "preimage")
+    sol = solve(x._d_matrix(n - 1), x.flatten())
+    return None if sol is None else x._rebuild(sol, n - 1)
 
 
 def cohomology_from(n: int, dim: int, ranks: dict, assemble,

@@ -54,14 +54,11 @@ from math import lcm
 
 from .algebra import (AlgebraMorphism, _morphism_sums, _product_sums, _read,
                       _settle)
-from .cochains import Cochain, all_tuples, differential, identity_cochain, \
-    product_cochain
-from .linalg import solve
-from .morphism_complex import (TripleCochain, coboundary_preimage,
-                               morphism_cochain, morphism_cohomology_dim,
-                               morphism_differential,
-                               morphism_differential_matrix,
-                               push_forward_left, push_forward_right)
+from .cochains import (Cochain, all_tuples, coboundary_preimage,
+                       differential, identity_cochain, product_cochain)
+from .morphism_complex import (TripleCochain, morphism_cochain,
+                               morphism_cohomology_dim, push_forward_left,
+                               push_forward_right)
 
 
 @dataclass
@@ -114,25 +111,20 @@ class TruncatedDeformation:
                 raise ValueError("constant term differs from (m_R; m_S; f)")
             _raise_on(deformation_violations(morphism, terms, self.order))
 
-    def extend(self, term: TripleCochain) -> "TruncatedDeformation":
-        """The order-(N+1) series with term as its t^{N+1} coefficient.
-
-        Orders 0..N hold already, so only order N+1 is validated.
-        """
-        grown = TruncatedDeformation(self.morphism, self.terms + [term],
-                                     _validated=True)
-        _raise_on(_violations(grown.order, order_residual(
-            self.morphism, grown.terms, grown.order)))
-        return grown
-
     def truncate(self, order: int) -> "TruncatedDeformation":
         if order >= self.order:
             return self
         return TruncatedDeformation(self.morphism, self.terms[:order + 1],
                                     _validated=True)
 
+    def leading_order(self) -> int | None:
+        """The order of the first nonzero term past the constant term, or
+        None when there is none."""
+        return next((i for i in range(1, self.order + 1)
+                     if not self.terms[i].is_zero()), None)
+
     def is_trivial(self) -> bool:
-        return all(t.is_zero() for t in self.terms[1:])
+        return self.leading_order() is None
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedDeformation):
@@ -307,11 +299,10 @@ class LeadingTerm:
 
 def infinitesimal(theta: TruncatedDeformation) -> LeadingTerm:
     """Locate the first nonzero theta_i (i >= 1) and certify d(theta_i) = 0."""
-    for i in range(1, theta.order + 1):
-        if not theta.terms[i].is_zero():
-            residual = morphism_differential(theta.terms[i])
-            return LeadingTerm(i, theta.terms[i], residual)
-    return LeadingTerm(None, None, None)
+    i = theta.leading_order()
+    if i is None:
+        return LeadingTerm(None, None, None)
+    return LeadingTerm(i, theta.terms[i], differential(theta.terms[i]))
 
 
 class FormalIsomorphism:
@@ -468,15 +459,11 @@ def conjugate(theta: TruncatedDeformation,
     pi = conj_product(s.dim, ps,
                       [_read(t.pi.coeffs, p) for t in theta.terms], qs)
     maps = _compose_series(ps, _compose_series(fs, qr, top, p), top, p)
-    new_terms = []
-    for n in range(top + 1):
-        term = TripleCochain(f, 2, _cochain(r, r.regular_bimodule(), 2, xi[n]),
-                             _cochain(s, s.regular_bimodule(), 2, pi[n]),
-                             _cochain(r, f.as_bimodule(), 1, maps[n]))
-        if n == 0 and term != theta_zero(f):
-            raise AssertionError("conjugation moved the constant term")
-        new_terms.append(term)
-    return TruncatedDeformation(f, new_terms)
+    return TruncatedDeformation(f, [
+        TripleCochain(f, 2, _cochain(r, r.regular_bimodule(), 2, xi[n]),
+                      _cochain(s, s.regular_bimodule(), 2, pi[n]),
+                      _cochain(r, f.as_bimodule(), 1, maps[n]))
+        for n in range(top + 1)])
 
 
 @dataclass
@@ -496,7 +483,7 @@ def infinitesimal_difference_is_coboundary(
     diff = theta.terms[1] - bar.terms[1]
     pr, ps = phi.padded(1)[1]
     pair = TripleCochain(theta.morphism, 1, pr, ps, None)
-    residual = diff - morphism_differential(pair)
+    residual = diff - differential(pair)
     return Certificate(residual.is_zero(), residual)
 
 
@@ -534,10 +521,9 @@ def extend_one_order(theta: TruncatedDeformation) -> ExtensionStep:
     """
     f = theta.morphism
     ob = obstruction(theta)
-    sol = solve(morphism_differential_matrix(f, 2), ob.flatten())
-    if sol is None:
+    term = coboundary_preimage(ob)
+    if term is None:
         return ExtensionStep(ob, None, None)
-    term = TripleCochain.from_flat(f, 2, sol)
     grown = TruncatedDeformation(f, theta.terms + [term], _validated=True)
     # the order-(N+1) residual: the zero-top sums, which the obstruction
     # holds with its f-column negated, plus the terms with theta_{N+1}
@@ -588,7 +574,7 @@ def extend_from_cocycle(f: AlgebraMorphism, theta_1: TripleCochain,
     validating theta_1 as the order-1 term is the cocycle check.
     """
     try:
-        theta = trivial_deformation(f).extend(theta_1)
+        theta = TruncatedDeformation(f, [theta_zero(f), theta_1])
     except DeformationError:
         raise ValueError("the proposed linear coefficient is not a "
                          "2-cocycle") from None
@@ -607,21 +593,19 @@ def normalize_leading_term(
     produces an equivalent deformation vanishing through order l; the
     output is re-validated and the vanishing is checked exactly.
     """
-    lead = infinitesimal(theta)
-    if lead.is_trivial:
+    lead = theta.leading_order()
+    if lead is None:
         return FormalIsomorphism.identity(theta.morphism), theta
-    pre = coboundary_preimage(lead.term)
+    pre = coboundary_preimage(theta.terms[lead])
     if pre is None:
         raise DeformationError(
-            f"leading term at order {lead.order} is not a coboundary",
-            lead.order, [])
-    phi = FormalIsomorphism.single_term(theta.morphism, lead.order, pre.xi,
-                                        pre.pi)
+            f"leading term at order {lead} is not a coboundary", lead, [])
+    phi = FormalIsomorphism.single_term(theta.morphism, lead, pre.xi, pre.pi)
     bar = conjugate(theta, phi)
-    for i in range(1, lead.order + 1):
-        if not bar.terms[i].is_zero():
-            raise AssertionError(
-                f"normalization left a nonzero term at order {i}")
+    left = bar.leading_order()
+    if left is not None and left <= lead:
+        raise AssertionError(
+            f"normalization left a nonzero term at order {left}")
     return phi, bar
 
 

@@ -145,6 +145,9 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 class Field:
     """Factory and codec for the scalars of one coefficient field."""
 
+    # the word naming a malformed literal in parse errors
+    _literal = "field"
+
     def zero(self):
         raise NotImplementedError
 
@@ -160,7 +163,15 @@ class Field:
 
     def parse(self, text: str):
         """Parse an exact literal ('a/b' or integer), or raise FieldError."""
-        raise NotImplementedError
+        text = text.strip()
+        if not _RATIONAL_RE.match(text):
+            raise FieldError(f"bad {self._literal} literal: {text!r}")
+        num, _, den = text.partition("/")
+        if not den:
+            return self.from_int(int(num))
+        if int(den) == 0:
+            raise FieldError(f"zero denominator: {text!r}")
+        return self.coerce(Fraction(int(num), int(den)))
 
     def format(self, a) -> str:
         return str(a)
@@ -176,6 +187,7 @@ class Field:
 class RationalField(Field):
 
     characteristic = 0
+    _literal = "rational"
 
     def zero(self):
         return Fraction(0)
@@ -192,17 +204,6 @@ class RationalField(Field):
         if isinstance(x, int):
             return Fraction(x)
         raise FieldError(f"not a rational scalar: {x!r}")
-
-    def parse(self, text):
-        text = text.strip()
-        if not _RATIONAL_RE.match(text):
-            raise FieldError(f"bad rational literal: {text!r}")
-        num, _, den = text.partition("/")
-        if den:
-            if int(den) == 0:
-                raise FieldError(f"zero denominator: {text!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
 
     def spec(self):
         return "Q"
@@ -248,15 +249,6 @@ class PrimeField(Field):
             den = ModInt(x.denominator, self.p)._inverse_value()
             return ModInt(x.numerator * den, self.p)
         raise FieldError(f"not an F_{self.p} scalar: {x!r}")
-
-    def parse(self, text):
-        text = text.strip()
-        if not _RATIONAL_RE.match(text):
-            raise FieldError(f"bad field literal: {text!r}")
-        num, _, den = text.partition("/")
-        if den:
-            return self.coerce(Fraction(int(num), int(den)))
-        return ModInt(int(num), self.p)
 
     def spec(self):
         return f"Fp:{self.p}"

@@ -13,10 +13,13 @@ degrees of the bimodule complex (`zinbiel.cochains`); triples of the top
 degree exist as targets of the last differential.
 `morphism_differential_matrix` pastes the assembled matrices of d on R, on
 S and on the phi column next to those of the push-forwards, and
-`morphism_differential` applies it; `push_forward_right` applies the
-push-forward block.  The tuple-by-tuple differential, built from the
-tuple formulas and the tuple push-forward, is kept in the tests as the
-oracle.
+`push_forward_left` and `push_forward_right` apply the push-forward
+blocks.  `TripleCochain` is an element of the protocol in
+`zinbiel.cochains` with that matrix as its d^n, so `differential` (here
+also named `morphism_differential`), `is_cocycle` and
+`coboundary_preimage`, re-exported from this module, apply it and solve
+against it.  The tuple-by-tuple differential, built from the tuple
+formulas and the tuple push-forwards, is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ import functools
 import itertools
 
 from .algebra import AlgebraMorphism
-from .cochains import (COHOMOLOGY_DEGREES, DEGREES, MAX_ARITY, Cochain,
-                       all_tuples, cohomology_from, differential,
-                       differential_matrix, tuple_index)
-from .linalg import Matrix, solve
+from .cochains import (DEGREES, MAX_ARITY, Cochain, ComplexElement,
+                       all_tuples, coboundary_preimage, cohomology_from,
+                       differential, differential_matrix, is_cocycle,
+                       tuple_index)
+from .linalg import Matrix
 
 
 def morphism_cochain(f: AlgebraMorphism) -> Cochain:
@@ -41,8 +45,8 @@ def push_forward_left(f: AlgebraMorphism, xi: Cochain) -> Cochain:
     """Compose with f on the output: (f.xi)(x1..xn) = f(xi(x1..xn))."""
     if xi.source != f.source or xi.module.dim != f.source.dim:
         raise ValueError("cochain must map the source of f into itself")
-    rows = [f.apply(row) for row in xi.coeffs]
-    return Cochain(f.source, f.as_bimodule(), xi.arity, rows)
+    flat = _push_left_matrix(f, xi.arity).matvec(xi.flatten())
+    return Cochain.from_flat(f.source, f.as_bimodule(), xi.arity, flat)
 
 
 def push_forward_right(f: AlgebraMorphism, pi: Cochain) -> Cochain:
@@ -53,7 +57,7 @@ def push_forward_right(f: AlgebraMorphism, pi: Cochain) -> Cochain:
     return Cochain.from_flat(f.source, f.as_bimodule(), pi.arity, flat)
 
 
-class TripleCochain:
+class TripleCochain(ComplexElement):
     """Degree-n element (xi; pi; phi) of the deformation complex of f.
 
     For degree 1 the phi slot is structurally zero and stored as None.
@@ -95,6 +99,15 @@ class TripleCochain:
     def field(self):
         return self.morphism.source.field
 
+    def _space(self) -> tuple:
+        return self.morphism, self.degree
+
+    def _rebuild(self, flat: list, degree: int) -> "TripleCochain":
+        return TripleCochain.from_flat(self.morphism, degree, flat)
+
+    def _d_matrix(self, n: int) -> Matrix:
+        return morphism_differential_matrix(self.morphism, n)
+
     @classmethod
     def zero(cls, morphism: AlgebraMorphism, degree: int) -> "TripleCochain":
         r, s = morphism.source, morphism.target
@@ -104,32 +117,6 @@ class TripleCochain:
         if degree > 1:
             phi = Cochain.zero(r, morphism.as_bimodule(), degree - 1)
         return cls(morphism, degree, xi, pi, phi)
-
-    def _compatible(self, other: "TripleCochain") -> None:
-        if self.morphism != other.morphism or self.degree != other.degree:
-            raise ValueError("triples live in different spaces")
-
-    def __add__(self, other):
-        self._compatible(other)
-        phi = None if self.phi is None else self.phi + other.phi
-        return TripleCochain(self.morphism, self.degree, self.xi + other.xi,
-                             self.pi + other.pi, phi)
-
-    def __sub__(self, other):
-        self._compatible(other)
-        phi = None if self.phi is None else self.phi - other.phi
-        return TripleCochain(self.morphism, self.degree, self.xi - other.xi,
-                             self.pi - other.pi, phi)
-
-    def __neg__(self):
-        phi = None if self.phi is None else -self.phi
-        return TripleCochain(self.morphism, self.degree, -self.xi, -self.pi,
-                             phi)
-
-    def scale(self, c):
-        phi = None if self.phi is None else self.phi.scale(c)
-        return TripleCochain(self.morphism, self.degree, self.xi.scale(c),
-                             self.pi.scale(c), phi)
 
     def is_zero(self) -> bool:
         return (self.xi.is_zero() and self.pi.is_zero()
@@ -178,12 +165,8 @@ def triple_dim(f: AlgebraMorphism, n: int) -> int:
     return base
 
 
-def morphism_differential(theta: TripleCochain) -> TripleCochain:
-    """d(xi; pi; phi) = (d xi; d pi; f.xi - pi.f - d phi), through the
-    assembled matrix."""
-    f, n = theta.morphism, theta.degree
-    flat = morphism_differential_matrix(f, n).matvec(theta.flatten())
-    return TripleCochain.from_flat(f, n + 1, flat)
+# the one differential of both complexes, under its deformation-complex name
+morphism_differential = differential
 
 
 def _push_left_matrix(f: AlgebraMorphism, n: int) -> Matrix:
@@ -265,44 +248,3 @@ def morphism_cohomology_dim(f: AlgebraMorphism, n: int) -> int:
         n, triple_dim(f, n), f._ranks,
         functools.partial(morphism_differential_matrix, f),
         (r.regular_bimodule()._ranks, s.regular_bimodule()._ranks))
-
-
-def is_cocycle(x) -> tuple[bool, "Cochain | TripleCochain"]:
-    """Whether d(x) vanishes, together with the exact residual d(x).
-
-    Accepts a Cochain (bimodule complex) or TripleCochain (morphism
-    complex) of a degree in COHOMOLOGY_DEGREES.
-    """
-    if isinstance(x, TripleCochain):
-        if x.degree not in COHOMOLOGY_DEGREES:
-            raise ValueError(f"cocycle test at degree {x.degree} undefined")
-        res = morphism_differential(x)
-    elif isinstance(x, Cochain):
-        if x.arity not in COHOMOLOGY_DEGREES:
-            raise ValueError(f"cocycle test at arity {x.arity} undefined")
-        res = differential(x)
-    else:
-        raise TypeError(f"not a cochain: {x!r}")
-    return res.is_zero(), res
-
-
-def coboundary_preimage(x):
-    """Some y with d(y) = x, or None; the representative is deterministic
-    (free coefficients set to zero under the fixed flattening)."""
-    if isinstance(x, TripleCochain):
-        if x.degree not in COHOMOLOGY_DEGREES:
-            raise ValueError(f"preimage at degree {x.degree} undefined")
-        mat = morphism_differential_matrix(x.morphism, x.degree - 1)
-        sol = solve(mat, x.flatten())
-        if sol is None:
-            return None
-        return TripleCochain.from_flat(x.morphism, x.degree - 1, sol)
-    if isinstance(x, Cochain):
-        if x.arity not in COHOMOLOGY_DEGREES:
-            raise ValueError(f"preimage at arity {x.arity} undefined")
-        mat = differential_matrix(x.source, x.module, x.arity - 1)
-        sol = solve(mat, x.flatten())
-        if sol is None:
-            return None
-        return Cochain.from_flat(x.source, x.module, x.arity - 1, sol)
-    raise TypeError(f"not a cochain: {x!r}")

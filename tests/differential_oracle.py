@@ -4,11 +4,11 @@ These are the library's former differentials, kept as an independent code
 path: d1, d2 and d3 are evaluated on each basis tuple straight from the
 formulas in the `zinbiel.cochains` docstring, through the dense
 evaluation and actions of oracle_helpers.py, and the morphism-complex
-differential is put together from them, the library's `push_forward_left`
-(f applied to each value) and the tuple push-forward below.
-`differential_matrix`, `morphism_differential_matrix` and the library's
-`differential`, `morphism_differential` and `push_forward_right`, which
-apply those matrices, must reproduce them exactly.
+differential is put together from them and the two tuple push-forwards
+below.  `differential_matrix`, `morphism_differential_matrix` and the
+library's `differential`, `morphism_differential`, `push_forward_left`
+and `push_forward_right`, which apply those matrices, must reproduce
+them exactly.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import itertools
 from oracle_helpers import evaluate, left_act, right_act
 from zinbiel.cochains import MAX_ARITY as MAX_DEGREE, Cochain, all_tuples
 from zinbiel.linalg import vec_add, vec_sub, zero_vector
-from zinbiel.morphism_complex import TripleCochain, push_forward_left
+from zinbiel.morphism_complex import TripleCochain
 
 
 def differential(phi: Cochain) -> Cochain:
@@ -82,6 +82,20 @@ def _d3(phi: Cochain) -> Cochain:
                         out, right_act(a, phi.eval_basis((i, j, k)), l))
                     rows.append(out)
     return Cochain(r, a, 4, rows)
+
+
+def push_forward_left(f, xi: Cochain) -> Cochain:
+    """Compose with f on the output: (f.xi)(x1..xn) = f(xi(x1..xn)), each
+    value summed from the columns of f."""
+    cols = [f.apply_basis(a) for a in range(f.source.dim)]
+    rows = []
+    for row in xi.coeffs:
+        out = zero_vector(f.source.field, f.target.dim)
+        for a, x in enumerate(row):
+            if x:
+                out = vec_add(out, [x * v for v in cols[a]])
+        rows.append(out)
+    return Cochain(f.source, f.as_bimodule(), xi.arity, rows)
 
 
 def push_forward_right(f, pi: Cochain) -> Cochain:

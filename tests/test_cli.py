@@ -213,6 +213,25 @@ def test_malformed_file_exit_2(tmp_path):
             result = run_cli(command, str(bad))
             assert (result.returncode, result.stdout, result.stderr) == (
                 2, "", f"error: line {line}, column {column}: {message}\n")
+    # a file that is not UTF-8 once gave a traceback
+    bad.write_bytes(b"field Q\n\xff\n")
+    result = run_cli("validate", str(bad))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"error: cannot read {bad}: ")
+    assert result.stderr.count("\n") == 1
+
+
+def test_zero_denominator_exit_2(tmp_path):
+    # over F_p a zero denominator once gave a traceback and exit 1, in the
+    # file's own field and under --field
+    bad = tmp_path / "zero.zb"
+    expected = (2, "", "error: line 4, column 17: zero denominator: '1/0'\n")
+    for field, flags in (("Q", []), ("Q", ["--field", "Fp:5"]),
+                         ("Fp:5", [])):
+        bad.write_text(f"field {field}\nalgebra R\n  dim 1\n"
+                       "  gamma 1 1 1 = 1/0\nend\n")
+        result = run_cli("validate", str(bad), *flags)
+        assert (result.returncode, result.stdout, result.stderr) == expected
 
 
 @pytest.mark.parametrize("command, flag, value, least", [

@@ -169,6 +169,12 @@ ERRORS = [
     (ONE + "  gamma 1 1 1 = x\nend\n", 4, 17, "bad rational literal: 'x'"),
     (ONE.replace("Q", "Fp:5") + "  gamma 1 1 1 = 1/5\nend\n", 4, 17,
      "denominator of 1/5 is divisible by 5"),
+    # a zero denominator over either field, once a traceback over F_p
+    (ONE + "  gamma 1 1 1 = 1/0\nend\n", 4, 17, "zero denominator: '1/0'"),
+    (ONE.replace("Q", "Fp:5") + "  gamma 1 1 1 = -3/0\nend\n", 4, 17,
+     "zero denominator: '-3/0'"),
+    (ONE.replace("Q", "Fp:5") + "  gamma 1 1 1 = x\nend\n", 4, 17,
+     "bad field literal: 'x'"),
     (ONE + "  gamma 1 1 1 = 1 junk\nend\n", 4, 19,
      "unexpected trailing token 'junk'"),
     (ONE + "  gamma 1 1 1 = 1\n  gamma 1 1 1 = 2\nend\n", 5, 3,
