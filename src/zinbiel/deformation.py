@@ -91,31 +91,75 @@ def theta_zero(f: AlgebraMorphism) -> TripleCochain:
                          product_cochain(f.target), morphism_cochain(f))
 
 
-class TruncatedDeformation:
-    """A validated order-N deformation; terms[i] is the t^i coefficient."""
+class _Series:
+    """A series in t over a morphism, cut after t^order, with a fixed
+    constant term; terms[i] is the t^i coefficient.  Subclasses give the
+    constant term, the zero term, the shape check and the error texts."""
 
     __slots__ = ("morphism", "order", "terms")
 
-    def __init__(self, morphism: AlgebraMorphism, terms: list[TripleCochain],
-                 _validated: bool = False):
+    def __init__(self, morphism: AlgebraMorphism, terms: list):
         if not terms:
-            raise ValueError("a deformation needs at least its constant term")
-        for t in terms:
-            if t.morphism != morphism or t.degree != 2:
-                raise ValueError("terms must be degree-2 triples over the morphism")
-        self.morphism = morphism
-        self.order = len(terms) - 1
-        self.terms = list(terms)
-        if not _validated:
-            if terms[0] != theta_zero(morphism):
-                raise ValueError("constant term differs from (m_R; m_S; f)")
-            _raise_on(deformation_violations(morphism, terms, self.order))
+            raise ValueError(self._empty)
+        terms = [self._shaped(morphism, t) for t in terms]
+        if terms[0] != self._constant(morphism):
+            raise ValueError(self._wrong_constant)
+        self.morphism, self.order, self.terms = morphism, len(terms) - 1, terms
+
+    @classmethod
+    def _of(cls, morphism: AlgebraMorphism, terms: list):
+        """The series with these terms, unchecked: one the library built."""
+        series = object.__new__(cls)
+        series.morphism, series.order = morphism, len(terms) - 1
+        series.terms = list(terms)
+        return series
+
+    @classmethod
+    def _trivial(cls, morphism: AlgebraMorphism, order: int):
+        """The constant term alone, zero-padded to the given order."""
+        one = cls._of(morphism, [cls._constant(morphism)])
+        return cls._of(morphism, one.padded(order))
+
+    def padded(self, order: int) -> list:
+        """Terms zero-extended (or cut) to the given order."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        terms = self.terms[:order + 1]
+        if order > self.order:
+            terms += [self._zero(self.morphism)] * (order - self.order)
+        return terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.morphism == other.morphism and self.terms == other.terms
+
+    def __repr__(self):
+        return f"{type(self).__name__}(order={self.order})"
+
+
+class TruncatedDeformation(_Series):
+    """A validated order-N deformation; terms[i] is the t^i coefficient."""
+
+    __slots__ = ()
+    _empty = "a deformation needs at least its constant term"
+    _wrong_constant = "constant term differs from (m_R; m_S; f)"
+    _constant = staticmethod(theta_zero)
+    _zero = staticmethod(lambda f: TripleCochain.zero(f, 2))
+
+    @staticmethod
+    def _shaped(f: AlgebraMorphism, term: TripleCochain) -> TripleCochain:
+        if term.morphism != f or term.degree != 2:
+            raise ValueError("terms must be degree-2 triples over the morphism")
+        return term
+
+    def __init__(self, morphism: AlgebraMorphism, terms: list[TripleCochain]):
+        super().__init__(morphism, terms)
+        _raise_on(deformation_violations(morphism, self.terms, self.order))
 
     def truncate(self, order: int) -> "TruncatedDeformation":
-        if order >= self.order:
-            return self
-        return TruncatedDeformation(self.morphism, self.terms[:order + 1],
-                                    _validated=True)
+        return self if order >= self.order else self._of(
+            self.morphism, self.padded(order))
 
     def leading_order(self) -> int | None:
         """The order of the first nonzero term past the constant term, or
@@ -125,14 +169,6 @@ class TruncatedDeformation:
 
     def is_trivial(self) -> bool:
         return self.leading_order() is None
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedDeformation):
-            return NotImplemented
-        return self.morphism == other.morphism and self.terms == other.terms
-
-    def __repr__(self):
-        return f"TruncatedDeformation(order={self.order})"
 
 
 def check_deformation(f: AlgebraMorphism, terms: list[TripleCochain],
@@ -145,18 +181,14 @@ def check_deformation(f: AlgebraMorphism, terms: list[TripleCochain],
     """
     if not terms:
         raise ValueError("candidate series is empty")
-    if order is None:
-        order = len(terms) - 1
-    terms = list(terms[:order + 1])
-    while len(terms) < order + 1:
-        terms.append(TripleCochain.zero(f, 2))
-    return TruncatedDeformation(f, terms)
+    series = TruncatedDeformation._of(f, terms)
+    return TruncatedDeformation(f, series.padded(
+        series.order if order is None else order))
 
 
 def trivial_deformation(f: AlgebraMorphism,
                         order: int = 0) -> TruncatedDeformation:
-    terms = [theta_zero(f)] + [TripleCochain.zero(f, 2) for _ in range(order)]
-    return TruncatedDeformation(f, terms, _validated=True)
+    return TruncatedDeformation._trivial(f, order)
 
 
 def _cochain(source, module, arity: int, rows, den: int = 1) -> Cochain:
@@ -305,36 +337,33 @@ def infinitesimal(theta: TruncatedDeformation) -> LeadingTerm:
     return LeadingTerm(i, theta.terms[i], differential(theta.terms[i]))
 
 
-class FormalIsomorphism:
+class FormalIsomorphism(_Series):
     """A truncated series of 1-cochain pairs with identity constant term.
 
     terms[i] = (phi_R_i, phi_S_i); acting on a deformation by conjugation
     transports both products and the morphism series.
     """
 
-    __slots__ = ("morphism", "order", "terms")
+    __slots__ = ()
+    _empty = "a formal isomorphism needs its constant term"
+    _wrong_constant = "constant term must be the identity pair"
+    _constant = staticmethod(lambda f: (identity_cochain(f.source),
+                                        identity_cochain(f.target)))
+    _zero = staticmethod(lambda f: tuple(
+        Cochain.zero(a, a.regular_bimodule(), 1) for a in (f.source, f.target)))
 
-    def __init__(self, morphism: AlgebraMorphism,
-                 terms: list[tuple[Cochain, Cochain]]):
-        if not terms:
-            raise ValueError("a formal isomorphism needs its constant term")
-        r, s = morphism.source, morphism.target
-        if (terms[0][0] != identity_cochain(r)
-                or terms[0][1] != identity_cochain(s)):
-            raise ValueError("constant term must be the identity pair")
-        for pr, ps in terms:
-            if pr.arity != 1 or ps.arity != 1 or pr.source != r or ps.source != s:
-                raise ValueError("terms must be pairs of 1-cochains on R and S")
-        self.morphism = morphism
-        self.order = len(terms) - 1
-        self.terms = [tuple(t) for t in terms]
+    @staticmethod
+    def _shaped(f: AlgebraMorphism, term) -> tuple[Cochain, Cochain]:
+        pr, ps = term
+        if (pr.arity != 1 or ps.arity != 1 or pr.source != f.source
+                or ps.source != f.target):
+            raise ValueError("terms must be pairs of 1-cochains on R and S")
+        return pr, ps
 
     @classmethod
     def identity(cls, morphism: AlgebraMorphism,
                  order: int = 0) -> "FormalIsomorphism":
-        r, s = morphism.source, morphism.target
-        one = cls(morphism, [(identity_cochain(r), identity_cochain(s))])
-        return cls(morphism, one.padded(order))
+        return cls._trivial(morphism, order)
 
     @classmethod
     def single_term(cls, morphism: AlgebraMorphism, order: int,
@@ -344,30 +373,6 @@ class FormalIsomorphism:
         terms[order] = (phi_r, phi_s)
         return cls(morphism, terms)
 
-    def padded(self, order: int) -> list[tuple[Cochain, Cochain]]:
-        """Terms zero-extended (or cut) to the given order."""
-        r, s = self.morphism.source, self.morphism.target
-        zr = Cochain.zero(r, r.regular_bimodule(), 1)
-        zs = Cochain.zero(s, s.regular_bimodule(), 1)
-        out = list(self.terms[:order + 1])
-        while len(out) < order + 1:
-            out.append((zr, zs))
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, FormalIsomorphism):
-            return NotImplemented
-        return self.morphism == other.morphism and self.terms == other.terms
-
-    def __repr__(self):
-        return f"FormalIsomorphism(order={self.order})"
-
-
-def _splits(n: int) -> list:
-    """(a, c) with a + c = n: the terms of order n of a product of two
-    series."""
-    return [(a, n - a) for a in range(n + 1)]
-
 
 def _compose_series(outer: list, inner: list, top: int, p: int) -> list:
     """sum_{a+c=n} outer[a] . inner[c] for every order n <= top, as sparse
@@ -375,10 +380,11 @@ def _compose_series(outer: list, inner: list, top: int, p: int) -> list:
     sparse vector of its input space per basis input."""
     out = []
     for n in range(top + 1):
+        pairs = _pairs(n, n, False)
         rows = []
         for i in range(len(inner[0])):
             acc = {}
-            for a, c in _splits(n):
+            for a, c in pairs:
                 outer_a = outer[a]
                 for k, v in inner[c][i]:
                     for b, w in outer_a[k]:
@@ -414,11 +420,12 @@ def invert_truncated(phi: FormalIsomorphism,
         order = phi.order
     r, s = phi.morphism.source, phi.morphism.target
     p = r.field.characteristic
-    psi_r = _invert_series([_read(t[0].coeffs, p) for t in phi.terms],
+    padded = phi.padded(order)
+    psi_r = _invert_series([_read(t[0].coeffs, p) for t in padded],
                            order, r.dim, p)
-    psi_s = _invert_series([_read(t[1].coeffs, p) for t in phi.terms],
+    psi_s = _invert_series([_read(t[1].coeffs, p) for t in padded],
                            order, s.dim, p)
-    return FormalIsomorphism(phi.morphism, [
+    return FormalIsomorphism._of(phi.morphism, [
         (_cochain(r, r.regular_bimodule(), 1, qr),
          _cochain(s, s.regular_bimodule(), 1, qs))
         for qr, qs in zip(psi_r, psi_s)])
@@ -481,8 +488,7 @@ def infinitesimal_difference_is_coboundary(
         raise ValueError("needs a deformation of order at least 1")
     bar = conjugate(theta, phi)
     diff = theta.terms[1] - bar.terms[1]
-    pr, ps = phi.padded(1)[1]
-    pair = TripleCochain(theta.morphism, 1, pr, ps, None)
+    pair = TripleCochain(theta.morphism, 1, *phi.padded(1)[1], None)
     residual = diff - differential(pair)
     return Certificate(residual.is_zero(), residual)
 
@@ -524,7 +530,7 @@ def extend_one_order(theta: TruncatedDeformation) -> ExtensionStep:
     term = coboundary_preimage(ob)
     if term is None:
         return ExtensionStep(ob, None, None)
-    grown = TruncatedDeformation(f, theta.terms + [term], _validated=True)
+    grown = TruncatedDeformation._of(f, theta.terms + [term])
     # the order-(N+1) residual: the zero-top sums, which the obstruction
     # holds with its f-column negated, plus the terms with theta_{N+1}
     zero_top = TripleCochain(f, 3, ob.xi, ob.pi, -ob.phi)
@@ -609,18 +615,13 @@ def normalize_leading_term(
     return phi, bar
 
 
-def trivialize(theta: TruncatedDeformation,
-               max_rounds: int | None = None
+def trivialize(theta: TruncatedDeformation
                ) -> tuple[list[FormalIsomorphism], TruncatedDeformation]:
     """Iterate normalize_leading_term until the tail vanishes or a leading
-    term stops being a coboundary (then DeformationError propagates)."""
-    if max_rounds is None:
-        max_rounds = theta.order
-    isos = []
-    current = theta
-    for _ in range(max_rounds):
-        if current.is_trivial():
-            break
+    term stops being a coboundary (then DeformationError propagates).
+    Each round raises the leading order, so at most theta.order run."""
+    isos, current = [], theta
+    while not current.is_trivial():
         phi, current = normalize_leading_term(current)
         isos.append(phi)
     return isos, current

@@ -211,10 +211,8 @@ def random_pair(f: AlgebraMorphism, rng: random.Random,
 def random_formal_isomorphism(f: AlgebraMorphism, order: int,
                               rng: random.Random) -> "FormalIsomorphism":
     from .deformation import FormalIsomorphism
-    iso = FormalIsomorphism.identity(f, order)
-    terms = list(iso.terms)
-    for i in range(1, order + 1):
-        terms[i] = random_pair(f, rng)
+    terms = FormalIsomorphism.identity(f, order).terms
+    terms[1:] = [random_pair(f, rng) for _ in range(order)]
     return FormalIsomorphism(f, terms)
 
 

@@ -10,14 +10,13 @@ conftest) in addition to the per-test verdicts.
 """
 
 import random
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import differential_oracle as oracle
 from instances import FIELDS, SEED, grown_deformations
+from test_cli import run_cli
 from zinbiel.algebra import identity_morphism, zero_morphism
 from zinbiel.catalog import truncated_polynomials, zero_algebra
 from zinbiel.cochains import Cochain, differential, differential_matrix
@@ -248,11 +247,6 @@ def test_criterion_09_oracle_equivalence(suite):
           f"(seed {SEED + 9})")
 
 
-def _run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "zinbiel", *args],
-                          capture_output=True, text=True)
-
-
 def test_criterion_10_cli_contract(tmp_path):
     curated = ("nilpotent_dim2", "abelian_line", "obstructed_line",
                "graded_dim3")
@@ -261,21 +255,21 @@ def test_criterion_10_cli_contract(tmp_path):
         problem = parse(text)
         assert parse(serialize(problem)) == problem
 
-    result = _run_cli("validate", str(PROBLEMS / "nilpotent_dim2.zb"))
+    result = run_cli("validate", str(PROBLEMS / "nilpotent_dim2.zb"))
     assert result.returncode == 0
     assert "Zinbiel identity verified on 8 triples" in result.stdout
 
-    result = _run_cli("rigidity", str(PROBLEMS / "abelian_line.zb"))
+    result = run_cli("rigidity", str(PROBLEMS / "abelian_line.zb"))
     assert result.returncode == 0
     assert "dim H^2(id,id) = 1" in result.stdout
     assert "inconclusive" in result.stdout
 
-    result = _run_cli("extend", str(PROBLEMS / "obstructed_line.zb"),
-                      "--target-order", "2")
+    result = run_cli("extend", str(PROBLEMS / "obstructed_line.zb"),
+                     "--target-order", "2")
     assert result.returncode == 1
     assert "-1*e1" in result.stdout
 
     bad = tmp_path / "syntax.zb"
     bad.write_text("field Q\nalgebra R\n  dim 1\n  gamma 1 1 2 = 1\nend\n")
-    assert _run_cli("validate", str(bad)).returncode == 2
+    assert run_cli("validate", str(bad)).returncode == 2
     print("PASS criterion 10: CLI round trip and exit-code contract")

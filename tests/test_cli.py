@@ -21,8 +21,13 @@ PROBLEMS = ROOT / "problems"
 
 
 def run_cli(*args):
+    """Run `python -m zinbiel` with the given arguments in a child process
+    that imports the package from this checkout's src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "zinbiel", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_validate_nilpotent_dim2():

@@ -2,8 +2,9 @@ import pytest
 
 from zinbiel.algebra import identity_morphism, zero_morphism
 from zinbiel.catalog import truncated_polynomials, zero_algebra
-from zinbiel.cochains import Cochain
+from zinbiel.cochains import Cochain, identity_cochain
 from zinbiel.deformation import (DeformationError, FormalIsomorphism,
+                                 TruncatedDeformation,
                                  check_deformation, conjugate,
                                  extend_from_cocycle, extend_one_order,
                                  extend_to, infinitesimal,
@@ -426,3 +427,92 @@ def test_obstruction_requires_positive_order():
     f = identity_morphism(zero_algebra(QQ, 1))
     with pytest.raises(ValueError):
         obstruction(trivial_deformation(f, 0))
+
+
+# -- the truncated series shared by deformations and formal isomorphisms --
+
+def _identity_t2():
+    return identity_morphism(truncated_polynomials(QQ, 2))
+
+
+def _zero_pair(f):
+    return tuple(Cochain.zero(a, a.regular_bimodule(), 1)
+                 for a in (f.source, f.target))
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: trivial_deformation(f, 4).truncate(-3),
+    lambda f: check_deformation(f, trivial_deformation(f, 4).terms, -3),
+    lambda f: FormalIsomorphism.identity(f, 3).padded(-2),
+    lambda f: trivial_deformation(f, 2).padded(-1),
+    lambda f: invert_truncated(FormalIsomorphism.identity(f, 2), -5),
+    lambda f: trivial_deformation(f, -1),
+    lambda f: FormalIsomorphism.identity(f, -1),
+], ids=["truncate", "check_deformation", "identity_padded",
+        "deformation_padded", "invert_truncated", "trivial_deformation",
+        "identity"])
+def test_negative_orders_are_rejected(call):
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        call(_identity_t2())
+
+
+def test_each_constructor_names_its_own_failure():
+    f = _identity_t2()
+    r, s = f.source, f.target
+    ident = (identity_cochain(r), identity_cochain(s))
+    two = (Cochain.zero(r, r.regular_bimodule(), 2),
+           Cochain.zero(s, s.regular_bimodule(), 2))
+    cases = [
+        (TruncatedDeformation, [], "a deformation needs at least its "
+         "constant term"),
+        (TruncatedDeformation, [theta_zero(f), TripleCochain.zero(f, 3)],
+         "terms must be degree-2 triples over the morphism"),
+        (TruncatedDeformation, [TripleCochain.zero(f, 2)],
+         "constant term differs from (m_R; m_S; f)"),
+        (FormalIsomorphism, [], "a formal isomorphism needs its constant "
+         "term"),
+        (FormalIsomorphism, [ident, two],
+         "terms must be pairs of 1-cochains on R and S"),
+        (FormalIsomorphism, [_zero_pair(f)],
+         "constant term must be the identity pair"),
+    ]
+    for cls, terms, message in cases:
+        with pytest.raises(ValueError) as err:
+            cls(f, terms)
+        assert str(err.value) == message
+
+
+def test_padding_extends_and_cuts_both_series_alike(rng):
+    f = _identity_t2()
+    theta = random_deformation(f, 2, rng)
+    phi = random_formal_isomorphism(f, 2, rng)
+    for series, zero in ((theta, TripleCochain.zero(f, 2)),
+                         (phi, _zero_pair(f))):
+        assert series.padded(2) == series.terms
+        assert series.padded(0) == series.terms[:1]
+        assert series.padded(1) == series.terms[:2]
+        assert series.padded(4) == series.terms + [zero, zero]
+    assert theta.truncate(1).terms == theta.padded(1)
+    assert theta.truncate(5) is theta
+
+
+def test_trivial_series_equal_their_checked_constructions():
+    f = _identity_t2()
+    one = [(identity_cochain(f.source), identity_cochain(f.target))]
+    for order in (0, 1, 3):
+        assert FormalIsomorphism.identity(f, order) == FormalIsomorphism(
+            f, one + [_zero_pair(f)] * order)
+        assert trivial_deformation(f, order) == TruncatedDeformation(
+            f, [theta_zero(f)] + [TripleCochain.zero(f, 2)] * order)
+        assert trivial_deformation(f, order) == check_deformation(
+            f, [theta_zero(f)], order)
+    assert repr(trivial_deformation(f, 3)) == "TruncatedDeformation(order=3)"
+    assert repr(FormalIsomorphism.identity(f, 2)) == \
+        "FormalIsomorphism(order=2)"
+    assert trivial_deformation(f, 0) != FormalIsomorphism.identity(f, 0)
+
+
+def test_the_public_constructor_cannot_skip_its_checks():
+    f = _identity_t2()
+    with pytest.raises(TypeError):
+        TruncatedDeformation(f, [TripleCochain.zero(f, 2)], _validated=True)
