@@ -18,7 +18,9 @@ the actions its caller supplies.  The first two checks are the order-0
 deformation conditions of (m_R; m_S; f) and share their sparse sums with
 `zinbiel.deformation`: `_product_sums` and `_morphism_sums` at order 0.
 The mixed identities are the Zinbiel identity of the square-zero
-extension R + A, so `_product_sums` computes them too.
+extension R + A, so `_product_sums` computes them too.  `_found` reads
+the failures off the accumulated sums, here and for the deformation
+conditions of every order.
 
 The two derived bimodules are built unchecked, because their identities
 hold by construction.  In `regular_bimodule()` all three mixed identities
@@ -32,8 +34,10 @@ each differential of their complex once it has been computed (see
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .fields import Field, FieldError
 from .linalg import Matrix, unit_vector, zero_vector
@@ -126,8 +130,8 @@ def zinbiel_violations(field: Field, dim: int, gamma) -> list[Violation]:
     rows = _read([[field.coerce(x) for x in row] for plane in gamma
                   for row in plane], field.characteristic)
     wheres = itertools.product(range(dim), repeat=3)
-    return _found("zinbiel", field, dim, wheres,
-                  _product_sums(dim, [rows], [(0, 0)]))
+    return _found(functools.partial(Violation, "zinbiel"), field, dim,
+                  wheres, _product_sums(dim, [rows], [(0, 0)]))
 
 
 def _read(rows, p: int) -> list:
@@ -201,17 +205,19 @@ def _morphism_sums(dr: int, ds: int, ms_r: list, ms_s: list, fs: list,
     return out
 
 
-def _found(label: str, field: Field, dim: int, wheres, sums) -> list:
-    """A Violation, with its residual as a dense vector of field values,
-    for each accumulated row of sums that does not vanish."""
+def _found(make, field: Field, dim: int, wheres, sums, den: int = 1) -> list:
+    """make(where, residual) for each accumulated row of sums that does
+    not vanish, its residual the dense vector of its values in the field,
+    each divided by den (den > 1 only over Q, on int sums)."""
+    p = field.characteristic
     out = []
     for where, acc in zip(wheres, sums):
-        nonzero = _settle(acc, field.characteristic)
+        nonzero = _settle(acc, p)
         if nonzero:
             res = zero_vector(field, dim)
             for b, v in nonzero:
-                res[b] = field.coerce(v)
-            out.append(Violation(label, where, res))
+                res[b] = field.coerce(v) if den == 1 else Fraction(v, den)
+            out.append(make(where, res))
     return out
 
 
@@ -312,7 +318,8 @@ def bimodule_violations(algebra: ZinbielAlgebra, dim: int, left,
             x, y, z = (w + d if k == slot else w for k, w in enumerate(where))
             rows.append({b - d: v for b, v in
                          sums[(x * n + y) * n + z].items()})
-        out += _found(label, field, dim, wheres, rows)
+        out += _found(functools.partial(Violation, label), field, dim,
+                      wheres, rows)
     return out
 
 
@@ -378,7 +385,8 @@ def morphism_violations(source: ZinbielAlgebra, target: ZinbielAlgebra,
         return _read((row for plane in algebra.gamma for row in plane), p)
     fs = _read([matrix.column(i) for i in range(source.dim)], p)
     wheres = itertools.product(range(source.dim), repeat=2)
-    return _found("morphism", source.field, target.dim, wheres,
+    return _found(functools.partial(Violation, "morphism"), source.field,
+                  target.dim, wheres,
                   _morphism_sums(source.dim, target.dim, [rows(source)],
                                  [rows(target)], [fs], [(0, 0)], [(0, 0, 0)],
                                  1))

@@ -39,6 +39,14 @@ and matrix of d^n, and the base holds the only copy of +, -, negation
 and scaling.  `differential`, `is_cocycle` and `coboundary_preimage` act
 on an element of either complex: they apply its d^n, test the result for
 zero, or solve against its d^(n-1).
+
+The public constructors, `Cochain(...)` and `from_flat`, check the shape
+and coerce every value into the field.  Values the library builds itself
+skip that: `Cochain._of` takes rows of field values as they are.  Its
+callers are `_rebuild` (so the arithmetic, the differential and the
+coboundary solve), `TripleCochain._rebuild`, and the residuals,
+obstructions and conjugates of `zinbiel.deformation`, whose sums end in
+field values.
 """
 
 from __future__ import annotations
@@ -145,8 +153,21 @@ class Cochain(ComplexElement):
     def _space(self) -> tuple:
         return self.source, self.module, self.arity
 
+    @classmethod
+    def _of(cls, source: ZinbielAlgebra, module: Bimodule, arity: int,
+            coeffs: list) -> "Cochain":
+        """The cochain with these rows of field values, taken as they are:
+        not copied, coerced or checked.  Only for rows the library built
+        in the field of source, of the right shape, and shared with no
+        one."""
+        cochain = object.__new__(cls)
+        cochain.source, cochain.module = source, module
+        cochain.arity, cochain.coeffs = arity, coeffs
+        return cochain
+
     def _rebuild(self, flat: list, degree: int) -> "Cochain":
-        return Cochain.from_flat(self.source, self.module, degree, flat)
+        return Cochain._of(self.source, self.module, degree, _rows(
+            flat, self.source.dim ** degree, self.module.dim))
 
     def _d_matrix(self, n: int) -> Matrix:
         return differential_matrix(self.source, self.module, n)
@@ -176,8 +197,7 @@ class Cochain(ComplexElement):
         nrows = source.dim ** arity
         if len(flat) != nrows * m:
             raise ValueError(f"expected {nrows * m} coefficients")
-        rows = [flat[r * m:(r + 1) * m] for r in range(nrows)]
-        return cls(source, module, arity, rows)
+        return cls(source, module, arity, _rows(flat, nrows, m))
 
     def __eq__(self, other):
         if not isinstance(other, Cochain):
@@ -188,6 +208,11 @@ class Cochain(ComplexElement):
     def __repr__(self):
         return (f"Cochain(arity={self.arity}, dim {self.source.dim}"
                 f"^{self.arity} -> {self.module.dim})")
+
+
+def _rows(flat: list, nrows: int, m: int, start: int = 0) -> list:
+    """nrows rows of length m, cut from flat from index start on."""
+    return [flat[start + r * m:start + (r + 1) * m] for r in range(nrows)]
 
 
 def identity_cochain(algebra: ZinbielAlgebra) -> Cochain:

@@ -38,22 +38,32 @@ whole series: m with psi in its first slot, then in its second, then phi
 after it, each a convolution of two series, so every order is summed
 once.
 
+Validation reads each order's conditions off these int sums, as
+`zinbiel.algebra` reads the identities (`_found`): a residual vector is
+built only for a basis tuple where a condition fails, and no residual
+triple at all.  The residuals, obstructions and conjugates that are
+returned are built unchecked (`TripleCochain._of`, `Cochain._of`), and
+the constant term of a deformation is compared in place with the
+structure tensors and f's matrix, without building theta_zero(f).
+
 The order-(N+1) sums split in two: the zero-top part, the terms without
 theta_{N+1} (the obstruction, up to the f-column sign), and the terms
 pairing theta_{N+1} with theta_0.  `extend_one_order` computes the
 zero-top part once, as the obstruction, and validates order N+1 by adding
 only the new terms to it; the whole residual is still formed and
-compared with zero.
+compared with zero, and only if it is not zero are the whole sums read
+for the violations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
-from .algebra import (AlgebraMorphism, _morphism_sums, _product_sums, _read,
-                      _settle)
+from .algebra import (AlgebraMorphism, _found, _morphism_sums, _product_sums,
+                      _read, _settle)
 from .cochains import (Cochain, all_tuples, coboundary_preimage,
                        differential, identity_cochain, product_cochain)
 from .morphism_complex import (TripleCochain, morphism_cochain,
@@ -102,9 +112,14 @@ class _Series:
         if not terms:
             raise ValueError(self._empty)
         terms = [self._shaped(morphism, t) for t in terms]
-        if terms[0] != self._constant(morphism):
+        if not self._is_constant(morphism, terms[0]):
             raise ValueError(self._wrong_constant)
         self.morphism, self.order, self.terms = morphism, len(terms) - 1, terms
+
+    @classmethod
+    def _is_constant(cls, morphism: AlgebraMorphism, term) -> bool:
+        """Whether term is the constant term over morphism."""
+        return term == cls._constant(morphism)
 
     @classmethod
     def _of(cls, morphism: AlgebraMorphism, terms: list):
@@ -153,6 +168,22 @@ class TruncatedDeformation(_Series):
             raise ValueError("terms must be degree-2 triples over the morphism")
         return term
 
+    @staticmethod
+    def _is_constant(f: AlgebraMorphism, term: TripleCochain) -> bool:
+        """Whether a degree-2 triple over f is theta_zero(f), compared in
+        place with the structure tensors of R and S and the entries of f's
+        matrix.  The triple's constructor checked that xi and pi have
+        regular coefficients; phi's bimodule must be S through f."""
+        r, s = f.source, f.target
+        zero, entries = r.field.zero(), f.matrix.entries
+        # phi(e_i) has e_b coefficient entries[b].get(i, 0)
+        return (term.phi.module == f.as_bimodule()
+                and term.xi.coeffs == [row for a in r.gamma for row in a]
+                and term.pi.coeffs == [row for a in s.gamma for row in a]
+                and all(x == entries[b].get(i, zero)
+                        for i, row in enumerate(term.phi.coeffs)
+                        for b, x in enumerate(row)))
+
     def __init__(self, morphism: AlgebraMorphism, terms: list[TripleCochain]):
         super().__init__(morphism, terms)
         _raise_on(deformation_violations(morphism, self.terms, self.order))
@@ -193,16 +224,17 @@ def trivial_deformation(f: AlgebraMorphism,
 
 def _cochain(source, module, arity: int, rows, den: int = 1) -> Cochain:
     """The dense cochain with the given rows of (output, value) pairs, each
-    value divided by den."""
-    zero = source.field.zero()
+    value a field value or an int, divided by den (den > 1 only over Q)."""
+    field = source.field
+    zero = field.zero()
     dense = []
     for row in rows:
         vec = [zero] * module.dim
         for b, v in row:
             if v:
-                vec[b] = v if den == 1 else Fraction(v, den)
+                vec[b] = field.coerce(v) if den == 1 else Fraction(v, den)
         dense.append(vec)
-    return Cochain(source, module, arity, dense)
+    return Cochain._of(source, module, arity, dense)
 
 
 def _pairs(n: int, top: int, top_only: bool) -> list:
@@ -241,20 +273,30 @@ def _read_series(f: AlgebraMorphism, terms: list[TripleCochain]) -> tuple:
             [scaled(t.phi) for t in terms], den)
 
 
-def _sums(f: AlgebraMorphism, series: tuple, n: int,
-          top_only: bool) -> TripleCochain:
-    """The order-n sums of a series read by _read_series, as a degree-3
-    triple; terms past its end count as zero.  With top_only, only the
-    terms that contain theta_n (each paired with theta_0)."""
+def _contract(f: AlgebraMorphism, series: tuple, n: int,
+              top_only: bool) -> tuple:
+    """The order-n sums of a series read by _read_series, as accumulated
+    int rows: the product sums on basis triples of R and of S, scaled by
+    den^2, and the morphism sums on basis pairs of R, scaled by den^3.
+    Terms past the end of the series count as zero.  With top_only, only
+    the terms that contain theta_n (each paired with theta_0)."""
     r, s = f.source, f.target
     ms_r, ms_s, fs, den = series
     top = len(fs) - 1
     pairs = _pairs(n, top, top_only)
-    res_r = _product_sums(r.dim, ms_r, pairs)
-    res_s = _product_sums(s.dim, ms_s, pairs)
-    res_f = _morphism_sums(r.dim, s.dim, ms_r, ms_s, fs, pairs,
-                           _triples(n, top, top_only), den)
-    return TripleCochain(
+    return (_product_sums(r.dim, ms_r, pairs),
+            _product_sums(s.dim, ms_s, pairs),
+            _morphism_sums(r.dim, s.dim, ms_r, ms_s, fs, pairs,
+                           _triples(n, top, top_only), den))
+
+
+def _sums(f: AlgebraMorphism, series: tuple, n: int,
+          top_only: bool) -> TripleCochain:
+    """The sums of `_contract` as a degree-3 triple."""
+    r, s = f.source, f.target
+    res_r, res_s, res_f = _contract(f, series, n, top_only)
+    den = series[3]
+    return TripleCochain._of(
         f, 3,
         _cochain(r, r.regular_bimodule(), 3, (a.items() for a in res_r),
                  den ** 2),
@@ -273,18 +315,22 @@ def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
     return _sums(f, _read_series(f, terms[:n + 1]), n, top_only=False)
 
 
-def _violations(n: int, res: TripleCochain):
-    """None when the order-n residual vanishes, otherwise (n, list of
-    ConditionViolation at order n)."""
+def _violations(f: AlgebraMorphism, series: tuple, n: int):
+    """None when the order-n conditions of a series read by _read_series
+    hold, otherwise (n, list of ConditionViolation at order n).  They are
+    read off the int sums of `_contract`, as the identities of
+    `zinbiel.algebra` are; a residual vector is built only for a basis
+    tuple where they fail."""
+    r, s = f.source, f.target
+    res_r, res_s, res_f = _contract(f, series, n, top_only=False)
+    den = series[3]
     items = []
-    for kind, component, part in (("product", "R", res.xi),
-                                  ("product", "S", res.pi),
-                                  ("morphism", "f", res.phi)):
-        for where, row in zip(all_tuples(part.source.dim, part.arity),
-                              part.coeffs):
-            if any(row):
-                items.append(ConditionViolation(kind, component, n, where,
-                                                row))
+    for kind, component, dim, wheres, sums, scale in (
+            ("product", "R", r.dim, all_tuples(r.dim, 3), res_r, den ** 2),
+            ("product", "S", s.dim, all_tuples(s.dim, 3), res_s, den ** 2),
+            ("morphism", "f", s.dim, all_tuples(r.dim, 2), res_f, den ** 3)):
+        items += _found(partial(ConditionViolation, kind, component, n),
+                        r.field, dim, wheres, sums, scale)
     return (n, items) if items else None
 
 
@@ -299,7 +345,7 @@ def deformation_violations(f: AlgebraMorphism, terms: list[TripleCochain],
     R, S and f verified."""
     series = _read_series(f, terms[:order + 1])
     for n in range(1, order + 1):
-        report = _violations(n, _sums(f, series, n, top_only=False))
+        report = _violations(f, series, n)
         if report is not None:
             return report
     return None
@@ -467,9 +513,9 @@ def conjugate(theta: TruncatedDeformation,
                       [_read(t.pi.coeffs, p) for t in theta.terms], qs)
     maps = _compose_series(ps, _compose_series(fs, qr, top, p), top, p)
     return TruncatedDeformation(f, [
-        TripleCochain(f, 2, _cochain(r, r.regular_bimodule(), 2, xi[n]),
-                      _cochain(s, s.regular_bimodule(), 2, pi[n]),
-                      _cochain(r, f.as_bimodule(), 1, maps[n]))
+        TripleCochain._of(f, 2, _cochain(r, r.regular_bimodule(), 2, xi[n]),
+                          _cochain(s, s.regular_bimodule(), 2, pi[n]),
+                          _cochain(r, f.as_bimodule(), 1, maps[n]))
         for n in range(top + 1)])
 
 
@@ -501,7 +547,7 @@ def obstruction(theta: TruncatedDeformation) -> TripleCochain:
         raise ValueError("obstruction needs order at least 1")
     f = theta.morphism
     res = order_residual(f, theta.terms, theta.order + 1)
-    return TripleCochain(f, 3, res.xi, res.pi, -res.phi)
+    return TripleCochain._of(f, 3, res.xi, res.pi, -res.phi)
 
 
 @dataclass
@@ -532,10 +578,13 @@ def extend_one_order(theta: TruncatedDeformation) -> ExtensionStep:
         return ExtensionStep(ob, None, None)
     grown = TruncatedDeformation._of(f, theta.terms + [term])
     # the order-(N+1) residual: the zero-top sums, which the obstruction
-    # holds with its f-column negated, plus the terms with theta_{N+1}
-    zero_top = TripleCochain(f, 3, ob.xi, ob.pi, -ob.phi)
-    _raise_on(_violations(grown.order, zero_top + _sums(
-        f, _read_series(f, grown.terms), grown.order, top_only=True)))
+    # holds with its f-column negated, plus the terms with theta_{N+1};
+    # only when it does not vanish are the whole sums read for the report
+    series = _read_series(f, grown.terms)
+    zero_top = TripleCochain._of(f, 3, ob.xi, ob.pi, -ob.phi)
+    residual = zero_top + _sums(f, series, grown.order, top_only=True)
+    if not residual.is_zero():
+        _raise_on(_violations(f, series, grown.order))
     return ExtensionStep(ob, term, grown)
 
 

@@ -20,6 +20,11 @@ also named `morphism_differential`), `is_cocycle` and
 `coboundary_preimage`, re-exported from this module, apply it and solve
 against it.  The tuple-by-tuple differential, built from the tuple
 formulas and the tuple push-forwards, is kept in the tests as the oracle.
+
+`TripleCochain(...)` and `from_flat` check their parts; `TripleCochain._of`
+takes parts the library built as they are, as `Cochain._of` does rows.
+It is used by `_rebuild` and by the residuals, obstructions and conjugates
+of `zinbiel.deformation`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import functools
 import itertools
 
 from .algebra import AlgebraMorphism
-from .cochains import (DEGREES, MAX_ARITY, Cochain, ComplexElement,
+from .cochains import (DEGREES, MAX_ARITY, Cochain, ComplexElement, _rows,
                        all_tuples, coboundary_preimage, cohomology_from,
                        differential, differential_matrix, is_cocycle,
                        tuple_index)
@@ -102,8 +107,31 @@ class TripleCochain(ComplexElement):
     def _space(self) -> tuple:
         return self.morphism, self.degree
 
+    @classmethod
+    def _of(cls, morphism: AlgebraMorphism, degree: int, xi: Cochain,
+            pi: Cochain, phi: Cochain | None) -> "TripleCochain":
+        """The triple with these parts, taken as they are and unchecked:
+        only for parts the library built in the spaces of that degree,
+        phi None at degree 1."""
+        triple = object.__new__(cls)
+        triple.morphism, triple.degree = morphism, degree
+        triple.xi, triple.pi, triple.phi = xi, pi, phi
+        return triple
+
     def _rebuild(self, flat: list, degree: int) -> "TripleCochain":
-        return TripleCochain.from_flat(self.morphism, degree, flat)
+        f = self.morphism
+        r, s = f.source, f.target
+        nr, ns = r.dim ** degree, s.dim ** degree
+        phi = None
+        if degree > 1:
+            phi = Cochain._of(r, f.as_bimodule(), degree - 1, _rows(
+                flat, r.dim ** (degree - 1), s.dim, nr * r.dim + ns * s.dim))
+        return TripleCochain._of(
+            f, degree,
+            Cochain._of(r, r.regular_bimodule(), degree,
+                        _rows(flat, nr, r.dim)),
+            Cochain._of(s, s.regular_bimodule(), degree,
+                        _rows(flat, ns, s.dim, nr * r.dim)), phi)
 
     def _d_matrix(self, n: int) -> Matrix:
         return morphism_differential_matrix(self.morphism, n)

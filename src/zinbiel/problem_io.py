@@ -48,10 +48,16 @@ dropped; duplicate entries, repeated headers and unknown directives are
 errors, all with line/column positions.  One table, `_SECTIONS`, drives
 both parse() and serialize(); serialize() is the exact inverse of parse()
 on the parsed representation.
+
+parse() reads each logical line as its words (`str.split`) and keeps no
+columns: the 1-based column of a word is found, by running `_TOKEN_RE`
+over that one line, only when an error names it.  Each distinct scalar
+literal is parsed once per parse().
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field as dc_field
 
@@ -234,123 +240,131 @@ _REFERENCES = {"source": "algebra", "target": "algebra",
                "morphism": "morphism"}
 
 
-class _Tokens:
-    """Tokens of one logical line with their 1-based columns."""
+class _Line:
+    """One logical line: its first word, the directive, and the words after
+    it, which the methods below read in order.  Columns are not kept:
+    `error` finds the 1-based column of a word, on the line's text, only
+    when an error names it."""
 
-    def __init__(self, lineno: int, text: str):
-        self.lineno = lineno
-        self.items = [(m.group(0), m.start() + 1)
-                      for m in _TOKEN_RE.finditer(text)]
-        self.pos = 0
+    __slots__ = ("lineno", "text", "words", "pos")
 
-    def take(self, what: str) -> tuple[str, int]:
-        if self.pos >= len(self.items):
-            col = self.items[-1][1] + len(self.items[-1][0]) if self.items else 1
-            raise ProblemFileError(self.lineno, col, f"expected {what}")
-        tok, col = self.items[self.pos]
-        self.pos += 1
-        return tok, col
+    def __init__(self, lineno: int, text: str, words: list):
+        # words[0] is the directive; reading starts after it
+        self.lineno, self.text, self.words, self.pos = lineno, text, words, 1
 
-    def take_int(self, what: str) -> tuple[int, int]:
-        tok, col = self.take(what)
+    def error(self, at: int, message: str) -> ProblemFileError:
+        """The error at word `at` (0-based), or just past the last word
+        when the line has no word `at` (a logical line has one at least)."""
+        spans = [m.span() for m in _TOKEN_RE.finditer(self.text)]
+        column = spans[at][0] + 1 if at < len(spans) else spans[-1][1] + 1
+        return ProblemFileError(self.lineno, column, message)
+
+    def take(self, what: str) -> str:
+        pos = self.pos
         try:
-            return int(tok), col
+            tok = self.words[pos]
+        except IndexError:
+            raise self.error(pos, f"expected {what}") from None
+        self.pos = pos + 1
+        return tok
+
+    def take_int(self, what: str) -> int:
+        tok = self.take(what)
+        try:
+            return int(tok)
         except ValueError:
-            raise ProblemFileError(self.lineno, col,
-                                   f"expected {what}, got {tok!r}") from None
+            raise self.error(self.pos - 1,
+                             f"expected {what}, got {tok!r}") from None
 
     def done(self) -> None:
-        if self.pos < len(self.items):
-            tok, col = self.items[self.pos]
-            raise ProblemFileError(self.lineno, col,
-                                   f"unexpected trailing token {tok!r}")
+        if self.pos < len(self.words):
+            raise self.error(self.pos, "unexpected trailing token "
+                             f"{self.words[self.pos]!r}")
 
-    def name(self, what: str) -> tuple[str, int]:
-        tok, col = self.take(what)
+    def name(self, what: str) -> str:
+        tok = self.take(what)
         if not _NAME_RE.match(tok):
-            raise ProblemFileError(self.lineno, col, f"bad name {tok!r}")
-        return tok, col
+            raise self.error(self.pos - 1, f"bad name {tok!r}")
+        return tok
 
     def index(self, bound: int, what: str) -> int:
         """A 1-based index within 1..bound, returned 0-based."""
-        val, col = self.take_int(what)
+        val = self.take_int(what)
         if not 1 <= val <= bound:
-            raise ProblemFileError(self.lineno, col,
-                                   f"{what} {val} out of range 1..{bound}")
+            raise self.error(self.pos - 1,
+                             f"{what} {val} out of range 1..{bound}")
         return val - 1
 
-    def value(self, field: Field):
-        """'= SCALAR' and the end of the line."""
-        tok, col = self.take("'='")
+    def value(self, scalar):
+        """'= SCALAR' and the end of the line; scalar(literal) is the
+        field value or raises FieldError."""
+        tok = self.take("'='")
         if tok != "=":
-            raise ProblemFileError(self.lineno, col,
-                                   f"expected '=', got {tok!r}")
-        tok, col = self.take("scalar")
+            raise self.error(self.pos - 1, f"expected '=', got {tok!r}")
+        tok = self.take("scalar")
         try:
-            c = field.parse(tok)
+            c = scalar(tok)
         except FieldError as e:
-            raise ProblemFileError(self.lineno, col, str(e)) from None
+            raise self.error(self.pos - 1, str(e)) from None
         self.done()
         return c
 
 
-def _logical_lines(text: str):
+def _logical_lines(text: str) -> list:
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        if body.strip():
-            yield _Tokens(lineno, body)
+        body = raw.partition("#")[0]
+        words = body.split()
+        if words:
+            lines.append(_Line(lineno, body, words))
+    return lines
 
 
 def parse(text: str, field_override: Field | None = None) -> Problem:
     """Parse a problem file.  Structural problems raise ProblemFileError."""
-    lines = list(_logical_lines(text))
+    lines = _logical_lines(text)
     # field line must come first so scalars can be parsed in one pass
     if not lines:
         raise ProblemFileError(1, 1, "empty problem file: missing field line")
     first = lines[0]
-    tok, col = first.take("directive")
-    if tok != "field":
-        raise ProblemFileError(first.lineno, col,
-                               "the first directive must be 'field'")
-    spec_tok, spec_col = first.take("field descriptor")
+    if first.words[0] != "field":
+        raise first.error(0, "the first directive must be 'field'")
+    spec = first.take("field descriptor")
     first.done()
     try:
-        declared = field_from_spec(spec_tok)
+        declared = field_from_spec(spec)
     except FieldError as e:
-        raise ProblemFileError(first.lineno, spec_col, str(e)) from None
+        raise first.error(1, str(e)) from None
     problem = Problem(declared if field_override is None else field_override)
+    # each distinct literal is parsed once; a failing one raises each time
+    scalar = functools.cache(problem.field.parse)
 
     idx = 1
     while idx < len(lines):
         header = lines[idx]
         idx += 1
-        kind, col = header.take("directive")
+        kind = header.words[0]
         if kind == "field":
-            raise ProblemFileError(header.lineno, col,
-                                   "duplicate field declaration")
+            raise header.error(0, "duplicate field declaration")
         if kind not in _SECTIONS:
-            raise ProblemFileError(header.lineno, col,
-                                   f"unknown directive {kind!r}")
-        name, ncol = header.name(f"{kind} name")
+            raise header.error(0, f"unknown directive {kind!r}")
+        name = header.name(f"{kind} name")
         header.done()
         table = getattr(problem, kind + "s")
         if name in table:
-            raise ProblemFileError(header.lineno, ncol,
-                                   f"duplicate {kind} {name!r}")
+            raise header.error(1, f"duplicate {kind} {name!r}")
         start = idx
-        while idx < len(lines) and not (len(lines[idx].items) == 1
-                                        and lines[idx].items[0][0] == "end"):
+        while idx < len(lines) and lines[idx].words != ["end"]:
             idx += 1
         if idx == len(lines):
-            raise ProblemFileError(header.lineno, col,
-                                   f"{kind} {name!r} is never closed by 'end'")
-        table[name] = _section(problem, kind, name, header.lineno, col,
+            raise header.error(0, f"{kind} {name!r} is never closed by 'end'")
+        table[name] = _section(problem, scalar, kind, name, header,
                                lines[start:idx])
         idx += 1
     return problem
 
 
-def _section(problem: Problem, kind: str, name: str, lineno: int, col: int,
+def _section(problem: Problem, scalar, kind: str, name: str, header: _Line,
              body: list):
     """The spec of one section: each header once, then its entries."""
     spec_cls, headers, keywords, called = _SECTIONS[kind]
@@ -358,50 +372,47 @@ def _section(problem: Problem, kind: str, name: str, lineno: int, col: int,
     dims = None     # set once every header is read
     values = {}
     for line in body:
-        tok, tcol = line.take("directive")
-        if tok in headers:
+        tok = line.words[0]
+        if tok in keywords:
+            if dims is None:
+                raise line.error(
+                    0, f"{' and '.join(headers)} must precede {called}")
+            key = _entry(line, kind, tok, head, *dims)
+            c = line.value(scalar)
+            if key in values:
+                raise line.error(0, "duplicate gamma entry" if tok == "gamma"
+                                 else "duplicate entry")
+            values[key] = c
+        elif tok in headers:
             if tok in head:
-                raise ProblemFileError(line.lineno, tcol, f"duplicate {tok}")
+                raise line.error(0, f"duplicate {tok}")
             head[tok] = _header(line, tok, problem)
             if len(head) == len(headers):
                 dims = _dims(problem, head)
-        elif tok in keywords:
-            if dims is None:
-                raise ProblemFileError(
-                    line.lineno, tcol,
-                    f"{' and '.join(headers)} must precede {called}")
-            key = _entry(line, kind, tok, tcol, head, *dims)
-            c = line.value(problem.field)
-            if key in values:
-                raise ProblemFileError(
-                    line.lineno, tcol,
-                    "duplicate gamma entry" if tok == "gamma"
-                    else "duplicate entry")
-            values[key] = c
         else:
-            raise ProblemFileError(line.lineno, tcol,
-                                   f"unknown {kind} directive {tok!r}")
+            raise line.error(0, f"unknown {kind} directive {tok!r}")
     if dims is None:
-        raise ProblemFileError(lineno, col, f"{kind} {name!r} " + (
+        raise header.error(0, f"{kind} {name!r} " + (
             f"has no {headers[0]}" if len(headers) == 1
             else f"needs {' and '.join(headers)}"))
     entries = [key + (c,) for key, c in sorted(values.items()) if c]
     return spec_cls(name, *(head[h] for h in headers), entries)
 
 
-def _header(line: _Tokens, directive: str, problem: Problem):
-    """A count within its bounds, or the name of a section defined above."""
+def _header(line: _Line, directive: str, problem: Problem):
+    """A count within its bounds, or the name of a section defined above;
+    the value is the line's second word."""
     if directive in _REFERENCES:
         kind = _REFERENCES[directive]
-        ref, col = line.name(directive)
+        ref = line.name(directive)
         line.done()
         if ref not in getattr(problem, kind + "s"):
-            raise ProblemFileError(line.lineno, col, f"unknown {kind} {ref!r}")
+            raise line.error(1, f"unknown {kind} {ref!r}")
         return ref
     what, least, most, message = _COUNTS[directive]
-    n, col = line.take_int(what)
+    n = line.take_int(what)
     if n < least or most is not None and n > most:
-        raise ProblemFileError(line.lineno, col, message)
+        raise line.error(1, message)
     line.done()
     return n
 
@@ -416,39 +427,40 @@ def _dims(problem: Problem, head: dict) -> tuple[int, int]:
             problem.algebras[head["target"]].dim)
 
 
-def _entry(line: _Tokens, kind: str, keyword: str, col: int, head: dict,
+# what the input slots of an entry are called, by position
+_INPUTS = tuple(f"input index {t + 1}" for t in range(MAX_ARITY))
+
+
+def _entry(line: _Line, kind: str, keyword: str, head: dict,
            r: int, s: int) -> tuple:
     """The slots of one entry line after its keyword, indices 0-based: the
     entry less its scalar."""
     if kind == "algebra":
-        return tuple(line.index(r, f"{which} index")
-                     for which in ("first", "second", "output"))
+        return (line.index(r, "first index"), line.index(r, "second index"),
+                line.index(r, "output index"))
     if kind == "morphism":
         return line.index(s, "target index"), line.index(r, "source index")
     if kind == "cochain":
         key, component, degree = (), keyword, head["degree"]
         if component == "f" and degree == 1:
-            raise ProblemFileError(line.lineno, col,
-                                   "degree-1 cochains have no third component")
+            raise line.error(0, "degree-1 cochains have no third component")
     else:
-        k, kcol = line.take_int("term order")
+        k = line.take_int("term order")
         if not 1 <= k <= head["order"]:
-            raise ProblemFileError(line.lineno, kcol,
-                                   f"term order {k} outside 1..{head['order']}")
-        component, ccol = line.take("component")
+            raise line.error(1, f"term order {k} outside 1..{head['order']}")
+        component = line.take("component")
         allowed = ("R", "S", "f") if kind == "deformation" else ("R", "S")
         if component not in allowed:
-            raise ProblemFileError(
-                line.lineno, ccol,
-                f"component must be one of {'/'.join(allowed)}")
+            raise line.error(
+                2, f"component must be one of {'/'.join(allowed)}")
         if kind == "isomorphism":
             dim = r if component == "R" else s
             return (k, component, line.index(dim, "input index"),
                     line.index(dim, "output index"))
         key, degree = (k,), 2
-    arity = degree - 1 if component == "f" else degree
-    inputs = tuple(line.index(s if component == "S" else r,
-                              f"input index {t + 1}") for t in range(arity))
+    dim = s if component == "S" else r
+    inputs = tuple(line.index(dim, _INPUTS[t])
+                   for t in range(degree - 1 if component == "f" else degree))
     return key + (component, inputs,
                   line.index(r if component == "R" else s, "output index"))
 

@@ -1,18 +1,19 @@
 """Term-by-term deformation sums: the reference for the sparse
 contraction in `zinbiel.deformation`.
 
-These are the library's former `order_residual` and `conjugate` (with the
-series inversion under them), kept unchanged as an independent code path:
-every term is a dense `evaluate` (oracle_helpers.py), summed with
-`vec_add`, one order and one basis tuple at a time.  The library must
+These are the library's former `order_residual`, `_violations` and
+`conjugate` (with the series inversion under them), kept unchanged as an
+independent code path: every term is a dense `evaluate`
+(oracle_helpers.py), summed with `vec_add`, one order and one basis
+tuple at a time.  The library must
 reproduce them exactly, value for value and repr for repr.
 """
 
 from oracle_helpers import evaluate
 from zinbiel.algebra import AlgebraMorphism
 from zinbiel.cochains import Cochain, all_tuples, identity_cochain
-from zinbiel.deformation import (FormalIsomorphism, TruncatedDeformation,
-                                 theta_zero)
+from zinbiel.deformation import (ConditionViolation, FormalIsomorphism,
+                                 TruncatedDeformation, theta_zero)
 from zinbiel.linalg import vec_add, vec_sub, zero_vector
 from zinbiel.morphism_complex import TripleCochain, morphism_cochain
 
@@ -69,6 +70,22 @@ def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
                          product(f.target, ms_s),
                          Cochain(f.source, f.as_bimodule(), 2, rows))
 
+
+
+def violations(n: int, res: TripleCochain):
+    """None when the order-n residual vanishes, otherwise (n, list of
+    ConditionViolation at order n): the library's former `_violations`,
+    which read the failures off a dense residual triple."""
+    items = []
+    for kind, component, part in (("product", "R", res.xi),
+                                  ("product", "S", res.pi),
+                                  ("morphism", "f", res.phi)):
+        for where, row in zip(all_tuples(part.source.dim, part.arity),
+                              part.coeffs):
+            if any(row):
+                items.append(ConditionViolation(kind, component, n, where,
+                                                row))
+    return (n, items) if items else None
 
 
 def _compose1(outer: Cochain, inner: Cochain) -> Cochain:

@@ -79,8 +79,7 @@ def test_residuals_match_the_term_by_term_sums(series):
 def _oracle_violations(f, terms, order):
     """deformation_violations read off the oracle residuals."""
     for n in range(order + 1):
-        report = deformation._violations(
-            n, oracle.order_residual(f, terms, n))
+        report = oracle.violations(n, oracle.order_residual(f, terms, n))
         if report is not None:
             return report
     return None

@@ -180,6 +180,16 @@ ERRORS = [
     (ONE + "  gamma 1 1 1 = 1\n  gamma 1 1 1 = 2\nend\n", 5, 3,
      "duplicate gamma entry"),
     (ONE + "  widget\nend\n", 4, 3, "unknown algebra directive 'widget'"),
+    # a tab or a no-break space before the word counts as one column
+    (ONE + "\tgamma 1 1 2 = 1\nend\n", 4, 12,
+     "output index 2 out of range 1..1"),
+    (ONE + "\tgamma\t1\t1\t1 =\u00a01 junk\nend\n", 4, 18,
+     "unexpected trailing token 'junk'"),
+    (ONE + "  gamma\u00a01 1 1 = x\nend\n", 4, 17,
+     "bad rational literal: 'x'"),
+    (ONE + "\u00a0\u00a0gamma 1 1\nend\n", 4, 12, "expected output index"),
+    ("field Q\nalgebra\u00a0R\u00a0S\nend\n", 2, 11,
+     "unexpected trailing token 'S'"),
     # morphism
     (ALG + "morphism f\nend\n", 5, 1, "morphism 'f' needs source and target"),
     (ALG + "morphism f\n  source R\nend\n", 5, 1,
