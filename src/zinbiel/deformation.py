@@ -52,7 +52,7 @@ pairing theta_{N+1} with theta_0.  `extend_one_order` computes the
 zero-top part once, as the obstruction, and validates order N+1 by adding
 only the new terms to it; the whole residual is still formed and
 compared with zero, and only if it is not zero are the whole sums read
-for the violations.
+for the violations (finding none there is an internal error).
 """
 
 from __future__ import annotations
@@ -275,35 +275,34 @@ def _read_series(f: AlgebraMorphism, terms: list[TripleCochain]) -> tuple:
 
 def _contract(f: AlgebraMorphism, series: tuple, n: int,
               top_only: bool) -> tuple:
-    """The order-n sums of a series read by _read_series, as accumulated
-    int rows: the product sums on basis triples of R and of S, scaled by
-    den^2, and the morphism sums on basis pairs of R, scaled by den^3.
-    Terms past the end of the series count as zero.  With top_only, only
-    the terms that contain theta_n (each paired with theta_0)."""
+    """The order-n sums of a series read by _read_series, one
+    (component, source, module, arity, sums, scale) per component of a
+    degree-3 triple: sums holds one accumulated int row per basis
+    arity-tuple of source, each the residual in module times scale.  They
+    are the product sums on basis triples of R and of S, scaled by den^2,
+    and the morphism sums on basis pairs of R, scaled by den^3.  Terms
+    past the end of the series count as zero.  With top_only, only the
+    terms that contain theta_n (each paired with theta_0)."""
     r, s = f.source, f.target
     ms_r, ms_s, fs, den = series
     top = len(fs) - 1
     pairs = _pairs(n, top, top_only)
-    return (_product_sums(r.dim, ms_r, pairs),
-            _product_sums(s.dim, ms_s, pairs),
-            _morphism_sums(r.dim, s.dim, ms_r, ms_s, fs, pairs,
-                           _triples(n, top, top_only), den))
+    return (("R", r, r.regular_bimodule(), 3,
+             _product_sums(r.dim, ms_r, pairs), den ** 2),
+            ("S", s, s.regular_bimodule(), 3,
+             _product_sums(s.dim, ms_s, pairs), den ** 2),
+            ("f", r, f.as_bimodule(), 2,
+             _morphism_sums(r.dim, s.dim, ms_r, ms_s, fs, pairs,
+                            _triples(n, top, top_only), den), den ** 3))
 
 
 def _sums(f: AlgebraMorphism, series: tuple, n: int,
           top_only: bool) -> TripleCochain:
     """The sums of `_contract` as a degree-3 triple."""
-    r, s = f.source, f.target
-    res_r, res_s, res_f = _contract(f, series, n, top_only)
-    den = series[3]
-    return TripleCochain._of(
-        f, 3,
-        _cochain(r, r.regular_bimodule(), 3, (a.items() for a in res_r),
-                 den ** 2),
-        _cochain(s, s.regular_bimodule(), 3, (a.items() for a in res_s),
-                 den ** 2),
-        _cochain(r, f.as_bimodule(), 2, (a.items() for a in res_f),
-                 den ** 3))
+    return TripleCochain._of(f, 3, *(
+        _cochain(source, module, arity, (a.items() for a in sums), scale)
+        for _, source, module, arity, sums, scale
+        in _contract(f, series, n, top_only)))
 
 
 def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
@@ -321,16 +320,13 @@ def _violations(f: AlgebraMorphism, series: tuple, n: int):
     read off the int sums of `_contract`, as the identities of
     `zinbiel.algebra` are; a residual vector is built only for a basis
     tuple where they fail."""
-    r, s = f.source, f.target
-    res_r, res_s, res_f = _contract(f, series, n, top_only=False)
-    den = series[3]
     items = []
-    for kind, component, dim, wheres, sums, scale in (
-            ("product", "R", r.dim, all_tuples(r.dim, 3), res_r, den ** 2),
-            ("product", "S", s.dim, all_tuples(s.dim, 3), res_s, den ** 2),
-            ("morphism", "f", s.dim, all_tuples(r.dim, 2), res_f, den ** 3)):
+    for component, source, module, arity, sums, scale in _contract(
+            f, series, n, top_only=False):
+        kind = "morphism" if component == "f" else "product"
         items += _found(partial(ConditionViolation, kind, component, n),
-                        r.field, dim, wheres, sums, scale)
+                        source.field, module.dim,
+                        all_tuples(source.dim, arity), sums, scale)
     return (n, items) if items else None
 
 
@@ -584,7 +580,12 @@ def extend_one_order(theta: TruncatedDeformation) -> ExtensionStep:
     zero_top = TripleCochain._of(f, 3, ob.xi, ob.pi, -ob.phi)
     residual = zero_top + _sums(f, series, grown.order, top_only=True)
     if not residual.is_zero():
-        _raise_on(_violations(f, series, grown.order))
+        report = _violations(f, series, grown.order)
+        if report is None:
+            raise RuntimeError(
+                f"the order-{grown.order} residual does not vanish, but its "
+                "whole sums do: the split sums are wrong")
+        _raise_on(report)
     return ExtensionStep(ob, term, grown)
 
 

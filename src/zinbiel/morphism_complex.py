@@ -119,19 +119,8 @@ class TripleCochain(ComplexElement):
         return triple
 
     def _rebuild(self, flat: list, degree: int) -> "TripleCochain":
-        f = self.morphism
-        r, s = f.source, f.target
-        nr, ns = r.dim ** degree, s.dim ** degree
-        phi = None
-        if degree > 1:
-            phi = Cochain._of(r, f.as_bimodule(), degree - 1, _rows(
-                flat, r.dim ** (degree - 1), s.dim, nr * r.dim + ns * s.dim))
-        return TripleCochain._of(
-            f, degree,
-            Cochain._of(r, r.regular_bimodule(), degree,
-                        _rows(flat, nr, r.dim)),
-            Cochain._of(s, s.regular_bimodule(), degree,
-                        _rows(flat, ns, s.dim, nr * r.dim)), phi)
+        return TripleCochain._of(self.morphism, degree,
+                                 *_split(self.morphism, degree, flat))
 
     def _d_matrix(self, n: int) -> Matrix:
         return morphism_differential_matrix(self.morphism, n)
@@ -159,19 +148,11 @@ class TripleCochain(ComplexElement):
     @classmethod
     def from_flat(cls, morphism: AlgebraMorphism, degree: int,
                   flat: list) -> "TripleCochain":
-        r, s = morphism.source, morphism.target
-        na = r.dim ** degree * r.dim
-        nb = s.dim ** degree * s.dim
         if len(flat) != triple_dim(morphism, degree):
             raise ValueError("flat vector has the wrong length")
-        xi = Cochain.from_flat(r, r.regular_bimodule(), degree, flat[:na])
-        pi = Cochain.from_flat(s, s.regular_bimodule(), degree,
-                               flat[na:na + nb])
-        phi = None
-        if degree > 1:
-            phi = Cochain.from_flat(r, morphism.as_bimodule(), degree - 1,
-                                    flat[na + nb:])
-        return cls(morphism, degree, xi, pi, phi)
+        field = morphism.source.field
+        return cls(morphism, degree, *_split(
+            morphism, degree, [field.coerce(x) for x in flat]))
 
     def __eq__(self, other):
         if not isinstance(other, TripleCochain):
@@ -182,6 +163,22 @@ class TripleCochain(ComplexElement):
 
     def __repr__(self):
         return f"TripleCochain(degree={self.degree})"
+
+
+def _split(f: AlgebraMorphism, degree: int, flat: list) -> tuple:
+    """(xi, pi, phi) cut from a flat vector of field values in the layout
+    of `TripleCochain.flatten`, built unchecked (`Cochain._of`); phi is
+    None at degree 1."""
+    r, s = f.source, f.target
+    nr, ns = r.dim ** degree, s.dim ** degree
+    phi = None
+    if degree > 1:
+        phi = Cochain._of(r, f.as_bimodule(), degree - 1, _rows(
+            flat, r.dim ** (degree - 1), s.dim, nr * r.dim + ns * s.dim))
+    return (Cochain._of(r, r.regular_bimodule(), degree,
+                        _rows(flat, nr, r.dim)),
+            Cochain._of(s, s.regular_bimodule(), degree,
+                        _rows(flat, ns, s.dim, nr * r.dim)), phi)
 
 
 def triple_dim(f: AlgebraMorphism, n: int) -> int:

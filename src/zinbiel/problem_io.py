@@ -51,13 +51,11 @@ on the parsed representation.
 
 parse() reads each logical line as its words (`str.split`) and keeps no
 columns: the 1-based column of a word is found, by running `_TOKEN_RE`
-over that one line, only when an error names it.  Each distinct scalar
-literal is parsed once per parse().
+over that one line, only when an error names it.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field as dc_field
 
@@ -295,15 +293,14 @@ class _Line:
                              f"{what} {val} out of range 1..{bound}")
         return val - 1
 
-    def value(self, scalar):
-        """'= SCALAR' and the end of the line; scalar(literal) is the
-        field value or raises FieldError."""
+    def value(self, field: Field):
+        """'= SCALAR' and the end of the line."""
         tok = self.take("'='")
         if tok != "=":
             raise self.error(self.pos - 1, f"expected '=', got {tok!r}")
         tok = self.take("scalar")
         try:
-            c = scalar(tok)
+            c = field.parse(tok)
         except FieldError as e:
             raise self.error(self.pos - 1, str(e)) from None
         self.done()
@@ -336,8 +333,6 @@ def parse(text: str, field_override: Field | None = None) -> Problem:
     except FieldError as e:
         raise first.error(1, str(e)) from None
     problem = Problem(declared if field_override is None else field_override)
-    # each distinct literal is parsed once; a failing one raises each time
-    scalar = functools.cache(problem.field.parse)
 
     idx = 1
     while idx < len(lines):
@@ -358,13 +353,13 @@ def parse(text: str, field_override: Field | None = None) -> Problem:
             idx += 1
         if idx == len(lines):
             raise header.error(0, f"{kind} {name!r} is never closed by 'end'")
-        table[name] = _section(problem, scalar, kind, name, header,
+        table[name] = _section(problem, kind, name, header,
                                lines[start:idx])
         idx += 1
     return problem
 
 
-def _section(problem: Problem, scalar, kind: str, name: str, header: _Line,
+def _section(problem: Problem, kind: str, name: str, header: _Line,
              body: list):
     """The spec of one section: each header once, then its entries."""
     spec_cls, headers, keywords, called = _SECTIONS[kind]
@@ -378,7 +373,7 @@ def _section(problem: Problem, scalar, kind: str, name: str, header: _Line,
                 raise line.error(
                     0, f"{' and '.join(headers)} must precede {called}")
             key = _entry(line, kind, tok, head, *dims)
-            c = line.value(scalar)
+            c = line.value(problem.field)
             if key in values:
                 raise line.error(0, "duplicate gamma entry" if tok == "gamma"
                                  else "duplicate entry")
@@ -427,17 +422,13 @@ def _dims(problem: Problem, head: dict) -> tuple[int, int]:
             problem.algebras[head["target"]].dim)
 
 
-# what the input slots of an entry are called, by position
-_INPUTS = tuple(f"input index {t + 1}" for t in range(MAX_ARITY))
-
-
 def _entry(line: _Line, kind: str, keyword: str, head: dict,
            r: int, s: int) -> tuple:
     """The slots of one entry line after its keyword, indices 0-based: the
     entry less its scalar."""
     if kind == "algebra":
-        return (line.index(r, "first index"), line.index(r, "second index"),
-                line.index(r, "output index"))
+        return tuple(line.index(r, f"{which} index")
+                     for which in ("first", "second", "output"))
     if kind == "morphism":
         return line.index(s, "target index"), line.index(r, "source index")
     if kind == "cochain":
@@ -458,9 +449,9 @@ def _entry(line: _Line, kind: str, keyword: str, head: dict,
             return (k, component, line.index(dim, "input index"),
                     line.index(dim, "output index"))
         key, degree = (k,), 2
-    dim = s if component == "S" else r
-    inputs = tuple(line.index(dim, _INPUTS[t])
-                   for t in range(degree - 1 if component == "f" else degree))
+    arity = degree - 1 if component == "f" else degree
+    inputs = tuple(line.index(s if component == "S" else r,
+                              f"input index {t + 1}") for t in range(arity))
     return key + (component, inputs,
                   line.index(r if component == "R" else s, "output index"))
 

@@ -323,6 +323,25 @@ def test_extend_validates_the_new_order(rng):
     assert err.value.order == 2 and err.value.violations
 
 
+def test_extend_rejects_a_term_that_does_not_solve(monkeypatch, rng):
+    # a wrong solution leaves a residual at the new order: its violations
+    # come from the whole sums, and when those find none the step still fails
+    from zinbiel import deformation
+    f = identity_morphism(truncated_polynomials(QQ, 2))
+    theta = trivial_deformation(f, 1)
+    while True:
+        cand = random_triple_cochain(f, 2, rng)
+        if not is_cocycle(cand)[0]:
+            break
+    monkeypatch.setattr(deformation, "coboundary_preimage", lambda ob: cand)
+    with pytest.raises(DeformationError) as err:
+        extend_one_order(theta)
+    assert err.value.order == 2 and err.value.violations
+    monkeypatch.setattr(deformation, "_violations", lambda *args: None)
+    with pytest.raises(RuntimeError, match="split sums are wrong"):
+        extend_one_order(theta)
+
+
 def test_extend_to_continues_a_deformation(rng):
     f = identity_morphism(truncated_polynomials(QQ, 2))
     z = random_combination(cocycle_basis(f), rng)
