@@ -178,6 +178,10 @@ def test_public_constructors_keep_every_check():
         (lambda: TripleCochain.from_flat(
             f, 2, [ModInt(2, 7)] + zero_triple[1:]), FieldError,
          "scalar mod 7 in F_5"),
+        (lambda: TripleCochain.from_flat(f, 0, [0] * 4), ValueError,
+         "degree 0 outside 1..4"),
+        (lambda: TripleCochain.from_flat(f, 5, [0] * 160), ValueError,
+         "degree 5 outside 1..4"),
         # the two series: a wrong constant term
         (lambda: TruncatedDeformation(f, [TripleCochain.zero(f, 2)]),
          ValueError, "constant term differs from (m_R; m_S; f)"),
