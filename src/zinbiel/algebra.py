@@ -38,6 +38,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .fields import Field, FieldError
 from .linalg import Matrix, unit_vector, zero_vector
@@ -134,12 +135,29 @@ def zinbiel_violations(field: Field, dim: int, gamma) -> list[Violation]:
                   wheres, _product_sums(dim, [rows], [(0, 0)]))
 
 
+def _ints(groups, p: int) -> tuple[list, int]:
+    """The one fraction-free reader: for each group of dense rows of
+    field values, each row as the (index, value) pairs of its nonzero
+    values in ints, and the one denominator den of all groups.  Over F_p
+    the ints are the values mod p and den is 1; over Q they are the values
+    times den, the least common denominator of every value read."""
+    if p:
+        return [[[(b, v.value) for b, v in enumerate(row) if v]
+                 for row in rows] for rows in groups], 1
+    groups = [list(rows) for rows in groups]
+    den = lcm(*{v.denominator for rows in groups for row in rows
+                for v in row})
+    return [[[(b, v.numerator * (den // v.denominator))
+              for b, v in enumerate(row) if v] for row in rows]
+            for rows in groups], den
+
+
 def _read(rows, p: int) -> list:
     """For each dense row of field values, the (output, value) pairs of its
-    nonzero values; values are ints mod p when p > 0."""
+    nonzero values: ints mod p over F_p (as `_ints` reads them), the
+    values themselves over Q."""
     if p:
-        return [[(b, v.value) for b, v in enumerate(row) if v]
-                for row in rows]
+        return _ints([rows], p)[0][0]
     return [[(b, v) for b, v in enumerate(row) if v] for row in rows]
 
 
@@ -230,7 +248,7 @@ class Bimodule:
     of the module docstring are built by `_derived_bimodule` instead.
     """
 
-    __slots__ = ("algebra", "dim", "left", "right", "_ranks")
+    __slots__ = ("algebra", "dim", "left", "right", "_ranks", "_tensors")
 
     def __init__(self, algebra: ZinbielAlgebra, dim: int, left, right):
         if dim < 0:
@@ -246,6 +264,7 @@ class Bimodule:
         self.algebra = algebra
         self.dim = dim
         self._ranks = {}
+        self._tensors = None
         self.left = [[[field.coerce(x) for x in v] for v in col]
                      for col in left]
         self.right = [[[field.coerce(x) for x in v] for v in col]
@@ -258,6 +277,26 @@ class Bimodule:
     @property
     def field(self):
         return self.algebra.field
+
+    def _int_tensors(self) -> tuple:
+        """(left, gamma, right, den): the actions and the product of the
+        algebra, read together by `_ints`, so over one denominator den,
+        each as (i, j, k, v) for its nonzero values v: e_i*a_j has a_k
+        coefficient v / den in left, e_i*e_j has e_k coefficient v / den
+        in gamma, a_i*e_j has a_k coefficient v / den in right.  Read once
+        and kept, as flat tuples of ints."""
+        if self._tensors is None:
+            groups, den = _ints(
+                ((v for col in self.left for v in col),
+                 (row for plane in self.algebra.gamma for row in plane),
+                 (v for col in self.right for v in col)),
+                self.field.characteristic)
+            widths = self.dim, self.algebra.dim, self.algebra.dim
+            self._tensors = tuple(
+                tuple((*divmod(t, width), k, v)
+                      for t, row in enumerate(rows) for k, v in row)
+                for rows, width in zip(groups, widths)) + (den,)
+        return self._tensors
 
     def __eq__(self, other):
         if other is self:
@@ -280,6 +319,7 @@ def _derived_bimodule(algebra: ZinbielAlgebra, dim: int, left,
     module.algebra, module.dim = algebra, dim
     module.left, module.right = left, right
     module._ranks = {}
+    module._tensors = None
     return module
 
 
@@ -330,7 +370,8 @@ class AlgebraMorphism:
     coordinates of its image.
     """
 
-    __slots__ = ("source", "target", "matrix", "_bimodule", "_ranks")
+    __slots__ = ("source", "target", "matrix", "_bimodule", "_ranks",
+                 "_columns")
 
     def __init__(self, source: ZinbielAlgebra, target: ZinbielAlgebra,
                  matrix: Matrix | list):
@@ -347,6 +388,7 @@ class AlgebraMorphism:
         self.matrix = matrix
         self._bimodule = None
         self._ranks = {}
+        self._columns = None
         bad = morphism_violations(source, target, matrix)
         if bad:
             raise IdentityError(
@@ -355,6 +397,17 @@ class AlgebraMorphism:
 
     def apply_basis(self, i: int) -> list:
         return self.matrix.column(i)
+
+    def _int_columns(self) -> tuple:
+        """(cols, den): for each basis vector e_a of the source, the pairs
+        (b, v) of f(e_a) as `_ints` reads them, and their denominator.
+        Read once and kept, as tuples of ints."""
+        if self._columns is None:
+            (cols,), den = _ints(
+                [[self.apply_basis(a) for a in range(self.source.dim)]],
+                self.source.field.characteristic)
+            self._columns = tuple(map(tuple, cols)), den
+        return self._columns
 
     def as_bimodule(self) -> Bimodule:
         """The target as a source-bimodule through this morphism (cached)."""

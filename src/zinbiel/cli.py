@@ -385,11 +385,10 @@ def _cmd_verify_identities(problem, args, emit) -> int:
             check(f"algebra {name}: satisfies the Zinbiel identity", False)
             continue
         reg = algebra.regular_bimodule()
+        ds = {i: differential_matrix(algebra, reg, i) for i in DEGREES}
         for i in DEGREES[:-1]:
-            prod = (differential_matrix(algebra, reg, i + 1)
-                    @ differential_matrix(algebra, reg, i))
             check(f"algebra {name}: d{i + 1} after d{i} vanishes",
-                  prod.is_zero())
+                  (ds[i + 1] @ ds[i]).is_zero())
         check(f"algebra {name}: the product is a 2-cocycle",
               differential(product_cochain(algebra)).is_zero())
     for name, spec in problem.morphisms.items():
@@ -404,11 +403,10 @@ def _cmd_verify_identities(problem, args, emit) -> int:
             bad_morphisms.add(name)
             check(label, False)
             continue
+        ds = {i: morphism_differential_matrix(f, i) for i in DEGREES}
         for i in DEGREES[:-1]:
-            prod = (morphism_differential_matrix(f, i + 1)
-                    @ morphism_differential_matrix(f, i))
             check(f"morphism {name}: d{i + 1} after d{i} vanishes",
-                  prod.is_zero())
+                  (ds[i + 1] @ ds[i]).is_zero())
         r, s = f.source, f.target
         for i in DEGREES:
             xi = random_cochain(r, r.regular_bimodule(), i, rng)

@@ -26,10 +26,15 @@ All three follow one formula: for p of arity n,
 
 and only the signed reorderings depend on n.  They form the one table
 `_TAIL_ORDERS`, whose keys are the degree range of the complex.
-`differential_matrix` assembles d^n from structure constants in one pass
-per term of this formula.  The tuple-by-tuple evaluation of the three
-formulas above is kept in the tests as the oracle the matrices are
-checked against.
+`differential_matrix` reads the algebra's structure constants and the
+module's actions fraction-free, with the one reader `algebra._ints`:
+ints mod p over F_p, ints over their least common denominator over Q.
+Each term of d^n is linear in one of them, so d^n is assembled as int
+rows over that denominator, in one pass per term of this formula, with
+no field scalar built; its `Fraction` or `ModInt` entries are a view
+built when first read (see `zinbiel.linalg`).  The tuple-by-tuple
+evaluation of the three formulas above is kept in the tests as the
+oracle the matrices are checked against.
 
 `ComplexElement` is the one element protocol of this complex and of the
 deformation complex of a morphism (`zinbiel.morphism_complex`).  An
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 
 from .algebra import Bimodule, ZinbielAlgebra
 from .linalg import (Matrix, _echelon, rank_nullspace, solve, vec_add,
@@ -234,17 +240,6 @@ def complex_dim(algebra: ZinbielAlgebra, module: Bimodule, n: int) -> int:
     return algebra.dim ** n * module.dim
 
 
-def _nonzeros(tensor):
-    """(i, j, k, x) for each nonzero x = tensor[i][j][k]: in gamma e_i*e_j
-    has e_k coefficient x, in a left action e_i*a_j has a_k coefficient x,
-    and in a right action a_i*e_j has a_k coefficient x."""
-    for i, plane in enumerate(tensor):
-        for j, row in enumerate(plane):
-            for k, x in enumerate(row):
-                if x:
-                    yield i, j, k, x
-
-
 def _slot_sign(k: int, v):
     """v times (-1)^(k+1), the sign of the term of d^n at slot k: the
     product of x_k and x_{k+1} for k < n, the right action for k = n."""
@@ -266,29 +261,26 @@ def _reordered_columns(d: int, m: int, orders: tuple) -> tuple:
 def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
                         n: int) -> Matrix:
     """Matrix of d^n under row-major flattening with output index fastest,
-    assembled from structure constants in one pass per term of the formula
-    in the module docstring."""
+    assembled as int rows in one pass per term of the formula in the
+    module docstring.  The product read is that of module's algebra,
+    which must equal algebra."""
     if n not in _TAIL_ORDERS:
         raise ValueError(f"no differential out of arity {n}")
     d, m = algebra.dim, module.dim
-    rows = [{} for _ in range(d ** (n + 1) * m)]
-
-    def bump(row, col, v):
-        entries = rows[row]
-        entries[col] = entries[col] + v if col in entries else v
-
+    left, gamma, right, den = module._int_tensors()
+    rows = [defaultdict(int) for _ in range(d ** (n + 1) * m)]
     # x0*(signed reorderings of p(x1..xn))
     reordered = _reordered_columns(d, m, _TAIL_ORDERS[n])
-    for x, a, b, v in _nonzeros(module.left):
+    for x, a, b, v in left:
         for s, cols in reordered:
             signed = v if s > 0 else -v
             for t, col in enumerate(cols, x * d ** n):
-                bump(t * m + b, col + a, signed)
+                rows[t * m + b][col + a] += signed
     # (-1)^(k+1) p(.., x_k*x_{k+1}, ..) at slot 0 and
     # (-1)^(k+1) p(.., x_k*x_{k+1} + x_{k+1}*x_k, ..) at each slot k >= 1
     for k in range(n):
         heads, after = range(d ** k), d ** (n - 1 - k)
-        for u, w, q, g in _nonzeros(algebra.gamma):
+        for u, w, q, g in gamma:
             g = _slot_sign(k, g)
             pairs = ((u, w),) if k == 0 else ((u, w), (w, u))
             for head in heads:
@@ -298,16 +290,13 @@ def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
                     for tail in range(after):
                         row, col = (row0 + tail) * m, (col0 + tail) * m
                         for b in range(m):
-                            bump(row + b, col + b, g)
+                            rows[row + b][col + b] += g
     # (-1)^(n+1) p(x0..x_{n-1})*x_n
-    for a, y, b, v in _nonzeros(module.right):
+    for a, y, b, v in right:
         v = _slot_sign(n, v)
         for head in range(d ** n):
-            bump((head * d + y) * m + b, head * m + a, v)
-    # drop the entries whose contributions cancelled
-    return Matrix.from_entries(
-        algebra.field, [{j: x for j, x in r.items() if x} for r in rows],
-        d ** n * m)
+            rows[(head * d + y) * m + b][head * m + a] += v
+    return Matrix._assembled(algebra.field, rows, d ** n * m, den)
 
 
 def differential(x: ComplexElement) -> ComplexElement:

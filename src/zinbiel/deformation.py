@@ -60,10 +60,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
 
-from .algebra import (AlgebraMorphism, _found, _morphism_sums, _product_sums,
-                      _read, _settle)
+from .algebra import (AlgebraMorphism, _found, _ints, _morphism_sums,
+                      _product_sums, _read, _settle)
 from .cochains import (Cochain, all_tuples, coboundary_preimage,
                        differential, identity_cochain, product_cochain)
 from .morphism_complex import (TripleCochain, morphism_cochain,
@@ -254,23 +253,11 @@ def _triples(n: int, top: int, top_only: bool) -> list:
 
 def _read_series(f: AlgebraMorphism, terms: list[TripleCochain]) -> tuple:
     """The m_R, m_S and f series of the terms, each term as sparse rows of
-    ints, and their common denominator.  Over F_p the ints are the values
-    mod p, over 1.  Over Q they are the values scaled by the least common
-    denominator of the whole series (fraction-free, as in linalg), so the
+    ints, and their common denominator, as `_ints` reads them: so the
     sums run on ints over both fields."""
-    p = f.source.field.characteristic
-    if p:
-        return ([_read(t.xi.coeffs, p) for t in terms],
-                [_read(t.pi.coeffs, p) for t in terms],
-                [_read(t.phi.coeffs, p) for t in terms], 1)
-    den = lcm(*{v.denominator for t in terms for c in (t.xi, t.pi, t.phi)
-                for row in c.coeffs for v in row})
-
-    def scaled(c):
-        return [[(b, v.numerator * (den // v.denominator))
-                 for b, v in enumerate(row) if v] for row in c.coeffs]
-    return ([scaled(t.xi) for t in terms], [scaled(t.pi) for t in terms],
-            [scaled(t.phi) for t in terms], den)
+    groups, den = _ints([c.coeffs for t in terms for c in (t.xi, t.pi, t.phi)],
+                        f.source.field.characteristic)
+    return groups[0::3], groups[1::3], groups[2::3], den
 
 
 def _contract(f: AlgebraMorphism, series: tuple, n: int,

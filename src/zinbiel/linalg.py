@@ -1,12 +1,23 @@
 """Exact sparse linear algebra: rank, nullspace bases, particular solutions.
 
-A `Matrix` stores only its nonzero entries, one dict (column -> scalar)
-per row.  Every elimination goes through one routine, `_reduce`, which
-brings sparse rows to reduced row echelon form with each pivot on the
-leftmost nonzero column of its row.  Over F_p it works on plain ints mod
-p; over Q on primitive integer rows (fraction-free, each row standing for
-its rational multiples), and the results are turned back into `Fraction`
-values only at the end.
+A `Matrix` is sparse: one dict (column -> nonzero value) per row.  Every
+elimination goes through one routine, `_reduce`, which brings sparse
+rows to reduced row echelon form with each pivot on the leftmost nonzero
+column of its row.  It works on int rows: over F_p on plain ints mod p,
+over Q on primitive integer rows (fraction-free, each row standing for
+its rational multiples).  The results are turned back into `Fraction` or
+`ModInt` values only at the end.
+
+A matrix holds its rows in one of two forms.  A matrix built from field
+values (`Matrix(...)`, `from_entries`, the results of `inverse` and `@`)
+holds them as `entries`, dicts of field scalars, and its int rows are
+read off them by `_kernel_row` when it is eliminated.  An assembled
+matrix (`Matrix._assembled`, the differentials of `zinbiel.cochains` and
+`zinbiel.morphism_complex`) holds int rows over one denominator, 1 over
+F_p, and those rows, made primitive over Q, are the input of its
+elimination as they are.  Its `entries` are a view, built on first read
+from the int rows and kept: `solve`, `inverse`, `matvec`, `column`, `@`
+and `==` read it, `rank_nullspace` does not.
 
 The reduced row echelon form of a matrix is unique: its pivot columns and
 its rows depend only on the row space, not on the order in which rows
@@ -17,15 +28,17 @@ solution sets every free variable to zero.  Matrices are immutable after
 construction and all operations return fresh values.
 
 `rank_nullspace` reads the pivot rows off `_echelon`, which keeps them on
-the matrix for as long as the matrix lives.  A matrix may declare
-diagonal blocks (`Matrix._blocks`), as the morphism complex's d^n does
-with d^n on R and on S.  The block rows touch disjoint columns and never
+the matrix for as long as the matrix lives.  An assembled matrix may
+declare diagonal blocks (`Matrix._blocks`), as the morphism complex's
+d^n does with d^n on R and on S.  Its rows are the blocks' rows, each
+shifted to its columns, then its own int rows, and its `entries` view is
+built in that order.  The block rows touch disjoint columns and never
 combine, so the shifted pivot rows of the blocks together are already
 the reduced echelon form of those rows.  The elimination starts from
-copies of them (`_seeded`) and reduces only the remaining rows; a block
-that occurs twice is eliminated once.  Since that form is unique, the
-pivot columns and rows, hence every rank, nullspace basis and solution,
-are the ones that eliminating all rows would give.
+copies of them (`_seeded`) and reduces only the matrix's own rows; a
+block that occurs twice is eliminated once.  Since that form is unique,
+the pivot columns and rows, hence every rank, nullspace basis and
+solution, are the ones that eliminating all rows would give.
 """
 
 from __future__ import annotations
@@ -62,12 +75,17 @@ class Matrix:
     """Sparse matrix over one field: `entries[i]` maps the column of each
     nonzero entry of row i to its value.
 
-    `_blocks` declares diagonal blocks, as (column offset, block) pairs:
-    the leading rows of the matrix are the rows of each block in turn,
-    shifted right by its offset and zero elsewhere, and no two blocks
-    share a column.  It is empty unless the assembler sets it."""
+    A matrix built from field values (`Matrix(...)`, `from_entries`) holds
+    `entries` itself.  An assembled one (`_assembled`) holds int rows over
+    one denominator instead, and `entries` is a view of them built on
+    first read.  `_blocks` declares diagonal blocks, as (column offset,
+    block) pairs: the leading rows of the matrix are the rows of each
+    block in turn, shifted right by its offset and zero elsewhere, and no
+    two blocks share a column.  The int rows of a blocked matrix are the
+    rows below its blocks."""
 
-    __slots__ = ("field", "nrows", "ncols", "entries", "_blocks", "_pivots")
+    __slots__ = ("field", "nrows", "ncols", "_entries", "_ints", "_den",
+                 "_blocks", "_pivots")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         rows = [list(r) for r in rows]
@@ -81,12 +99,20 @@ class Matrix:
                 raise ValueError(f"declared {ncols} columns, rows have {width}")
         elif ncols is None:
             ncols = 0
+        self._wrap(field, len(rows), ncols,
+                   [{j: x for j, x in enumerate(map(field.coerce, r)) if x}
+                    for r in rows])
+
+    def _wrap(self, field: Field, nrows: int, ncols: int,
+              entries: list | None, ints: list | None = None,
+              den: int = 1, blocks: tuple = ()) -> None:
         self.field = field
-        self.nrows = len(rows)
+        self.nrows = nrows
         self.ncols = ncols
-        self.entries = [{j: x for j, x in enumerate(map(field.coerce, r)) if x}
-                        for r in rows]
-        self._blocks = ()
+        self._entries = entries
+        self._ints = ints
+        self._den = den
+        self._blocks = blocks
         self._pivots = None
 
     @classmethod
@@ -95,12 +121,25 @@ class Matrix:
         """Wrap rows given as dicts of nonzero scalars of field, taken as
         they are: not copied, checked or coerced."""
         m = cls.__new__(cls)
-        m.field = field
-        m.nrows = len(entries)
-        m.ncols = ncols
-        m.entries = entries
-        m._blocks = ()
-        m._pivots = None
+        m._wrap(field, len(entries), ncols, entries)
+        return m
+
+    @classmethod
+    def _assembled(cls, field: Field, ints: list, ncols: int, den: int,
+                   blocks: tuple = ()) -> "Matrix":
+        """The matrix whose rows are those of blocks (see the class
+        docstring), then ints / den, den 1 over F_p.  ints holds one
+        mapping of columns to int values per row; here they are reduced
+        mod p over F_p and the zeros dropped."""
+        p = field.characteristic
+        if p:
+            ints = [{j: v for j, x in r.items() if (v := x % p)}
+                    for r in ints]
+        else:
+            ints = [{j: x for j, x in r.items() if x} for r in ints]
+        m = cls.__new__(cls)
+        m._wrap(field, sum(b.nrows for _, b in blocks) + len(ints), ncols,
+                None, ints, den, blocks)
         return m
 
     @classmethod
@@ -111,6 +150,22 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         one = field.one()
         return cls.from_entries(field, [{i: one} for i in range(n)], n)
+
+    @property
+    def entries(self) -> list:
+        """The rows as dicts of nonzero field scalars (treat as read-only);
+        for an assembled matrix, its blocks' rows shifted into place, then
+        its int rows over its denominator."""
+        if self._entries is None:
+            rows = []
+            for col0, block in self._blocks:
+                rows += [{col0 + j: x for j, x in r.items()}
+                         for r in block.entries]
+            p, den = self.field.characteristic, self._den
+            rows += [{j: _scalar(p, v, den) for j, v in r.items()}
+                     for r in self._ints]
+            self._entries = rows
+        return self._entries
 
     @property
     def rows(self) -> list:
@@ -181,9 +236,15 @@ def _kernel_row(p: int, row: dict) -> dict:
     if p:
         return {j: x.value for j, x in row.items()}
     scale = lcm(*(x.denominator for x in row.values()))
-    row = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    return _primitive(
+        {j: x.numerator * (scale // x.denominator) for j, x in row.items()})
+
+
+def _primitive(row: dict) -> dict:
+    """A row of nonzero ints divided by the gcd of its entries, as a new
+    dict."""
     g = gcd(*row.values())
-    return row if g <= 1 else {j: x // g for j, x in row.items()}
+    return {j: x // g for j, x in row.items()} if g > 1 else dict(row)
 
 
 def _eliminate(row: dict, prow: dict, c: int, p: int) -> dict:
@@ -228,8 +289,8 @@ def _reduce(rows: list, width: int, p: int,
         # over the pivot columns of row clears them all
         for c in [c for c in row if c in pivots]:
             row = _eliminate(row, pivots[c], c, p)
-        lead = min((c for c in row if c < width), default=None)
-        if lead is None:
+        lead = min(row, default=width)
+        if lead >= width:
             if row:
                 rest.append(row)
             continue
@@ -260,15 +321,25 @@ def _seeded(m: Matrix) -> dict:
     return pivots
 
 
+def _int_rows(m: Matrix) -> list:
+    """The nonzero rows of m below its blocks as fresh int dicts, the
+    input of its elimination: its int rows, made primitive over Q (any
+    multiple of a row stands for it); for a matrix built from field
+    values, `_kernel_row` of its entries."""
+    p = m.field.characteristic
+    if m._ints is None:
+        return [_kernel_row(p, r) for r in m.entries if r]
+    if p:
+        return [dict(r) for r in m._ints if r]
+    return [_primitive(r) for r in m._ints if r]
+
+
 def _echelon(m: Matrix) -> dict:
     """The pivot rows of m (see `_reduce`), computed once per matrix:
-    from its blocks' pivot rows, then the rows below the blocks."""
+    from its blocks' pivot rows, then its int rows."""
     if m._pivots is None:
-        p = m.field.characteristic
-        start = sum(block.nrows for _, block in m._blocks)
-        m._pivots, _ = _reduce(
-            [_kernel_row(p, r) for r in m.entries[start:] if r], m.ncols, p,
-            _seeded(m))
+        m._pivots, _ = _reduce(_int_rows(m), m.ncols, m.field.characteristic,
+                               _seeded(m))
     return m._pivots
 
 

@@ -11,14 +11,16 @@ degree-1 triples are just pairs (xi; pi).  The differential is
 with f.xi and pi.f the push-forwards along f.  The complex runs in the
 degrees of the bimodule complex (`zinbiel.cochains`); triples of the top
 degree exist as targets of the last differential.
-`morphism_differential_matrix` pastes the assembled matrices of d on R, on
-S and on the phi column next to those of the push-forwards, and
-`push_forward_left` and `push_forward_right` apply the push-forward
-blocks.  `TripleCochain` is an element of the protocol in
-`zinbiel.cochains` with that matrix as its d^n, so `differential` (here
-also named `morphism_differential`), `is_cocycle` and
-`coboundary_preimage`, re-exported from this module, apply it and solve
-against it.  The tuple-by-tuple differential, built from the tuple
+`morphism_differential_matrix` pastes the int rows of the assembled
+matrices of d on R, on S and on the phi column next to those of the
+push-forwards, and `push_forward_left` and `push_forward_right` apply
+the push-forward blocks.  Both push-forward matrices are assembled as int
+rows from f's matrix, read with the one fraction-free reader of the
+bimodule complex (`algebra._ints`).  `TripleCochain` is an element of
+the protocol in `zinbiel.cochains` with that matrix as its d^n, so
+`differential` (here also named `morphism_differential`), `is_cocycle`
+and `coboundary_preimage`, re-exported from this module, apply it and
+solve against it.  The tuple-by-tuple differential, built from the tuple
 formulas and the tuple push-forwards, is kept in the tests as the oracle.
 
 `TripleCochain(...)` and `from_flat` check their parts; `TripleCochain._of`
@@ -31,12 +33,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
+from math import lcm
 
 from .algebra import AlgebraMorphism
 from .cochains import (DEGREES, MAX_ARITY, Cochain, ComplexElement, _rows,
                        all_tuples, coboundary_preimage, cohomology_from,
-                       differential, differential_matrix, is_cocycle,
-                       tuple_index)
+                       differential, differential_matrix, is_cocycle)
 from .linalg import Matrix
 
 
@@ -196,72 +199,64 @@ morphism_differential = differential
 
 def _push_left_matrix(f: AlgebraMorphism, n: int) -> Matrix:
     r, s = f.source, f.target
+    cols, den = f._int_columns()
     ntup = r.dim ** n
     rows = [{} for _ in range(ntup * s.dim)]
-    for b, fb in enumerate(f.matrix.entries):
-        for a, v in fb.items():
+    for a, col in enumerate(cols):
+        for b, v in col:
             for t in range(ntup):
                 rows[t * s.dim + b][t * r.dim + a] = v
-    return Matrix.from_entries(r.field, rows, ntup * r.dim)
+    return Matrix._assembled(r.field, rows, ntup * r.dim, den)
 
 
 def _push_right_matrix(f: AlgebraMorphism, n: int) -> Matrix:
+    """Its entries are products of n entries of f, so over den^n."""
     r, s = f.source, f.target
-    field = r.field
-    rows = [{} for _ in range(r.dim ** n * s.dim)]
-    cols = [[(j, v) for j, v in enumerate(f.apply_basis(i)) if v]
-            for i in range(r.dim)]
-    for tup in all_tuples(r.dim, n):
-        t = tuple_index(r.dim, tup)
+    cols, den = f._int_columns()
+    rows = [defaultdict(int) for _ in range(r.dim ** n * s.dim)]
+    for t, tup in enumerate(all_tuples(r.dim, n)):
         for combo in itertools.product(*(cols[i] for i in tup)):
-            coef = field.one()
+            coef = 1
             jt = 0
             for j, v in combo:
                 jt = jt * s.dim + j
-                coef = coef * v
+                coef *= v
             for b in range(s.dim):
-                row = rows[t * s.dim + b]
-                col = jt * s.dim + b
-                row[col] = row[col] + coef if col in row else coef
-    # drop the entries whose contributions cancelled
-    return Matrix.from_entries(
-        field, [{j: x for j, x in row.items() if x} for row in rows],
-        s.dim ** n * s.dim)
+                rows[t * s.dim + b][jt * s.dim + b] += coef
+    return Matrix._assembled(r.field, rows, s.dim ** n * s.dim, den ** n)
 
 
 def morphism_differential_matrix(f: AlgebraMorphism, n: int) -> Matrix:
     """Matrix of the degree-n differential of the deformation complex,
     under the flattening xi-block, pi-block, phi-block.
 
-    Its rows are the rows of d^n on R, kept as they are, then those of
-    d^n on S, shifted to the pi columns, then the phi rows
-    f.xi - pi.f - d phi, pasted from their sparse blocks.  The first two
-    are recorded as the matrix's diagonal `_blocks`, so that its
-    elimination starts from their pivot rows and reduces only the phi
-    rows (see `zinbiel.linalg`); when S is R both are the same matrix."""
+    Its rows are the rows of d^n on R, then those of d^n on S, shifted to
+    the pi columns, then the phi rows f.xi - pi.f - d phi.  The first two
+    are its diagonal `_blocks`, kept as assembled, so that its elimination
+    starts from their pivot rows and reduces only the phi rows (see
+    `zinbiel.linalg`); when S is R both are the same matrix.  The phi
+    rows are its own int rows: the int rows of the push-left, push-right
+    and d^(n-1) blocks, which occupy disjoint columns, each rescaled to
+    the least common multiple of their denominators."""
     if n not in DEGREES:
         raise ValueError(f"no differential out of degree {n}")
     r, s = f.source, f.target
     d_r = differential_matrix(r, r.regular_bimodule(), n)
     d_s = d_r if s is r else differential_matrix(s, s.regular_bimodule(), n)
     col_xi, col_pi = d_r.ncols, d_s.ncols
-    phi = [{} for _ in range(r.dim ** n * s.dim)]
-
-    def paste(block: Matrix, col0: int, sign: int) -> None:
-        # the phi rows' blocks occupy disjoint columns
-        for row, brow in zip(phi, block.entries):
-            row.update((col0 + j, v if sign > 0 else -v)
-                       for j, v in brow.items())
-    paste(_push_left_matrix(f, n), 0, +1)
-    paste(_push_right_matrix(f, n), col_xi, -1)
+    parts = [(_push_left_matrix(f, n), 0, 1),
+             (_push_right_matrix(f, n), col_xi, -1)]
     if n > 1:
-        paste(differential_matrix(r, f.as_bimodule(), n - 1),
-              col_xi + col_pi, -1)
-    shifted = [{col_xi + j: v for j, v in row.items()} for row in d_s.entries]
-    m = Matrix.from_entries(r.field, d_r.entries + shifted + phi,
-                            triple_dim(f, n))
-    m._blocks = ((0, d_r), (col_xi, d_s))
-    return m
+        parts.append((differential_matrix(r, f.as_bimodule(), n - 1),
+                      col_xi + col_pi, -1))
+    den = lcm(*(part._den for part, _, _ in parts))
+    phi = [{} for _ in range(r.dim ** n * s.dim)]
+    for part, col0, sign in parts:
+        scale = sign * (den // part._den)
+        for row, prow in zip(phi, part._ints):
+            row.update((col0 + j, scale * v) for j, v in prow.items())
+    return Matrix._assembled(r.field, phi, triple_dim(f, n), den,
+                             ((0, d_r), (col_xi, d_s)))
 
 
 def morphism_cohomology_dim(f: AlgebraMorphism, n: int) -> int:

@@ -1,0 +1,297 @@
+"""The int rows of every assembled differential against the tuple oracle,
+and proof that the comparison can fail.
+
+`differential_matrix` and `morphism_differential_matrix` assemble int
+rows over one denominator, and a matrix's `entries` are a view of them
+built on first read.  On every seeded-suite instance over Q, F5, F7 and
+F101, in degrees 1..3, d^n on R with regular coefficients and the
+morphism complex's d^n must equal the matrix of the tuple oracle of
+differential_oracle.py: the same entries, dense rows, `==` and repr.
+`_echelon` on the int rows must give the pivot rows that eliminating
+`_kernel_row` of the same rows, as field values, gives.  d^n on S is
+checked too; via-f coefficients only in degrees 1 and 2, the ones f's
+complex uses (criterion 09 compares every column of d^3 with them).
+
+Hand-built morphisms whose R, S and f have denominators 2, 5 and 3 make
+the phi rows' common denominator differ from each part's; dropping the
+push-right part's rescale to it must make the comparison fail.
+
+Building `entries` on first read must change nothing a caller sees:
+`column`, `matvec`, `@`, `is_zero` and `copy.deepcopy` give the same
+results before and after the first read.
+"""
+
+import copy
+import functools
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+import differential_oracle as oracle
+from instances import FIELDS, SEED
+from zinbiel import morphism_complex
+from zinbiel.algebra import AlgebraMorphism
+from zinbiel.catalog import (change_of_basis, single_product_algebra,
+                             truncated_polynomials, weight_scaling)
+from zinbiel.cochains import Cochain, complex_dim, differential_matrix
+from zinbiel.fields import QQ
+from zinbiel.linalg import Matrix, _echelon, inverse
+from zinbiel.morphism_complex import (_push_left_matrix, _push_right_matrix,
+                                      morphism_differential_matrix)
+
+DEGREES_CHECKED = (1, 2, 3)
+
+
+def _from_columns(field, cols: list, nrows: int) -> Matrix:
+    """The matrix with these columns of field values."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in enumerate(col):
+            if x:
+                rows[i][j] = x
+    return Matrix.from_entries(field, rows, len(cols))
+
+
+def _basis(algebra, module, n, c):
+    field = algebra.field
+    flat = [field.zero()] * complex_dim(algebra, module, n)
+    flat[c] = field.one()
+    return Cochain.from_flat(algebra, module, n, flat)
+
+
+class Oracle:
+    """The tuple oracle's matrices, one column per basis element, each
+    built once per (algebra, module, degree) and reused."""
+
+    def __init__(self):
+        self._plain = {}
+
+    def plain(self, algebra, module, n) -> Matrix:
+        key = (id(algebra), id(module), n)
+        if key not in self._plain:
+            cols = [oracle.differential(_basis(algebra, module, n, c)).flatten()
+                    for c in range(complex_dim(algebra, module, n))]
+            # the objects are kept so that their ids are not reused
+            self._plain[key] = (algebra, module, _from_columns(
+                algebra.field, cols, complex_dim(algebra, module, n + 1)))
+        return self._plain[key][2]
+
+    def morphism(self, f, n) -> Matrix:
+        """d(xi; pi; phi) = (d xi; d pi; f.xi - pi.f - d phi), column by
+        column: a basis xi, pi or phi with the other two parts zero."""
+        r, s, b = f.source, f.target, f.as_bimodule()
+        zero = r.field.zero()
+        d_r = self.plain(r, r.regular_bimodule(), n)
+        d_s = self.plain(s, s.regular_bimodule(), n)
+        nb = complex_dim(r, b, n)
+        cols = []
+        for c in range(d_r.ncols):
+            xi = _basis(r, r.regular_bimodule(), n, c)
+            cols.append(d_r.column(c) + [zero] * d_s.nrows
+                        + oracle.push_forward_left(f, xi).flatten())
+        for c in range(d_s.ncols):
+            pi = _basis(s, s.regular_bimodule(), n, c)
+            cols.append([zero] * d_r.nrows + d_s.column(c)
+                        + [-x for x in
+                           oracle.push_forward_right(f, pi).flatten()])
+        if n > 1:
+            d_b = self.plain(r, b, n - 1)
+            cols += [[zero] * (d_r.nrows + d_s.nrows)
+                     + [-x for x in d_b.column(c)] for c in range(d_b.ncols)]
+        return _from_columns(r.field, cols, d_r.nrows + d_s.nrows + nb)
+
+
+def _text(m: Matrix) -> list:
+    """Each row of entries as its (column, repr) pairs in column order."""
+    return [sorted((j, repr(x)) for j, x in row.items()) for row in m.entries]
+
+
+def _mismatches(m: Matrix, expected: Matrix) -> list:
+    """What differs between an assembled matrix and the oracle's; read
+    after the elimination, so that `_echelon` runs on unread int rows."""
+    assert m._entries is None
+    pivots = _echelon(m)
+    plain = _echelon(Matrix(m.field, m.rows, m.ncols))
+    out = []
+    if _text(m) != _text(expected):
+        out.append("entries")
+    if [list(map(repr, r)) for r in m.rows] != \
+            [list(map(repr, r)) for r in expected.rows]:
+        out.append("rows")
+    if m != expected:
+        out.append("==")
+    if repr(m) != repr(expected):
+        out.append("repr")
+    if pivots != plain:
+        out.append("pivot rows")
+    return out
+
+
+def _checked(f, n, oracles: Oracle) -> list:
+    """(what, mismatches) for d^n of f's complex, of R's and S's, and of
+    R's with via-f coefficients in the degrees that f's complex uses."""
+    r, s, b = f.source, f.target, f.as_bimodule()
+    cases = [("f", lambda: morphism_differential_matrix(f, n),
+              lambda: oracles.morphism(f, n))]
+    cases += [(what, functools.partial(differential_matrix, a, module, n),
+               functools.partial(oracles.plain, a, module, n))
+              for what, a, module in (("R", r, r.regular_bimodule()),
+                                      ("S", s, s.regular_bimodule()),
+                                      ("via f", r, b))
+              if what != "via f" or n < DEGREES_CHECKED[-1]]
+    return [(what, _mismatches(assemble(), expected()))
+            for what, assemble, expected in cases]
+
+
+def _failures(instances, oracles: Oracle) -> list:
+    return [(index, n, what, bad) for index, f in enumerate(instances)
+            for n in DEGREES_CHECKED
+            for what, bad in _checked(f, n, oracles) if bad]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_int_rows_match_the_oracle_on_the_suite(suite, field):
+    instances = [f for f in suite if f.source.field == field]
+    assert _failures(instances, Oracle()) == []
+
+
+def _diagonal(values) -> Matrix:
+    n = len(values)
+    return Matrix(QQ, [[values[i] if i == j else 0 for j in range(n)]
+                       for i in range(n)])
+
+
+def _mixed_denominators() -> list:
+    """Morphisms whose R, S and f have denominators 2, 5 and 3 (and their
+    powers and products)."""
+    half, fifth, third = Fraction(1, 2), Fraction(1, 5), Fraction(1, 3)
+    # e0*e0 = e1/2 and e0*e0 = e1/5; f(e0) = (e0 + e1)/3 forces
+    # f(e1) = 2/45 e1
+    line_r = single_product_algebra(QQ, 2, 0, 0, 1, half)
+    line_s = single_product_algebra(QQ, 2, 0, 0, 1, fifth)
+    line = AlgebraMorphism(line_r, line_s,
+                           [[third, 0], [third, Fraction(2, 45)]])
+    # T3 in the bases (u0, 2u1, 4u2) and (u0, 5u1, 25u2), joined by the
+    # weight scaling u_p -> u_p / 3^p
+    t3 = truncated_polynomials(QQ, 3)
+    r, to_r = change_of_basis(t3, _diagonal([1, 2, 4]))
+    s, to_s = change_of_basis(t3, _diagonal([1, 5, 25]))
+    scaled = AlgebraMorphism(
+        r, s, to_s.matrix @ weight_scaling(t3, third).matrix
+        @ inverse(to_r.matrix))
+    # e0 to (e1 + e2)/3 in the second basis of T3, e1 to zero
+    into = AlgebraMorphism(line_r, s, [[0, 0], [third, 0], [third, 0]])
+    return [line, scaled, into]
+
+
+def _part_dens(f, n) -> list:
+    parts = [_push_left_matrix(f, n), _push_right_matrix(f, n)]
+    if n > 1:
+        parts.append(differential_matrix(f.source, f.as_bimodule(), n - 1))
+    return [part._den for part in parts]
+
+
+def test_int_rows_match_the_oracle_across_denominators():
+    instances = _mixed_denominators()
+    for f in instances:
+        for n in DEGREES_CHECKED:
+            dens = _part_dens(f, n)
+            common = morphism_differential_matrix(f, n)._den
+            assert common == lcm(*dens)
+            # from degree 2 on, the phi rows' denominator is none of its
+            # parts' own; at degree 1 there is no d phi part
+            assert (common not in dens) == (n > 1)
+    assert _failures(instances, Oracle()) == []
+
+
+def test_a_push_right_part_left_unscaled_is_caught(monkeypatch):
+    original = _push_right_matrix
+
+    def unscaled(f, n):
+        # claim the phi rows' denominator, so that the rows go in as they
+        # are: the push-right part is not rescaled to it
+        m = original(f, n)
+        m._den = lcm(*_part_dens(f, n))
+        return m
+    instances = _mixed_denominators()
+    monkeypatch.setattr(morphism_complex, "_push_right_matrix", unscaled)
+    failures = _failures(instances, Oracle())
+    # every instance fails in degrees 2 and 3, where a rescale is due
+    assert {(index, n, what) for index, n, what, _ in failures} == {
+        (index, n, "f") for index in range(len(instances)) for n in (2, 3)}
+    assert all("entries" in bad for _, _, _, bad in failures)
+
+
+def _assembled(f):
+    """Fresh assemblies of every checked degree, nothing read yet."""
+    r = f.source
+    out = []
+    for n in DEGREES_CHECKED:
+        out.append(morphism_differential_matrix(f, n))
+        out.append(differential_matrix(r, r.regular_bimodule(), n))
+        out.append(differential_matrix(r, f.as_bimodule(), n))
+    assert all(m._entries is None for m in out)
+    return out
+
+
+def _random(field, rng, nrows, ncols) -> Matrix:
+    return Matrix(field, [[field.from_int(rng.choice((0, 0, 1, -2, 3)))
+                           for _ in range(ncols)] for _ in range(nrows)],
+                  ncols)
+
+
+def _products(m, rng) -> tuple:
+    return (_text(m @ _random(m.field, rng, m.ncols, 3)),
+            _text(_random(m.field, rng, 3, m.nrows) @ m))
+
+
+# what a caller sees of a matrix through each reader but entries
+READERS = {
+    "column": lambda m, rng: [list(map(repr, m.column(j)))
+                              for j in range(m.ncols)],
+    "matvec": lambda m, rng: list(map(repr, m.matvec(
+        [m.field.from_int(rng.randint(-3, 3)) for _ in range(m.ncols)]))),
+    "@": _products,
+    "is_zero": lambda m, rng: m.is_zero(),
+}
+
+
+def _sample(suite) -> list:
+    """Per field, the first two instances with both dimensions 2 and the
+    first with R of dimension at most 1."""
+    chosen = []
+    for field in FIELDS:
+        over = [f for f in suite if f.source.field == field]
+        chosen += [f for f in over
+                   if f.source.dim == f.target.dim == 2][:2]
+        chosen += [f for f in over if f.source.dim <= 1][:1]
+    return chosen
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_entries_read_late_change_nothing(suite, reader):
+    # the first read of `first` is the reader's own; `later` has had its
+    # entries read before
+    for index, f in enumerate(_sample(suite)):
+        for first, later in zip(_assembled(f), _assembled(f)):
+            later.entries
+            seen = READERS[reader](first, random.Random(SEED + index))
+            # with no column, `column` has nothing to read
+            assert (first._entries is not None
+                    or reader == "column" and not first.ncols)
+            assert seen == READERS[reader](later, random.Random(SEED + index))
+
+
+def test_deep_copies_before_and_after_the_first_read_agree(suite):
+    for f in _sample(suite):
+        for first, later in zip(_assembled(f), _assembled(f)):
+            unread = copy.deepcopy(first)
+            assert unread._entries is None
+            later.entries
+            read = copy.deepcopy(later)
+            assert read._entries is not None
+            assert _echelon(unread) == _echelon(first)
+            assert _text(unread) == _text(read) == _text(first)
+            assert unread == read == first
