@@ -18,9 +18,12 @@ the actions its caller supplies.  The first two checks are the order-0
 deformation conditions of (m_R; m_S; f) and share their sparse sums with
 `zinbiel.deformation`: `_product_sums` and `_morphism_sums` at order 0.
 The mixed identities are the Zinbiel identity of the square-zero
-extension R + A, so `_product_sums` computes them too.  `_found` reads
-the failures off the accumulated sums, here and for the deformation
-conditions of every order.
+extension R + A, so `_product_sums` computes them too.  Each check
+reads its values with the one int reader, `linalg._ints`, over one
+denominator den, so its sums are ints scaled by den^2 (the product sums)
+or den^3 (the morphism sums).  `_found` reads the failures off the
+accumulated sums and writes their values back with `linalg._scalar`,
+here and for the deformation conditions of every order.
 
 The two derived bimodules are built unchecked, because their identities
 hold by construction.  In `regular_bimodule()` all three mixed identities
@@ -37,11 +40,9 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .fields import Field, FieldError
-from .linalg import Matrix, unit_vector, zero_vector
+from .linalg import Matrix, _ints, _scalar, unit_vector, zero_vector
 
 
 @dataclass
@@ -128,37 +129,11 @@ def zinbiel_violations(field: Field, dim: int, gamma) -> list[Violation]:
     """Residuals of (x*y)*z - x*(y*z) - x*(z*y) on all basis triples: the
     order-0 product sums of the deformation conditions."""
     _check_cube_shape(dim, gamma)
-    rows = _read([[field.coerce(x) for x in row] for plane in gamma
-                  for row in plane], field.characteristic)
+    (rows,), den = _ints([[[field.coerce(x) for x in row] for plane in gamma
+                           for row in plane]], field.characteristic)
     wheres = itertools.product(range(dim), repeat=3)
     return _found(functools.partial(Violation, "zinbiel"), field, dim,
-                  wheres, _product_sums(dim, [rows], [(0, 0)]))
-
-
-def _ints(groups, p: int) -> tuple[list, int]:
-    """The one fraction-free reader: for each group of dense rows of
-    field values, each row as the (index, value) pairs of its nonzero
-    values in ints, and the one denominator den of all groups.  Over F_p
-    the ints are the values mod p and den is 1; over Q they are the values
-    times den, the least common denominator of every value read."""
-    if p:
-        return [[[(b, v.value) for b, v in enumerate(row) if v]
-                 for row in rows] for rows in groups], 1
-    groups = [list(rows) for rows in groups]
-    den = lcm(*{v.denominator for rows in groups for row in rows
-                for v in row})
-    return [[[(b, v.numerator * (den // v.denominator))
-              for b, v in enumerate(row) if v] for row in rows]
-            for rows in groups], den
-
-
-def _read(rows, p: int) -> list:
-    """For each dense row of field values, the (output, value) pairs of its
-    nonzero values: ints mod p over F_p (as `_ints` reads them), the
-    values themselves over Q."""
-    if p:
-        return _ints([rows], p)[0][0]
-    return [[(b, v) for b, v in enumerate(row) if v] for row in rows]
+                  wheres, _product_sums(dim, [rows], [(0, 0)]), den ** 2)
 
 
 def _settle(acc: dict, p: int) -> list:
@@ -223,10 +198,10 @@ def _morphism_sums(dr: int, ds: int, ms_r: list, ms_s: list, fs: list,
     return out
 
 
-def _found(make, field: Field, dim: int, wheres, sums, den: int = 1) -> list:
-    """make(where, residual) for each accumulated row of sums that does
-    not vanish, its residual the dense vector of its values in the field,
-    each divided by den (den > 1 only over Q, on int sums)."""
+def _found(make, field: Field, dim: int, wheres, sums, den: int) -> list:
+    """make(where, residual) for each accumulated int row of sums that
+    does not vanish, its residual the dense vector of its values, each
+    divided by den (1 over F_p)."""
     p = field.characteristic
     out = []
     for where, acc in zip(wheres, sums):
@@ -234,7 +209,7 @@ def _found(make, field: Field, dim: int, wheres, sums, den: int = 1) -> list:
         if nonzero:
             res = zero_vector(field, dim)
             for b, v in nonzero:
-                res[b] = field.coerce(v) if den == 1 else Fraction(v, den)
+                res[b] = _scalar(p, v, den)
             out.append(make(where, res))
     return out
 
@@ -345,7 +320,8 @@ def bimodule_violations(algebra: ZinbielAlgebra, dim: int, left,
         for a in range(dim):
             put(i, d + a, d, left[i][a])
             put(d + a, i, d, right[a][i])
-    sums = _product_sums(n, [_read(table, field.characteristic)], [(0, 0)])
+    (rows,), den = _ints([table], field.characteristic)
+    sums = _product_sums(n, [rows], [(0, 0)])
     out = []
     for slot, label in enumerate(("module-first", "module-middle",
                                   "module-last")):
@@ -359,7 +335,7 @@ def bimodule_violations(algebra: ZinbielAlgebra, dim: int, left,
             rows.append({b - d: v for b, v in
                          sums[(x * n + y) * n + z].items()})
         out += _found(functools.partial(Violation, label), field, dim,
-                      wheres, rows)
+                      wheres, rows, den ** 2)
     return out
 
 
@@ -432,17 +408,16 @@ def morphism_violations(source: ZinbielAlgebra, target: ZinbielAlgebra,
                         matrix: Matrix) -> list[Violation]:
     """Residuals of f(e_i e_j) - f(e_i) f(e_j) on all basis pairs: the
     order-0 morphism sums of the deformation conditions."""
-    p = source.field.characteristic
-
-    def rows(algebra):
-        return _read((row for plane in algebra.gamma for row in plane), p)
-    fs = _read([matrix.column(i) for i in range(source.dim)], p)
+    (ms_r, ms_s, fs), den = _ints(
+        ([row for plane in source.gamma for row in plane],
+         [row for plane in target.gamma for row in plane],
+         [matrix.column(i) for i in range(source.dim)]),
+        source.field.characteristic)
     wheres = itertools.product(range(source.dim), repeat=2)
     return _found(functools.partial(Violation, "morphism"), source.field,
                   target.dim, wheres,
-                  _morphism_sums(source.dim, target.dim, [rows(source)],
-                                 [rows(target)], [fs], [(0, 0)], [(0, 0, 0)],
-                                 1))
+                  _morphism_sums(source.dim, target.dim, [ms_r], [ms_s], [fs],
+                                 [(0, 0)], [(0, 0, 0)], den), den ** 3)
 
 
 def identity_morphism(algebra: ZinbielAlgebra) -> AlgebraMorphism:

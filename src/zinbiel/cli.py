@@ -133,11 +133,16 @@ def _pick(table: dict, requested: str | None, kind: str):
         0, 0, f"--{kind} is required when the file has {len(table)} of them")
 
 
-def _deformation(problem, args, emit, order=None, explain=False):
+def _deformation(problem, args, emit, order=None, explain=False, least=0):
     """The deformation named by --deformation, validated through order
-    (default: its own); (name, None) once it is reported invalid."""
+    (default: its own); (name, None) once it is reported invalid.  One of
+    order below least is a usage error."""
     name = _pick(problem.deformations, args.deformation, "deformation")
     f, terms, top = problem.deformation_candidate(name)
+    if top < least:
+        raise ProblemFileError(
+            0, 0, f"{args.command} needs a deformation of order at least "
+                  f"{least}, {name} has order {top}")
     try:
         return name, check_deformation(
             f, terms, top if order is None else min(top, order))
@@ -263,7 +268,8 @@ def _cmd_check_deformation(problem, args, emit) -> int:
 
 
 def _cmd_obstruction(problem, args, emit) -> int:
-    name, theta = _deformation(problem, args, emit, args.order, explain=True)
+    name, theta = _deformation(problem, args, emit, args.order, explain=True,
+                               least=1)
     if theta is None:
         return 1
     ob = obstruction(theta)
@@ -298,7 +304,7 @@ def _cmd_extend(problem, args, emit) -> int:
                  report=f"cochain {cname} is not a 2-cocycle")
             return 1
     else:
-        _, theta = _deformation(problem, args, emit)
+        _, theta = _deformation(problem, args, emit, least=1)
         if theta is None:
             return 1
         trace = extend_to(theta, target)

@@ -27,7 +27,7 @@ All three follow one formula: for p of arity n,
 and only the signed reorderings depend on n.  They form the one table
 `_TAIL_ORDERS`, whose keys are the degree range of the complex.
 `differential_matrix` reads the algebra's structure constants and the
-module's actions fraction-free, with the one reader `algebra._ints`:
+module's actions fraction-free, with the one reader `linalg._ints`:
 ints mod p over F_p, ints over their least common denominator over Q.
 Each term of d^n is linear in one of them, so d^n is assembled as int
 rows over that denominator, in one pass per term of this formula, with

@@ -26,17 +26,18 @@ of R and S and f(xy) = f(x)f(y), and the constructors in
 `deformation_violations` starts at order 1.
 
 Every sum here is a sparse contraction (the product and morphism sums
-live in `zinbiel.algebra`).  Each m_l, f_l, phi_i and psi_i
-is read once per call as sparse rows (for each basis input, the pairs
-(output, value) of its nonzero values), and the terms are accumulated
-straight from those rows.  Over F_p the values are plain ints mod p, as
-in `linalg`.  Over Q the condition sums run on ints too: the series is
-scaled by the least common denominator of its values, and each result is
-divided back once; conjugation runs on `Fraction`s.  The scalars are
+live in `zinbiel.algebra`).  Each m_l, f_l and phi_i is read once per
+call as sparse int rows (for each basis input, the pairs (output, value)
+of its nonzero values) by the one reader `linalg._ints`: every series of
+a call over one denominator den, 1 over F_p, where the ints are the
+values mod p.  The terms are accumulated straight from those rows, and
+each result is divided back once, by `linalg._scalar`.  The scalars are
 exact, so the order of summation changes no value.  Conjugation composes
 whole series: m with psi in its first slot, then in its second, then phi
 after it, each a convolution of two series, so every order is summed
-once.
+once.  Its inverse series psi, to order N, is kept as psi times den^N
+(`_invert_series`), so the conjugated products are over den^(2N+2) and
+the conjugated maps over den^(N+2).
 
 Validation reads each order's conditions off these int sums, as
 `zinbiel.algebra` reads the identities (`_found`): a residual vector is
@@ -58,13 +59,13 @@ for the violations (finding none there is an internal error).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
-from .algebra import (AlgebraMorphism, _found, _ints, _morphism_sums,
-                      _product_sums, _read, _settle)
+from .algebra import (AlgebraMorphism, _found, _morphism_sums, _product_sums,
+                      _settle)
 from .cochains import (Cochain, all_tuples, coboundary_preimage,
                        differential, identity_cochain, product_cochain)
+from .linalg import _ints, _scalar
 from .morphism_complex import (TripleCochain, morphism_cochain,
                                morphism_cohomology_dim, push_forward_left,
                                push_forward_right)
@@ -221,17 +222,16 @@ def trivial_deformation(f: AlgebraMorphism,
     return TruncatedDeformation._trivial(f, order)
 
 
-def _cochain(source, module, arity: int, rows, den: int = 1) -> Cochain:
-    """The dense cochain with the given rows of (output, value) pairs, each
-    value a field value or an int, divided by den (den > 1 only over Q)."""
-    field = source.field
-    zero = field.zero()
+def _cochain(source, module, arity: int, rows, den: int) -> Cochain:
+    """The dense cochain with the given rows of (output, int) pairs, each
+    int divided by den (1 over F_p)."""
+    p, zero = source.field.characteristic, source.field.zero()
     dense = []
     for row in rows:
         vec = [zero] * module.dim
         for b, v in row:
             if v:
-                vec[b] = field.coerce(v) if den == 1 else Fraction(v, den)
+                vec[b] = _scalar(p, v, den)
         dense.append(vec)
     return Cochain._of(source, module, arity, dense)
 
@@ -423,10 +423,13 @@ def _compose_series(outer: list, inner: list, top: int, p: int) -> list:
     return out
 
 
-def _invert_series(terms: list, order: int, d: int, p: int) -> list:
-    """The sparse rows of psi with sum_i terms[i] . psi[n-i] = 0 for
-    1 <= n <= order, psi[0] the identity; terms are sparse rows too."""
-    psi = [[[(x, 1)] for x in range(d)]]
+def _invert_series(terms: list, order: int, d: int, den: int, p: int) -> list:
+    """The sparse int rows of psi times den^order, with sum_i terms[i] .
+    psi[n-i] = 0 for 1 <= n <= order and psi[0] the identity, where
+    terms[i] holds the sparse int rows of phi_i times den.  psi[n] is a
+    sum of products of at most n terms, so den^n psi[n] is in ints and
+    each order's sums divide by den exactly."""
+    psi = [[[(x, den ** order)] for x in range(d)]]
     for n in range(1, order + 1):
         rows = []
         for x in range(d):
@@ -436,7 +439,7 @@ def _invert_series(terms: list, order: int, d: int, p: int) -> list:
                 for k, v in psi[n - i][x]:
                     for b, w in term[k]:
                         acc[b] = acc.get(b, 0) - v * w
-            rows.append(_settle(acc, p))
+            rows.append([(b, v // den) for b, v in _settle(acc, p)])
         psi.append(rows)
     return psi
 
@@ -449,14 +452,12 @@ def invert_truncated(phi: FormalIsomorphism,
         order = phi.order
     r, s = phi.morphism.source, phi.morphism.target
     p = r.field.characteristic
-    padded = phi.padded(order)
-    psi_r = _invert_series([_read(t[0].coeffs, p) for t in padded],
-                           order, r.dim, p)
-    psi_s = _invert_series([_read(t[1].coeffs, p) for t in padded],
-                           order, s.dim, p)
+    groups, den = _ints([c.coeffs for t in phi.padded(order) for c in t], p)
+    psi_r = _invert_series(groups[0::2], order, r.dim, den, p)
+    psi_s = _invert_series(groups[1::2], order, s.dim, den, p)
     return FormalIsomorphism._of(phi.morphism, [
-        (_cochain(r, r.regular_bimodule(), 1, qr),
-         _cochain(s, s.regular_bimodule(), 1, qs))
+        (_cochain(r, r.regular_bimodule(), 1, qr, den ** order),
+         _cochain(s, s.regular_bimodule(), 1, qs, den ** order))
         for qr, qs in zip(psi_r, psi_s)])
 
 
@@ -472,12 +473,12 @@ def conjugate(theta: TruncatedDeformation,
     top = theta.order
     r, s = f.source, f.target
     p = r.field.characteristic
-    padded = phi.padded(top)
-    pr = [_read(t[0].coeffs, p) for t in padded]
-    ps = [_read(t[1].coeffs, p) for t in padded]
-    qr = _invert_series(pr, top, r.dim, p)
-    qs = _invert_series(ps, top, s.dim, p)
-    fs = [_read(t.phi.coeffs, p) for t in theta.terms]
+    # phi_R, phi_S, m_R, m_S and f, order by order, over one den
+    groups, den = _ints([c.coeffs for t, u in zip(phi.padded(top), theta.terms)
+                         for c in (*t, u.xi, u.pi, u.phi)], p)
+    pr, ps, ms_r, ms_s, fs = (groups[i::5] for i in range(5))
+    qr = _invert_series(pr, top, r.dim, den, p)
+    qs = _invert_series(ps, top, s.dim, den, p)
 
     def conj_product(d, outer, ms, inner):
         # phi . m . (psi (x) 1) . (1 (x) psi), psi acting on one slot of
@@ -490,15 +491,17 @@ def conjugate(theta: TruncatedDeformation,
         return _compose_series(outer, _compose_series(_compose_series(
             ms, first, top, p), second, top, p), top, p)
 
-    xi = conj_product(r.dim, pr,
-                      [_read(t.xi.coeffs, p) for t in theta.terms], qr)
-    pi = conj_product(s.dim, ps,
-                      [_read(t.pi.coeffs, p) for t in theta.terms], qs)
+    xi = conj_product(r.dim, pr, ms_r, qr)
+    pi = conj_product(s.dim, ps, ms_s, qs)
     maps = _compose_series(ps, _compose_series(fs, qr, top, p), top, p)
+    # phi . m . (psi, psi) and phi_S . f . psi_R: den^top for each factor
+    # psi, den for each other factor
+    products, map_den = den ** (2 * top + 2), den ** (top + 2)
     return TruncatedDeformation(f, [
-        TripleCochain._of(f, 2, _cochain(r, r.regular_bimodule(), 2, xi[n]),
-                          _cochain(s, s.regular_bimodule(), 2, pi[n]),
-                          _cochain(r, f.as_bimodule(), 1, maps[n]))
+        TripleCochain._of(
+            f, 2, _cochain(r, r.regular_bimodule(), 2, xi[n], products),
+            _cochain(s, s.regular_bimodule(), 2, pi[n], products),
+            _cochain(r, f.as_bimodule(), 1, maps[n], map_den))
         for n in range(top + 1)])
 
 

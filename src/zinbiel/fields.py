@@ -270,7 +270,7 @@ def field_from_spec(text: str) -> Field:
         return QQ
     if text.startswith("Fp:"):
         tail = text[3:]
-        if not tail.isdigit():
+        if not tail.isdecimal():
             raise FieldError(f"bad prime field descriptor: {text!r}")
         return PrimeField(int(tail))
     raise FieldError(f"unknown field descriptor: {text!r}")

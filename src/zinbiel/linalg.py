@@ -1,23 +1,23 @@
 """Exact sparse linear algebra: rank, nullspace bases, particular solutions.
 
-A `Matrix` is sparse: one dict (column -> nonzero value) per row.  Every
-elimination goes through one routine, `_reduce`, which brings sparse
-rows to reduced row echelon form with each pivot on the leftmost nonzero
-column of its row.  It works on int rows: over F_p on plain ints mod p,
-over Q on primitive integer rows (fraction-free, each row standing for
-its rational multiples).  The results are turned back into `Fraction` or
-`ModInt` values only at the end.
+A `Matrix` is sparse and holds its rows in one form: int rows over one
+denominator, one dict (column -> nonzero int) per row, 1 over F_p, where
+the ints are the values mod p.  Field values are read into ints by one
+reader, `_ints`, and written back by one writer, `_scalar`.
+`Matrix(...)` reads its values with `_ints`; `zeros`, `identity`, `@`,
+`inverse` and the differentials of `zinbiel.cochains` and
+`zinbiel.morphism_complex` build their int rows directly
+(`Matrix._assembled`).  A matrix's `entries`, dicts of `Fraction` or
+`ModInt` values, are a view built on first read and kept: `matvec`,
+`column`, `rows` and `==` read it; `rank_nullspace`, `solve`, `inverse`,
+`@` and `is_zero` do not.
 
-A matrix holds its rows in one of two forms.  A matrix built from field
-values (`Matrix(...)`, `from_entries`, the results of `inverse` and `@`)
-holds them as `entries`, dicts of field scalars, and its int rows are
-read off them by `_kernel_row` when it is eliminated.  An assembled
-matrix (`Matrix._assembled`, the differentials of `zinbiel.cochains` and
-`zinbiel.morphism_complex`) holds int rows over one denominator, 1 over
-F_p, and those rows, made primitive over Q, are the input of its
-elimination as they are.  Its `entries` are a view, built on first read
-from the int rows and kept: `solve`, `inverse`, `matvec`, `column`, `@`
-and `==` read it, `rank_nullspace` does not.
+Every elimination goes through one routine, `_reduce`, which brings sparse
+int rows to reduced row echelon form with each pivot on the leftmost
+nonzero column of its row: over F_p on plain ints mod p, over Q on
+primitive integer rows (fraction-free, each row standing for its rational
+multiples).  The results are turned back into field values only at the
+end.
 
 The reduced row echelon form of a matrix is unique: its pivot columns and
 its rows depend only on the row space, not on the order in which rows
@@ -31,14 +31,15 @@ construction and all operations return fresh values.
 the matrix for as long as the matrix lives.  An assembled matrix may
 declare diagonal blocks (`Matrix._blocks`), as the morphism complex's
 d^n does with d^n on R and on S.  Its rows are the blocks' rows, each
-shifted to its columns, then its own int rows, and its `entries` view is
-built in that order.  The block rows touch disjoint columns and never
-combine, so the shifted pivot rows of the blocks together are already
-the reduced echelon form of those rows.  The elimination starts from
-copies of them (`_seeded`) and reduces only the matrix's own rows; a
-block that occurs twice is eliminated once.  Since that form is unique,
-the pivot columns and rows, hence every rank, nullspace basis and
-solution, are the ones that eliminating all rows would give.
+shifted to its columns, then its own int rows; `_flat` gives them all
+over one denominator, and its `entries` view is built in that order.
+The block rows touch disjoint columns and never combine, so the shifted
+pivot rows of the blocks together are already the reduced echelon form
+of those rows.  The elimination starts from copies of them (`_seeded`)
+and reduces only the matrix's own rows; a block that occurs twice is
+eliminated once.  Since that form is unique, the pivot columns and rows,
+hence every rank, nullspace basis and solution, are the ones that
+eliminating all rows would give.
 """
 
 from __future__ import annotations
@@ -67,22 +68,15 @@ def vec_sub(u: list, v: list) -> list:
     return [a - b for a, b in zip(u, v)]
 
 
-def vec_is_zero(u: list) -> bool:
-    return not any(u)
-
-
 class Matrix:
-    """Sparse matrix over one field: `entries[i]` maps the column of each
-    nonzero entry of row i to its value.
-
-    A matrix built from field values (`Matrix(...)`, `from_entries`) holds
-    `entries` itself.  An assembled one (`_assembled`) holds int rows over
-    one denominator instead, and `entries` is a view of them built on
-    first read.  `_blocks` declares diagonal blocks, as (column offset,
-    block) pairs: the leading rows of the matrix are the rows of each
-    block in turn, shifted right by its offset and zero elsewhere, and no
-    two blocks share a column.  The int rows of a blocked matrix are the
-    rows below its blocks."""
+    """Sparse matrix over one field, held as int rows over one
+    denominator: `_ints[i]` maps the column of each nonzero entry of the
+    i-th row below the blocks to that entry times `_den`, 1 over F_p,
+    where it is the entry mod p.  `entries` is a view of the rows in field
+    values, built on first read.  `_blocks` declares diagonal blocks, as
+    (column offset, block) pairs: the leading rows of the matrix are the
+    rows of each block in turn, shifted right by its offset and zero
+    elsewhere, and no two blocks share a column."""
 
     __slots__ = ("field", "nrows", "ncols", "_entries", "_ints", "_den",
                  "_blocks", "_pivots")
@@ -99,30 +93,20 @@ class Matrix:
                 raise ValueError(f"declared {ncols} columns, rows have {width}")
         elif ncols is None:
             ncols = 0
-        self._wrap(field, len(rows), ncols,
-                   [{j: x for j, x in enumerate(map(field.coerce, r)) if x}
-                    for r in rows])
+        (ints,), den = _ints([[list(map(field.coerce, r)) for r in rows]],
+                             field.characteristic)
+        self._wrap(field, len(rows), ncols, [dict(r) for r in ints], den)
 
-    def _wrap(self, field: Field, nrows: int, ncols: int,
-              entries: list | None, ints: list | None = None,
-              den: int = 1, blocks: tuple = ()) -> None:
+    def _wrap(self, field: Field, nrows: int, ncols: int, ints: list,
+              den: int, blocks: tuple = ()) -> None:
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self._entries = entries
+        self._entries = None
         self._ints = ints
         self._den = den
         self._blocks = blocks
         self._pivots = None
-
-    @classmethod
-    def from_entries(cls, field: Field, entries: list,
-                     ncols: int) -> "Matrix":
-        """Wrap rows given as dicts of nonzero scalars of field, taken as
-        they are: not copied, checked or coerced."""
-        m = cls.__new__(cls)
-        m._wrap(field, len(entries), ncols, entries)
-        return m
 
     @classmethod
     def _assembled(cls, field: Field, ints: list, ncols: int, den: int,
@@ -139,23 +123,22 @@ class Matrix:
             ints = [{j: x for j, x in r.items() if x} for r in ints]
         m = cls.__new__(cls)
         m._wrap(field, sum(b.nrows for _, b in blocks) + len(ints), ncols,
-                None, ints, den, blocks)
+                ints, den, blocks)
         return m
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls.from_entries(field, [{} for _ in range(nrows)], ncols)
+        return cls._assembled(field, [{} for _ in range(nrows)], ncols, 1)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one = field.one()
-        return cls.from_entries(field, [{i: one} for i in range(n)], n)
+        return cls._assembled(field, [{i: 1} for i in range(n)], n, 1)
 
     @property
     def entries(self) -> list:
-        """The rows as dicts of nonzero field scalars (treat as read-only);
-        for an assembled matrix, its blocks' rows shifted into place, then
-        its int rows over its denominator."""
+        """The rows as dicts of nonzero field scalars (treat as read-only):
+        its blocks' rows shifted into place, then its int rows over its
+        denominator, built on first read and kept."""
         if self._entries is None:
             rows = []
             for col0, block in self._blocks:
@@ -207,17 +190,20 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
+        rows, den = _flat(self)
+        brows, bden = _flat(other)
         out = []
-        for arow in self.entries:
+        for arow in rows:
             crow = {}
             for k, a in arow.items():
-                for j, b in other.entries[k].items():
-                    crow[j] = crow[j] + a * b if j in crow else a * b
-            out.append({j: x for j, x in crow.items() if x})
-        return Matrix.from_entries(self.field, out, other.ncols)
+                for j, b in brows[k].items():
+                    crow[j] = crow.get(j, 0) + a * b
+            out.append(crow)
+        return Matrix._assembled(self.field, out, other.ncols, den * bden)
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self._ints) and all(
+            block.is_zero() for _, block in self._blocks)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -230,14 +216,39 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 
 
-def _kernel_row(p: int, row: dict) -> dict:
-    """A row of field scalars in kernel form: ints mod p over F_p, the
-    primitive integer multiple over Q."""
+def _ints(groups, p: int) -> tuple[list, int]:
+    """The one fraction-free reader: for each group of dense rows of
+    field values, each row as the (index, value) pairs of its nonzero
+    values in ints, and the one denominator den of all groups.  Over F_p
+    the ints are the values mod p and den is 1; over Q they are the values
+    times den, the least common denominator of every value read."""
     if p:
-        return {j: x.value for j, x in row.items()}
-    scale = lcm(*(x.denominator for x in row.values()))
-    return _primitive(
-        {j: x.numerator * (scale // x.denominator) for j, x in row.items()})
+        return [[[(b, v.value) for b, v in enumerate(row) if v]
+                 for row in rows] for rows in groups], 1
+    groups = [list(rows) for rows in groups]
+    den = lcm(*{v.denominator for rows in groups for row in rows
+                for v in row})
+    return [[[(b, v.numerator * (den // v.denominator))
+              for b, v in enumerate(row) if v] for row in rows]
+            for rows in groups], den
+
+
+def _scalar(p: int, num: int, den: int):
+    """The one writer: the field scalar num/den from ints (den == 1 over
+    F_p)."""
+    return ModInt(num, p) if p else Fraction(num, den)
+
+
+def _flat(m: Matrix) -> tuple[list, int]:
+    """Every row of m as a fresh int dict, over one denominator den: the
+    rows of its blocks, shifted to their columns, then its own int rows,
+    each rescaled to den, the least common multiple of their
+    denominators."""
+    parts = [(col0, *_flat(block)) for col0, block in m._blocks]
+    parts.append((0, m._ints, m._den))
+    den = lcm(*(d for _, _, d in parts))
+    return [{col0 + j: v * (den // d) for j, v in r.items()}
+            for col0, rows, d in parts for r in rows], den
 
 
 def _primitive(row: dict) -> dict:
@@ -273,7 +284,7 @@ def _eliminate(row: dict, prow: dict, c: int, p: int) -> dict:
 
 def _reduce(rows: list, width: int, p: int,
             pivots: dict | None = None) -> tuple[dict, list]:
-    """Reduced row echelon form of kernel rows (see `_kernel_row`), with
+    """Reduced row echelon form of kernel rows (see `_int_rows`), with
     pivots searched in the columns below width only; row operations apply
     to whole rows.  Over F_p each pivot entry is 1; over Q it is the scale
     of its row.  Returns (pivots, rest): pivots maps each pivot column to
@@ -305,11 +316,6 @@ def _reduce(rows: list, width: int, p: int,
     return pivots, rest
 
 
-def _scalar(p: int, num: int, den: int):
-    """The field scalar num/den from kernel values (den == 1 over F_p)."""
-    return ModInt(num, p) if p else Fraction(num, den)
-
-
 def _seeded(m: Matrix) -> dict:
     """Copies of the pivot rows of each block of m, shifted to its
     columns: together they are the reduced echelon form of the block rows
@@ -321,25 +327,21 @@ def _seeded(m: Matrix) -> dict:
     return pivots
 
 
-def _int_rows(m: Matrix) -> list:
-    """The nonzero rows of m below its blocks as fresh int dicts, the
-    input of its elimination: its int rows, made primitive over Q (any
-    multiple of a row stands for it); for a matrix built from field
-    values, `_kernel_row` of its entries."""
-    p = m.field.characteristic
-    if m._ints is None:
-        return [_kernel_row(p, r) for r in m.entries if r]
+def _int_rows(p: int, rows: list) -> list:
+    """The nonzero int rows among rows as fresh dicts, the input of an
+    elimination: made primitive over Q (any multiple of a row stands for
+    it)."""
     if p:
-        return [dict(r) for r in m._ints if r]
-    return [_primitive(r) for r in m._ints if r]
+        return [dict(r) for r in rows if r]
+    return [_primitive(r) for r in rows if r]
 
 
 def _echelon(m: Matrix) -> dict:
     """The pivot rows of m (see `_reduce`), computed once per matrix:
     from its blocks' pivot rows, then its int rows."""
     if m._pivots is None:
-        m._pivots, _ = _reduce(_int_rows(m), m.ncols, m.field.characteristic,
-                               _seeded(m))
+        p = m.field.characteristic
+        m._pivots, _ = _reduce(_int_rows(p, m._ints), m.ncols, p, _seeded(m))
     return m._pivots
 
 
@@ -379,15 +381,14 @@ def solve(m: Matrix, b: list) -> list | None:
             f"right-hand side of length {len(b)} against {m.nrows} rows")
     p = m.field.characteristic
     n = m.ncols
-    aug = []
-    for row, bi in zip(m.entries, b):
-        bi = m.field.coerce(bi)
-        if bi:
-            row = dict(row)
-            row[n] = bi
-        if row:
-            aug.append(_kernel_row(p, row))
-    pivots, rest = _reduce(aug, n, p)
+    # each row of (m | b) times the product of both denominators
+    aug, den = _flat(m)
+    [[bs]], bden = _ints([[list(map(m.field.coerce, b))]], p)
+    if bden > 1:
+        aug = [{j: v * bden for j, v in row.items()} for row in aug]
+    for i, v in bs:
+        aug[i][n] = v * den
+    pivots, rest = _reduce(_int_rows(p, aug), n, p)
     if rest:
         return None
     x = zero_vector(m.field, n)
@@ -403,19 +404,16 @@ def inverse(m: Matrix) -> Matrix | None:
         raise ValueError("inverse of a non-square matrix")
     p = m.field.characteristic
     n = m.nrows
-    one = m.field.one()
-    aug = []
-    for i, row in enumerate(m.entries):
-        row = dict(row)
-        row[n + i] = one
-        aug.append(_kernel_row(p, row))
-    pivots, _ = _reduce(aug, n, p)
+    # each row of (m | identity) times the denominator of m
+    aug, den = _flat(m)
+    for i, row in enumerate(aug):
+        row[n + i] = den
+    pivots, _ = _reduce(_int_rows(p, aug), n, p)
     if len(pivots) != n:
         return None
-    out = []
-    for c in range(n):
-        row = pivots[c]
-        scale = row[c]
-        out.append({j - n: _scalar(p, x, scale)
-                    for j, x in row.items() if j >= n})
-    return Matrix.from_entries(m.field, out, n)
+    # row c of the inverse is the right half of pivot row c over its
+    # pivot entry, 1 over F_p
+    den = lcm(*(pivots[c][c] for c in range(n)))
+    out = [{j - n: x * (den // pivots[c][c])
+            for j, x in pivots[c].items() if j >= n} for c in range(n)]
+    return Matrix._assembled(m.field, out, n, den)

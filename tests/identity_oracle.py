@@ -11,7 +11,7 @@ repr for repr.
 """
 
 from zinbiel.algebra import Violation
-from zinbiel.linalg import vec_add, vec_is_zero, vec_sub, zero_vector
+from zinbiel.linalg import vec_add, vec_sub, zero_vector
 
 
 def zinbiel_violations(field, dim, gamma) -> list[Violation]:
@@ -21,7 +21,7 @@ def zinbiel_violations(field, dim, gamma) -> list[Violation]:
         for j in range(dim):
             for k in range(dim):
                 res = _zinbiel_residual(field, dim, gamma, i, j, k)
-                if not vec_is_zero(res):
+                if any(res):
                     out.append(Violation("zinbiel", (i, j, k), res))
     return out
 
@@ -55,7 +55,7 @@ def morphism_violations(source, target, matrix) -> list[Violation]:
             lhs = matrix.matvec(source.product_basis(i, j))
             rhs = target.product(cols[i], cols[j])
             res = vec_sub(lhs, rhs)
-            if not vec_is_zero(res):
+            if any(res):
                 out.append(Violation("morphism", (i, j), res))
     return out
 
@@ -103,7 +103,7 @@ def bimodule_violations(algebra, dim, left, right) -> list[Violation]:
                 rhs = vec_add(by_gamma(j, k, right[a]),
                               by_gamma(k, j, right[a]))
                 res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
+                if any(res):
                     out.append(Violation("module-first", (a, j, k), res))
     for i in range(d):
         for a in range(dim):
@@ -112,7 +112,7 @@ def bimodule_violations(algebra, dim, left, right) -> list[Violation]:
                 lhs = ract(left[i][a], k)
                 rhs = vec_add(lact(i, right[a][k]), lact(i, left[k][a]))
                 res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
+                if any(res):
                     out.append(Violation("module-middle", (i, a, k), res))
     for i in range(d):
         for j in range(d):
@@ -126,6 +126,6 @@ def bimodule_violations(algebra, dim, left, right) -> list[Violation]:
                                 lhs[b] = lhs[b] + g * v
                 rhs = vec_add(lact(i, left[j][a]), lact(i, right[a][j]))
                 res = vec_sub(lhs, rhs)
-                if not vec_is_zero(res):
+                if any(res):
                     out.append(Violation("module-last", (i, j, a), res))
     return out

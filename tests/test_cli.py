@@ -353,9 +353,53 @@ def test_a_missing_kind_is_named(capsys):
     assert capsys.readouterr().err == "error: the file has no deformation\n"
 
 
-def test_unverifiable_modulus_is_a_usage_error():
+ORDER_ZERO = """field Q
+algebra L
+  dim 1
+end
+morphism id
+  source L
+  target L
+  entry 1 1 = 1
+end
+deformation Z
+  morphism id
+  order 0
+end
+"""
+
+
+def _order_zero_error(capsys, tmp_path, *argv) -> tuple[int, str]:
+    path = tmp_path / "order_zero.zb"
+    path.write_text(ORDER_ZERO, encoding="utf-8")
+    code = cli.main([argv[0], str(path), *argv[1:]])
+    return code, capsys.readouterr().err
+
+
+def test_obstruction_of_an_order_zero_deformation_is_a_usage_error(
+        capsys, tmp_path):
+    code, err = _order_zero_error(capsys, tmp_path, "obstruction",
+                                  "--deformation", "Z")
+    assert code == 2
+    assert err == ("error: obstruction needs a deformation of order at "
+                   "least 1, Z has order 0\n")
+
+
+def test_extending_an_order_zero_deformation_is_a_usage_error(
+        capsys, tmp_path):
+    code, err = _order_zero_error(capsys, tmp_path, "extend",
+                                  "--deformation", "Z", "--target-order", "1")
+    assert code == 2
+    assert err == ("error: extend needs a deformation of order at least 1, "
+                   "Z has order 0\n")
+
+
+# a modulus too large to verify, and a digit that int() does not read
+@pytest.mark.parametrize("modulus", [str(2 ** 89 - 1), "²"],
+                         ids=["huge", "superscript"])
+def test_unverifiable_modulus_is_a_usage_error(modulus):
     result = run_cli("validate", str(PROBLEMS / "abelian_line.zb"),
-                     "--field", "Fp:" + str(2 ** 89 - 1))
+                     "--field", "Fp:" + modulus)
     assert result.returncode == 2
     assert result.stderr.startswith("error: ")
     assert result.stderr.count("\n") == 1

@@ -9,6 +9,8 @@ that the comparison then fails, so it has teeth.
 
 import random
 import sys
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -17,10 +19,12 @@ from instances import FIELDS, SEED, grown_deformations
 from zinbiel import algebra, deformation
 from zinbiel.algebra import identity_morphism
 from zinbiel.catalog import truncated_polynomials
-from zinbiel.deformation import (DeformationError, conjugate,
-                                 deformation_violations, extend_from_cocycle,
-                                 extend_one_order, invert_truncated,
-                                 order_residual)
+from zinbiel.cochains import Cochain
+from zinbiel.deformation import (DeformationError, FormalIsomorphism,
+                                 conjugate, deformation_violations,
+                                 extend_from_cocycle, extend_one_order,
+                                 invert_truncated, order_residual)
+from zinbiel.fields import QQ, PrimeField
 from zinbiel.sampling import (cocycle_basis, random_deformation,
                               random_formal_isomorphism, random_triple_cochain)
 
@@ -146,6 +150,65 @@ def test_conjugates_and_inverses_match_the_term_by_term_sums(series):
             assert mine == theirs
             assert repr([[c.coeffs for c in t] for t in mine.terms]) == \
                 repr([[c.coeffs for c in t] for t in theirs.terms])
+
+
+# coprime denominators of the hand-built isomorphisms' terms, by order
+ISO_DENS = (2, 5, 7)
+
+
+def _hand_built_isomorphism(f, order, rng):
+    """Id + sum_k (phi_R_k; phi_S_k) t^k for k = 1..order, with small
+    integer entries divided over Q by ISO_DENS[k % 3] in phi_R_k and by
+    ISO_DENS[(k + 1) % 3] in phi_S_k."""
+    field = f.source.field
+
+    def part(algebra, den):
+        if field.characteristic:
+            den = 1
+        return Cochain(algebra, algebra.regular_bimodule(), 1, [
+            [field.coerce(Fraction(rng.randint(-2, 2), den))
+             for _ in range(algebra.dim)] for _ in range(algebra.dim)])
+    terms = FormalIsomorphism.identity(f, order).terms
+    terms[1:] = [(part(f.source, ISO_DENS[k % 3]),
+                  part(f.target, ISO_DENS[(k + 1) % 3]))
+                 for k in range(1, order + 1)]
+    return FormalIsomorphism(f, terms)
+
+
+def _denominators(series) -> int:
+    """The least common denominator of every coefficient of a series."""
+    return lcm(*(x.denominator for t in series.terms
+                 for c in (t if isinstance(t, tuple) else (t.xi, t.pi, t.phi))
+                 for row in c.coeffs for x in row))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(7)], ids=str)
+def test_int_conjugation_divides_exactly(field):
+    # an order-6 deformation of id_T3 whose terms carry powers of 3 over Q,
+    # conjugated by isomorphisms of orders 1..6 with terms over 2, 5 and 7:
+    # the inverse series is kept times den^6 and divided by den once per
+    # order, and every value must still be the oracle's
+    f = identity_morphism(truncated_polynomials(field, 3))
+    cocycle = cocycle_basis(f)[0]
+    theta = extend_from_cocycle(
+        f, cocycle.scale(field.coerce(Fraction(1, 3))), 6).deformation
+    assert theta.order == 6
+    rng = random.Random(SEED + 16)
+    seen = 1
+    for order in range(1, 7):
+        phi = _hand_built_isomorphism(f, order, rng)
+        assert _conjugates_agree(theta, phi)
+        if field is QQ:
+            seen = lcm(seen, _denominators(phi),
+                       _denominators(conjugate(theta, phi)))
+        for top in (None, 6):
+            mine = invert_truncated(phi, top)
+            theirs = oracle.invert_truncated(phi, top)
+            assert mine == theirs
+            assert repr([[c.coeffs for c in t] for t in mine.terms]) == \
+                repr([[c.coeffs for c in t] for t in theirs.terms])
+    # over Q the values reach the denominators 2, 3, 5 and 7
+    assert field is not QQ or seen % (2 * 3 * 5 * 7) == 0
 
 
 # -- mutations: each drops one term of the library's sums ----------------

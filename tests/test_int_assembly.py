@@ -8,7 +8,7 @@ F101, in degrees 1..3, d^n on R with regular coefficients and the
 morphism complex's d^n must equal the matrix of the tuple oracle of
 differential_oracle.py: the same entries, dense rows, `==` and repr.
 `_echelon` on the int rows must give the pivot rows that eliminating
-`_kernel_row` of the same rows, as field values, gives.  d^n on S is
+the same rows read back from their field values gives.  d^n on S is
 checked too; via-f coefficients only in degrees 1 and 2, the ones f's
 complex uses (criterion 09 compares every column of d^3 with them).
 
@@ -17,8 +17,12 @@ the phi rows' common denominator differ from each part's; dropping the
 push-right part's rescale to it must make the comparison fail.
 
 Building `entries` on first read must change nothing a caller sees:
-`column`, `matvec`, `@`, `is_zero` and `copy.deepcopy` give the same
-results before and after the first read.
+`column`, `matvec`, `@`, `is_zero`, `solve`, `inverse`, `rank_nullspace`
+and `copy.deepcopy` give the same results before and after the first
+read.  Only `column` and `matvec` build the view; the others read the int
+rows and leave it, and the view of each block, unbuilt.  Products of the
+morphism complex's blocked matrices, d^(n+1) d^n and products with
+random matrices, must equal those of their copies with no blocks.
 """
 
 import copy
@@ -37,7 +41,7 @@ from zinbiel.catalog import (change_of_basis, single_product_algebra,
                              truncated_polynomials, weight_scaling)
 from zinbiel.cochains import Cochain, complex_dim, differential_matrix
 from zinbiel.fields import QQ
-from zinbiel.linalg import Matrix, _echelon, inverse
+from zinbiel.linalg import Matrix, _echelon, inverse, rank_nullspace, solve
 from zinbiel.morphism_complex import (_push_left_matrix, _push_right_matrix,
                                       morphism_differential_matrix)
 
@@ -46,12 +50,8 @@ DEGREES_CHECKED = (1, 2, 3)
 
 def _from_columns(field, cols: list, nrows: int) -> Matrix:
     """The matrix with these columns of field values."""
-    rows = [{} for _ in range(nrows)]
-    for j, col in enumerate(cols):
-        for i, x in enumerate(col):
-            if x:
-                rows[i][j] = x
-    return Matrix.from_entries(field, rows, len(cols))
+    return Matrix(field, [[col[i] for col in cols] for i in range(nrows)],
+                  len(cols))
 
 
 def _basis(algebra, module, n, c):
@@ -247,6 +247,30 @@ def _products(m, rng) -> tuple:
             _text(_random(m.field, rng, 3, m.nrows) @ m))
 
 
+def _vector(v) -> list | None:
+    return None if v is None else list(map(repr, v))
+
+
+def _solutions(m, rng) -> tuple:
+    # a consistent right-hand side, the image of a random vector, made
+    # with `@` so that m's entries are not read, and an arbitrary one
+    image = (m @ _random(m.field, rng, m.ncols, 1)).column(0)
+    arbitrary = [m.field.from_int(rng.randint(-3, 3)) for _ in range(m.nrows)]
+    return _vector(solve(m, image)), _vector(solve(m, arbitrary))
+
+
+def _inverse(m, rng):
+    if m.nrows != m.ncols:
+        return "not square"
+    inv = inverse(m)
+    return None if inv is None else _text(inv)
+
+
+def _rank_nullspace(m, rng) -> tuple:
+    rank, basis = rank_nullspace(m)
+    return rank, list(map(_vector, basis))
+
+
 # what a caller sees of a matrix through each reader but entries
 READERS = {
     "column": lambda m, rng: [list(map(repr, m.column(j)))
@@ -255,7 +279,12 @@ READERS = {
         [m.field.from_int(rng.randint(-3, 3)) for _ in range(m.ncols)]))),
     "@": _products,
     "is_zero": lambda m, rng: m.is_zero(),
+    "solve": _solutions,
+    "inverse": _inverse,
+    "rank_nullspace": _rank_nullspace,
 }
+# the readers that build the entries view; the others read the int rows
+VIEW_READERS = ("column", "matvec")
 
 
 def _sample(suite) -> list:
@@ -270,18 +299,47 @@ def _sample(suite) -> list:
     return chosen
 
 
+def _viewed(m: Matrix) -> bool:
+    """Whether the entries view of m or of one of its blocks is built."""
+    return any(x._entries is not None
+               for x in [m] + [block for _, block in m._blocks])
+
+
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_entries_read_late_change_nothing(suite, reader):
     # the first read of `first` is the reader's own; `later` has had its
     # entries read before
+    square = 0
     for index, f in enumerate(_sample(suite)):
         for first, later in zip(_assembled(f), _assembled(f)):
             later.entries
             seen = READERS[reader](first, random.Random(SEED + index))
-            # with no column, `column` has nothing to read
-            assert (first._entries is not None
-                    or reader == "column" and not first.ncols)
+            if reader in VIEW_READERS:
+                # with no column, `column` has nothing to read
+                assert (first._entries is not None
+                        or reader == "column" and not first.ncols)
+            else:
+                assert not _viewed(first)
             assert seen == READERS[reader](later, random.Random(SEED + index))
+            square += first.nrows == first.ncols > 0
+    # `inverse` reads some square matrices (singular ones here)
+    assert square > 0
+
+
+def test_blocked_products_match_their_plain_copies(suite):
+    # on the mixed-denominator morphisms the block rows are rescaled to
+    # the phi rows' denominator
+    for index, f in enumerate(_sample(suite) + _mixed_denominators()):
+        ds = [morphism_differential_matrix(f, n) for n in DEGREES_CHECKED]
+        plain = [Matrix(m.field, m.rows, m.ncols) for m in ds]
+        assert all(m._blocks for m in ds)
+        for n in range(len(ds) - 1):
+            product = ds[n + 1] @ ds[n]
+            assert product.is_zero()
+            assert _text(product) == _text(plain[n + 1] @ plain[n])
+        for m, bare in zip(ds, plain):
+            assert _products(m, random.Random(SEED + index)) == \
+                _products(bare, random.Random(SEED + index))
 
 
 def test_deep_copies_before_and_after_the_first_read_agree(suite):

@@ -138,6 +138,7 @@ ERRORS = [
     ("field\n", 1, 6, "expected field descriptor"),
     ("field Q Q\n", 1, 9, "unexpected trailing token 'Q'"),
     ("field Fp:6\n", 1, 7, "modulus 6 is not prime"),
+    ("field Fp:²\n", 1, 7, "bad prime field descriptor: 'Fp:²'"),
     ("field Q\nfield Q\n", 2, 1, "duplicate field declaration"),
     # section headers
     ("field Q\nwidget W\nend\n", 2, 1, "unknown directive 'widget'"),

@@ -1,7 +1,7 @@
 import pytest
 
 from zinbiel.fields import QQ, PrimeField
-from zinbiel.linalg import Matrix, inverse, rank_nullspace, solve, vec_is_zero
+from zinbiel.linalg import Matrix, inverse, rank_nullspace, solve
 
 
 def test_identity_has_full_rank_empty_nullspace():
@@ -75,7 +75,7 @@ def test_solutions_and_nullspace_are_exact(field, rng):
         rank, basis = rank_nullspace(m)
         assert rank + len(basis) == ncols
         for v in basis:
-            assert vec_is_zero(m.matvec(v))
+            assert not any(m.matvec(v))
         x = [field.from_int(rng.randint(-3, 3)) for _ in range(ncols)]
         b = m.matvec(x)
         sol = solve(m, b)

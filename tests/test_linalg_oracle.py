@@ -1,8 +1,9 @@
-"""The sparse elimination against the dense Gauss-Jordan oracle.
+"""The sparse elimination against the dense Gauss-Jordan oracle, and the
+int product `@` against the dense product of field values.
 
 Results must agree byte for byte: the same rank, the same nullspace basis
-vectors, the same particular solutions and inverses, with scalars of the
-same type and value.
+vectors, the same particular solutions, inverses and products, with
+scalars of the same type and value.
 """
 
 import random
@@ -55,20 +56,30 @@ def test_differentials_of_the_suite_match_the_oracle(suite, name):
     assert inconsistent > 0
 
 
+def _entries(field):
+    """Sparse entries: zero two times in three, else a nonzero value, over
+    Q of denominator 1 to 4."""
+    if field is QQ:
+        nonzero = st.builds(Fraction, st.integers(-5, 5).filter(bool),
+                            st.integers(1, 4))
+    else:
+        nonzero = st.integers(1, field.p - 1)
+    return st.one_of(st.just(0), st.just(0), nonzero)
+
+
+def _rows(entry, nrows, ncols):
+    return st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
 @st.composite
 def sparse_matrices(draw):
     name = draw(st.sampled_from(sorted(ORACLE_FIELDS)))
     field = ORACLE_FIELDS[name]
     nrows = draw(st.integers(0, 7))
     ncols = draw(st.integers(0, 7))
-    if field is QQ:
-        nonzero = st.builds(Fraction, st.integers(-5, 5).filter(bool),
-                            st.integers(1, 4))
-    else:
-        nonzero = st.integers(1, field.p - 1)
-    entry = st.one_of(st.just(0), st.just(0), nonzero)
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
-                         min_size=nrows, max_size=nrows))
+    entry = _entries(field)
+    rows = draw(_rows(entry, nrows, ncols))
     b = draw(st.lists(entry, min_size=nrows, max_size=nrows))
     return Matrix(field, rows, ncols), b
 
@@ -96,3 +107,34 @@ def test_sparse_matrices_match_the_oracle(case):
             assert [_text(r) for r in got.rows] == \
                 [_text(r) for r in expected.rows]
             assert got == expected
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two matrices over one field, the columns of the first as many as
+    the rows of the second."""
+    field = ORACLE_FIELDS[draw(st.sampled_from(sorted(ORACLE_FIELDS)))]
+    n, k, m = (draw(st.integers(0, 6)) for _ in range(3))
+    entry = _entries(field)
+    return (Matrix(field, draw(_rows(entry, n, k)), k),
+            Matrix(field, draw(_rows(entry, k, m)), m))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(matrix_pairs())
+@example((Matrix(QQ, [[Fraction(1, 2)]]), Matrix(QQ, [[2, Fraction(1, 3)]])))
+@example((Matrix(QQ, [], 0), Matrix(QQ, [], 3)))        # 0 x 0 by 0 x 3
+@example((Matrix(PrimeField(5), [[], []], 0),
+          Matrix(PrimeField(5), [], 2)))                # 2 x 0 by 0 x 2
+def test_products_match_the_dense_product(case):
+    a, b = case
+    got = a @ b
+    # the product reads the int rows, not the entries of its factors
+    assert a._entries is None and b._entries is None
+    zero = a.field.zero()
+    cols = [b.column(j) for j in range(b.ncols)]
+    expected = [[sum((x * y for x, y in zip(row, col)), zero) for col in cols]
+                for row in a.rows]
+    assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
+    assert list(map(_text, got.rows)) == list(map(_text, expected))
+    assert got == Matrix(a.field, expected, b.ncols)

@@ -45,7 +45,7 @@ FIXED_ORDERS = [
 
 
 def _plain_rank(m: Matrix) -> int:
-    rank, _ = rank_nullspace(Matrix.from_entries(m.field, m.entries, m.ncols))
+    rank, _ = rank_nullspace(Matrix(m.field, m.rows, m.ncols))
     return rank
 
 
@@ -135,7 +135,7 @@ def _misplaced_target_block(m):
     if not m._blocks:
         return ORIGINAL_SEEDED(m)
     (_, d_r), (_, d_s) = m._blocks
-    misplaced = Matrix.from_entries(m.field, m.entries, m.ncols)
+    misplaced = Matrix(m.field, m.rows, m.ncols)
     misplaced._blocks = ((0, d_r), (m.ncols - d_s.ncols, d_s))
     return ORIGINAL_SEEDED(misplaced)
 
