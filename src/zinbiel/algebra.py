@@ -19,9 +19,10 @@ deformation conditions of (m_R; m_S; f) and share their sparse sums with
 `zinbiel.deformation`: `_product_sums` and `_morphism_sums` at order 0.
 The mixed identities are the Zinbiel identity of the square-zero
 extension R + A, so `_product_sums` computes them too.  Each check
-reads its values with the one int reader, `linalg._ints`, over one
-denominator den, so its sums are ints scaled by den^2 (the product sums)
-or den^3 (the morphism sums).  `_found` reads the failures off the
+reads the structure constants with the one int reader, `linalg._ints`,
+over one denominator den, and f off its int rows over theirs, fden
+(`linalg._columns`): the product sums are ints scaled by den^2, the
+morphism sums by den * fden^2.  `_found` reads the failures off the
 accumulated sums and writes their values back with `linalg._scalar`,
 here and for the deformation conditions of every order.
 
@@ -42,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 
 from .fields import Field, FieldError
-from .linalg import Matrix, _ints, _scalar, unit_vector, zero_vector
+from .linalg import Matrix, _columns, _ints, _scalar, unit_vector, zero_vector
 
 
 @dataclass
@@ -376,12 +377,11 @@ class AlgebraMorphism:
 
     def _int_columns(self) -> tuple:
         """(cols, den): for each basis vector e_a of the source, the pairs
-        (b, v) of f(e_a) as `_ints` reads them, and their denominator.
-        Read once and kept, as tuples of ints."""
+        (b, v) of f(e_a), read off the int rows of the matrix (see
+        `linalg._columns`), and their denominator.  Read once and kept,
+        as tuples of ints."""
         if self._columns is None:
-            (cols,), den = _ints(
-                [[self.apply_basis(a) for a in range(self.source.dim)]],
-                self.source.field.characteristic)
+            cols, den = _columns(self.matrix)
             self._columns = tuple(map(tuple, cols)), den
         return self._columns
 
@@ -408,16 +408,16 @@ def morphism_violations(source: ZinbielAlgebra, target: ZinbielAlgebra,
                         matrix: Matrix) -> list[Violation]:
     """Residuals of f(e_i e_j) - f(e_i) f(e_j) on all basis pairs: the
     order-0 morphism sums of the deformation conditions."""
-    (ms_r, ms_s, fs), den = _ints(
+    (ms_r, ms_s), den = _ints(
         ([row for plane in source.gamma for row in plane],
-         [row for plane in target.gamma for row in plane],
-         [matrix.column(i) for i in range(source.dim)]),
+         [row for plane in target.gamma for row in plane]),
         source.field.characteristic)
+    fs, fden = _columns(matrix)
     wheres = itertools.product(range(source.dim), repeat=2)
     return _found(functools.partial(Violation, "morphism"), source.field,
                   target.dim, wheres,
                   _morphism_sums(source.dim, target.dim, [ms_r], [ms_s], [fs],
-                                 [(0, 0)], [(0, 0, 0)], den), den ** 3)
+                                 [(0, 0)], [(0, 0, 0)], fden), den * fden ** 2)
 
 
 def identity_morphism(algebra: ZinbielAlgebra) -> AlgebraMorphism:

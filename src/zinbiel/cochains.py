@@ -31,8 +31,7 @@ module's actions fraction-free, with the one reader `linalg._ints`:
 ints mod p over F_p, ints over their least common denominator over Q.
 Each term of d^n is linear in one of them, so d^n is assembled as int
 rows over that denominator, in one pass per term of this formula, with
-no field scalar built; its `Fraction` or `ModInt` entries are a view
-built when first read (see `zinbiel.linalg`).  The tuple-by-tuple
+no field scalar built (see `zinbiel.linalg`).  The tuple-by-tuple
 evaluation of the three formulas above is kept in the tests as the
 oracle the matrices are checked against.
 

@@ -45,7 +45,7 @@ built only for a basis tuple where a condition fails, and no residual
 triple at all.  The residuals, obstructions and conjugates that are
 returned are built unchecked (`TripleCochain._of`, `Cochain._of`), and
 the constant term of a deformation is compared in place with the
-structure tensors and f's matrix, without building theta_zero(f).
+structure tensors and the columns of f, without building theta_zero(f).
 
 The order-(N+1) sums split in two: the zero-top part, the terms without
 theta_{N+1} (the obstruction, up to the f-column sign), and the terms
@@ -171,18 +171,15 @@ class TruncatedDeformation(_Series):
     @staticmethod
     def _is_constant(f: AlgebraMorphism, term: TripleCochain) -> bool:
         """Whether a degree-2 triple over f is theta_zero(f), compared in
-        place with the structure tensors of R and S and the entries of f's
-        matrix.  The triple's constructor checked that xi and pi have
-        regular coefficients; phi's bimodule must be S through f."""
+        place with the structure tensors of R and S and the images of the
+        basis under f.  The triple's constructor checked that xi and pi
+        have regular coefficients; phi's bimodule must be S through f."""
         r, s = f.source, f.target
-        zero, entries = r.field.zero(), f.matrix.entries
-        # phi(e_i) has e_b coefficient entries[b].get(i, 0)
         return (term.phi.module == f.as_bimodule()
                 and term.xi.coeffs == [row for a in r.gamma for row in a]
                 and term.pi.coeffs == [row for a in s.gamma for row in a]
-                and all(x == entries[b].get(i, zero)
-                        for i, row in enumerate(term.phi.coeffs)
-                        for b, x in enumerate(row)))
+                and all(row == f.apply_basis(i)
+                        for i, row in enumerate(term.phi.coeffs)))
 
     def __init__(self, morphism: AlgebraMorphism, terms: list[TripleCochain]):
         super().__init__(morphism, terms)

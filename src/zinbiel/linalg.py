@@ -7,10 +7,10 @@ reader, `_ints`, and written back by one writer, `_scalar`.
 `Matrix(...)` reads its values with `_ints`; `zeros`, `identity`, `@`,
 `inverse` and the differentials of `zinbiel.cochains` and
 `zinbiel.morphism_complex` build their int rows directly
-(`Matrix._assembled`).  A matrix's `entries`, dicts of `Fraction` or
-`ModInt` values, are a view built on first read and kept: `matvec`,
-`column`, `rows` and `==` read it; `rank_nullspace`, `solve`, `inverse`,
-`@` and `is_zero` do not.
+(`Matrix._assembled`).  Every reader works on the int rows too: `rows`,
+`column` and `matvec` write field values with `_scalar` only for what
+they return, and `==` compares the int rows, each side scaled by the
+other's denominator.
 
 Every elimination goes through one routine, `_reduce`, which brings sparse
 int rows to reduced row echelon form with each pivot on the leftmost
@@ -32,14 +32,14 @@ the matrix for as long as the matrix lives.  An assembled matrix may
 declare diagonal blocks (`Matrix._blocks`), as the morphism complex's
 d^n does with d^n on R and on S.  Its rows are the blocks' rows, each
 shifted to its columns, then its own int rows; `_flat` gives them all
-over one denominator, and its `entries` view is built in that order.
-The block rows touch disjoint columns and never combine, so the shifted
-pivot rows of the blocks together are already the reduced echelon form
-of those rows.  The elimination starts from copies of them (`_seeded`)
-and reduces only the matrix's own rows; a block that occurs twice is
-eliminated once.  Since that form is unique, the pivot columns and rows,
-hence every rank, nullspace basis and solution, are the ones that
-eliminating all rows would give.
+over one denominator, in that order.  The block rows touch disjoint
+columns and never combine, so the shifted pivot rows of the blocks
+together are already the reduced echelon form of those rows.  The
+elimination starts from copies of them (`_seeded`) and reduces only the
+matrix's own rows; a block that occurs twice is eliminated once.  Since
+that form is unique, the pivot columns and rows, hence every rank,
+nullspace basis and solution, are the ones that eliminating all rows
+would give.
 """
 
 from __future__ import annotations
@@ -72,14 +72,13 @@ class Matrix:
     """Sparse matrix over one field, held as int rows over one
     denominator: `_ints[i]` maps the column of each nonzero entry of the
     i-th row below the blocks to that entry times `_den`, 1 over F_p,
-    where it is the entry mod p.  `entries` is a view of the rows in field
-    values, built on first read.  `_blocks` declares diagonal blocks, as
+    where it is the entry mod p.  `_blocks` declares diagonal blocks, as
     (column offset, block) pairs: the leading rows of the matrix are the
     rows of each block in turn, shifted right by its offset and zero
     elsewhere, and no two blocks share a column."""
 
-    __slots__ = ("field", "nrows", "ncols", "_entries", "_ints", "_den",
-                 "_blocks", "_pivots")
+    __slots__ = ("field", "nrows", "ncols", "_ints", "_den", "_blocks",
+                 "_pivots")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         rows = [list(r) for r in rows]
@@ -99,10 +98,11 @@ class Matrix:
 
     def _wrap(self, field: Field, nrows: int, ncols: int, ints: list,
               den: int, blocks: tuple = ()) -> None:
+        if ncols < 0:
+            raise ValueError(f"negative number of columns: {ncols}")
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self._entries = None
         self._ints = ints
         self._den = den
         self._blocks = blocks
@@ -128,6 +128,8 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
+        if nrows < 0:
+            raise ValueError(f"negative number of rows: {nrows}")
         return cls._assembled(field, [{} for _ in range(nrows)], ncols, 1)
 
     @classmethod
@@ -135,51 +137,36 @@ class Matrix:
         return cls._assembled(field, [{i: 1} for i in range(n)], n, 1)
 
     @property
-    def entries(self) -> list:
-        """The rows as dicts of nonzero field scalars (treat as read-only):
-        its blocks' rows shifted into place, then its int rows over its
-        denominator, built on first read and kept."""
-        if self._entries is None:
-            rows = []
-            for col0, block in self._blocks:
-                rows += [{col0 + j: x for j, x in r.items()}
-                         for r in block.entries]
-            p, den = self.field.characteristic, self._den
-            rows += [{j: _scalar(p, v, den) for j, v in r.items()}
-                     for r in self._ints]
-            self._entries = rows
-        return self._entries
-
-    @property
     def rows(self) -> list:
-        """The rows as dense lists."""
-        zero = self.field.zero()
+        """The rows as dense lists of field values."""
+        p, zero = self.field.characteristic, self.field.zero()
+        rows, den = _flat(self)
         out = []
-        for entries in self.entries:
+        for r in rows:
             row = [zero] * self.ncols
-            for j, x in entries.items():
-                row[j] = x
+            for j, v in r.items():
+                row[j] = _scalar(p, v, den)
             out.append(row)
         return out
 
     def column(self, j: int) -> list:
-        zero = self.field.zero()
-        return [row.get(j, zero) for row in self.entries]
+        if not 0 <= j < self.ncols:
+            raise ValueError(f"no column {j} in {self.ncols} columns")
+        p = self.field.characteristic
+        rows, den = _flat(self)
+        return [_scalar(p, r.get(j, 0), den) for r in rows]
 
     def matvec(self, v: list) -> list:
         if len(v) != self.ncols:
             raise ValueError(
                 f"vector of length {len(v)} against {self.ncols} columns")
-        zero = self.field.zero()
-        out = []
-        for row in self.entries:
-            acc = zero
-            for j, a in row.items():
-                x = v[j]
-                if x:
-                    acc = acc + a * x
-            out.append(acc)
-        return out
+        p = self.field.characteristic
+        [[xs]], vden = _ints([[list(map(self.field.coerce, v))]], p)
+        x = dict(xs)
+        rows, den = _flat(self)
+        den *= vden
+        return [_scalar(p, sum(a * x[j] for j, a in r.items() if j in x),
+                        den) for r in rows]
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -208,9 +195,12 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        # a / den == b / oden exactly when a * oden == b * den
+        (rows, den), (orows, oden) = _flat(self), _flat(other)
         return (self.field == other.field and self.nrows == other.nrows
                 and self.ncols == other.ncols
-                and self.entries == other.entries)
+                and [{j: v * oden for j, v in r.items()} for r in rows]
+                == [{j: v * den for j, v in r.items()} for r in orows])
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
@@ -249,6 +239,17 @@ def _flat(m: Matrix) -> tuple[list, int]:
     den = lcm(*(d for _, _, d in parts))
     return [{col0 + j: v * (den // d) for j, v in r.items()}
             for col0, rows, d in parts for r in rows], den
+
+
+def _columns(m: Matrix) -> tuple[list, int]:
+    """Every column of m as the (row, int) pairs of its nonzero entries,
+    rows ascending, over the one denominator den of `_flat`."""
+    rows, den = _flat(m)
+    cols = [[] for _ in range(m.ncols)]
+    for i, r in enumerate(rows):
+        for j, v in r.items():
+            cols[j].append((i, v))
+    return cols, den
 
 
 def _primitive(row: dict) -> dict:

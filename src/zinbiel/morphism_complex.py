@@ -15,8 +15,8 @@ degree exist as targets of the last differential.
 matrices of d on R, on S and on the phi column next to those of the
 push-forwards, and `push_forward_left` and `push_forward_right` apply
 the push-forward blocks.  Both push-forward matrices are assembled as int
-rows from f's matrix, read with the one fraction-free reader of the
-bimodule complex (`linalg._ints`).  `TripleCochain` is an element of
+rows from the int rows of f's matrix, read by columns
+(`AlgebraMorphism._int_columns`).  `TripleCochain` is an element of
 the protocol in `zinbiel.cochains` with that matrix as its d^n, so
 `differential` (here also named `morphism_differential`), `is_cocycle`
 and `coboundary_preimage`, re-exported from this module, apply it and

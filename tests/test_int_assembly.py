@@ -2,11 +2,11 @@
 and proof that the comparison can fail.
 
 `differential_matrix` and `morphism_differential_matrix` assemble int
-rows over one denominator, and a matrix's `entries` are a view of them
-built on first read.  On every seeded-suite instance over Q, F5, F7 and
-F101, in degrees 1..3, d^n on R with regular coefficients and the
-morphism complex's d^n must equal the matrix of the tuple oracle of
-differential_oracle.py: the same entries, dense rows, `==` and repr.
+rows over one denominator, and every reader of a matrix works on them.
+On every seeded-suite instance over Q, F5, F7 and F101, in degrees 1..3,
+d^n on R with regular coefficients and the morphism complex's d^n must
+equal the matrix of the tuple oracle of differential_oracle.py: the same
+entries, dense rows, `==` and repr.
 `_echelon` on the int rows must give the pivot rows that eliminating
 the same rows read back from their field values gives.  d^n on S is
 checked too; via-f coefficients only in degrees 1 and 2, the ones f's
@@ -16,11 +16,11 @@ Hand-built morphisms whose R, S and f have denominators 2, 5 and 3 make
 the phi rows' common denominator differ from each part's; dropping the
 push-right part's rescale to it must make the comparison fail.
 
-Building `entries` on first read must change nothing a caller sees:
-`column`, `matvec`, `@`, `is_zero`, `solve`, `inverse`, `rank_nullspace`
-and `copy.deepcopy` give the same results before and after the first
-read.  Only `column` and `matvec` build the view; the others read the int
-rows and leave it, and the view of each block, unbuilt.  Products of the
+Reading a matrix must change nothing a caller sees: `column`, `matvec`,
+`@`, `is_zero`, `solve`, `inverse`, `rank_nullspace` and `copy.deepcopy`
+give the same results on a fresh assembly, on a second assembly whose
+every entry was read first (through `rows`) and on deep copies, and deep
+copies made before and after the elimination agree.  Products of the
 morphism complex's blocked matrices, d^(n+1) d^n and products with
 random matrices, must equal those of their copies with no blocks.
 """
@@ -104,14 +104,14 @@ class Oracle:
 
 
 def _text(m: Matrix) -> list:
-    """Each row of entries as its (column, repr) pairs in column order."""
-    return [sorted((j, repr(x)) for j, x in row.items()) for row in m.entries]
+    """Each row as the (column, repr) pairs of its nonzero entries in
+    column order."""
+    return [[(j, repr(x)) for j, x in enumerate(row) if x] for row in m.rows]
 
 
 def _mismatches(m: Matrix, expected: Matrix) -> list:
     """What differs between an assembled matrix and the oracle's; read
-    after the elimination, so that `_echelon` runs on unread int rows."""
-    assert m._entries is None
+    after the elimination, so that `_echelon` runs on a fresh matrix."""
     pivots = _echelon(m)
     plain = _echelon(Matrix(m.field, m.rows, m.ncols))
     out = []
@@ -232,7 +232,6 @@ def _assembled(f):
         out.append(morphism_differential_matrix(f, n))
         out.append(differential_matrix(r, r.regular_bimodule(), n))
         out.append(differential_matrix(r, f.as_bimodule(), n))
-    assert all(m._entries is None for m in out)
     return out
 
 
@@ -253,7 +252,7 @@ def _vector(v) -> list | None:
 
 def _solutions(m, rng) -> tuple:
     # a consistent right-hand side, the image of a random vector, made
-    # with `@` so that m's entries are not read, and an arbitrary one
+    # with `@`, and an arbitrary one
     image = (m @ _random(m.field, rng, m.ncols, 1)).column(0)
     arbitrary = [m.field.from_int(rng.randint(-3, 3)) for _ in range(m.nrows)]
     return _vector(solve(m, image)), _vector(solve(m, arbitrary))
@@ -271,7 +270,7 @@ def _rank_nullspace(m, rng) -> tuple:
     return rank, list(map(_vector, basis))
 
 
-# what a caller sees of a matrix through each reader but entries
+# what a caller sees of a matrix through each reader but rows
 READERS = {
     "column": lambda m, rng: [list(map(repr, m.column(j)))
                               for j in range(m.ncols)],
@@ -283,8 +282,6 @@ READERS = {
     "inverse": _inverse,
     "rank_nullspace": _rank_nullspace,
 }
-# the readers that build the entries view; the others read the int rows
-VIEW_READERS = ("column", "matvec")
 
 
 def _sample(suite) -> list:
@@ -299,28 +296,20 @@ def _sample(suite) -> list:
     return chosen
 
 
-def _viewed(m: Matrix) -> bool:
-    """Whether the entries view of m or of one of its blocks is built."""
-    return any(x._entries is not None
-               for x in [m] + [block for _, block in m._blocks])
-
-
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_entries_read_late_change_nothing(suite, reader):
-    # the first read of `first` is the reader's own; `later` has had its
-    # entries read before
+    # the first read of `first` is the reader's own; `later`, a second
+    # assembly, has had every entry read before, through `rows`; deep
+    # copies of both read the same
     square = 0
     for index, f in enumerate(_sample(suite)):
         for first, later in zip(_assembled(f), _assembled(f)):
-            later.entries
+            copied = copy.deepcopy(first)
+            later.rows
             seen = READERS[reader](first, random.Random(SEED + index))
-            if reader in VIEW_READERS:
-                # with no column, `column` has nothing to read
-                assert (first._entries is not None
-                        or reader == "column" and not first.ncols)
-            else:
-                assert not _viewed(first)
-            assert seen == READERS[reader](later, random.Random(SEED + index))
+            for other in (later, copied, copy.deepcopy(later)):
+                assert seen == READERS[reader](other,
+                                               random.Random(SEED + index))
             square += first.nrows == first.ncols > 0
     # `inverse` reads some square matrices (singular ones here)
     assert square > 0
@@ -343,13 +332,13 @@ def test_blocked_products_match_their_plain_copies(suite):
 
 
 def test_deep_copies_before_and_after_the_first_read_agree(suite):
+    # `later` is read whole, its pivot rows kept, before it is copied
     for f in _sample(suite):
         for first, later in zip(_assembled(f), _assembled(f)):
             unread = copy.deepcopy(first)
-            assert unread._entries is None
-            later.entries
+            later.rows
+            _echelon(later)
             read = copy.deepcopy(later)
-            assert read._entries is not None
-            assert _echelon(unread) == _echelon(first)
+            assert _echelon(unread) == _echelon(first) == _echelon(read)
             assert _text(unread) == _text(read) == _text(first)
             assert unread == read == first

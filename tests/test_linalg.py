@@ -58,6 +58,28 @@ def test_empty_matrices():
     assert solve(m, []) == [QQ.zero()] * 3
 
 
+
+@pytest.mark.parametrize("build", [
+    lambda: Matrix(QQ, [], -3),
+    lambda: Matrix(QQ, [], ncols=-1),
+    lambda: Matrix.zeros(QQ, -1, -2),
+    lambda: Matrix.zeros(QQ, -1, 2),
+    lambda: Matrix.zeros(QQ, 2, -1),
+    lambda: Matrix.identity(QQ, -2),
+], ids=["rows", "ncols", "zeros", "zeros-rows", "zeros-cols", "identity"])
+def test_negative_sizes_are_refused(build):
+    # a 0x-3 matrix would break rank + len(basis) == ncols
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("j", [5, 2, -1])
+def test_columns_outside_the_matrix_are_refused(j):
+    m = Matrix(QQ, [[1, 2]])
+    with pytest.raises(ValueError):
+        m.column(j)
+    assert m.column(1) == [QQ.from_int(2)]
+
 def _random_matrix(field, rng, nrows, ncols):
     if isinstance(field, PrimeField):
         entries = [[field.from_int(rng.randrange(field.p))

@@ -1,20 +1,24 @@
-"""The sparse elimination against the dense Gauss-Jordan oracle, and the
-int product `@` against the dense product of field values.
+"""The sparse elimination against the dense Gauss-Jordan oracle, the
+int product `@` against the dense product of field values, and the
+readers of the int rows (`rows`, `column`, `matvec`, `==`) against dense
+field arithmetic on `rows`.
 
 Results must agree byte for byte: the same rank, the same nullspace basis
-vectors, the same particular solutions, inverses and products, with
-scalars of the same type and value.
+vectors, the same particular solutions, inverses, products, columns and
+images, with scalars of the same type and value.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
 from instances import SEED
+from zinbiel.algebra import AlgebraMorphism
+from zinbiel.catalog import single_product_algebra
 from zinbiel.fields import QQ, PrimeField
 from zinbiel.linalg import Matrix, inverse, rank_nullspace, solve
 from zinbiel.morphism_complex import morphism_differential_matrix
@@ -129,8 +133,6 @@ def matrix_pairs(draw):
 def test_products_match_the_dense_product(case):
     a, b = case
     got = a @ b
-    # the product reads the int rows, not the entries of its factors
-    assert a._entries is None and b._entries is None
     zero = a.field.zero()
     cols = [b.column(j) for j in range(b.ncols)]
     expected = [[sum((x * y for x, y in zip(row, col)), zero) for col in cols]
@@ -138,3 +140,89 @@ def test_products_match_the_dense_product(case):
     assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
     assert list(map(_text, got.rows)) == list(map(_text, expected))
     assert got == Matrix(a.field, expected, b.ncols)
+
+
+READ_FIELDS = {"Q": QQ, "F5": PrimeField(5), "F101": PrimeField(101)}
+
+
+def _scaling(field):
+    """e_0 -> e_0 / 3, e_1 -> e_1 / 9 on e_0 * e_0 = e_1 / 2."""
+    line = single_product_algebra(field, 2, 0, 0, 1, Fraction(1, 2))
+    return AlgebraMorphism(line, line, [[Fraction(1, 3), 0],
+                                        [0, Fraction(1, 9)]])
+
+
+# the morphism complex's d^1 and d^2 of _scaling: blocked (one block twice,
+# as S is R), over Q with blocks over 2 and phi rows over 9 and 162
+BLOCKED = [morphism_differential_matrix(_scaling(field), n)
+           for field in READ_FIELDS.values() for n in (1, 2)]
+
+
+def _dense_product(a: list, b: list, ncols: int, field) -> list:
+    zero = field.zero()
+    return [[sum((x * r[j] for x, r in zip(row, b)), zero)
+             for j in range(ncols)] for row in a]
+
+
+@st.composite
+def read_cases(draw):
+    """(m, check, v): a matrix, a test of its dense rows made without its
+    readers, and a vector for it of field values and plain ints.  m is
+    read from field values, a product or an inverse (denominators not
+    minimal) or a blocked d^n."""
+    kind = draw(st.sampled_from(("plain", "product", "inverse", "blocked")))
+    if kind == "blocked":
+        m = draw(st.sampled_from(BLOCKED))
+        check = None
+    else:
+        field = READ_FIELDS[draw(st.sampled_from(sorted(READ_FIELDS)))]
+        entry = _entries(field)
+        n, k, w = (draw(st.integers(0, 6)) for _ in range(3))
+        if kind == "inverse":
+            k = n
+        a = [list(map(field.coerce, r)) for r in draw(_rows(entry, n, k))]
+        if kind == "plain":
+            m = Matrix(field, a, k)
+            check = a.__eq__
+        elif kind == "product":
+            b = [list(map(field.coerce, r)) for r in draw(_rows(entry, k, w))]
+            m = Matrix(field, a, k) @ Matrix(field, b, w)
+            check = _dense_product(a, b, w, field).__eq__
+        else:
+            m = inverse(Matrix(field, a, k))
+            assume(m is not None)
+            identity = [[field.one() if i == j else field.zero()
+                         for j in range(n)] for i in range(n)]
+            check = lambda rows: _dense_product(rows, a, n, field) == identity
+    field = m.field
+    v = draw(st.lists(st.one_of(st.integers(-7, 200), _entries(field).map(
+        field.coerce)), min_size=m.ncols, max_size=m.ncols))
+    return m, check, v
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(read_cases())
+@example((Matrix(QQ, [[Fraction(1, 2)]]) @ Matrix(QQ, [[2, 4]]), None,
+          [1, Fraction(1, 3)]))                         # over 2, not 1
+@example((BLOCKED[0], None, list(range(BLOCKED[0].ncols))))  # over 18
+@example((BLOCKED[3], None, [1] * BLOCKED[3].ncols))
+def test_int_row_readers_match_dense_arithmetic(case):
+    m, check, v = case
+    field = m.field
+    rows = m.rows
+    assert (len(rows), {len(r) for r in rows} or {m.ncols}) == \
+        (m.nrows, {m.ncols})
+    assert all(type(x) is type(field.zero()) for r in rows for x in r)
+    if check is not None:
+        assert check(rows)
+    for j in range(m.ncols):
+        assert _text(m.column(j)) == _text([r[j] for r in rows])
+    xs = list(map(field.coerce, v))
+    assert _text(m.matvec(v)) == _text(
+        [sum((a * x for a, x in zip(r, xs)), field.zero()) for r in rows])
+    plain = Matrix(field, rows, m.ncols)
+    assert m == plain and plain == m and m == m
+    if m.nrows and m.ncols:
+        bumped = [list(r) for r in rows]
+        bumped[-1][-1] = bumped[-1][-1] + 1
+        assert m != Matrix(field, bumped, m.ncols)
