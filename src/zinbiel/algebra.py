@@ -23,7 +23,7 @@ reads the structure constants with the one int reader, `linalg._ints`,
 over one denominator den, and f off its int rows over theirs, fden
 (`linalg._columns`): the product sums are ints scaled by den^2, the
 morphism sums by den * fden^2.  `_found` reads the failures off the
-accumulated sums and writes their values back with `linalg._scalar`,
+accumulated sums and writes their values back with `linalg._dense`,
 here and for the deformation conditions of every order.
 
 The two derived bimodules are built unchecked, because their identities
@@ -43,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 
 from .fields import Field, FieldError
-from .linalg import Matrix, _columns, _ints, _scalar, unit_vector, zero_vector
+from .linalg import Matrix, _columns, _dense, _ints, unit_vector, zero_vector
 
 
 @dataclass
@@ -208,10 +208,7 @@ def _found(make, field: Field, dim: int, wheres, sums, den: int) -> list:
     for where, acc in zip(wheres, sums):
         nonzero = _settle(acc, p)
         if nonzero:
-            res = zero_vector(field, dim)
-            for b, v in nonzero:
-                res[b] = _scalar(p, v, den)
-            out.append(make(where, res))
+            out.append(make(where, _dense(field, dim, [nonzero], den)[0]))
     return out
 
 
@@ -436,7 +433,7 @@ def bimodule_via_morphism(g: AlgebraMorphism) -> Bimodule:
     source, target = g.source, g.target
     field = source.field
     m = target.dim
-    cols = [g.apply_basis(i) for i in range(source.dim)]
+    cols = _dense(field, m, *g._int_columns())
     left = [[target.product(cols[i], unit_vector(field, m, a))
              for a in range(m)] for i in range(source.dim)]
     right = [[target.product(unit_vector(field, m, a), cols[i])

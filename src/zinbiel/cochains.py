@@ -262,9 +262,11 @@ def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
     """Matrix of d^n under row-major flattening with output index fastest,
     assembled as int rows in one pass per term of the formula in the
     module docstring.  The product read is that of module's algebra,
-    which must equal algebra."""
+    which must equal algebra (ValueError otherwise)."""
     if n not in _TAIL_ORDERS:
         raise ValueError(f"no differential out of arity {n}")
+    if module.algebra != algebra:
+        raise ValueError("module is not over the differential's algebra")
     d, m = algebra.dim, module.dim
     left, gamma, right, den = module._int_tensors()
     rows = [defaultdict(int) for _ in range(d ** (n + 1) * m)]

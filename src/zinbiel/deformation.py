@@ -65,7 +65,7 @@ from .algebra import (AlgebraMorphism, _found, _morphism_sums, _product_sums,
                       _settle)
 from .cochains import (Cochain, all_tuples, coboundary_preimage,
                        differential, identity_cochain, product_cochain)
-from .linalg import _ints, _scalar
+from .linalg import _dense, _ints
 from .morphism_complex import (TripleCochain, morphism_cochain,
                                morphism_cohomology_dim, push_forward_left,
                                push_forward_right)
@@ -171,15 +171,15 @@ class TruncatedDeformation(_Series):
     @staticmethod
     def _is_constant(f: AlgebraMorphism, term: TripleCochain) -> bool:
         """Whether a degree-2 triple over f is theta_zero(f), compared in
-        place with the structure tensors of R and S and the images of the
-        basis under f.  The triple's constructor checked that xi and pi
-        have regular coefficients; phi's bimodule must be S through f."""
+        place with the structure tensors of R and S and f's int columns.
+        The triple's constructor checked that xi and pi have regular
+        coefficients; phi's bimodule must be S through f."""
         r, s = f.source, f.target
         return (term.phi.module == f.as_bimodule()
                 and term.xi.coeffs == [row for a in r.gamma for row in a]
                 and term.pi.coeffs == [row for a in s.gamma for row in a]
-                and all(row == f.apply_basis(i)
-                        for i, row in enumerate(term.phi.coeffs)))
+                and term.phi.coeffs == _dense(r.field, s.dim,
+                                              *f._int_columns()))
 
     def __init__(self, morphism: AlgebraMorphism, terms: list[TripleCochain]):
         super().__init__(morphism, terms)
@@ -222,15 +222,8 @@ def trivial_deformation(f: AlgebraMorphism,
 def _cochain(source, module, arity: int, rows, den: int) -> Cochain:
     """The dense cochain with the given rows of (output, int) pairs, each
     int divided by den (1 over F_p)."""
-    p, zero = source.field.characteristic, source.field.zero()
-    dense = []
-    for row in rows:
-        vec = [zero] * module.dim
-        for b, v in row:
-            if v:
-                vec[b] = _scalar(p, v, den)
-        dense.append(vec)
-    return Cochain._of(source, module, arity, dense)
+    return Cochain._of(source, module, arity,
+                       _dense(source.field, module.dim, rows, den))
 
 
 def _pairs(n: int, top: int, top_only: bool) -> list:

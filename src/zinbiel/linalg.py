@@ -3,7 +3,7 @@
 A `Matrix` is sparse and holds its rows in one form: int rows over one
 denominator, one dict (column -> nonzero int) per row, 1 over F_p, where
 the ints are the values mod p.  Field values are read into ints by one
-reader, `_ints`, and written back by one writer, `_scalar`.
+reader, `_ints`, and written back by one writer, `_scalar`/`_dense`.
 `Matrix(...)` reads its values with `_ints`; `zeros`, `identity`, `@`,
 `inverse` and the differentials of `zinbiel.cochains` and
 `zinbiel.morphism_complex` build their int rows directly
@@ -139,15 +139,8 @@ class Matrix:
     @property
     def rows(self) -> list:
         """The rows as dense lists of field values."""
-        p, zero = self.field.characteristic, self.field.zero()
         rows, den = _flat(self)
-        out = []
-        for r in rows:
-            row = [zero] * self.ncols
-            for j, v in r.items():
-                row[j] = _scalar(p, v, den)
-            out.append(row)
-        return out
+        return _dense(self.field, self.ncols, (r.items() for r in rows), den)
 
     def column(self, j: int) -> list:
         if not 0 <= j < self.ncols:
@@ -227,6 +220,20 @@ def _scalar(p: int, num: int, den: int):
     """The one writer: the field scalar num/den from ints (den == 1 over
     F_p)."""
     return ModInt(num, p) if p else Fraction(num, den)
+
+
+def _dense(field: Field, n: int, rows, den: int) -> list:
+    """The one dense writer: for each row of (b, v) pairs, the vector of
+    n field values with v / den (1 over F_p) at each b, zero elsewhere."""
+    p, zero = field.characteristic, field.zero()
+    out = []
+    for row in rows:
+        vec = [zero] * n
+        for b, v in row:
+            if v:
+                vec[b] = _scalar(p, v, den)
+        out.append(vec)
+    return out
 
 
 def _flat(m: Matrix) -> tuple[list, int]:

@@ -40,13 +40,13 @@ from .algebra import AlgebraMorphism
 from .cochains import (DEGREES, MAX_ARITY, Cochain, ComplexElement, _rows,
                        all_tuples, coboundary_preimage, cohomology_from,
                        differential, differential_matrix, is_cocycle)
-from .linalg import Matrix
+from .linalg import Matrix, _dense
 
 
 def morphism_cochain(f: AlgebraMorphism) -> Cochain:
     """The morphism itself as a 1-cochain R -> S (coefficients via f)."""
-    rows = [f.apply_basis(i) for i in range(f.source.dim)]
-    return Cochain(f.source, f.as_bimodule(), 1, rows)
+    return Cochain(f.source, f.as_bimodule(), 1,
+                   _dense(f.source.field, f.target.dim, *f._int_columns()))
 
 
 def push_forward_left(f: AlgebraMorphism, xi: Cochain) -> Cochain:

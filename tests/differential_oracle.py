@@ -14,8 +14,9 @@ them exactly.
 import itertools
 
 from oracle_helpers import evaluate, left_act, right_act
-from zinbiel.cochains import MAX_ARITY as MAX_DEGREE, Cochain, all_tuples
-from zinbiel.linalg import vec_add, vec_sub, zero_vector
+from zinbiel.cochains import (MAX_ARITY as MAX_DEGREE, Cochain, all_tuples,
+                              complex_dim)
+from zinbiel.linalg import unit_vector, vec_add, vec_sub, zero_vector
 from zinbiel.morphism_complex import TripleCochain
 
 
@@ -28,6 +29,38 @@ def differential(phi: Cochain) -> Cochain:
     if phi.arity == 3:
         return _d3(phi)
     raise ValueError(f"no differential out of arity {phi.arity}")
+
+
+def basis_cochain(algebra, module, n: int, c: int) -> Cochain:
+    """The c-th basis cochain of arity n, in flat order."""
+    return Cochain.from_flat(algebra, module, n, unit_vector(
+        algebra.field, complex_dim(algebra, module, n), c))
+
+
+def _frozen(tensor) -> tuple:
+    return tuple(tuple(map(tuple, plane)) for plane in tensor)
+
+
+# the columns of every d^n built so far, keyed by the values they depend on
+_COLUMNS = {}
+
+
+def columns(algebra, module, n: int) -> tuple:
+    """The columns of d^n on algebra with coefficients in module, in flat
+    order: column c is `differential` of `basis_cochain` c, flattened, as
+    a tuple of field values.  Kept per value of the field, the structure
+    constants, the actions and n, so equal complexes built as different
+    objects share one entry."""
+    key = (algebra.field.spec(), algebra.dim, _frozen(algebra.gamma),
+           module.dim, _frozen(module.left), _frozen(module.right), n)
+    if key not in _COLUMNS:
+        zero = algebra.field.zero()
+        # one shared zero keeps the mostly-zero columns small
+        _COLUMNS[key] = tuple(
+            tuple(x if x else zero for x in
+                  differential(basis_cochain(algebra, module, n, c)).flatten())
+            for c in range(complex_dim(algebra, module, n)))
+    return _COLUMNS[key]
 
 
 def _d1(phi: Cochain) -> Cochain:

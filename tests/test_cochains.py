@@ -42,6 +42,18 @@ def test_differential_rejects_bad_arity():
         differential_matrix(algebra, module, 4)
 
 
+def test_a_module_over_another_algebra_is_rejected():
+    # these used to raise KeyError, give 1 and give 4
+    t2, t3 = truncated_polynomials(QQ, 2), truncated_polynomials(QQ, 3)
+    for algebra, module in ((t2, t3.regular_bimodule()),
+                            (zero_algebra(QQ, 2), t2.regular_bimodule()),
+                            (t3, t2.regular_bimodule())):
+        with pytest.raises(ValueError, match="not over"):
+            cohomology_dim(algebra, module, 2)
+        with pytest.raises(ValueError, match="not over"):
+            differential_matrix(algebra, module, 1)
+
+
 def test_product_is_a_cocycle(field, rng):
     for _ in range(8):
         f = random_morphism_instance(field, rng, max_dim=3)

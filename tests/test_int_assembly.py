@@ -8,9 +8,9 @@ d^n on R with regular coefficients and the morphism complex's d^n must
 equal the matrix of the tuple oracle of differential_oracle.py: the same
 entries, dense rows, `==` and repr.
 `_echelon` on the int rows must give the pivot rows that eliminating
-the same rows read back from their field values gives.  d^n on S is
-checked too; via-f coefficients only in degrees 1 and 2, the ones f's
-complex uses (criterion 09 compares every column of d^3 with them).
+the same rows read back from their field values gives.  d^n on S and
+on R with via-f coefficients are checked too.  The oracle's columns come
+from `differential_oracle.columns`, which criterion 09 reads as well.
 
 Hand-built morphisms whose R, S and f have denominators 2, 5 and 3 make
 the phi rows' common denominator differ from each part's; dropping the
@@ -39,7 +39,7 @@ from zinbiel import morphism_complex
 from zinbiel.algebra import AlgebraMorphism
 from zinbiel.catalog import (change_of_basis, single_product_algebra,
                              truncated_polynomials, weight_scaling)
-from zinbiel.cochains import Cochain, complex_dim, differential_matrix
+from zinbiel.cochains import complex_dim, differential_matrix
 from zinbiel.fields import QQ
 from zinbiel.linalg import Matrix, _echelon, inverse, rank_nullspace, solve
 from zinbiel.morphism_complex import (_push_left_matrix, _push_right_matrix,
@@ -54,53 +54,28 @@ def _from_columns(field, cols: list, nrows: int) -> Matrix:
                   len(cols))
 
 
-def _basis(algebra, module, n, c):
-    field = algebra.field
-    flat = [field.zero()] * complex_dim(algebra, module, n)
-    flat[c] = field.one()
-    return Cochain.from_flat(algebra, module, n, flat)
+def _plain(algebra, module, n) -> Matrix:
+    """The tuple oracle's d^n, from its shared columns."""
+    return _from_columns(algebra.field, oracle.columns(algebra, module, n),
+                         complex_dim(algebra, module, n + 1))
 
 
-class Oracle:
-    """The tuple oracle's matrices, one column per basis element, each
-    built once per (algebra, module, degree) and reused."""
-
-    def __init__(self):
-        self._plain = {}
-
-    def plain(self, algebra, module, n) -> Matrix:
-        key = (id(algebra), id(module), n)
-        if key not in self._plain:
-            cols = [oracle.differential(_basis(algebra, module, n, c)).flatten()
-                    for c in range(complex_dim(algebra, module, n))]
-            # the objects are kept so that their ids are not reused
-            self._plain[key] = (algebra, module, _from_columns(
-                algebra.field, cols, complex_dim(algebra, module, n + 1)))
-        return self._plain[key][2]
-
-    def morphism(self, f, n) -> Matrix:
-        """d(xi; pi; phi) = (d xi; d pi; f.xi - pi.f - d phi), column by
-        column: a basis xi, pi or phi with the other two parts zero."""
-        r, s, b = f.source, f.target, f.as_bimodule()
-        zero = r.field.zero()
-        d_r = self.plain(r, r.regular_bimodule(), n)
-        d_s = self.plain(s, s.regular_bimodule(), n)
-        nb = complex_dim(r, b, n)
-        cols = []
-        for c in range(d_r.ncols):
-            xi = _basis(r, r.regular_bimodule(), n, c)
-            cols.append(d_r.column(c) + [zero] * d_s.nrows
-                        + oracle.push_forward_left(f, xi).flatten())
-        for c in range(d_s.ncols):
-            pi = _basis(s, s.regular_bimodule(), n, c)
-            cols.append([zero] * d_r.nrows + d_s.column(c)
-                        + [-x for x in
-                           oracle.push_forward_right(f, pi).flatten()])
-        if n > 1:
-            d_b = self.plain(r, b, n - 1)
-            cols += [[zero] * (d_r.nrows + d_s.nrows)
-                     + [-x for x in d_b.column(c)] for c in range(d_b.ncols)]
-        return _from_columns(r.field, cols, d_r.nrows + d_s.nrows + nb)
+def _morphism(f, n) -> Matrix:
+    """d(xi; pi; phi) = (d xi; d pi; f.xi - pi.f - d phi), column by
+    column: a basis xi, pi or phi with the other two parts zero."""
+    r, s, b = f.source, f.target, f.as_bimodule()
+    rr, ss, zero = r.regular_bimodule(), s.regular_bimodule(), r.field.zero()
+    nr, ns = complex_dim(r, rr, n + 1), complex_dim(s, ss, n + 1)
+    cols = [[*col, *[zero] * ns, *oracle.push_forward_left(
+                f, oracle.basis_cochain(r, rr, n, c)).flatten()]
+            for c, col in enumerate(oracle.columns(r, rr, n))]
+    cols += [[*[zero] * nr, *col, *(-x for x in oracle.push_forward_right(
+                 f, oracle.basis_cochain(s, ss, n, c)).flatten())]
+             for c, col in enumerate(oracle.columns(s, ss, n))]
+    if n > 1:
+        cols += [[*[zero] * (nr + ns), *(-x for x in col)]
+                 for col in oracle.columns(r, b, n - 1)]
+    return _from_columns(r.field, cols, nr + ns + complex_dim(r, b, n))
 
 
 def _text(m: Matrix) -> list:
@@ -129,32 +104,31 @@ def _mismatches(m: Matrix, expected: Matrix) -> list:
     return out
 
 
-def _checked(f, n, oracles: Oracle) -> list:
+def _checked(f, n) -> list:
     """(what, mismatches) for d^n of f's complex, of R's and S's, and of
-    R's with via-f coefficients in the degrees that f's complex uses."""
+    R's with via-f coefficients."""
     r, s, b = f.source, f.target, f.as_bimodule()
-    cases = [("f", lambda: morphism_differential_matrix(f, n),
-              lambda: oracles.morphism(f, n))]
+    cases = [("f", functools.partial(morphism_differential_matrix, f, n),
+              functools.partial(_morphism, f, n))]
     cases += [(what, functools.partial(differential_matrix, a, module, n),
-               functools.partial(oracles.plain, a, module, n))
+               functools.partial(_plain, a, module, n))
               for what, a, module in (("R", r, r.regular_bimodule()),
                                       ("S", s, s.regular_bimodule()),
-                                      ("via f", r, b))
-              if what != "via f" or n < DEGREES_CHECKED[-1]]
+                                      ("via f", r, b))]
     return [(what, _mismatches(assemble(), expected()))
             for what, assemble, expected in cases]
 
 
-def _failures(instances, oracles: Oracle) -> list:
+def _failures(instances) -> list:
     return [(index, n, what, bad) for index, f in enumerate(instances)
             for n in DEGREES_CHECKED
-            for what, bad in _checked(f, n, oracles) if bad]
+            for what, bad in _checked(f, n) if bad]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_int_rows_match_the_oracle_on_the_suite(suite, field):
     instances = [f for f in suite if f.source.field == field]
-    assert _failures(instances, Oracle()) == []
+    assert _failures(instances) == []
 
 
 def _diagonal(values) -> Matrix:
@@ -203,7 +177,7 @@ def test_int_rows_match_the_oracle_across_denominators():
             # from degree 2 on, the phi rows' denominator is none of its
             # parts' own; at degree 1 there is no d phi part
             assert (common not in dens) == (n > 1)
-    assert _failures(instances, Oracle()) == []
+    assert _failures(instances) == []
 
 
 def test_a_push_right_part_left_unscaled_is_caught(monkeypatch):
@@ -217,7 +191,7 @@ def test_a_push_right_part_left_unscaled_is_caught(monkeypatch):
         return m
     instances = _mixed_denominators()
     monkeypatch.setattr(morphism_complex, "_push_right_matrix", unscaled)
-    failures = _failures(instances, Oracle())
+    failures = _failures(instances)
     # every instance fails in degrees 2 and 3, where a rescale is due
     assert {(index, n, what) for index, n, what, _ in failures} == {
         (index, n, "f") for index in range(len(instances)) for n in (2, 3)}
