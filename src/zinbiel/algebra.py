@@ -21,15 +21,22 @@ The mixed identities are the Zinbiel identity of the square-zero
 extension R + A, so `_product_sums` computes them too.  Each check
 reads the structure constants with the one int reader, `linalg._ints`,
 over one denominator den, and f off its int rows over theirs, fden
-(`linalg._columns`): the product sums are ints scaled by den^2, the
-morphism sums by den * fden^2.  `_found` reads the failures off the
-accumulated sums and writes their values back with `linalg._dense`,
-here and for the deformation conditions of every order.
+(`linalg._columns`, read once per morphism by its constructor and kept):
+the product sums are ints scaled by den^2, the morphism sums by
+den * fden^2.  `_found` reads the failures off the accumulated sums and
+writes their values back with `linalg._dense`, here and for the
+deformation conditions of every order.
 
 The two derived bimodules are built unchecked, because their identities
 hold by construction.  In `regular_bimodule()` all three mixed identities
 are the Zinbiel identity of the algebra.  In `bimodule_via_morphism` they
 follow from f(xy) = f(x)f(y) and the Zinbiel identity of the target.
+The assemblers of `zinbiel.cochains` read a bimodule's actions and its
+algebra's product as int tensors (`Bimodule._int_tensors`).  Each
+algebra reads its product into ints once (`ZinbielAlgebra._int_gamma`),
+and its regular bimodule takes that one read for both actions.
+`bimodule_via_morphism` sums its actions in ints, from the target's int
+product and f's int columns, and writes them with `linalg._dense`.
 
 A `Bimodule` and an `AlgebraMorphism` keep, in `_ranks`, the rank of
 each differential of their complex once it has been computed (see
@@ -40,10 +47,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .fields import Field, FieldError
-from .linalg import Matrix, _columns, _dense, _ints, unit_vector, zero_vector
+from .linalg import Matrix, _columns, _dense, _ints, zero_vector
 
 
 @dataclass
@@ -72,7 +81,7 @@ def _check_cube_shape(dim: int, gamma) -> None:
 class ZinbielAlgebra:
     """Basis-presented algebra: gamma[i][j][k] is the e_k coefficient of e_i*e_j."""
 
-    __slots__ = ("field", "dim", "gamma", "_regular")
+    __slots__ = ("field", "dim", "gamma", "_regular", "_gamma_ints")
 
     def __init__(self, field: Field, dim: int, gamma):
         if dim < 0:
@@ -83,6 +92,7 @@ class ZinbielAlgebra:
         self.gamma = [[[field.coerce(x) for x in row] for row in plane]
                       for plane in gamma]
         self._regular = None
+        self._gamma_ints = None
         bad = zinbiel_violations(field, dim, self.gamma)
         if bad:
             raise IdentityError(
@@ -106,6 +116,18 @@ class ZinbielAlgebra:
                     if g:
                         out[k] = out[k] + c * g
         return out
+
+    def _int_gamma(self) -> tuple:
+        """(gamma, den): the structure tensor read by `_ints` over its one
+        denominator den, as (i, j, k, v) for its nonzero values v: e_i*e_j
+        has e_k coefficient v / den.  Read once and kept, as a flat tuple
+        of ints."""
+        if self._gamma_ints is None:
+            (rows,), den = _ints([(row for plane in self.gamma
+                                   for row in plane)],
+                                 self.field.characteristic)
+            self._gamma_ints = _flat_tensor(rows, self.dim), den
+        return self._gamma_ints
 
     def regular_bimodule(self) -> "Bimodule":
         """The algebra acting on itself by its own product (cached)."""
@@ -253,22 +275,25 @@ class Bimodule:
 
     def _int_tensors(self) -> tuple:
         """(left, gamma, right, den): the actions and the product of the
-        algebra, read together by `_ints`, so over one denominator den,
-        each as (i, j, k, v) for its nonzero values v: e_i*a_j has a_k
-        coefficient v / den in left, e_i*e_j has e_k coefficient v / den
-        in gamma, a_i*e_j has a_k coefficient v / den in right.  Read once
-        and kept, as flat tuples of ints."""
+        algebra over one denominator den, each as (i, j, k, v) for its
+        nonzero values v: e_i*a_j has a_k coefficient v / den in left,
+        e_i*e_j has e_k coefficient v / den in gamma, a_i*e_j has a_k
+        coefficient v / den in right.  gamma is the algebra's one read
+        (`ZinbielAlgebra._int_gamma`), and the regular bimodule takes it
+        for its actions too; other actions are read together by `_ints`.
+        Read once and kept, as flat tuples of ints."""
         if self._tensors is None:
-            groups, den = _ints(
-                ((v for col in self.left for v in col),
-                 (row for plane in self.algebra.gamma for row in plane),
-                 (v for col in self.right for v in col)),
-                self.field.characteristic)
-            widths = self.dim, self.algebra.dim, self.algebra.dim
-            self._tensors = tuple(
-                tuple((*divmod(t, width), k, v)
-                      for t, row in enumerate(rows) for k, v in row)
-                for rows, width in zip(groups, widths)) + (den,)
+            gamma, den = self.algebra._int_gamma()
+            if self is self.algebra._regular:
+                self._tensors = gamma, gamma, gamma, den
+            else:
+                (left, right), aden = _ints(
+                    ((v for col in self.left for v in col),
+                     (v for col in self.right for v in col)),
+                    self.field.characteristic)
+                self._tensors = _with_gamma(
+                    self.algebra, _flat_tensor(left, self.dim),
+                    _flat_tensor(right, self.algebra.dim), aden)
         return self._tensors
 
     def __eq__(self, other):
@@ -283,16 +308,39 @@ class Bimodule:
         return f"Bimodule(dim={self.dim} over {self.algebra!r})"
 
 
-def _derived_bimodule(algebra: ZinbielAlgebra, dim: int, left,
-                      right) -> Bimodule:
+def _flat_tensor(rows: list, width: int) -> tuple:
+    """The (i, j, k, v) of each pair (k, v) of row t = i * width + j of
+    rows, as `_ints` reads them."""
+    return tuple((*divmod(t, width), k, v)
+                 for t, row in enumerate(rows) for k, v in row)
+
+
+def _with_gamma(algebra: ZinbielAlgebra, left: tuple, right: tuple,
+                aden: int) -> tuple:
+    """(left, gamma, right, den) as `Bimodule._int_tensors` keeps them,
+    from int actions over aden and the algebra's int product, each
+    rescaled to den, the least common multiple of the two
+    denominators."""
+    gamma, gden = algebra._int_gamma()
+    den = lcm(aden, gden)
+
+    def scaled(tensor, d):
+        c = den // d
+        return tensor if c == 1 else tuple(
+            (i, j, k, v * c) for i, j, k, v in tensor)
+    return scaled(left, aden), scaled(gamma, gden), scaled(right, aden), den
+
+
+def _derived_bimodule(algebra: ZinbielAlgebra, dim: int, left, right,
+                      tensors: tuple | None = None) -> Bimodule:
     """A bimodule whose identities hold by construction, from actions
     already of field values: taken as they are, neither copied, coerced
-    nor checked."""
+    nor checked; tensors, when given, are its `_int_tensors`."""
     module = Bimodule.__new__(Bimodule)
     module.algebra, module.dim = algebra, dim
     module.left, module.right = left, right
     module._ranks = {}
-    module._tensors = None
+    module._tensors = tensors
     return module
 
 
@@ -363,7 +411,7 @@ class AlgebraMorphism:
         self._bimodule = None
         self._ranks = {}
         self._columns = None
-        bad = morphism_violations(source, target, matrix)
+        bad = _morphism_found(source, target, *self._int_columns())
         if bad:
             raise IdentityError(
                 f"map fails to respect products on {len(bad)} basis pair(s)",
@@ -375,8 +423,8 @@ class AlgebraMorphism:
     def _int_columns(self) -> tuple:
         """(cols, den): for each basis vector e_a of the source, the pairs
         (b, v) of f(e_a), read off the int rows of the matrix (see
-        `linalg._columns`), and their denominator.  Read once and kept,
-        as tuples of ints."""
+        `linalg._columns`), and their denominator.  Read once, by the
+        constructor's check, and kept, as tuples of ints."""
         if self._columns is None:
             cols, den = _columns(self.matrix)
             self._columns = tuple(map(tuple, cols)), den
@@ -405,11 +453,17 @@ def morphism_violations(source: ZinbielAlgebra, target: ZinbielAlgebra,
                         matrix: Matrix) -> list[Violation]:
     """Residuals of f(e_i e_j) - f(e_i) f(e_j) on all basis pairs: the
     order-0 morphism sums of the deformation conditions."""
+    return _morphism_found(source, target, *_columns(matrix))
+
+
+def _morphism_found(source: ZinbielAlgebra, target: ZinbielAlgebra,
+                    fs, fden: int) -> list[Violation]:
+    """`morphism_violations` of the map with int columns fs over fden (see
+    `linalg._columns`)."""
     (ms_r, ms_s), den = _ints(
         ([row for plane in source.gamma for row in plane],
          [row for plane in target.gamma for row in plane]),
         source.field.characteristic)
-    fs, fden = _columns(matrix)
     wheres = itertools.product(range(source.dim), repeat=2)
     return _found(functools.partial(Violation, "morphism"), source.field,
                   target.dim, wheres,
@@ -429,13 +483,48 @@ def zero_morphism(source: ZinbielAlgebra,
 
 
 def bimodule_via_morphism(g: AlgebraMorphism) -> Bimodule:
-    """The target of g as a bimodule over its source: r.s = g(r)s, s.r = s g(r)."""
+    """The target of g as a bimodule over its source: r.s = g(r)s, s.r = s g(r).
+
+    Both actions are summed in ints, from the target's int product and
+    g's int columns, over the least denominator of their values; they
+    become the bimodule's int tensors and, written by `_dense`, its
+    actions."""
     source, target = g.source, g.target
-    field = source.field
-    m = target.dim
-    cols = _dense(field, m, *g._int_columns())
-    left = [[target.product(cols[i], unit_vector(field, m, a))
-             for a in range(m)] for i in range(source.dim)]
-    right = [[target.product(unit_vector(field, m, a), cols[i])
-              for i in range(source.dim)] for a in range(m)]
-    return _derived_bimodule(source, m, left, right)
+    field, d, m = source.field, source.dim, target.dim
+    p = field.characteristic
+    cols, fden = g._int_columns()
+    gamma, sden = target._int_gamma()
+    images = defaultdict(list)   # b -> (i, v): g(e_i) has e_b coefficient v
+    for i, col in enumerate(cols):
+        for b, v in col:
+            images[b].append((i, v))
+    lsum, rsum = defaultdict(int), defaultdict(int)
+    for u, w, k, c in gamma:
+        for i, v in images[u]:
+            lsum[i, w, k] += v * c     # g(e_i) * e_w
+        for i, v in images[w]:
+            rsum[u, i, k] += v * c     # e_u * g(e_i)
+    left, right = (tuple((*key, v) for key in sorted(acc)
+                         if (v := acc[key] % p if p else acc[key]))
+                   for acc in (lsum, rsum))
+    den = fden * sden
+    common = gcd(den, *(t[3] for t in left), *(t[3] for t in right))
+    if common > 1:
+        den //= common
+        left, right = (tuple((i, j, k, v // common) for i, j, k, v in t)
+                       for t in (left, right))
+    return _derived_bimodule(
+        source, m, _dense_tensor(field, d, m, m, left, den),
+        _dense_tensor(field, m, d, m, right, den),
+        _with_gamma(source, left, right, den))
+
+
+def _dense_tensor(field: Field, n1: int, n2: int, n: int, tensor: tuple,
+                  den: int) -> list:
+    """The n1 x n2 grid of vectors of n field values with v / den at
+    [i][j][k] for each (i, j, k, v) of tensor, zero elsewhere."""
+    rows = [[] for _ in range(n1 * n2)]
+    for i, j, k, v in tensor:
+        rows[i * n2 + j].append((k, v))
+    flat = _dense(field, n, rows, den)
+    return [flat[i * n2:(i + 1) * n2] for i in range(n1)]

@@ -31,7 +31,8 @@ module's actions fraction-free, with the one reader `linalg._ints`:
 ints mod p over F_p, ints over their least common denominator over Q.
 Each term of d^n is linear in one of them, so d^n is assembled as int
 rows over that denominator, in one pass per term of this formula, with
-no field scalar built (see `zinbiel.linalg`).  The tuple-by-tuple
+no field scalar built and each row created on its first write: a row
+never written is zero and is not held (see `zinbiel.linalg`).  The tuple-by-tuple
 evaluation of the three formulas above is kept in the tests as the
 oracle the matrices are checked against.
 
@@ -269,7 +270,9 @@ def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
         raise ValueError("module is not over the differential's algebra")
     d, m = algebra.dim, module.dim
     left, gamma, right, den = module._int_tensors()
-    rows = [defaultdict(int) for _ in range(d ** (n + 1) * m)]
+    # each row is created on its first write; the rows never written are
+    # zero and are not held
+    rows = defaultdict(functools.partial(defaultdict, int))
     # x0*(signed reorderings of p(x1..xn))
     reordered = _reordered_columns(d, m, _TAIL_ORDERS[n])
     for x, a, b, v in left:
@@ -297,7 +300,8 @@ def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
         v = _slot_sign(n, v)
         for head in range(d ** n):
             rows[(head * d + y) * m + b][head * m + a] += v
-    return Matrix._assembled(algebra.field, rows, d ** n * m, den)
+    return Matrix._assembled(algebra.field, d ** (n + 1) * m, d ** n * m,
+                             rows, den)
 
 
 def differential(x: ComplexElement) -> ComplexElement:

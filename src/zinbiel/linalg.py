@@ -1,16 +1,19 @@
 """Exact sparse linear algebra: rank, nullspace bases, particular solutions.
 
 A `Matrix` is sparse and holds its rows in one form: int rows over one
-denominator, one dict (column -> nonzero int) per row, 1 over F_p, where
-the ints are the values mod p.  Field values are read into ints by one
-reader, `_ints`, and written back by one writer, `_scalar`/`_dense`.
-`Matrix(...)` reads its values with `_ints`; `zeros`, `identity`, `@`,
-`inverse` and the differentials of `zinbiel.cochains` and
-`zinbiel.morphism_complex` build their int rows directly
-(`Matrix._assembled`).  Every reader works on the int rows too: `rows`,
-`column` and `matvec` write field values with `_scalar` only for what
-they return, and `==` compares the int rows, each side scaled by the
-other's denominator.
+denominator, 1 over F_p, where the ints are the values mod p.  Only the
+nonzero rows are held, one dict (column -> nonzero int) per row, keyed by
+row index in ascending order; a missing row is zero.  Field values are
+read into ints by one reader, `_ints`, and written back by one writer,
+`_scalar`/`_dense`.  `Matrix(...)` reads its values with `_ints`;
+`zeros`, `identity`, `@`, `inverse` and the differentials of
+`zinbiel.cochains` and `zinbiel.morphism_complex` build their int rows
+directly (`Matrix._assembled`), creating a row only when they first
+write to it.  The elimination, `is_zero` and the assemblers walk the
+nonzero rows only.  The readers that need row positions work on every
+row, expanded by `_flat`: `rows`, `column` and `matvec` write field
+values with `_scalar` only for what they return, and `==` compares the
+int rows, each side scaled by the other's denominator.
 
 Every elimination goes through one routine, `_reduce`, which brings sparse
 int rows to reduced row echelon form with each pivot on the leftmost
@@ -54,12 +57,6 @@ def zero_vector(field: Field, n: int) -> list:
     return [field.zero()] * n
 
 
-def unit_vector(field: Field, n: int, i: int) -> list:
-    v = [field.zero()] * n
-    v[i] = field.one()
-    return v
-
-
 def vec_add(u: list, v: list) -> list:
     return [a + b for a, b in zip(u, v)]
 
@@ -70,12 +67,13 @@ def vec_sub(u: list, v: list) -> list:
 
 class Matrix:
     """Sparse matrix over one field, held as int rows over one
-    denominator: `_ints[i]` maps the column of each nonzero entry of the
-    i-th row below the blocks to that entry times `_den`, 1 over F_p,
-    where it is the entry mod p.  `_blocks` declares diagonal blocks, as
-    (column offset, block) pairs: the leading rows of the matrix are the
-    rows of each block in turn, shifted right by its offset and zero
-    elsewhere, and no two blocks share a column."""
+    denominator: `_ints` maps the index i of each nonzero row below the
+    blocks, ascending, to a dict from the column of each nonzero entry of
+    that row to the entry times `_den`, 1 over F_p, where it is the entry
+    mod p; a row missing from `_ints` is zero.  `_blocks` declares
+    diagonal blocks, as (column offset, block) pairs: the leading rows of
+    the matrix are the rows of each block in turn, shifted right by its
+    offset and zero elsewhere, and no two blocks share a column."""
 
     __slots__ = ("field", "nrows", "ncols", "_ints", "_den", "_blocks",
                  "_pivots")
@@ -94,9 +92,10 @@ class Matrix:
             ncols = 0
         (ints,), den = _ints([[list(map(field.coerce, r)) for r in rows]],
                              field.characteristic)
-        self._wrap(field, len(rows), ncols, [dict(r) for r in ints], den)
+        self._wrap(field, len(rows), ncols,
+                   {i: dict(r) for i, r in enumerate(ints) if r}, den)
 
-    def _wrap(self, field: Field, nrows: int, ncols: int, ints: list,
+    def _wrap(self, field: Field, nrows: int, ncols: int, ints: dict,
               den: int, blocks: tuple = ()) -> None:
         if ncols < 0:
             raise ValueError(f"negative number of columns: {ncols}")
@@ -109,20 +108,23 @@ class Matrix:
         self._pivots = None
 
     @classmethod
-    def _assembled(cls, field: Field, ints: list, ncols: int, den: int,
-                   blocks: tuple = ()) -> "Matrix":
+    def _assembled(cls, field: Field, nrows: int, ncols: int, ints: dict,
+                   den: int, blocks: tuple = ()) -> "Matrix":
         """The matrix whose rows are those of blocks (see the class
-        docstring), then ints / den, den 1 over F_p.  ints holds one
-        mapping of columns to int values per row; here they are reduced
-        mod p over F_p and the zeros dropped."""
+        docstring), then nrows rows, ints[i] / den at each index i in ints
+        and zero elsewhere, den 1 over F_p.  ints maps row indices, in any
+        order, to mappings of columns to int values; here they are reduced
+        mod p over F_p, the zeros and the rows left empty dropped, and the
+        rows sorted by index."""
         p = field.characteristic
         if p:
-            ints = [{j: v for j, x in r.items() if (v := x % p)}
-                    for r in ints]
+            ints = {i: r for i in sorted(ints) if (r := {
+                j: v for j, x in ints[i].items() if (v := x % p)})}
         else:
-            ints = [{j: x for j, x in r.items() if x} for r in ints]
+            ints = {i: r for i in sorted(ints) if (r := {
+                j: x for j, x in ints[i].items() if x})}
         m = cls.__new__(cls)
-        m._wrap(field, sum(b.nrows for _, b in blocks) + len(ints), ncols,
+        m._wrap(field, sum(b.nrows for _, b in blocks) + nrows, ncols,
                 ints, den, blocks)
         return m
 
@@ -130,11 +132,11 @@ class Matrix:
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
         if nrows < 0:
             raise ValueError(f"negative number of rows: {nrows}")
-        return cls._assembled(field, [{} for _ in range(nrows)], ncols, 1)
+        return cls._assembled(field, nrows, ncols, {}, 1)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._assembled(field, [{i: 1} for i in range(n)], n, 1)
+        return cls._assembled(field, n, n, {i: {i: 1} for i in range(n)}, 1)
 
     @property
     def rows(self) -> list:
@@ -172,17 +174,19 @@ class Matrix:
                 f"{other.nrows}x{other.ncols}")
         rows, den = _flat(self)
         brows, bden = _flat(other)
-        out = []
-        for arow in rows:
-            crow = {}
+        out = {}
+        for i, arow in enumerate(rows):
+            if not arow:
+                continue
+            out[i] = crow = {}
             for k, a in arow.items():
                 for j, b in brows[k].items():
                     crow[j] = crow.get(j, 0) + a * b
-            out.append(crow)
-        return Matrix._assembled(self.field, out, other.ncols, den * bden)
+        return Matrix._assembled(self.field, self.nrows, other.ncols, out,
+                                 den * bden)
 
     def is_zero(self) -> bool:
-        return not any(self._ints) and all(
+        return not self._ints and all(
             block.is_zero() for _, block in self._blocks)
 
     def __eq__(self, other):
@@ -238,11 +242,12 @@ def _dense(field: Field, n: int, rows, den: int) -> list:
 
 def _flat(m: Matrix) -> tuple[list, int]:
     """Every row of m as a fresh int dict, over one denominator den: the
-    rows of its blocks, shifted to their columns, then its own int rows,
-    each rescaled to den, the least common multiple of their
-    denominators."""
+    rows of its blocks, shifted to their columns, then its own rows, the
+    zero ones included, each rescaled to den, the least common multiple of
+    their denominators."""
     parts = [(col0, *_flat(block)) for col0, block in m._blocks]
-    parts.append((0, m._ints, m._den))
+    own, empty = m.nrows - sum(b.nrows for _, b in m._blocks), {}
+    parts.append((0, [m._ints.get(i, empty) for i in range(own)], m._den))
     den = lcm(*(d for _, _, d in parts))
     return [{col0 + j: v * (den // d) for j, v in r.items()}
             for col0, rows, d in parts for r in rows], den
@@ -314,7 +319,7 @@ def _reduce(rows: list, width: int, p: int,
                 rest.append(row)
             continue
         if p and row[lead] != 1:
-            inv = pow(row[lead], p - 2, p)
+            inv = pow(row[lead], -1, p)
             row = {k: v * inv % p for k, v in row.items()}
         # keep the earlier pivot rows zero in the new pivot column
         for c, prow in pivots.items():
@@ -335,7 +340,7 @@ def _seeded(m: Matrix) -> dict:
     return pivots
 
 
-def _int_rows(p: int, rows: list) -> list:
+def _int_rows(p: int, rows) -> list:
     """The nonzero int rows among rows as fresh dicts, the input of an
     elimination: made primitive over Q (any multiple of a row stands for
     it)."""
@@ -346,10 +351,11 @@ def _int_rows(p: int, rows: list) -> list:
 
 def _echelon(m: Matrix) -> dict:
     """The pivot rows of m (see `_reduce`), computed once per matrix:
-    from its blocks' pivot rows, then its int rows."""
+    from its blocks' pivot rows, then its nonzero int rows."""
     if m._pivots is None:
         p = m.field.characteristic
-        m._pivots, _ = _reduce(_int_rows(p, m._ints), m.ncols, p, _seeded(m))
+        m._pivots, _ = _reduce(_int_rows(p, m._ints.values()), m.ncols, p,
+                               _seeded(m))
     return m._pivots
 
 
@@ -363,10 +369,10 @@ def rank_nullspace(m: Matrix) -> tuple[int, list[list]]:
     pivots = _echelon(m)
     free = [j for j in range(m.ncols) if j not in pivots]
     slot = {j: i for i, j in enumerate(free)}
-    one = m.field.one()
+    zero, one = m.field.zero(), m.field.one()
     basis = []
     for j in free:
-        v = zero_vector(m.field, m.ncols)
+        v = [zero] * m.ncols
         v[j] = one
         basis.append(v)
     for c, row in pivots.items():
@@ -422,6 +428,6 @@ def inverse(m: Matrix) -> Matrix | None:
     # row c of the inverse is the right half of pivot row c over its
     # pivot entry, 1 over F_p
     den = lcm(*(pivots[c][c] for c in range(n)))
-    out = [{j - n: x * (den // pivots[c][c])
-            for j, x in pivots[c].items() if j >= n} for c in range(n)]
-    return Matrix._assembled(m.field, out, n, den)
+    out = {c: {j - n: x * (den // pivots[c][c])
+               for j, x in pivots[c].items() if j >= n} for c in range(n)}
+    return Matrix._assembled(m.field, n, n, out, den)

@@ -11,10 +11,10 @@ degree-1 triples are just pairs (xi; pi).  The differential is
 with f.xi and pi.f the push-forwards along f.  The complex runs in the
 degrees of the bimodule complex (`zinbiel.cochains`); triples of the top
 degree exist as targets of the last differential.
-`morphism_differential_matrix` pastes the int rows of the assembled
-matrices of d on R, on S and on the phi column next to those of the
-push-forwards, and `push_forward_left` and `push_forward_right` apply
-the push-forward blocks.  Both push-forward matrices are assembled as int
+`morphism_differential_matrix` pastes the nonzero int rows of the
+assembled matrices of d on R, on S and on the phi column next to those
+of the push-forwards, and `push_forward_left` and `push_forward_right`
+apply the push-forward blocks.  Both push-forward matrices are assembled as int
 rows from the int rows of f's matrix, read by columns
 (`AlgebraMorphism._int_columns`).  `TripleCochain` is an element of
 the protocol in `zinbiel.cochains` with that matrix as its d^n, so
@@ -201,19 +201,19 @@ def _push_left_matrix(f: AlgebraMorphism, n: int) -> Matrix:
     r, s = f.source, f.target
     cols, den = f._int_columns()
     ntup = r.dim ** n
-    rows = [{} for _ in range(ntup * s.dim)]
+    rows = defaultdict(dict)
     for a, col in enumerate(cols):
         for b, v in col:
             for t in range(ntup):
                 rows[t * s.dim + b][t * r.dim + a] = v
-    return Matrix._assembled(r.field, rows, ntup * r.dim, den)
+    return Matrix._assembled(r.field, ntup * s.dim, ntup * r.dim, rows, den)
 
 
 def _push_right_matrix(f: AlgebraMorphism, n: int) -> Matrix:
     """Its entries are products of n entries of f, so over den^n."""
     r, s = f.source, f.target
     cols, den = f._int_columns()
-    rows = [defaultdict(int) for _ in range(r.dim ** n * s.dim)]
+    rows = defaultdict(functools.partial(defaultdict, int))
     for t, tup in enumerate(all_tuples(r.dim, n)):
         for combo in itertools.product(*(cols[i] for i in tup)):
             coef = 1
@@ -223,7 +223,8 @@ def _push_right_matrix(f: AlgebraMorphism, n: int) -> Matrix:
                 coef *= v
             for b in range(s.dim):
                 rows[t * s.dim + b][jt * s.dim + b] += coef
-    return Matrix._assembled(r.field, rows, s.dim ** n * s.dim, den ** n)
+    return Matrix._assembled(r.field, r.dim ** n * s.dim, s.dim ** n * s.dim,
+                             rows, den ** n)
 
 
 def morphism_differential_matrix(f: AlgebraMorphism, n: int) -> Matrix:
@@ -250,13 +251,13 @@ def morphism_differential_matrix(f: AlgebraMorphism, n: int) -> Matrix:
         parts.append((differential_matrix(r, f.as_bimodule(), n - 1),
                       col_xi + col_pi, -1))
     den = lcm(*(part._den for part, _, _ in parts))
-    phi = [{} for _ in range(r.dim ** n * s.dim)]
+    phi = defaultdict(dict)
     for part, col0, sign in parts:
         scale = sign * (den // part._den)
-        for row, prow in zip(phi, part._ints):
-            row.update((col0 + j, scale * v) for j, v in prow.items())
-    return Matrix._assembled(r.field, phi, triple_dim(f, n), den,
-                             ((0, d_r), (col_xi, d_s)))
+        for i, prow in part._ints.items():
+            phi[i].update((col0 + j, scale * v) for j, v in prow.items())
+    return Matrix._assembled(r.field, r.dim ** n * s.dim, triple_dim(f, n),
+                             phi, den, ((0, d_r), (col_xi, d_s)))
 
 
 def morphism_cohomology_dim(f: AlgebraMorphism, n: int) -> int:

@@ -164,6 +164,9 @@ class Problem:
 
     def _triple_from_entries(self, f: AlgebraMorphism, degree: int,
                              entries) -> TripleCochain:
+        """The triple of these entries: each value is coerced into the
+        field once, which also checks a hand-built spec, and the rows of
+        the right shape are taken unchecked (`Cochain._of`)."""
         r, s = f.source, f.target
         z = self.field.zero()
         rows = {"R": [[z] * r.dim for _ in range(r.dim ** degree)],
@@ -171,12 +174,13 @@ class Problem:
                 "f": [[z] * s.dim for _ in range(r.dim ** (degree - 1))]}
         for (component, indices, b, c) in entries:
             dim = s.dim if component == "S" else r.dim
-            rows[component][tuple_index(dim, indices)][b] = c
+            rows[component][tuple_index(dim, indices)][b] = \
+                self.field.coerce(c)
         phi = None if degree == 1 else \
-            Cochain(r, f.as_bimodule(), degree - 1, rows["f"])
-        return TripleCochain(
-            f, degree, Cochain(r, r.regular_bimodule(), degree, rows["R"]),
-            Cochain(s, s.regular_bimodule(), degree, rows["S"]), phi)
+            Cochain._of(r, f.as_bimodule(), degree - 1, rows["f"])
+        return TripleCochain._of(
+            f, degree, Cochain._of(r, r.regular_bimodule(), degree, rows["R"]),
+            Cochain._of(s, s.regular_bimodule(), degree, rows["S"]), phi)
 
     def build_cochain(self, name: str) -> TripleCochain:
         spec = self.cochains[name]

@@ -6,7 +6,8 @@ path: dense rows of field scalars, the first nonzero entry of each column
 sparse kernel must reproduce its results exactly.
 """
 
-from zinbiel.linalg import Matrix, unit_vector, zero_vector
+from oracle_helpers import unit_vector
+from zinbiel.linalg import Matrix, zero_vector
 
 
 def row_reduce(rows: list, pivot_width: int) -> list:

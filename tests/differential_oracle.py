@@ -13,10 +13,10 @@ them exactly.
 
 import itertools
 
-from oracle_helpers import evaluate, left_act, right_act
+from oracle_helpers import evaluate, left_act, right_act, unit_vector
 from zinbiel.cochains import (MAX_ARITY as MAX_DEGREE, Cochain, all_tuples,
                               complex_dim)
-from zinbiel.linalg import unit_vector, vec_add, vec_sub, zero_vector
+from zinbiel.linalg import vec_add, vec_sub, zero_vector
 from zinbiel.morphism_complex import TripleCochain
 
 

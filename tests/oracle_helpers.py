@@ -1,15 +1,22 @@
 """Dense evaluation helpers shared by the term-by-term oracles.
 
-These are the library's former `Cochain.eval` and `Bimodule.left_act` /
-`right_act`.  The library itself never evaluates a cochain on vectors or
-applies an action to one vector at a time: it works from sparse rows and
-assembled matrices.  The oracles use these helpers to stay independent
+These are the library's former `Cochain.eval`, `Bimodule.left_act` /
+`right_act` and `linalg.unit_vector`.  The library itself never
+evaluates a cochain on vectors or applies an action to one vector at a
+time: it works from sparse rows and assembled matrices.  The oracles use these helpers to stay independent
 of that code.
 """
 
 import itertools
 
 from zinbiel.linalg import zero_vector
+
+
+def unit_vector(field, n: int, i: int) -> list:
+    """The i-th basis vector of length n."""
+    v = [field.zero()] * n
+    v[i] = field.one()
+    return v
 
 
 def evaluate(cochain, args: list) -> list:

@@ -1,5 +1,6 @@
 import pytest
 
+from zinbiel import algebra as algebra_module
 from zinbiel.algebra import (AlgebraMorphism, Bimodule, IdentityError,
                              ZinbielAlgebra, bimodule_via_morphism,
                              bimodule_violations, identity_morphism,
@@ -8,6 +9,7 @@ from zinbiel.catalog import (change_of_basis, direct_sum,
                              single_product_algebra, truncated_polynomials,
                              weight_scaling, zero_algebra)
 from zinbiel.fields import QQ, FieldError, PrimeField
+from zinbiel.morphism_complex import morphism_cohomology_dim
 from zinbiel.sampling import random_invertible, random_morphism_instance
 
 
@@ -165,6 +167,21 @@ def test_derived_bimodules_equal_the_checked_construction(suite):
             assert checked == module
             assert repr((checked.left, checked.right)) == \
                 repr((module.left, module.right))
+
+
+def test_a_morphism_reads_its_matrix_once(monkeypatch):
+    # the constructor's check and every later reader share one transpose
+    # of f's int rows
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return original(matrix)
+    original = algebra_module._columns
+    monkeypatch.setattr(algebra_module, "_columns", counting)
+    f = identity_morphism(truncated_polynomials(QQ, 3))
+    morphism_cohomology_dim(f, 2)
+    assert calls == [f.matrix]
 
 
 def test_invalid_actions_rejected():

@@ -306,8 +306,13 @@ def test_blocked_products_match_their_plain_copies(suite):
 
 
 def test_deep_copies_before_and_after_the_first_read_agree(suite):
-    # `later` is read whole, its pivot rows kept, before it is copied
-    for f in _sample(suite):
+    # `later` is read whole, its pivot rows kept, before it is copied; f's
+    # matrix has zero rows, which are not held, in the zero morphisms of
+    # the sample and in the last mixed-denominator morphism
+    morphisms = _sample(suite) + _mixed_denominators()
+    assert any(not all(map(any, f.matrix.rows)) and f.matrix.rows
+               for f in morphisms)
+    for f in morphisms:
         for first, later in zip(_assembled(f), _assembled(f)):
             unread = copy.deepcopy(first)
             later.rows

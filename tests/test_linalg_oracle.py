@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from instances import SEED
-from zinbiel.algebra import AlgebraMorphism
+from zinbiel.algebra import AlgebraMorphism, zero_morphism
 from zinbiel.catalog import single_product_algebra
 from zinbiel.fields import QQ, PrimeField
 from zinbiel.linalg import Matrix, inverse, rank_nullspace, solve
@@ -158,6 +158,23 @@ BLOCKED = [morphism_differential_matrix(_scaling(field), n)
            for field in READ_FIELDS.values() for n in (1, 2)]
 
 
+def _zero_phi_rows(field) -> Matrix:
+    """d^1 of the zero endomorphism of _scaling's line: its rows are the
+    blocks' (d^1 on R and on S), then phi rows f.xi - pi.f that are all
+    zero, so that it holds no row of its own."""
+    line = single_product_algebra(field, 2, 0, 0, 1, Fraction(1, 2))
+    m = morphism_differential_matrix(zero_morphism(line, line), 1)
+    assert m._blocks and m.nrows > sum(b.nrows for _, b in m._blocks)
+    assert not m._ints
+    return m
+
+
+ZERO_PHI = _zero_phi_rows(PrimeField(7))
+F5 = READ_FIELDS["F5"]
+# a plain matrix whose second and third rows are zero
+GAPPED = [list(map(F5.coerce, r)) for r in [[1, 2], [0, 0], [0, 0], [3, 0]]]
+
+
 def _dense_product(a: list, b: list, ncols: int, field) -> list:
     zero = field.zero()
     return [[sum((x * r[j] for x, r in zip(row, b)), zero)
@@ -206,6 +223,10 @@ def read_cases(draw):
           [1, Fraction(1, 3)]))                         # over 2, not 1
 @example((BLOCKED[0], None, list(range(BLOCKED[0].ncols))))  # over 18
 @example((BLOCKED[3], None, [1] * BLOCKED[3].ncols))
+@example((Matrix.zeros(QQ, 3, 2), ([[QQ.zero()] * 2] * 3).__eq__,
+          [1, Fraction(1, 2)]))                         # no row held
+@example((Matrix(F5, GAPPED), GAPPED.__eq__, [1, 4]))   # interior zero rows
+@example((ZERO_PHI, None, [1] * ZERO_PHI.ncols))        # no phi row held
 def test_int_row_readers_match_dense_arithmetic(case):
     m, check, v = case
     field = m.field

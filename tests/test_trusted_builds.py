@@ -6,13 +6,16 @@ The guard below checks the output of each operation that builds through
 them, over Q, F5, F7 and F101: every entry has the exact scalar type of
 its field (a raw int would compare equal to a `ModInt` and slip past
 `==`), and each element equals, repr for repr, the one the checked
-public constructors build from the same rows.  The public constructors
-keep every check: each is driven with bad input and must fail with its
-message.
+public constructors build from the same rows.  The triples `Problem`
+builds from the cochains and deformation terms of `problems/*.zb` are
+guarded too; a hand-built `Problem` whose entries are not scalars of its
+field is still refused.  The public constructors keep every check: each
+is driven with bad input and must fail with its message.
 """
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,8 @@ from zinbiel.deformation import (FormalIsomorphism, TruncatedDeformation,
                                  order_residual, theta_zero)
 from zinbiel.fields import QQ, FieldError, ModInt, PrimeField
 from zinbiel.morphism_complex import TripleCochain
+from zinbiel.problem_io import (AlgebraSpec, CochainSpec, DeformationSpec,
+                                MorphismSpec, Problem, parse)
 from zinbiel.sampling import (random_cochain, random_deformation,
                               random_formal_isomorphism, random_scalar,
                               random_triple_cochain)
@@ -62,6 +67,7 @@ def _guard(x) -> int:
                 seen += 1
     rebuilt = _checked(x)
     assert rebuilt == x
+    assert repr(rebuilt) == repr(x)
     assert [c.coeffs for c in _parts(rebuilt)] == \
         [c.coeffs for c in _parts(x)]
     assert repr([c.coeffs for c in _parts(rebuilt)]) == \
@@ -123,6 +129,39 @@ def test_deformation_outputs_hold_scalars_of_their_field(small_suite, field):
             for term in step.extended.terms:
                 _guard(term)
     assert steps > 0
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def test_parsed_triples_hold_scalars_of_their_field():
+    seen = 0
+    for path in sorted(PROBLEMS.glob("*.zb")):
+        problem = parse(path.read_text(encoding="utf-8"))
+        for name in problem.cochains:
+            seen += _guard(problem.build_cochain(name))
+        for name in problem.deformations:
+            _, terms, _ = problem.deformation_candidate(name)
+            for term in terms[1:]:
+                seen += _guard(term)
+    assert seen > 0
+
+
+@pytest.mark.parametrize("field, bad", [(QQ, 0.5),
+                                        (PrimeField(5), ModInt(1, 7))],
+                         ids=["Q", "F5"])
+def test_hand_built_entries_outside_the_field_are_refused(field, bad):
+    # a Problem made without parse: its entries are coerced as they go in
+    problem = Problem(
+        field, algebras={"A": AlgebraSpec("A", 1)},
+        morphisms={"f": MorphismSpec("f", "A", "A", [(0, 0, 1)])},
+        cochains={"c": CochainSpec("c", "f", 2, [("f", (0,), 0, bad)])},
+        deformations={"D": DeformationSpec("D", "f", 1,
+                                           [(1, "R", (0, 0), 0, bad)])})
+    with pytest.raises(FieldError):
+        problem.build_cochain("c")
+    with pytest.raises(FieldError):
+        problem.deformation_candidate("D")
 
 
 def _t2(field):
