@@ -18,25 +18,29 @@ the actions its caller supplies.  The first two checks are the order-0
 deformation conditions of (m_R; m_S; f) and share their sparse sums with
 `zinbiel.deformation`: `_product_sums` and `_morphism_sums` at order 0.
 The mixed identities are the Zinbiel identity of the square-zero
-extension R + A, so `_product_sums` computes them too.  Each check
-reads the structure constants with the one int reader, `linalg._ints`,
-over one denominator den, and f off its int rows over theirs, fden
-(`linalg._columns`, read once per morphism by its constructor and kept):
-the product sums are ints scaled by den^2, the morphism sums by
-den * fden^2.  `_found` reads the failures off the accumulated sums and
-writes their values back with `linalg._dense`, here and for the
-deformation conditions of every order.
+extension R + A, so `_product_sums` computes them too.  `_found` reads
+the failures off the accumulated sums and writes their values back with
+`linalg._dense`, here and for the deformation conditions of every order.
+
+Each object reads its field values into ints once, in its constructor,
+and keeps that read: an algebra its product (`_gamma_ints`), a bimodule
+its two actions (`_action_ints`), both by the one int reader
+`linalg._ints` (see `_grid_ints`), and a morphism f's columns
+(`_f_ints`, read off the int rows of its matrix by `linalg._columns`).
+Each read is held as nested tuples of ints over its own denominator, in
+the layout `_ints` returns: row i * width + j of a grid holds the
+(k, v) pairs of grid[i][j].  The constructor's check reads it, and so
+do the via-f build and the assemblers of `zinbiel.cochains` and
+`zinbiel.morphism_complex`; where two reads meet, each is rescaled to
+the least common multiple of their denominators.
 
 The two derived bimodules are built unchecked, because their identities
 hold by construction.  In `regular_bimodule()` all three mixed identities
-are the Zinbiel identity of the algebra.  In `bimodule_via_morphism` they
-follow from f(xy) = f(x)f(y) and the Zinbiel identity of the target.
-The assemblers of `zinbiel.cochains` read a bimodule's actions and its
-algebra's product as int tensors (`Bimodule._int_tensors`).  Each
-algebra reads its product into ints once (`ZinbielAlgebra._int_gamma`),
-and its regular bimodule takes that one read for both actions.
-`bimodule_via_morphism` sums its actions in ints, from the target's int
-product and f's int columns, and writes them with `linalg._dense`.
+are the Zinbiel identity of the algebra, and its two actions are the
+algebra's product, read once.  In `bimodule_via_morphism` they follow
+from f(xy) = f(x)f(y) and the Zinbiel identity of the target; its
+actions are summed in ints, from the target's int product and f's int
+columns, and written with `linalg._dense`.
 
 A `Bimodule` and an `AlgebraMorphism` keep, in `_ranks`, the rank of
 each differential of their complex once it has been computed (see
@@ -78,6 +82,28 @@ def _check_cube_shape(dim: int, gamma) -> None:
         raise ValueError(f"structure tensor must be {dim}x{dim}x{dim}")
 
 
+def _coerced(field: Field, grid) -> list:
+    """A fresh grid of vectors, each value coerced into field."""
+    return [[[field.coerce(x) for x in v] for v in col] for col in grid]
+
+
+def _grid_ints(field: Field, *grids) -> tuple:
+    """The int read an object keeps: each grid of vectors of field values
+    (gamma[i][j], left[i][a] or right[a][i]) as the rows `_ints` reads,
+    row i * width + j the (k, v) pairs of grid[i][j], in nested tuples;
+    then the one denominator of all of them."""
+    groups, den = _ints([[v for col in grid for v in col] for grid in grids],
+                        field.characteristic)
+    return (*(tuple(map(tuple, rows)) for rows in groups), den)
+
+
+def _rescaled(rows: tuple, c: int, shift: int = 0) -> tuple:
+    """Int rows with every value times c and every index plus shift."""
+    if c == 1 and not shift:
+        return rows
+    return tuple(tuple((k + shift, v * c) for k, v in row) for row in rows)
+
+
 class ZinbielAlgebra:
     """Basis-presented algebra: gamma[i][j][k] is the e_k coefficient of e_i*e_j."""
 
@@ -89,11 +115,11 @@ class ZinbielAlgebra:
         _check_cube_shape(dim, gamma)
         self.field = field
         self.dim = dim
-        self.gamma = [[[field.coerce(x) for x in row] for row in plane]
-                      for plane in gamma]
+        self.gamma = _coerced(field, gamma)
         self._regular = None
-        self._gamma_ints = None
-        bad = zinbiel_violations(field, dim, self.gamma)
+        # (rows, den): row i * dim + j holds e_i * e_j times den
+        self._gamma_ints = _grid_ints(field, self.gamma)
+        bad = _zinbiel_found(field, dim, *self._gamma_ints)
         if bad:
             raise IdentityError(
                 f"Zinbiel identity fails on {len(bad)} basis triple(s)", bad)
@@ -117,23 +143,12 @@ class ZinbielAlgebra:
                         out[k] = out[k] + c * g
         return out
 
-    def _int_gamma(self) -> tuple:
-        """(gamma, den): the structure tensor read by `_ints` over its one
-        denominator den, as (i, j, k, v) for its nonzero values v: e_i*e_j
-        has e_k coefficient v / den.  Read once and kept, as a flat tuple
-        of ints."""
-        if self._gamma_ints is None:
-            (rows,), den = _ints([(row for plane in self.gamma
-                                   for row in plane)],
-                                 self.field.characteristic)
-            self._gamma_ints = _flat_tensor(rows, self.dim), den
-        return self._gamma_ints
-
     def regular_bimodule(self) -> "Bimodule":
         """The algebra acting on itself by its own product (cached)."""
         if self._regular is None:
+            rows, den = self._gamma_ints
             self._regular = _derived_bimodule(self, self.dim, self.gamma,
-                                              self.gamma)
+                                              self.gamma, (rows, rows, den))
         return self._regular
 
     def __eq__(self, other):
@@ -152,8 +167,13 @@ def zinbiel_violations(field: Field, dim: int, gamma) -> list[Violation]:
     """Residuals of (x*y)*z - x*(y*z) - x*(z*y) on all basis triples: the
     order-0 product sums of the deformation conditions."""
     _check_cube_shape(dim, gamma)
-    (rows,), den = _ints([[[field.coerce(x) for x in row] for plane in gamma
-                           for row in plane]], field.characteristic)
+    return _zinbiel_found(field, dim,
+                          *_grid_ints(field, _coerced(field, gamma)))
+
+
+def _zinbiel_found(field: Field, dim: int, rows: tuple,
+                   den: int) -> list[Violation]:
+    """`zinbiel_violations` of the product with int rows over den."""
     wheres = itertools.product(range(dim), repeat=3)
     return _found(functools.partial(Violation, "zinbiel"), field, dim,
                   wheres, _product_sums(dim, [rows], [(0, 0)]), den ** 2)
@@ -243,7 +263,7 @@ class Bimodule:
     of the module docstring are built by `_derived_bimodule` instead.
     """
 
-    __slots__ = ("algebra", "dim", "left", "right", "_ranks", "_tensors")
+    __slots__ = ("algebra", "dim", "left", "right", "_ranks", "_action_ints")
 
     def __init__(self, algebra: ZinbielAlgebra, dim: int, left, right):
         if dim < 0:
@@ -259,12 +279,12 @@ class Bimodule:
         self.algebra = algebra
         self.dim = dim
         self._ranks = {}
-        self._tensors = None
-        self.left = [[[field.coerce(x) for x in v] for v in col]
-                     for col in left]
-        self.right = [[[field.coerce(x) for x in v] for v in col]
-                      for col in right]
-        bad = bimodule_violations(algebra, dim, self.left, self.right)
+        self.left = _coerced(field, left)
+        self.right = _coerced(field, right)
+        # (left, right, den): row i * dim + a of left holds e_i * a_a and
+        # row a * algebra.dim + i of right holds a_a * e_i, times den
+        self._action_ints = _grid_ints(field, self.left, self.right)
+        bad = _bimodule_found(algebra, dim, *self._action_ints)
         if bad:
             raise IdentityError(
                 f"bimodule identities fail on {len(bad)} basis triple(s)", bad)
@@ -272,29 +292,6 @@ class Bimodule:
     @property
     def field(self):
         return self.algebra.field
-
-    def _int_tensors(self) -> tuple:
-        """(left, gamma, right, den): the actions and the product of the
-        algebra over one denominator den, each as (i, j, k, v) for its
-        nonzero values v: e_i*a_j has a_k coefficient v / den in left,
-        e_i*e_j has e_k coefficient v / den in gamma, a_i*e_j has a_k
-        coefficient v / den in right.  gamma is the algebra's one read
-        (`ZinbielAlgebra._int_gamma`), and the regular bimodule takes it
-        for its actions too; other actions are read together by `_ints`.
-        Read once and kept, as flat tuples of ints."""
-        if self._tensors is None:
-            gamma, den = self.algebra._int_gamma()
-            if self is self.algebra._regular:
-                self._tensors = gamma, gamma, gamma, den
-            else:
-                (left, right), aden = _ints(
-                    ((v for col in self.left for v in col),
-                     (v for col in self.right for v in col)),
-                    self.field.characteristic)
-                self._tensors = _with_gamma(
-                    self.algebra, _flat_tensor(left, self.dim),
-                    _flat_tensor(right, self.algebra.dim), aden)
-        return self._tensors
 
     def __eq__(self, other):
         if other is self:
@@ -308,39 +305,17 @@ class Bimodule:
         return f"Bimodule(dim={self.dim} over {self.algebra!r})"
 
 
-def _flat_tensor(rows: list, width: int) -> tuple:
-    """The (i, j, k, v) of each pair (k, v) of row t = i * width + j of
-    rows, as `_ints` reads them."""
-    return tuple((*divmod(t, width), k, v)
-                 for t, row in enumerate(rows) for k, v in row)
-
-
-def _with_gamma(algebra: ZinbielAlgebra, left: tuple, right: tuple,
-                aden: int) -> tuple:
-    """(left, gamma, right, den) as `Bimodule._int_tensors` keeps them,
-    from int actions over aden and the algebra's int product, each
-    rescaled to den, the least common multiple of the two
-    denominators."""
-    gamma, gden = algebra._int_gamma()
-    den = lcm(aden, gden)
-
-    def scaled(tensor, d):
-        c = den // d
-        return tensor if c == 1 else tuple(
-            (i, j, k, v * c) for i, j, k, v in tensor)
-    return scaled(left, aden), scaled(gamma, gden), scaled(right, aden), den
-
-
 def _derived_bimodule(algebra: ZinbielAlgebra, dim: int, left, right,
-                      tensors: tuple | None = None) -> Bimodule:
+                      ints: tuple) -> Bimodule:
     """A bimodule whose identities hold by construction, from actions
-    already of field values: taken as they are, neither copied, coerced
-    nor checked; tensors, when given, are its `_int_tensors`."""
+    already of field values and their int read ints (see
+    `Bimodule._action_ints`): taken as they are, neither copied, coerced
+    nor checked."""
     module = Bimodule.__new__(Bimodule)
     module.algebra, module.dim = algebra, dim
     module.left, module.right = left, right
     module._ranks = {}
-    module._tensors = tensors
+    module._action_ints = ints
     return module
 
 
@@ -351,23 +326,32 @@ def bimodule_violations(algebra: ZinbielAlgebra, dim: int, left,
     R + A, with product (x, a)(y, b) = (xy, x*b + a*y), on the triples
     with one argument in A, so they are its order-0 product sums."""
     field = algebra.field
+    return _bimodule_found(algebra, dim, *_grid_ints(
+        field, _coerced(field, left), _coerced(field, right)))
+
+
+def _bimodule_found(algebra: ZinbielAlgebra, dim: int, left: tuple,
+                    right: tuple, aden: int) -> list[Violation]:
+    """`bimodule_violations` of the actions with int rows left and right
+    over aden (see `Bimodule._action_ints`)."""
+    field = algebra.field
     d = algebra.dim
     n = d + dim
-    # the extension's product on basis pairs: e_i is basis vector i, a_a
-    # is basis vector d + a
-    table = [[field.zero()] * n for _ in range(n * n)]
-
-    def put(x, y, offset, vec):
-        for b, v in enumerate(vec):
-            table[x * n + y][offset + b] = field.coerce(v)
-    for i in range(d):
-        for j in range(d):
-            put(i, j, 0, algebra.gamma[i][j])
-        for a in range(dim):
-            put(i, d + a, d, left[i][a])
-            put(d + a, i, d, right[a][i])
-    (rows,), den = _ints([table], field.characteristic)
-    sums = _product_sums(n, [rows], [(0, 0)])
+    gamma, gden = algebra._gamma_ints
+    den = lcm(gden, aden)
+    # the extension's product on basis pairs, as int rows over den: e_i
+    # is basis vector i, a_a is basis vector d + a
+    ext = [()] * (n * n)
+    for t, row in enumerate(_rescaled(gamma, den // gden)):
+        i, j = divmod(t, d)
+        ext[i * n + j] = row
+    for t, row in enumerate(_rescaled(left, den // aden, d)):
+        i, a = divmod(t, dim)
+        ext[i * n + d + a] = row
+    for t, row in enumerate(_rescaled(right, den // aden, d)):
+        a, i = divmod(t, d)
+        ext[(d + a) * n + i] = row
+    sums = _product_sums(n, [ext], [(0, 0)])
     out = []
     for slot, label in enumerate(("module-first", "module-middle",
                                   "module-last")):
@@ -393,7 +377,7 @@ class AlgebraMorphism:
     """
 
     __slots__ = ("source", "target", "matrix", "_bimodule", "_ranks",
-                 "_columns")
+                 "_f_ints")
 
     def __init__(self, source: ZinbielAlgebra, target: ZinbielAlgebra,
                  matrix: Matrix | list):
@@ -401,6 +385,8 @@ class AlgebraMorphism:
             raise FieldError("morphism between algebras over different fields")
         if not isinstance(matrix, Matrix):
             matrix = Matrix(source.field, matrix, source.dim)
+        if matrix.field != source.field:
+            raise FieldError("morphism matrix over another field")
         if matrix.nrows != target.dim or matrix.ncols != source.dim:
             raise ValueError(
                 f"matrix must be {target.dim}x{source.dim}, "
@@ -410,8 +396,11 @@ class AlgebraMorphism:
         self.matrix = matrix
         self._bimodule = None
         self._ranks = {}
-        self._columns = None
-        bad = _morphism_found(source, target, *self._int_columns())
+        # (cols, den): for each basis vector e_a of the source, the pairs
+        # (b, v) of f(e_a) times den (see `linalg._columns`)
+        cols, den = _columns(matrix)
+        self._f_ints = tuple(map(tuple, cols)), den
+        bad = _morphism_found(source, target, *self._f_ints)
         if bad:
             raise IdentityError(
                 f"map fails to respect products on {len(bad)} basis pair(s)",
@@ -419,16 +408,6 @@ class AlgebraMorphism:
 
     def apply_basis(self, i: int) -> list:
         return self.matrix.column(i)
-
-    def _int_columns(self) -> tuple:
-        """(cols, den): for each basis vector e_a of the source, the pairs
-        (b, v) of f(e_a), read off the int rows of the matrix (see
-        `linalg._columns`), and their denominator.  Read once, by the
-        constructor's check, and kept, as tuples of ints."""
-        if self._columns is None:
-            cols, den = _columns(self.matrix)
-            self._columns = tuple(map(tuple, cols)), den
-        return self._columns
 
     def as_bimodule(self) -> Bimodule:
         """The target as a source-bimodule through this morphism (cached)."""
@@ -459,15 +438,15 @@ def morphism_violations(source: ZinbielAlgebra, target: ZinbielAlgebra,
 def _morphism_found(source: ZinbielAlgebra, target: ZinbielAlgebra,
                     fs, fden: int) -> list[Violation]:
     """`morphism_violations` of the map with int columns fs over fden (see
-    `linalg._columns`)."""
-    (ms_r, ms_s), den = _ints(
-        ([row for plane in source.gamma for row in plane],
-         [row for plane in target.gamma for row in plane]),
-        source.field.characteristic)
+    `linalg._columns`), from the two algebras' kept reads."""
+    (ms_r, rden), (ms_s, sden) = source._gamma_ints, target._gamma_ints
+    den = lcm(rden, sden)
     wheres = itertools.product(range(source.dim), repeat=2)
     return _found(functools.partial(Violation, "morphism"), source.field,
                   target.dim, wheres,
-                  _morphism_sums(source.dim, target.dim, [ms_r], [ms_s], [fs],
+                  _morphism_sums(source.dim, target.dim,
+                                 [_rescaled(ms_r, den // rden)],
+                                 [_rescaled(ms_s, den // sden)], [fs],
                                  [(0, 0)], [(0, 0, 0)], fden), den * fden ** 2)
 
 
@@ -487,44 +466,32 @@ def bimodule_via_morphism(g: AlgebraMorphism) -> Bimodule:
 
     Both actions are summed in ints, from the target's int product and
     g's int columns, over the least denominator of their values; they
-    become the bimodule's int tensors and, written by `_dense`, its
+    become the bimodule's int read and, written by `_dense`, its
     actions."""
     source, target = g.source, g.target
     field, d, m = source.field, source.dim, target.dim
     p = field.characteristic
-    cols, fden = g._int_columns()
-    gamma, sden = target._int_gamma()
-    images = defaultdict(list)   # b -> (i, v): g(e_i) has e_b coefficient v
-    for i, col in enumerate(cols):
-        for b, v in col:
-            images[b].append((i, v))
-    lsum, rsum = defaultdict(int), defaultdict(int)
-    for u, w, k, c in gamma:
-        for i, v in images[u]:
-            lsum[i, w, k] += v * c     # g(e_i) * e_w
-        for i, v in images[w]:
-            rsum[u, i, k] += v * c     # e_u * g(e_i)
-    left, right = (tuple((*key, v) for key in sorted(acc)
-                         if (v := acc[key] % p if p else acc[key]))
-                   for acc in (lsum, rsum))
+    cols, fden = g._f_ints
+    gamma, sden = target._gamma_ints
+
+    def times(i, stride, offset):
+        # g(e_i) * e_w with (stride, offset) = (m, w), e_u * g(e_i) with
+        # (1, u * m): the target's row b * stride + offset for each b
+        acc = defaultdict(int)
+        for b, v in cols[i]:
+            for k, c in gamma[b * stride + offset]:
+                acc[k] += v * c
+        return sorted(_settle(acc, p))
+    left = [times(i, m, w) for i in range(d) for w in range(m)]
+    right = [times(i, 1, u * m) for u in range(m) for i in range(d)]
     den = fden * sden
-    common = gcd(den, *(t[3] for t in left), *(t[3] for t in right))
-    if common > 1:
-        den //= common
-        left, right = (tuple((i, j, k, v // common) for i, j, k, v in t)
-                       for t in (left, right))
+    common = gcd(den, *(v for row in left + right for _, v in row))
+    left, right = (tuple(tuple((k, v // common) for k, v in row)
+                         for row in rows) for rows in (left, right))
+    den //= common
+    flat_left, flat_right = (_dense(field, m, rows, den)
+                             for rows in (left, right))
     return _derived_bimodule(
-        source, m, _dense_tensor(field, d, m, m, left, den),
-        _dense_tensor(field, m, d, m, right, den),
-        _with_gamma(source, left, right, den))
-
-
-def _dense_tensor(field: Field, n1: int, n2: int, n: int, tensor: tuple,
-                  den: int) -> list:
-    """The n1 x n2 grid of vectors of n field values with v / den at
-    [i][j][k] for each (i, j, k, v) of tensor, zero elsewhere."""
-    rows = [[] for _ in range(n1 * n2)]
-    for i, j, k, v in tensor:
-        rows[i * n2 + j].append((k, v))
-    flat = _dense(field, n, rows, den)
-    return [flat[i * n2:(i + 1) * n2] for i in range(n1)]
+        source, m, [flat_left[i * m:(i + 1) * m] for i in range(d)],
+        [flat_right[a * d:(a + 1) * d] for a in range(m)],
+        (left, right, den))

@@ -503,9 +503,10 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="extend order by order")
     common(p)
-    p.add_argument("--deformation", default=None)
-    p.add_argument("--cochain", default=None,
-                   help="start from a 2-cocycle instead of a deformation")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--deformation", default=None)
+    start.add_argument("--cochain", default=None,
+                       help="start from a 2-cocycle instead of a deformation")
     p.add_argument("--target-order", type=int, required=True)
     p.set_defaults(handler=_cmd_extend)
 

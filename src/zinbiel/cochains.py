@@ -27,10 +27,13 @@ All three follow one formula: for p of arity n,
 and only the signed reorderings depend on n.  They form the one table
 `_TAIL_ORDERS`, whose keys are the degree range of the complex.
 `differential_matrix` reads the algebra's structure constants and the
-module's actions fraction-free, with the one reader `linalg._ints`:
-ints mod p over F_p, ints over their least common denominator over Q.
-Each term of d^n is linear in one of them, so d^n is assembled as int
-rows over that denominator, in one pass per term of this formula, with
+module's actions as their objects keep them, read into ints once by
+their constructors (`ZinbielAlgebra._gamma_ints`,
+`Bimodule._action_ints`): ints mod p over F_p, ints over their least
+common denominator over Q, each rescaled to the least common multiple
+of the two denominators.  Each term of d^n is linear in one of them,
+so d^n is assembled as int rows over that multiple, in one pass per
+term of this formula, with
 no field scalar built and each row created on its first write: a row
 never written is zero and is not held (see `zinbiel.linalg`).  The tuple-by-tuple
 evaluation of the three formulas above is kept in the tests as the
@@ -59,6 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import defaultdict
+from math import lcm
 
 from .algebra import Bimodule, ZinbielAlgebra
 from .linalg import (Matrix, _echelon, rank_nullspace, solve, vec_add,
@@ -269,37 +273,48 @@ def differential_matrix(algebra: ZinbielAlgebra, module: Bimodule,
     if module.algebra != algebra:
         raise ValueError("module is not over the differential's algebra")
     d, m = algebra.dim, module.dim
-    left, gamma, right, den = module._int_tensors()
+    left, right, aden = module._action_ints
+    gamma, gden = module.algebra._gamma_ints
+    den = lcm(aden, gden)
+    ca, cg = den // aden, den // gden
     # each row is created on its first write; the rows never written are
     # zero and are not held
     rows = defaultdict(functools.partial(defaultdict, int))
-    # x0*(signed reorderings of p(x1..xn))
+    # x0*(signed reorderings of p(x1..xn)), row x * m + a of left
     reordered = _reordered_columns(d, m, _TAIL_ORDERS[n])
-    for x, a, b, v in left:
-        for s, cols in reordered:
-            signed = v if s > 0 else -v
-            for t, col in enumerate(cols, x * d ** n):
-                rows[t * m + b][col + a] += signed
+    for xa, pairs in enumerate(left):
+        x, a = divmod(xa, m)
+        for b, v in pairs:
+            v *= ca
+            for s, cols in reordered:
+                signed = v if s > 0 else -v
+                for t, col in enumerate(cols, x * d ** n):
+                    rows[t * m + b][col + a] += signed
     # (-1)^(k+1) p(.., x_k*x_{k+1}, ..) at slot 0 and
-    # (-1)^(k+1) p(.., x_k*x_{k+1} + x_{k+1}*x_k, ..) at each slot k >= 1
+    # (-1)^(k+1) p(.., x_k*x_{k+1} + x_{k+1}*x_k, ..) at each slot k >= 1,
+    # row u * d + w of gamma
     for k in range(n):
         heads, after = range(d ** k), d ** (n - 1 - k)
-        for u, w, q, g in gamma:
-            g = _slot_sign(k, g)
+        for uw, products in enumerate(gamma):
+            u, w = divmod(uw, d)
             pairs = ((u, w),) if k == 0 else ((u, w), (w, u))
-            for head in heads:
-                col0 = (head * d + q) * after
-                for y, z in pairs:
-                    row0 = ((head * d + y) * d + z) * after
-                    for tail in range(after):
-                        row, col = (row0 + tail) * m, (col0 + tail) * m
-                        for b in range(m):
-                            rows[row + b][col + b] += g
-    # (-1)^(n+1) p(x0..x_{n-1})*x_n
-    for a, y, b, v in right:
-        v = _slot_sign(n, v)
-        for head in range(d ** n):
-            rows[(head * d + y) * m + b][head * m + a] += v
+            for q, g in products:
+                g = _slot_sign(k, g * cg)
+                for head in heads:
+                    col0 = (head * d + q) * after
+                    for y, z in pairs:
+                        row0 = ((head * d + y) * d + z) * after
+                        for tail in range(after):
+                            row, col = (row0 + tail) * m, (col0 + tail) * m
+                            for b in range(m):
+                                rows[row + b][col + b] += g
+    # (-1)^(n+1) p(x0..x_{n-1})*x_n, row a * d + y of right
+    for ay, pairs in enumerate(right):
+        a, y = divmod(ay, d)
+        for b, v in pairs:
+            v = _slot_sign(n, v * ca)
+            for head in range(d ** n):
+                rows[(head * d + y) * m + b][head * m + a] += v
     return Matrix._assembled(algebra.field, d ** (n + 1) * m, d ** n * m,
                              rows, den)
 

@@ -178,8 +178,7 @@ class TruncatedDeformation(_Series):
         return (term.phi.module == f.as_bimodule()
                 and term.xi.coeffs == [row for a in r.gamma for row in a]
                 and term.pi.coeffs == [row for a in s.gamma for row in a]
-                and term.phi.coeffs == _dense(r.field, s.dim,
-                                              *f._int_columns()))
+                and term.phi.coeffs == _dense(r.field, s.dim, *f._f_ints))
 
     def __init__(self, morphism: AlgebraMorphism, terms: list[TripleCochain]):
         super().__init__(morphism, terms)

@@ -14,10 +14,11 @@ degree exist as targets of the last differential.
 `morphism_differential_matrix` pastes the nonzero int rows of the
 assembled matrices of d on R, on S and on the phi column next to those
 of the push-forwards, and `push_forward_left` and `push_forward_right`
-apply the push-forward blocks.  Both push-forward matrices are assembled as int
-rows from the int rows of f's matrix, read by columns
-(`AlgebraMorphism._int_columns`).  `TripleCochain` is an element of
-the protocol in `zinbiel.cochains` with that matrix as its d^n, so
+apply the push-forward blocks.  Both push-forward matrices are assembled
+as int rows from f's int columns, which the morphism's constructor reads
+off the int rows of its matrix once and keeps (`AlgebraMorphism._f_ints`).
+`TripleCochain` is an element of the protocol in `zinbiel.cochains` with
+that matrix as its d^n, so
 `differential` (here also named `morphism_differential`), `is_cocycle`
 and `coboundary_preimage`, re-exported from this module, apply it and
 solve against it.  The tuple-by-tuple differential, built from the tuple
@@ -46,7 +47,7 @@ from .linalg import Matrix, _dense
 def morphism_cochain(f: AlgebraMorphism) -> Cochain:
     """The morphism itself as a 1-cochain R -> S (coefficients via f)."""
     return Cochain(f.source, f.as_bimodule(), 1,
-                   _dense(f.source.field, f.target.dim, *f._int_columns()))
+                   _dense(f.source.field, f.target.dim, *f._f_ints))
 
 
 def push_forward_left(f: AlgebraMorphism, xi: Cochain) -> Cochain:
@@ -95,8 +96,9 @@ class TripleCochain(ComplexElement):
                 raise ValueError(f"degree-{degree} triple needs a third component")
             if phi.arity != degree - 1 or phi.source != r:
                 raise ValueError("third component has the wrong shape")
-            if phi.module.dim != s.dim:
-                raise ValueError("third component must take values in the target")
+            if phi.module != morphism.as_bimodule():
+                raise ValueError(
+                    "third component must take values in the target through f")
         self.morphism = morphism
         self.degree = degree
         self.xi = xi
@@ -199,7 +201,7 @@ morphism_differential = differential
 
 def _push_left_matrix(f: AlgebraMorphism, n: int) -> Matrix:
     r, s = f.source, f.target
-    cols, den = f._int_columns()
+    cols, den = f._f_ints
     ntup = r.dim ** n
     rows = defaultdict(dict)
     for a, col in enumerate(cols):
@@ -212,7 +214,7 @@ def _push_left_matrix(f: AlgebraMorphism, n: int) -> Matrix:
 def _push_right_matrix(f: AlgebraMorphism, n: int) -> Matrix:
     """Its entries are products of n entries of f, so over den^n."""
     r, s = f.source, f.target
-    cols, den = f._int_columns()
+    cols, den = f._f_ints
     rows = defaultdict(functools.partial(defaultdict, int))
     for t, tup in enumerate(all_tuples(r.dim, n)):
         for combo in itertools.product(*(cols[i] for i in tup)):

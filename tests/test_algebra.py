@@ -9,6 +9,7 @@ from zinbiel.catalog import (change_of_basis, direct_sum,
                              single_product_algebra, truncated_polynomials,
                              weight_scaling, zero_algebra)
 from zinbiel.fields import QQ, FieldError, PrimeField
+from zinbiel.linalg import Matrix
 from zinbiel.morphism_complex import morphism_cohomology_dim
 from zinbiel.sampling import random_invertible, random_morphism_instance
 
@@ -114,6 +115,10 @@ def test_morphism_field_mismatch():
     b = zero_algebra(PrimeField(5), 1)
     with pytest.raises(FieldError):
         AlgebraMorphism(a, b, [[1]])
+    # a matrix over another field than both algebras'
+    t2 = truncated_polynomials(QQ, 2)
+    with pytest.raises(FieldError, match="morphism matrix over another field"):
+        AlgebraMorphism(t2, t2, Matrix.identity(PrimeField(5), 2))
 
 
 def test_bimodule_via_identity_is_regular():
@@ -182,6 +187,23 @@ def test_a_morphism_reads_its_matrix_once(monkeypatch):
     f = identity_morphism(truncated_polynomials(QQ, 3))
     morphism_cohomology_dim(f, 2)
     assert calls == [f.matrix]
+
+
+def test_each_product_is_read_once(monkeypatch):
+    # the constructor's read is kept: the morphisms' checks and the
+    # cohomology (the regular and via-f bimodules, every d^n) read it
+    calls = []
+
+    def counting(groups, p):
+        calls.append(p)
+        return original(groups, p)
+    original = algebra_module._ints
+    monkeypatch.setattr(algebra_module, "_ints", counting)
+    algebra = truncated_polynomials(QQ, 3)
+    assert len(calls) == 1
+    morphisms = [identity_morphism(algebra) for _ in range(3)]
+    morphism_cohomology_dim(morphisms[-1], 2)
+    assert len(calls) == 1
 
 
 def test_invalid_actions_rejected():

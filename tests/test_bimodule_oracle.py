@@ -1,29 +1,36 @@
 """The via-f bimodule built in ints against its former construction
-through the target's field-valued product, and the int tensors the
+through the target's field-valued product, and the int rows the
 assemblers read against one `_ints` read of the three groups; and proof
 that the comparison can fail.
 
 On every seeded-suite morphism over Q, F5, F7 and F101,
 `bimodule_via_morphism` must agree with `bimodule_oracle` on the actions
-(values and repr), `==` and repr of the bimodule, and on its int
-tensors, each cross-multiplied by the other side's denominator.  The
-regular bimodule's three tensors are the algebra's one read of its
-product, and must equal the three-group read.  An int build that reads
-the target's product with its two arguments swapped, which swaps the
-two actions, must make the comparison fail.
+(values and repr), `==` and repr of the bimodule, and on the int rows
+the assemblers read: its kept read of the two actions and the source's
+kept read of its product, each cross-multiplied by the other side's
+denominator.  The regular bimodule's two actions are the algebra's one
+read of its product, and must equal the three-group read.  An int build
+that reads the target's product with its two arguments swapped, which
+swaps the two actions, must make the comparison fail.
 """
 
 import pytest
 
 import bimodule_oracle
 from instances import FIELDS
-from zinbiel.algebra import ZinbielAlgebra, bimodule_via_morphism
+from zinbiel.algebra import bimodule_via_morphism
 
 
-def _cross(tensors, oden) -> tuple:
-    """Each of the three tensors with its values times oden."""
-    return tuple(tuple((i, j, k, v * oden) for i, j, k, v in t)
-                 for t in tensors[:3])
+def _cross(rows, oden) -> tuple:
+    """Int rows with every value times oden."""
+    return tuple(tuple((k, v * oden) for k, v in row) for row in rows)
+
+
+def _read(module) -> list:
+    """(rows, den) of the left action, the product and the right action,
+    as the assemblers read them off module and its algebra."""
+    left, right, den = module._action_ints
+    return [(left, den), module.algebra._gamma_ints, (right, den)]
 
 
 def _mismatches(f) -> list:
@@ -37,9 +44,10 @@ def _mismatches(f) -> list:
         out.append("action reprs")
     if built != expected or repr(built) != repr(expected):
         out.append("==/repr")
-    ints, oracle = built._int_tensors(), bimodule_oracle.int_tensors(expected)
-    if _cross(ints, oracle[3]) != _cross(oracle, ints[3]):
-        out.append("int tensors")
+    *oracle, oden = bimodule_oracle.int_tensors(expected)
+    if any(_cross(rows, oden) != _cross(orows, den)
+           for (rows, den), orows in zip(_read(built), oracle)):
+        out.append("int rows")
     return out
 
 
@@ -60,23 +68,23 @@ def test_regular_tensors_are_the_algebras_one_read(suite, field):
     for f in [f for f in suite if f.source.field == field]:
         for algebra in (f.source, f.target):
             module = algebra.regular_bimodule()
-            left, gamma, right, den = module._int_tensors()
-            assert left is gamma is right
-            assert (gamma, den) == algebra._int_gamma()
+            left, right, den = module._action_ints
+            gamma, gden = algebra._gamma_ints
+            assert left is right is gamma and den == gden
             assert (left, gamma, right, den) == \
                 bimodule_oracle.int_tensors(module)
 
 
 def test_swapped_actions_are_caught(suite, monkeypatch):
-    original = ZinbielAlgebra._int_gamma
-
-    def opposite(self):
+    instances = [f for f in suite if f.source.field == FIELDS[0]]
+    for target in {id(f.target): f.target for f in instances}.values():
         # e_i * e_j read as e_j * e_i: g(e_i) * e_w becomes e_w * g(e_i)
-        gamma, den = original(self)
-        return tuple((j, i, k, v) for i, j, k, v in gamma), den
-    monkeypatch.setattr(ZinbielAlgebra, "_int_gamma", opposite)
-    failures = _failures([f for f in suite if f.source.field == FIELDS[0]])
+        rows, den = target._gamma_ints
+        d = target.dim
+        monkeypatch.setattr(target, "_gamma_ints", (tuple(
+            rows[j * d + i] for i in range(d) for j in range(d)), den))
+    failures = _failures(instances)
     # the actions differ where the target's product is not commutative on
-    # the image of f; the int tensors also hold the source's product
+    # the image of f, and so do their int rows
     assert any("actions" in bad for _, bad in failures)
-    assert all("int tensors" in bad for _, bad in failures)
+    assert all("int rows" in bad for _, bad in failures)

@@ -179,13 +179,21 @@ def test_verify_identities_flags_invalid_deformation(tmp_path):
     assert "FAILED: deformation D: is a valid deformation" in result.stdout
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     assert run_cli("validate", "no_such_file.zb").returncode == 2
     assert run_cli("nonsense").returncode == 2
     assert run_cli("cohomology", str(PROBLEMS / "abelian_line.zb")
                    ).returncode == 2   # missing --degree
     assert run_cli("validate", str(PROBLEMS / "abelian_line.zb"),
                    "--field", "Fp:6").returncode == 2
+    # two starting points: once the deformation was ignored and the run
+    # went on from the cochain
+    path = tmp_path / "noncocycle.zb"
+    path.write_text(GOLDEN_FILES["noncocycle.zb"], encoding="utf-8")
+    result = run_cli("extend", str(path), "--cochain", "n", "--deformation",
+                     "nonexistent", "--target-order", "1")
+    assert result.returncode == 2
+    assert "not allowed with argument" in result.stderr
 
 
 def test_mathematical_failures_exit_1(tmp_path):

@@ -5,12 +5,15 @@ Violation list must agree by == and by repr.
 The inputs are random structure tensors, mostly not Zinbiel, random
 matrices, mostly not morphisms, and random actions, mostly not
 bimodules, over Q, F5, F7 and F101, plus the seeded suite and its
-derived bimodules.  Every other random tensor and action is given as raw
-ints, which both sides must read as field values.  The mutation tests drop or flip one term of
-the library's sums and check that the comparison then fails.
+derived bimodules, and random actions over Q on a product whose
+denominator is none of theirs.  Every other random tensor and action is
+given as raw ints, which both sides must read as field values.  The
+mutation tests drop or flip one term of the library's sums and check
+that the comparison then fails.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +22,8 @@ from instances import FIELDS, SEED
 from zinbiel import algebra
 from zinbiel.algebra import (bimodule_violations, morphism_violations,
                              zinbiel_violations)
+from zinbiel.catalog import single_product_algebra
+from zinbiel.fields import QQ
 from zinbiel.linalg import Matrix
 from zinbiel.sampling import random_scalar
 
@@ -126,6 +131,18 @@ def test_bimodule_violations_match_the_dense_check(actions):
                for n, a in enumerate(actions) if n % 4 != 3)
     assert sum(bool(bimodule_violations(*a)) for a in random_actions) > \
         len(random_actions) // 4
+
+
+def test_bimodule_violations_across_denominators():
+    # a product over 5 and random actions over 1, 2, 3 or 6: the
+    # extension's rows meet over the lcm of the two denominators
+    rng = random.Random(SEED + 24)
+    line = single_product_algebra(QQ, 2, 0, 0, 1, Fraction(1, 5))
+    cases = [(line, m, _tensor(QQ, (2, m, m), rng, raw=False),
+              _tensor(QQ, (m, 2, m), rng, raw=False))
+             for m in (1, 2) for _ in range(6)]
+    assert _bimodule_disagreements(cases) == 0
+    assert any(bimodule_violations(*a) for a in cases)
 
 
 # -- mutations: each changes one term of the library's sums -------------

@@ -11,7 +11,7 @@ equal dim C^n - rank d^n - rank d^(n-1) with both ranks taken by
 declared.  A seeding that drops a block pivot row or puts d_S at the
 wrong columns must make this and the dense-oracle comparison of
 test_linalg_oracle.py fail.  No matrix may outlive its call on the
-objects, and the int tensors the assemblers keep on them hold ints only.
+objects, and the int reads each object keeps hold tuples and ints only.
 """
 
 import copy
@@ -192,6 +192,7 @@ def test_no_matrix_outlives_its_call(kind):
     for owner in (f, r.regular_bimodule(), s.regular_bimodule()):
         assert sorted(owner._ranks) == list(DEGREES)
         assert all(type(rank) is int for rank in owner._ranks.values())
-    caches = [f._columns] + [module._tensors for module in roots[3:]]
+    caches = [f._f_ints, r._gamma_ints, s._gamma_ints] + [
+        module._action_ints for module in roots[3:]]
     assert None not in caches
     assert {type(x) for x in _reachable(caches)} <= {tuple, int}

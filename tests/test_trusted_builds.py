@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from instances import FIELDS, SEED
-from zinbiel.algebra import identity_morphism
+from zinbiel.algebra import identity_morphism, zero_morphism
 from zinbiel.catalog import truncated_polynomials, weight_scaling
 from zinbiel.cochains import (Cochain, coboundary_preimage, differential,
                               identity_cochain)
@@ -209,6 +209,10 @@ def test_public_constructors_keep_every_check():
          "degree-2 triple needs a third component"),
         (lambda: TripleCochain(f, 5, xi, xi, None), ValueError,
          "degree 5 outside 1..4"),
+        # phi over S through another morphism g: R -> S
+        (lambda: TripleCochain(f, 2, xi, xi, Cochain.zero(
+            r, zero_morphism(r, s).as_bimodule(), 1)), ValueError,
+         "third component must take values in the target through f"),
         # TripleCochain.from_flat
         (lambda: TripleCochain.from_flat(f, 2, zero_triple[:19]), ValueError,
          "flat vector has the wrong length"),
@@ -249,9 +253,16 @@ def test_a_constant_term_off_by_one_entry_is_rejected(field):
             TruncatedDeformation(f, [TripleCochain.from_flat(f, 2, bumped)])
         assert str(err.value) == "constant term differs from (m_R; m_S; f)"
     # f's columns as a 1-cochain through another morphism between the
-    # same algebras: equal coefficients, a different bimodule
+    # same algebras: equal coefficients, a different bimodule.  The
+    # checked triple constructor refuses it, so it is built unchecked to
+    # reach the in-place comparison
     g = identity_morphism(f.source)
     phi = Cochain(f.source, g.as_bimodule(), 1, zero.phi.coeffs)
     with pytest.raises(ValueError) as err:
-        TruncatedDeformation(f, [TripleCochain(f, 2, zero.xi, zero.pi, phi)])
+        TripleCochain(f, 2, zero.xi, zero.pi, phi)
+    assert str(err.value) == \
+        "third component must take values in the target through f"
+    with pytest.raises(ValueError) as err:
+        TruncatedDeformation(f, [TripleCochain._of(f, 2, zero.xi, zero.pi,
+                                                   phi)])
     assert str(err.value) == "constant term differs from (m_R; m_S; f)"
