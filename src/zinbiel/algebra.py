@@ -18,7 +18,8 @@ the actions its caller supplies.  The first two checks are the order-0
 deformation conditions of (m_R; m_S; f) and share their sparse sums with
 `zinbiel.deformation`: `_product_sums` and `_morphism_sums` at order 0.
 The mixed identities are the Zinbiel identity of the square-zero
-extension R + A, so `_product_sums` computes them too.  `_found` reads
+extension R + A, so `_product_sums` computes them too, on the basis
+triples with exactly one argument in A only.  `_found` reads
 the failures off the accumulated sums and writes their values back with
 `linalg._dense`, here and for the deformation conditions of every order.
 
@@ -174,9 +175,9 @@ def zinbiel_violations(field: Field, dim: int, gamma) -> list[Violation]:
 def _zinbiel_found(field: Field, dim: int, rows: tuple,
                    den: int) -> list[Violation]:
     """`zinbiel_violations` of the product with int rows over den."""
-    wheres = itertools.product(range(dim), repeat=3)
-    return _found(functools.partial(Violation, "zinbiel"), field, dim,
-                  wheres, _product_sums(dim, [rows], [(0, 0)]), den ** 2)
+    wheres = list(itertools.product(range(dim), repeat=3))
+    return _found(functools.partial(Violation, "zinbiel"), field, dim, wheres,
+                  _product_sums(dim, [rows], [(0, 0)], wheres), den ** 2)
 
 
 def _settle(acc: dict, p: int) -> list:
@@ -194,24 +195,23 @@ def _symmetrized(rows: list, d: int) -> list:
             for y in range(d) for z in range(d)]
 
 
-def _product_sums(d: int, ms: list, pairs: list) -> list:
-    """sum_(l,q) m_l(m_q(x,y), z) - m_l(x, m_q(y,z) + m_q(z,y)) on every
-    basis triple, as accumulated rows; ms holds sparse rows."""
+def _product_sums(d: int, ms: list, pairs: list, triples) -> list:
+    """sum_(l,q) m_l(m_q(x,y), z) - m_l(x, m_q(y,z) + m_q(z,y)) on each
+    basis triple (x, y, z) of triples, as accumulated rows in their
+    order; ms holds sparse rows."""
     syms = {q: _symmetrized(ms[q], d) for _, q in pairs}
     out = []
-    for x in range(d):
-        for y in range(d):
-            for z in range(d):
-                acc = {}
-                for l, q in pairs:
-                    outer = ms[l]
-                    for k, v in ms[q][x * d + y]:
-                        for b, w in outer[k * d + z]:
-                            acc[b] = acc.get(b, 0) + v * w
-                    for k, v in syms[q][y * d + z]:
-                        for b, w in outer[x * d + k]:
-                            acc[b] = acc.get(b, 0) - v * w
-                out.append(acc)
+    for x, y, z in triples:
+        acc = {}
+        for l, q in pairs:
+            outer = ms[l]
+            for k, v in ms[q][x * d + y]:
+                for b, w in outer[k * d + z]:
+                    acc[b] = acc.get(b, 0) + v * w
+            for k, v in syms[q][y * d + z]:
+                for b, w in outer[x * d + k]:
+                    acc[b] = acc.get(b, 0) - v * w
+        out.append(acc)
     return out
 
 
@@ -351,19 +351,18 @@ def _bimodule_found(algebra: ZinbielAlgebra, dim: int, left: tuple,
     for t, row in enumerate(_rescaled(right, den // aden, d)):
         a, i = divmod(t, d)
         ext[(d + a) * n + i] = row
-    sums = _product_sums(n, [ext], [(0, 0)])
     out = []
     for slot, label in enumerate(("module-first", "module-middle",
                                   "module-last")):
         ranges = [range(d)] * 3
         ranges[slot] = range(dim)
         wheres = list(itertools.product(*ranges))
-        # with one argument in A, every term lands in A
-        rows = []
-        for where in wheres:
-            x, y, z = (w + d if k == slot else w for k, w in enumerate(where))
-            rows.append({b - d: v for b, v in
-                         sums[(x * n + y) * n + z].items()})
+        # only the triples with this one argument in A, whose every term
+        # lands in A
+        triples = [tuple(w + d if k == slot else w
+                         for k, w in enumerate(where)) for where in wheres]
+        rows = [{b - d: v for b, v in acc.items()}
+                for acc in _product_sums(n, [ext], [(0, 0)], triples)]
         out += _found(functools.partial(Violation, label), field, dim,
                       wheres, rows, den ** 2)
     return out

@@ -39,21 +39,16 @@ once.  Its inverse series psi, to order N, is kept as psi times den^N
 (`_invert_series`), so the conjugated products are over den^(2N+2) and
 the conjugated maps over den^(N+2).
 
-Validation reads each order's conditions off these int sums, as
-`zinbiel.algebra` reads the identities (`_found`): a residual vector is
-built only for a basis tuple where a condition fails, and no residual
-triple at all.  The residuals, obstructions and conjugates that are
-returned are built unchecked (`TripleCochain._of`, `Cochain._of`), and
-the constant term of a deformation is compared in place with the
-structure tensors and the columns of f, without building theta_zero(f).
-
-The order-(N+1) sums split in two: the zero-top part, the terms without
-theta_{N+1} (the obstruction, up to the f-column sign), and the terms
-pairing theta_{N+1} with theta_0.  `extend_one_order` computes the
-zero-top part once, as the obstruction, and validates order N+1 by adding
-only the new terms to it; the whole residual is still formed and
-compared with zero, and only if it is not zero are the whole sums read
-for the violations (finding none there is an internal error).
+Every order is validated on one path, `_violations`: it reads the
+order's conditions off the whole int sums, as `zinbiel.algebra` reads
+the identities (`_found`), so a residual vector is built only for a
+basis tuple where a condition fails, and no residual triple at all.
+`deformation_violations` runs it on orders 1..N, and `extend_one_order`
+on the new order N+1 of the grown series.  The residuals, obstructions
+and conjugates that are returned are built unchecked
+(`TripleCochain._of`, `Cochain._of`), and the constant term of a
+deformation is compared in place with the structure tensors and the
+columns of f, without building theta_zero(f).
 """
 
 from __future__ import annotations
@@ -225,19 +220,15 @@ def _cochain(source, module, arity: int, rows, den: int) -> Cochain:
                        _dense(source.field, module.dim, rows, den))
 
 
-def _pairs(n: int, top: int, top_only: bool) -> list:
-    """(l, n - l) with both indices at most top; with top_only, only the
-    pairs holding index n."""
-    return [(l, n - l) for l in range(max(0, n - top), min(n, top) + 1)
-            if not top_only or n in (l, n - l)]
+def _pairs(n: int, top: int) -> list:
+    """(l, n - l) with both indices at most top."""
+    return [(l, n - l) for l in range(max(0, n - top), min(n, top) + 1)]
 
 
-def _triples(n: int, top: int, top_only: bool) -> list:
-    """(i, j, k) with i + j + k = n and every index at most top; with
-    top_only, only the triples holding index n."""
+def _triples(n: int, top: int) -> list:
+    """(i, j, k) with i + j + k = n and every index at most top."""
     return [(i, j, n - i - j) for i in range(min(n, top) + 1)
-            for j in range(max(0, n - i - top), min(n - i, top) + 1)
-            if not top_only or n in (i, j, n - i - j)]
+            for j in range(max(0, n - i - top), min(n - i, top) + 1)]
 
 
 def _read_series(f: AlgebraMorphism, terms: list[TripleCochain]) -> tuple:
@@ -249,36 +240,27 @@ def _read_series(f: AlgebraMorphism, terms: list[TripleCochain]) -> tuple:
     return groups[0::3], groups[1::3], groups[2::3], den
 
 
-def _contract(f: AlgebraMorphism, series: tuple, n: int,
-              top_only: bool) -> tuple:
+def _contract(f: AlgebraMorphism, series: tuple, n: int) -> tuple:
     """The order-n sums of a series read by _read_series, one
     (component, source, module, arity, sums, scale) per component of a
     degree-3 triple: sums holds one accumulated int row per basis
     arity-tuple of source, each the residual in module times scale.  They
     are the product sums on basis triples of R and of S, scaled by den^2,
     and the morphism sums on basis pairs of R, scaled by den^3.  Terms
-    past the end of the series count as zero.  With top_only, only the
-    terms that contain theta_n (each paired with theta_0)."""
+    past the end of the series count as zero."""
     r, s = f.source, f.target
     ms_r, ms_s, fs, den = series
     top = len(fs) - 1
-    pairs = _pairs(n, top, top_only)
+    pairs = _pairs(n, top)
     return (("R", r, r.regular_bimodule(), 3,
-             _product_sums(r.dim, ms_r, pairs), den ** 2),
+             _product_sums(r.dim, ms_r, pairs, all_tuples(r.dim, 3)),
+             den ** 2),
             ("S", s, s.regular_bimodule(), 3,
-             _product_sums(s.dim, ms_s, pairs), den ** 2),
+             _product_sums(s.dim, ms_s, pairs, all_tuples(s.dim, 3)),
+             den ** 2),
             ("f", r, f.as_bimodule(), 2,
              _morphism_sums(r.dim, s.dim, ms_r, ms_s, fs, pairs,
-                            _triples(n, top, top_only), den), den ** 3))
-
-
-def _sums(f: AlgebraMorphism, series: tuple, n: int,
-          top_only: bool) -> TripleCochain:
-    """The sums of `_contract` as a degree-3 triple."""
-    return TripleCochain._of(f, 3, *(
-        _cochain(source, module, arity, (a.items() for a in sums), scale)
-        for _, source, module, arity, sums, scale
-        in _contract(f, series, n, top_only)))
+                            _triples(n, top), den), den ** 3))
 
 
 def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
@@ -287,7 +269,10 @@ def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
     the product residual on basis triples of R and of S, the morphism
     residual on basis pairs of R.  Terms past the end of the series count
     as zero; terms[0] is expected to be (m_R; m_S; f)."""
-    return _sums(f, _read_series(f, terms[:n + 1]), n, top_only=False)
+    return TripleCochain._of(f, 3, *(
+        _cochain(source, module, arity, (a.items() for a in sums), scale)
+        for _, source, module, arity, sums, scale
+        in _contract(f, _read_series(f, terms[:n + 1]), n)))
 
 
 def _violations(f: AlgebraMorphism, series: tuple, n: int):
@@ -297,8 +282,8 @@ def _violations(f: AlgebraMorphism, series: tuple, n: int):
     `zinbiel.algebra` are; a residual vector is built only for a basis
     tuple where they fail."""
     items = []
-    for component, source, module, arity, sums, scale in _contract(
-            f, series, n, top_only=False):
+    for component, source, module, arity, sums, scale in \
+            _contract(f, series, n):
         kind = "morphism" if component == "f" else "product"
         items += _found(partial(ConditionViolation, kind, component, n),
                         source.field, module.dim,
@@ -398,7 +383,7 @@ def _compose_series(outer: list, inner: list, top: int, p: int) -> list:
     sparse vector of its input space per basis input."""
     out = []
     for n in range(top + 1):
-        pairs = _pairs(n, n, False)
+        pairs = _pairs(n, n)
         rows = []
         for i in range(len(inner[0])):
             acc = {}
@@ -456,9 +441,12 @@ def conjugate(theta: TruncatedDeformation,
 
     Products become phi . m(psi x, psi y) and the morphism series becomes
     phi_S . f(psi_R x), with psi the truncated inverse of phi.  The result
-    is re-validated on construction.
+    is re-validated on construction.  Raises ValueError when phi is over
+    another morphism.
     """
     f = theta.morphism
+    if phi.morphism != f:
+        raise ValueError("the formal isomorphism is over another morphism")
     top = theta.order
     r, s = f.source, f.target
     p = r.field.characteristic
@@ -542,9 +530,9 @@ def extend_one_order(theta: TruncatedDeformation) -> ExtensionStep:
     """Try to extend an order-N deformation to order N+1.
 
     Solves d(theta_{N+1}) = obstruction for the deterministic representative;
-    on success the returned series is validated at the new order N+1 (the
-    obstruction's sums plus the terms with theta_{N+1}, see the module
-    docstring), on failure the obstruction admits no preimage.
+    on success the returned series is validated at the new order N+1, as
+    `deformation_violations` validates every order; on failure the
+    obstruction admits no preimage.
     """
     f = theta.morphism
     ob = obstruction(theta)
@@ -552,19 +540,7 @@ def extend_one_order(theta: TruncatedDeformation) -> ExtensionStep:
     if term is None:
         return ExtensionStep(ob, None, None)
     grown = TruncatedDeformation._of(f, theta.terms + [term])
-    # the order-(N+1) residual: the zero-top sums, which the obstruction
-    # holds with its f-column negated, plus the terms with theta_{N+1};
-    # only when it does not vanish are the whole sums read for the report
-    series = _read_series(f, grown.terms)
-    zero_top = TripleCochain._of(f, 3, ob.xi, ob.pi, -ob.phi)
-    residual = zero_top + _sums(f, series, grown.order, top_only=True)
-    if not residual.is_zero():
-        report = _violations(f, series, grown.order)
-        if report is None:
-            raise RuntimeError(
-                f"the order-{grown.order} residual does not vanish, but its "
-                "whole sums do: the split sums are wrong")
-        _raise_on(report)
+    _raise_on(_violations(f, _read_series(f, grown.terms), grown.order))
     return ExtensionStep(ob, term, grown)
 
 

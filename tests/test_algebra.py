@@ -206,6 +206,26 @@ def test_each_product_is_read_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_the_mixed_identities_sum_only_the_mixed_triples(monkeypatch):
+    # the square-zero extension of T3 by its via-identity bimodule has
+    # (3 + 3)^3 = 216 basis triples; the mixed identities read only the
+    # 3 * 3^2 * 3 = 81 with exactly one module argument, and only those
+    # are summed
+    algebra = truncated_polynomials(QQ, 3)
+    module = identity_morphism(algebra).as_bimodule()
+    summed = []
+
+    def counting(*args):
+        rows = original(*args)
+        summed.append(len(rows))
+        return rows
+    original = algebra_module._product_sums
+    monkeypatch.setattr(algebra_module, "_product_sums", counting)
+    assert bimodule_violations(algebra, module.dim, module.left,
+                               module.right) == []
+    assert sum(summed) == 81
+
+
 def test_invalid_actions_rejected():
     algebra = truncated_polynomials(QQ, 2)
     left = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]

@@ -313,14 +313,30 @@ def test_extend_from_cochain_checks_the_cocycle_once(monkeypatch, capsys,
 
 def test_extend_sums_the_zero_top_order_once(monkeypatch):
     # order_residual at order N+1 of an order-N series is the zero-top
-    # contraction; one extension step computes it for the obstruction and
-    # validates order N+1 by adding only the terms with theta_{N+1}
+    # contraction; one extension step computes it once, for the
+    # obstruction, and validates order N+1 on the whole int sums, which
+    # build no residual
     problem = parse((PROBLEMS / "graded_dim3.zb").read_text(encoding="utf-8"))
     theta = check_deformation(*problem.deformation_candidate("D"))
     calls = _counted(monkeypatch, "order_residual")
     step = extend_one_order(theta)
     assert step.succeeded and step.extended.order == theta.order + 1
     assert [n for _, _, n in calls] == [theta.order + 1]
+
+
+def test_verify_identities_assembles_each_differential_once(monkeypatch,
+                                                          capsys):
+    # graded_dim3.zb: d^1..d^3 on T3, then for each of its two morphisms
+    # the d^1..d^3 of its complex (its d^n on T3 once more, and d^1, d^2
+    # on T3 through f inside) and the via-f d^1..d^3 of the push-forward
+    # checks; the push-forwards' d^n on T3, the product's d^2 and the
+    # obstruction's d^3 are the command's matrices again, and only
+    # obstruction naturality assembles its via-f d^2 afresh
+    calls = _counted(monkeypatch, "differential_matrix")
+    code = cli.main(["verify-identities", str(PROBLEMS / "graded_dim3.zb")])
+    assert code == 0
+    assert len(calls) == 3 + 2 * (5 + 3) + 1
+    assert "FAILED" not in capsys.readouterr().out
 
 
 def test_verify_identities_checks_past_a_failing_object():

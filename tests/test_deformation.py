@@ -6,8 +6,8 @@ from zinbiel.cochains import Cochain, identity_cochain
 from zinbiel.deformation import (DeformationError, FormalIsomorphism,
                                  TruncatedDeformation,
                                  check_deformation, conjugate,
-                                 extend_from_cocycle, extend_one_order,
-                                 extend_to, infinitesimal,
+                                 deformation_violations, extend_from_cocycle,
+                                 extend_one_order, extend_to, infinitesimal,
                                  infinitesimal_difference_is_coboundary,
                                  invert_truncated, normalize_leading_term,
                                  obstruction, rigidity_check, theta_zero,
@@ -198,6 +198,21 @@ def test_conjugation_pads_and_truncates_isomorphism_order(rng):
     assert conjugate(theta, long_phi) == conjugate(theta, short_phi)
 
 
+def test_conjugate_rejects_an_isomorphism_over_another_morphism(rng):
+    # theta deforms id_T2; a phi over id_T3 (other dimensions) or over the
+    # identity of the abelian plane (same dimensions, other product) is
+    # refused, also where the infinitesimal check conjugates
+    f = identity_morphism(truncated_polynomials(QQ, 2))
+    theta = random_deformation(f, 2, rng)
+    for g in (identity_morphism(truncated_polynomials(QQ, 3)),
+              identity_morphism(zero_algebra(QQ, 2))):
+        phi = random_formal_isomorphism(g, 2, rng)
+        with pytest.raises(ValueError, match="over another morphism"):
+            conjugate(theta, phi)
+        with pytest.raises(ValueError, match="over another morphism"):
+            infinitesimal_difference_is_coboundary(theta, phi)
+
+
 def test_invert_rejects_non_identity_constant_term():
     f = identity_morphism(truncated_polynomials(QQ, 2))
     pair = random_pair(f, __import__("random").Random(5))
@@ -324,8 +339,8 @@ def test_extend_validates_the_new_order(rng):
 
 
 def test_extend_rejects_a_term_that_does_not_solve(monkeypatch, rng):
-    # a wrong solution leaves a residual at the new order: its violations
-    # come from the whole sums, and when those find none the step still fails
+    # a wrong solution leaves a residual at the new order: the step fails
+    # with the violations deformation_violations finds at that order
     from zinbiel import deformation
     f = identity_morphism(truncated_polynomials(QQ, 2))
     theta = trivial_deformation(f, 1)
@@ -337,9 +352,8 @@ def test_extend_rejects_a_term_that_does_not_solve(monkeypatch, rng):
     with pytest.raises(DeformationError) as err:
         extend_one_order(theta)
     assert err.value.order == 2 and err.value.violations
-    monkeypatch.setattr(deformation, "_violations", lambda *args: None)
-    with pytest.raises(RuntimeError, match="split sums are wrong"):
-        extend_one_order(theta)
+    assert err.value.violations == deformation_violations(
+        f, theta.terms + [cand], 2)[1]
 
 
 def test_extend_to_continues_a_deformation(rng):

@@ -106,23 +106,36 @@ def test_violations_match_the_term_by_term_sums(series):
     assert failing > len(series) // 2
 
 
-def test_split_order_sums_add_up_to_the_whole_residual(series):
-    # the zero-top residual plus the terms with theta_{N+1}, for a valid
-    # and for a random theta_{N+1}, is the oracle's whole residual
+def test_extension_validates_its_new_order_on_the_whole_sums(series,
+                                                            monkeypatch):
+    # one path for every order: a solved theta_{N+1} passes and zeroes the
+    # oracle's whole order-(N+1) residual, and a random theta_{N+1}, given
+    # to the step as the preimage, fails with exactly the oracle's
+    # violations at N+1
     rng = random.Random(SEED + 13)
+    solved = failed = 0
     for theta in series:
         f = theta.morphism
         n = theta.order + 1
         step = extend_one_order(theta)
-        tops = [random_triple_cochain(f, 2, rng)]
-        tops += [step.term] if step.succeeded else []
-        for top in tops:
-            terms = theta.terms + [top]
-            split = order_residual(f, theta.terms, n) + deformation._sums(
-                f, deformation._read_series(f, terms), n, top_only=True)
-            whole = oracle.order_residual(f, terms, n)
-            assert split == whole and _exact(split) == _exact(whole)
-            assert (top is not step.term) or whole.is_zero()
+        if step.succeeded:
+            solved += 1
+            assert step.extended.order == n
+            assert oracle.order_residual(f, step.extended.terms, n).is_zero()
+        top = random_triple_cochain(f, 2, rng)
+        theirs = oracle.violations(
+            n, oracle.order_residual(f, theta.terms + [top], n))
+        with monkeypatch.context() as patched:
+            patched.setattr(deformation, "coboundary_preimage",
+                            lambda ob: top)
+            try:
+                extend_one_order(theta)
+                mine = None
+            except DeformationError as err:
+                mine = (err.order, err.violations)
+        assert mine == theirs and repr(mine) == repr(theirs)
+        failed += mine is not None
+    assert solved > 0 and failed > len(series) // 2
 
 
 def _conjugates_agree(theta, phi):
@@ -225,8 +238,8 @@ def test_dropping_the_top_morphism_term_is_caught(monkeypatch, series):
     # validates order N+1
     original = deformation._triples
 
-    def dropped(n, top, top_only):
-        return [t for t in original(n, top, top_only) if t[1] != n]
+    def dropped(n, top):
+        return [t for t in original(n, top) if t[1] != n]
     monkeypatch.setattr(deformation, "_triples", dropped)
     assert not all(_residuals_agree(theta) for theta in series)
 
@@ -237,8 +250,8 @@ def test_dropping_one_conjugation_term_is_caught(monkeypatch, series):
     # sums
     original = deformation._pairs
 
-    def dropped(n, top, top_only):
-        pairs = original(n, top, top_only)
+    def dropped(n, top):
+        pairs = original(n, top)
         if sys._getframe(1).f_code is deformation._compose_series.__code__:
             return [s for s in pairs if s != (1, 0)]
         return pairs
