@@ -84,22 +84,18 @@ def change_of_basis(r: ZinbielAlgebra,
     return transported, AlgebraMorphism(r, transported, pinv)
 
 
-def inclusion_first(a: ZinbielAlgebra, b: ZinbielAlgebra,
-                    total: ZinbielAlgebra | None = None) -> AlgebraMorphism:
+def inclusion_first(a: ZinbielAlgebra, b: ZinbielAlgebra) -> AlgebraMorphism:
     """The inclusion of a into direct_sum(a, b)."""
-    if total is None:
-        total = direct_sum(a, b)
+    total = direct_sum(a, b)
     field = a.field
     rows = [[field.one() if r == c else field.zero() for c in range(a.dim)]
             for r in range(total.dim)]
     return AlgebraMorphism(a, total, rows)
 
 
-def projection_first(a: ZinbielAlgebra, b: ZinbielAlgebra,
-                     total: ZinbielAlgebra | None = None) -> AlgebraMorphism:
+def projection_first(a: ZinbielAlgebra, b: ZinbielAlgebra) -> AlgebraMorphism:
     """The projection of direct_sum(a, b) onto a."""
-    if total is None:
-        total = direct_sum(a, b)
+    total = direct_sum(a, b)
     field = a.field
     rows = [[field.one() if r == c else field.zero()
              for c in range(total.dim)] for r in range(a.dim)]

@@ -342,9 +342,8 @@ def _cmd_normalize(problem, args, emit) -> int:
     emit("status", "ok")
     emit("zero.through", zero_through,
          report=f"conjugation kills all terms through order {zero_through}")
-    for k, (pr, ps) in enumerate(phi.terms[1:], start=1):
-        _emit_cochain_entries(emit, f"iso.{k}", "R", pr)
-        _emit_cochain_entries(emit, f"iso.{k}", "S", ps)
+    for k, term in enumerate(phi.terms[1:], start=1):
+        _emit_triple(emit, f"iso.{k}", term)
     return 0
 
 

@@ -52,9 +52,10 @@ The public constructors, `Cochain(...)` and `from_flat`, check the shape
 and coerce every value into the field.  Values the library builds itself
 skip that: `Cochain._of` takes rows of field values as they are.  Its
 callers are `_rebuild` (so the arithmetic, the differential and the
-coboundary solve), `TripleCochain._rebuild`, and the residuals,
-obstructions and conjugates of `zinbiel.deformation`, whose sums end in
-field values.
+coboundary solve), `TripleCochain._rebuild`, `identity_cochain`,
+`product_cochain` and `morphism_cochain`, read off checked objects, and
+the residuals, obstructions and conjugates of `zinbiel.deformation`,
+whose sums end in field values.
 """
 
 from __future__ import annotations
@@ -230,14 +231,14 @@ def identity_cochain(algebra: ZinbielAlgebra) -> Cochain:
     field = algebra.field
     rows = [[field.one() if b == i else field.zero()
              for b in range(algebra.dim)] for i in range(algebra.dim)]
-    return Cochain(algebra, algebra.regular_bimodule(), 1, rows)
+    return Cochain._of(algebra, algebra.regular_bimodule(), 1, rows)
 
 
 def product_cochain(algebra: ZinbielAlgebra) -> Cochain:
     """The multiplication of the algebra as a 2-cochain with regular coefficients."""
     rows = [list(algebra.gamma[i][j])
             for i in range(algebra.dim) for j in range(algebra.dim)]
-    return Cochain(algebra, algebra.regular_bimodule(), 2, rows)
+    return Cochain._of(algebra, algebra.regular_bimodule(), 2, rows)
 
 
 def complex_dim(algebra: ZinbielAlgebra, module: Bimodule, n: int) -> int:

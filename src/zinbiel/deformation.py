@@ -46,9 +46,12 @@ basis tuple where a condition fails, and no residual triple at all.
 `deformation_violations` runs it on orders 1..N, and `extend_one_order`
 on the new order N+1 of the grown series.  The residuals, obstructions
 and conjugates that are returned are built unchecked
-(`TripleCochain._of`, `Cochain._of`), and the constant term of a
-deformation is compared in place with the structure tensors and the
-columns of f, without building theta_zero(f).
+(`TripleCochain._of`, `Cochain._of`).
+
+Deformations and formal isomorphisms are one series type, `_Series`, of
+elements of C^2(f) and of C^1(f) = C^1(R,R) (+) C^1(S,S): it holds the
+one shape check, zero term and constant-term check, against theta_zero(f)
+or the identity pair, both built unchecked from checked objects.
 """
 
 from __future__ import annotations
@@ -92,29 +95,34 @@ class DeformationError(ValueError):
 
 def theta_zero(f: AlgebraMorphism) -> TripleCochain:
     """The constant term (m_R; m_S; f) every deformation starts from."""
-    return TripleCochain(f, 2, product_cochain(f.source),
-                         product_cochain(f.target), morphism_cochain(f))
+    return TripleCochain._of(f, 2, product_cochain(f.source),
+                             product_cochain(f.target), morphism_cochain(f))
+
+
+def _identity_pair(f: AlgebraMorphism) -> TripleCochain:
+    """The constant term (Id_R; Id_S) of every formal isomorphism."""
+    return TripleCochain._of(f, 1, identity_cochain(f.source),
+                             identity_cochain(f.target), None)
 
 
 class _Series:
-    """A series in t over a morphism, cut after t^order, with a fixed
-    constant term; terms[i] is the t^i coefficient.  Subclasses give the
-    constant term, the zero term, the shape check and the error texts."""
+    """A series in t of elements of one degree of the deformation complex
+    of a morphism, cut after t^order, with a fixed constant term;
+    terms[i] is the t^i coefficient.  Subclasses give the degree, the
+    constant term and the error texts."""
 
     __slots__ = ("morphism", "order", "terms")
 
     def __init__(self, morphism: AlgebraMorphism, terms: list):
         if not terms:
             raise ValueError(self._empty)
-        terms = [self._shaped(morphism, t) for t in terms]
-        if not self._is_constant(morphism, terms[0]):
+        terms = list(terms)
+        if any(not isinstance(t, TripleCochain) or t.morphism != morphism
+               or t.degree != self._degree for t in terms):
+            raise ValueError(self._wrong_shape)
+        if terms[0] != self._constant(morphism):
             raise ValueError(self._wrong_constant)
         self.morphism, self.order, self.terms = morphism, len(terms) - 1, terms
-
-    @classmethod
-    def _is_constant(cls, morphism: AlgebraMorphism, term) -> bool:
-        """Whether term is the constant term over morphism."""
-        return term == cls._constant(morphism)
 
     @classmethod
     def _of(cls, morphism: AlgebraMorphism, terms: list):
@@ -136,7 +144,8 @@ class _Series:
             raise ValueError("order must be nonnegative")
         terms = self.terms[:order + 1]
         if order > self.order:
-            terms += [self._zero(self.morphism)] * (order - self.order)
+            terms += [TripleCochain.zero(self.morphism, self._degree)] * (
+                order - self.order)
         return terms
 
     def __eq__(self, other):
@@ -152,28 +161,11 @@ class TruncatedDeformation(_Series):
     """A validated order-N deformation; terms[i] is the t^i coefficient."""
 
     __slots__ = ()
-    _empty = "a deformation needs at least its constant term"
-    _wrong_constant = "constant term differs from (m_R; m_S; f)"
+    _degree = 2
     _constant = staticmethod(theta_zero)
-    _zero = staticmethod(lambda f: TripleCochain.zero(f, 2))
-
-    @staticmethod
-    def _shaped(f: AlgebraMorphism, term: TripleCochain) -> TripleCochain:
-        if term.morphism != f or term.degree != 2:
-            raise ValueError("terms must be degree-2 triples over the morphism")
-        return term
-
-    @staticmethod
-    def _is_constant(f: AlgebraMorphism, term: TripleCochain) -> bool:
-        """Whether a degree-2 triple over f is theta_zero(f), compared in
-        place with the structure tensors of R and S and f's int columns.
-        The triple's constructor checked that xi and pi have regular
-        coefficients; phi's bimodule must be S through f."""
-        r, s = f.source, f.target
-        return (term.phi.module == f.as_bimodule()
-                and term.xi.coeffs == [row for a in r.gamma for row in a]
-                and term.pi.coeffs == [row for a in s.gamma for row in a]
-                and term.phi.coeffs == _dense(r.field, s.dim, *f._f_ints))
+    _empty = "a deformation needs at least its constant term"
+    _wrong_shape = "terms must be degree-2 triples over the morphism"
+    _wrong_constant = "constant term differs from (m_R; m_S; f)"
 
     def __init__(self, morphism: AlgebraMorphism, terms: list[TripleCochain]):
         super().__init__(morphism, terms)
@@ -341,27 +333,19 @@ def infinitesimal(theta: TruncatedDeformation) -> LeadingTerm:
 
 
 class FormalIsomorphism(_Series):
-    """A truncated series of 1-cochain pairs with identity constant term.
+    """A truncated series of degree-1 triples with identity constant term.
 
-    terms[i] = (phi_R_i, phi_S_i); acting on a deformation by conjugation
-    transports both products and the morphism series.
+    terms[i] = (phi_R_i; phi_S_i), an element of C^1(f); acting on a
+    deformation by conjugation transports both products and the morphism
+    series.
     """
 
     __slots__ = ()
+    _degree = 1
+    _constant = staticmethod(_identity_pair)
     _empty = "a formal isomorphism needs its constant term"
+    _wrong_shape = "terms must be pairs of 1-cochains on R and S"
     _wrong_constant = "constant term must be the identity pair"
-    _constant = staticmethod(lambda f: (identity_cochain(f.source),
-                                        identity_cochain(f.target)))
-    _zero = staticmethod(lambda f: tuple(
-        Cochain.zero(a, a.regular_bimodule(), 1) for a in (f.source, f.target)))
-
-    @staticmethod
-    def _shaped(f: AlgebraMorphism, term) -> tuple[Cochain, Cochain]:
-        pr, ps = term
-        if (pr.arity != 1 or ps.arity != 1 or pr.source != f.source
-                or ps.source != f.target):
-            raise ValueError("terms must be pairs of 1-cochains on R and S")
-        return pr, ps
 
     @classmethod
     def identity(cls, morphism: AlgebraMorphism,
@@ -370,10 +354,10 @@ class FormalIsomorphism(_Series):
 
     @classmethod
     def single_term(cls, morphism: AlgebraMorphism, order: int,
-                    phi_r: Cochain, phi_s: Cochain) -> "FormalIsomorphism":
-        """Id + (phi_R; phi_S) t^order."""
+                    term: TripleCochain) -> "FormalIsomorphism":
+        """Id + term t^order, term a degree-1 triple."""
         terms = cls.identity(morphism, order).terms
-        terms[order] = (phi_r, phi_s)
+        terms[order] = term
         return cls(morphism, terms)
 
 
@@ -424,14 +408,16 @@ def invert_truncated(phi: FormalIsomorphism,
     identity pair in every order up to the truncation."""
     if order is None:
         order = phi.order
-    r, s = phi.morphism.source, phi.morphism.target
+    f = phi.morphism
+    r, s = f.source, f.target
     p = r.field.characteristic
-    groups, den = _ints([c.coeffs for t in phi.padded(order) for c in t], p)
+    groups, den = _ints([c.coeffs for t in phi.padded(order)
+                         for c in (t.xi, t.pi)], p)
     psi_r = _invert_series(groups[0::2], order, r.dim, den, p)
     psi_s = _invert_series(groups[1::2], order, s.dim, den, p)
-    return FormalIsomorphism._of(phi.morphism, [
-        (_cochain(r, r.regular_bimodule(), 1, qr, den ** order),
-         _cochain(s, s.regular_bimodule(), 1, qs, den ** order))
+    return FormalIsomorphism._of(f, [TripleCochain._of(
+        f, 1, _cochain(r, r.regular_bimodule(), 1, qr, den ** order),
+        _cochain(s, s.regular_bimodule(), 1, qs, den ** order), None)
         for qr, qs in zip(psi_r, psi_s)])
 
 
@@ -452,7 +438,7 @@ def conjugate(theta: TruncatedDeformation,
     p = r.field.characteristic
     # phi_R, phi_S, m_R, m_S and f, order by order, over one den
     groups, den = _ints([c.coeffs for t, u in zip(phi.padded(top), theta.terms)
-                         for c in (*t, u.xi, u.pi, u.phi)], p)
+                         for c in (t.xi, t.pi, u.xi, u.pi, u.phi)], p)
     pr, ps, ms_r, ms_s, fs = (groups[i::5] for i in range(5))
     qr = _invert_series(pr, top, r.dim, den, p)
     qs = _invert_series(ps, top, s.dim, den, p)
@@ -497,8 +483,7 @@ def infinitesimal_difference_is_coboundary(
         raise ValueError("needs a deformation of order at least 1")
     bar = conjugate(theta, phi)
     diff = theta.terms[1] - bar.terms[1]
-    pair = TripleCochain(theta.morphism, 1, *phi.padded(1)[1], None)
-    residual = diff - differential(pair)
+    residual = diff - differential(phi.padded(1)[1])
     return Certificate(residual.is_zero(), residual)
 
 
@@ -611,7 +596,7 @@ def normalize_leading_term(
     if pre is None:
         raise DeformationError(
             f"leading term at order {lead} is not a coboundary", lead, [])
-    phi = FormalIsomorphism.single_term(theta.morphism, lead, pre.xi, pre.pi)
+    phi = FormalIsomorphism.single_term(theta.morphism, lead, pre)
     bar = conjugate(theta, phi)
     left = bar.leading_order()
     if left is not None and left <= lead:

@@ -26,8 +26,8 @@ formulas and the tuple push-forwards, is kept in the tests as the oracle.
 
 `TripleCochain(...)` and `from_flat` check their parts; `TripleCochain._of`
 takes parts the library built as they are, as `Cochain._of` does rows.
-It is used by `_rebuild` and by the residuals, obstructions and conjugates
-of `zinbiel.deformation`.
+It is used by `_rebuild` and by the constant terms, residuals,
+obstructions, conjugates and inverse series of `zinbiel.deformation`.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ from .linalg import Matrix, _dense
 
 def morphism_cochain(f: AlgebraMorphism) -> Cochain:
     """The morphism itself as a 1-cochain R -> S (coefficients via f)."""
-    return Cochain(f.source, f.as_bimodule(), 1,
-                   _dense(f.source.field, f.target.dim, *f._f_ints))
+    return Cochain._of(f.source, f.as_bimodule(), 1,
+                       _dense(f.source.field, f.target.dim, *f._f_ints))
 
 
 def push_forward_left(f: AlgebraMorphism, xi: Cochain) -> Cochain:
     """Compose with f on the output: (f.xi)(x1..xn) = f(xi(x1..xn))."""
-    if xi.source != f.source or xi.module.dim != f.source.dim:
+    if xi.source != f.source or xi.module != f.source.regular_bimodule():
         raise ValueError("cochain must map the source of f into itself")
     flat = _push_left_matrix(f, xi.arity).matvec(xi.flatten())
     return Cochain.from_flat(f.source, f.as_bimodule(), xi.arity, flat)
@@ -60,7 +60,7 @@ def push_forward_left(f: AlgebraMorphism, xi: Cochain) -> Cochain:
 
 def push_forward_right(f: AlgebraMorphism, pi: Cochain) -> Cochain:
     """Precompose with f in every slot: (pi.f)(x1..xn) = pi(f x1, .., f xn)."""
-    if pi.source != f.target or pi.module.dim != f.target.dim:
+    if pi.source != f.target or pi.module != f.target.regular_bimodule():
         raise ValueError("cochain must map the target of f into itself")
     flat = _push_right_matrix(f, pi.arity).matvec(pi.flatten())
     return Cochain.from_flat(f.source, f.as_bimodule(), pi.arity, flat)

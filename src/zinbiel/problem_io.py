@@ -187,33 +187,33 @@ class Problem:
         f = self.build_morphism(spec.morphism)
         return self._triple_from_entries(f, spec.degree, spec.entries)
 
+    def _series_terms(self, f: AlgebraMorphism, degree: int, order: int,
+                      entries) -> list[TripleCochain]:
+        """Terms 1..order of a series: its entries (k, component, indices,
+        b, scalar) grouped by k, each group a triple of the given degree."""
+        by_order: dict[int, list] = {}
+        for (k, *entry) in entries:
+            by_order.setdefault(k, []).append(entry)
+        return [self._triple_from_entries(f, degree, by_order.get(k, []))
+                for k in range(1, order + 1)]
+
     def deformation_candidate(
             self, name: str
     ) -> tuple[AlgebraMorphism, list[TripleCochain], int]:
         """The declared series with its implied constant term, unvalidated."""
         spec = self.deformations[name]
         f = self.build_morphism(spec.morphism)
-        by_order: dict[int, list] = {}
-        for (k, component, indices, b, c) in spec.entries:
-            by_order.setdefault(k, []).append((component, indices, b, c))
-        terms = [theta_zero(f)]
-        for k in range(1, spec.order + 1):
-            terms.append(self._triple_from_entries(f, 2, by_order.get(k, [])))
-        return f, terms, spec.order
+        return f, [theta_zero(f)] + self._series_terms(
+            f, 2, spec.order, spec.entries), spec.order
 
     def build_isomorphism(self, name: str) -> FormalIsomorphism:
         spec = self.isomorphisms[name]
         f = self.build_morphism(spec.morphism)
-        z = self.field.zero()
-        sides = (("R", f.source), ("S", f.target))
-        orders = range(1, spec.order + 1)
-        rows = {(k, side): [[z] * a.dim for _ in range(a.dim)]
-                for k in orders for side, a in sides}
-        for (k, side, i, b, c) in spec.entries:
-            rows[k, side][i][b] = c
-        terms = [tuple(Cochain(a, a.regular_bimodule(), 1, rows[k, side])
-                       for side, a in sides) for k in orders]
-        return FormalIsomorphism(f, FormalIsomorphism.identity(f).terms + terms)
+        # an isomorphism entry names its one input as an index, not a tuple
+        entries = [(k, side, (i,), b, c) for k, side, i, b, c in spec.entries]
+        return FormalIsomorphism(f, FormalIsomorphism.identity(f).terms
+                                 + self._series_terms(f, 1, spec.order,
+                                                      entries))
 
 
 # kind -> (spec class, header directives in the order of its fields, entry

@@ -20,8 +20,8 @@ from .catalog import (change_of_basis, direct_sum, inclusion_first,
                       projection_first, single_product_algebra,
                       truncated_polynomials, weight_scaling, zero_algebra)
 from .cochains import Cochain
-from .deformation import (TruncatedDeformation, conjugate,
-                          trivial_deformation)
+from .deformation import (FormalIsomorphism, TruncatedDeformation,
+                          conjugate, trivial_deformation)
 from .fields import Field, PrimeField
 from .linalg import Matrix, rank_nullspace
 from .morphism_complex import TripleCochain, morphism_differential_matrix
@@ -45,10 +45,8 @@ def random_invertible(field: Field, dim: int, rng: random.Random) -> Matrix:
             for i in range(dim)]
     for _ in range(2 * dim):
         op = rng.randrange(3)
-        i = rng.randrange(dim) if dim else 0
-        j = rng.randrange(dim) if dim else 0
-        if dim == 0:
-            break
+        i = rng.randrange(dim)
+        j = rng.randrange(dim)
         if op == 0 and i != j:
             c = random_scalar(field, rng)
             rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
@@ -72,10 +70,10 @@ def random_dense_invertible(field: Field, dim: int,
             return m
 
 
-def _sparse_search(field: Field, dim: int, rng: random.Random,
-                   attempts: int = 12) -> ZinbielAlgebra | None:
-    """Try a few sparse random structure tensors against the validator."""
-    for _ in range(attempts):
+def _sparse_search(field: Field, dim: int,
+                   rng: random.Random) -> ZinbielAlgebra | None:
+    """Try 12 sparse random structure tensors against the validator."""
+    for _ in range(12):
         z = field.zero()
         gamma = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
         for _ in range(rng.randint(1, 2)):
@@ -126,9 +124,9 @@ def random_zinbiel(field: Field, dim: int, rng: random.Random,
 
 
 def _morphism_search(r: ZinbielAlgebra, s: ZinbielAlgebra,
-                     rng: random.Random,
-                     attempts: int = 10) -> AlgebraMorphism | None:
-    for _ in range(attempts):
+                     rng: random.Random) -> AlgebraMorphism | None:
+    """Try 10 random matrices against the validator."""
+    for _ in range(10):
         rows = [[random_scalar(r.field, rng) if rng.random() < 0.4
                  else r.field.zero() for _ in range(r.dim)]
                 for _ in range(s.dim)]
@@ -201,18 +199,10 @@ def random_triple_cochain(f: AlgebraMorphism, degree: int,
     return TripleCochain(f, degree, xi, pi, phi)
 
 
-def random_pair(f: AlgebraMorphism, rng: random.Random,
-                density: float = 0.7) -> tuple[Cochain, Cochain]:
-    r, s = f.source, f.target
-    return (random_cochain(r, r.regular_bimodule(), 1, rng, density),
-            random_cochain(s, s.regular_bimodule(), 1, rng, density))
-
-
 def random_formal_isomorphism(f: AlgebraMorphism, order: int,
-                              rng: random.Random) -> "FormalIsomorphism":
-    from .deformation import FormalIsomorphism
+                              rng: random.Random) -> FormalIsomorphism:
     terms = FormalIsomorphism.identity(f, order).terms
-    terms[1:] = [random_pair(f, rng) for _ in range(order)]
+    terms[1:] = [random_triple_cochain(f, 1, rng, 0.7) for _ in range(order)]
     return FormalIsomorphism(f, terms)
 
 

@@ -114,12 +114,14 @@ def invert_truncated(phi: FormalIsomorphism,
     identity pair in every order up to the truncation."""
     if order is None:
         order = phi.order
-    r, s = phi.morphism.source, phi.morphism.target
-    terms_r = [t[0] for t in phi.terms]
-    terms_s = [t[1] for t in phi.terms]
+    f = phi.morphism
+    r, s = f.source, f.target
+    terms_r = [t.xi for t in phi.terms]
+    terms_s = [t.pi for t in phi.terms]
     psi_r = _invert_series(terms_r, order, identity_cochain(r))
     psi_s = _invert_series(terms_s, order, identity_cochain(s))
-    return FormalIsomorphism(phi.morphism, list(zip(psi_r, psi_s)))
+    return FormalIsomorphism(f, [TripleCochain(f, 1, a, b, None)
+                                 for a, b in zip(psi_r, psi_s)])
 
 
 def conjugate(theta: TruncatedDeformation,
@@ -133,8 +135,10 @@ def conjugate(theta: TruncatedDeformation,
     f = theta.morphism
     n_max = theta.order
     r, s = f.source, f.target
-    pr, ps = zip(*phi.padded(n_max))
-    qr, qs = zip(*invert_truncated(phi, n_max).terms)
+    pr = [t.xi for t in phi.padded(n_max)]
+    ps = [t.pi for t in phi.padded(n_max)]
+    psi = invert_truncated(phi, n_max).terms
+    qr, qs = [t.xi for t in psi], [t.pi for t in psi]
     ms_r = [t.xi for t in theta.terms]
     ms_s = [t.pi for t in theta.terms]
     fs = [morphism_cochain(f)] + [t.phi for t in theta.terms[1:]]

@@ -11,10 +11,15 @@ from unittest import mock
 
 import pytest
 
-from test_io import REPEATED_HEADERS
+from test_io import REPEATED_HEADERS, _triple_entries
 from zinbiel import cli
+from zinbiel.algebra import identity_morphism
+from zinbiel.catalog import truncated_polynomials
 from zinbiel.deformation import check_deformation, extend_one_order
-from zinbiel.problem_io import parse
+from zinbiel.fields import QQ
+from zinbiel.problem_io import (AlgebraSpec, DeformationSpec, MorphismSpec,
+                                Problem, parse, serialize)
+from zinbiel.sampling import cocycle_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -194,6 +199,14 @@ def test_usage_errors_exit_2(tmp_path):
                      "nonexistent", "--target-order", "1")
     assert result.returncode == 2
     assert "not allowed with argument" in result.stderr
+    # a degree-1 cochain is no starting point for an extension
+    path.write_text(GOLDEN_FILES["noncocycle.zb"]
+                    + "cochain one\n  morphism id\n  degree 1\nend\n",
+                    encoding="utf-8")
+    result = run_cli("extend", str(path), "--cochain", "one",
+                     "--target-order", "1")
+    assert (result.returncode, result.stderr) == (
+        2, "error: extend needs a degree-2 cochain\n")
 
 
 def test_mathematical_failures_exit_1(tmp_path):
@@ -369,6 +382,74 @@ def test_verify_identities_skips_what_depends_on_a_failure(capsys,
             "is invalid)\n") in out
     assert ("skipped: deformation E: is a valid deformation (its morphism "
             "was not validated)\n") in out
+
+
+def test_validate_skips_what_depends_on_a_failure(capsys, tmp_path):
+    # b uses the invalid algebra B; the cochain, deformation and
+    # isomorphism use the morphisms s (invalid) and b (skipped)
+    path = tmp_path / "dependent.zb"
+    path.write_text(FAILING + "morphism b\n  source B\n  target L\nend\n"
+                    "cochain x\n  morphism s\n  degree 1\nend\n"
+                    "deformation E\n  morphism s\n  order 1\nend\n"
+                    "isomorphism P\n  morphism b\n  order 1\nend\n")
+    code = cli.main(["validate", str(path), "--output", "machine"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and lines[-1] == "status fail"
+    skipped = [line for line in lines if line.endswith(" skipped")]
+    assert skipped == ["morphism b skipped", "cochain x skipped",
+                       "deformation E skipped", "isomorphism P skipped"]
+    documented = _documented_keys()
+    assert all(documented.fullmatch(line.split(" ", 1)[0]) for line in lines)
+    code = cli.main(["validate", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "morphism b: skipped (an algebra it uses is invalid)\n" in out
+    for fact in ("cochain x", "deformation E", "isomorphism P"):
+        assert f"{fact}: skipped (its morphism was not validated)\n" in out
+
+
+def test_rigidity_demo_keys_are_documented(capsys, tmp_path):
+    # the zero map of the zero algebra is rigid, so the demos run
+    path = tmp_path / "point.zb"
+    path.write_text("field Q\nalgebra Z\n  dim 0\nend\n"
+                    "morphism z\n  source Z\n  target Z\nend\n")
+    code = cli.main(["rigidity", str(path), "--demo", "2", "--seed", "9",
+                     "--output", "machine"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines == ["command rigidity", "h2.dim 0", "verdict rigid",
+                     "demo.run 2", "demo.trivialized 2", "demo.seed 9",
+                     "status ok"]
+    documented = _documented_keys()
+    assert all(documented.fullmatch(line.split(" ", 1)[0]) for line in lines)
+
+
+def test_an_obstruction_that_is_a_coboundary_exits_0(capsys, tmp_path):
+    # on id_T3, cocycle 2 of cocycle_basis as the linear term of an
+    # order-1 deformation has a nonzero obstruction with a preimage
+    f = identity_morphism(truncated_polynomials(QQ, 3))
+    term = cocycle_basis(f)[2]
+    gamma = [(i, j, k, c) for i in range(3) for j in range(3)
+             for k, c in enumerate(f.source.gamma[i][j]) if c]
+    problem = Problem(
+        QQ, algebras={"T3": AlgebraSpec("T3", 3, gamma)},
+        morphisms={"id": MorphismSpec("id", "T3", "T3",
+                                      [(i, i, QQ.one()) for i in range(3)])},
+        deformations={"D": DeformationSpec("D", "id", 1,
+                                           _triple_entries(term, (1,)))})
+    path = tmp_path / "coboundary.zb"
+    path.write_text(serialize(problem), encoding="utf-8")
+    code = cli.main(["obstruction", str(path), "--output", "machine"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[-3:] == ["obstruction.nonzero true",
+                          "obstruction.coboundary true", "status ok"]
+    documented = _documented_keys()
+    assert all(documented.fullmatch(line.split(" ", 1)[0]) for line in lines)
+    code = cli.main(["obstruction", str(path)])
+    assert code == 0
+    assert capsys.readouterr().out.endswith(
+        "the obstruction is a coboundary: an extension exists\n")
 
 
 def test_a_missing_kind_is_named(capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from zinbiel.algebra import identity_morphism, zero_morphism
@@ -18,7 +21,7 @@ from zinbiel.morphism_complex import (TripleCochain, is_cocycle,
                                       morphism_differential)
 from zinbiel.sampling import (cocycle_basis, random_combination,
                               random_deformation, random_formal_isomorphism,
-                              random_morphism_instance, random_pair,
+                              random_morphism_instance,
                               random_triple_cochain)
 
 
@@ -107,7 +110,7 @@ def test_infinitesimal_after_zero_leading_terms(rng):
     f = identity_morphism(truncated_polynomials(QQ, 2))
     phi = FormalIsomorphism.identity(f, 2)
     terms = list(phi.terms)
-    terms[2] = random_pair(f, rng)
+    terms[2] = random_triple_cochain(f, 1, rng, 0.7)
     theta = conjugate(trivial_deformation(f, 3), FormalIsomorphism(f, terms))
     lead = infinitesimal(theta)
     if lead.is_trivial:
@@ -152,8 +155,8 @@ def test_invert_truncated_composes_to_identity(field, rng):
         dim = (f.source if which == 0 else f.target).dim
         if dim == 0:
             continue
-        fwd = [_cochain1_matrix(t[which]) for t in phi.terms]
-        bwd = [_cochain1_matrix(t[which]) for t in psi.terms]
+        fwd = [_cochain1_matrix((t.xi, t.pi)[which]) for t in phi.terms]
+        bwd = [_cochain1_matrix((t.xi, t.pi)[which]) for t in psi.terms]
         ident = [[f.source.field.one() if r == c else f.source.field.zero()
                   for c in range(dim)] for r in range(dim)]
         zero = [[f.source.field.zero()] * dim for _ in range(dim)]
@@ -167,11 +170,11 @@ def test_invert_truncated_composes_to_identity(field, rng):
 def test_invert_single_term_is_geometric_series(rng):
     # (Id + p t)^{-1} = Id - p t + p^2 t^2 - ... up to the truncation
     f = identity_morphism(truncated_polynomials(QQ, 2))
-    pr, ps = random_pair(f, rng)
-    phi = FormalIsomorphism.single_term(f, 1, pr, ps)
+    pair = random_triple_cochain(f, 1, rng, 0.7)
+    phi = FormalIsomorphism.single_term(f, 1, pair)
     psi = invert_truncated(phi, 3)
-    power = _cochain1_matrix(pr)
-    mats = [_cochain1_matrix(t[0]) for t in psi.terms]
+    power = _cochain1_matrix(pair.xi)
+    mats = [_cochain1_matrix(t.xi) for t in psi.terms]
     sign = -1
     current = power
     for n in (1, 2, 3):
@@ -215,7 +218,7 @@ def test_conjugate_rejects_an_isomorphism_over_another_morphism(rng):
 
 def test_invert_rejects_non_identity_constant_term():
     f = identity_morphism(truncated_polynomials(QQ, 2))
-    pair = random_pair(f, __import__("random").Random(5))
+    pair = random_triple_cochain(f, 1, random.Random(5), 0.7)
     with pytest.raises(ValueError):
         FormalIsomorphism(f, [pair])
 
@@ -234,11 +237,12 @@ def test_conjugate_first_order_formula(field, rng):
     for _ in range(5):
         f = random_morphism_instance(field, rng, max_dim=2)
         theta = random_deformation(f, 1, rng)
-        pr, ps = random_pair(f, rng)
-        phi = FormalIsomorphism.single_term(f, 1, pr, ps)
+        pair = random_triple_cochain(f, 1, rng, 0.7)
+        phi = FormalIsomorphism.single_term(f, 1, pair)
         bar = conjugate(theta, phi)
         f1 = theta.terms[1].phi
-        expected = f1 + push_forward_right(f, ps) - push_forward_left(f, pr)
+        expected = (f1 + push_forward_right(f, pair.pi)
+                    - push_forward_left(f, pair.xi))
         assert bar.terms[1].phi == expected
 
 
@@ -257,12 +261,12 @@ def test_difference_on_abelian_pair_is_linear(rng):
     algebra = zero_algebra(QQ, 2)
     f = identity_morphism(algebra)
     theta = random_deformation(f, 1, rng)
-    pr, ps = random_pair(f, rng)
-    bar = conjugate(theta, FormalIsomorphism.single_term(f, 1, pr, ps))
+    pair = random_triple_cochain(f, 1, rng, 0.7)
+    bar = conjugate(theta, FormalIsomorphism.single_term(f, 1, pair))
     from zinbiel.morphism_complex import push_forward_left, \
         push_forward_right
     assert bar.terms[1].phi == theta.terms[1].phi \
-        + push_forward_right(f, ps) - push_forward_left(f, pr)
+        + push_forward_right(f, pair.pi) - push_forward_left(f, pair.xi)
 
 
 def test_obstruction_of_trivial_tail_is_zero():
@@ -399,8 +403,7 @@ def test_coboundary_infinitesimals_extend_far(field, rng):
     # a coboundary is the infinitesimal of a conjugate of the trivial
     # deformation; the deterministic solver reaches order 4 as well
     f = identity_morphism(truncated_polynomials(field, 2))
-    pr, ps = random_pair(f, rng)
-    seed = morphism_differential(TripleCochain(f, 1, pr, ps, None))
+    seed = morphism_differential(random_triple_cochain(f, 1, rng, 0.7))
     trace = extend_from_cocycle(f, seed, 4)
     assert trace.succeeded
     assert trace.deformation.order == 4
@@ -417,8 +420,7 @@ def test_normalize_trivial_input_returns_identity():
 def test_normalize_kills_coboundary_leading_term(rng):
     f = identity_morphism(truncated_polynomials(PrimeField(7), 2))
     for _ in range(6):
-        pr, ps = random_pair(f, rng)
-        lead = morphism_differential(TripleCochain(f, 1, pr, ps, None))
+        lead = morphism_differential(random_triple_cochain(f, 1, rng, 0.7))
         theta = check_deformation(f, [theta_zero(f), lead], order=1)
         phi, bar = normalize_leading_term(theta)
         assert bar.terms[1].is_zero()
@@ -468,9 +470,9 @@ def _identity_t2():
     return identity_morphism(truncated_polynomials(QQ, 2))
 
 
-def _zero_pair(f):
-    return tuple(Cochain.zero(a, a.regular_bimodule(), 1)
-                 for a in (f.source, f.target))
+def _identity_pair(f):
+    return TripleCochain(f, 1, identity_cochain(f.source),
+                         identity_cochain(f.target), None)
 
 
 @pytest.mark.parametrize("call", [
@@ -492,9 +494,7 @@ def test_negative_orders_are_rejected(call):
 def test_each_constructor_names_its_own_failure():
     f = _identity_t2()
     r, s = f.source, f.target
-    ident = (identity_cochain(r), identity_cochain(s))
-    two = (Cochain.zero(r, r.regular_bimodule(), 2),
-           Cochain.zero(s, s.regular_bimodule(), 2))
+    ident = _identity_pair(f)
     cases = [
         (TruncatedDeformation, [], "a deformation needs at least its "
          "constant term"),
@@ -504,9 +504,13 @@ def test_each_constructor_names_its_own_failure():
          "constant term differs from (m_R; m_S; f)"),
         (FormalIsomorphism, [], "a formal isomorphism needs its constant "
          "term"),
-        (FormalIsomorphism, [ident, two],
+        (FormalIsomorphism, [ident, TripleCochain.zero(f, 2)],
          "terms must be pairs of 1-cochains on R and S"),
-        (FormalIsomorphism, [_zero_pair(f)],
+        # a bare tuple of cochains is no term
+        (FormalIsomorphism, [ident, (identity_cochain(r),
+                                     identity_cochain(s))],
+         "terms must be pairs of 1-cochains on R and S"),
+        (FormalIsomorphism, [TripleCochain.zero(f, 1)],
          "constant term must be the identity pair"),
     ]
     for cls, terms, message in cases:
@@ -520,7 +524,7 @@ def test_padding_extends_and_cuts_both_series_alike(rng):
     theta = random_deformation(f, 2, rng)
     phi = random_formal_isomorphism(f, 2, rng)
     for series, zero in ((theta, TripleCochain.zero(f, 2)),
-                         (phi, _zero_pair(f))):
+                         (phi, TripleCochain.zero(f, 1))):
         assert series.padded(2) == series.terms
         assert series.padded(0) == series.terms[:1]
         assert series.padded(1) == series.terms[:2]
@@ -531,10 +535,10 @@ def test_padding_extends_and_cuts_both_series_alike(rng):
 
 def test_trivial_series_equal_their_checked_constructions():
     f = _identity_t2()
-    one = [(identity_cochain(f.source), identity_cochain(f.target))]
+    one = [_identity_pair(f)]
     for order in (0, 1, 3):
         assert FormalIsomorphism.identity(f, order) == FormalIsomorphism(
-            f, one + [_zero_pair(f)] * order)
+            f, one + [TripleCochain.zero(f, 1)] * order)
         assert trivial_deformation(f, order) == TruncatedDeformation(
             f, [theta_zero(f)] + [TripleCochain.zero(f, 2)] * order)
         assert trivial_deformation(f, order) == check_deformation(
@@ -549,3 +553,29 @@ def test_the_public_constructor_cannot_skip_its_checks():
     f = _identity_t2()
     with pytest.raises(TypeError):
         TruncatedDeformation(f, [TripleCochain.zero(f, 2)], _validated=True)
+
+
+# -- the draws of random_deformation, pinned ------------------------------
+
+def _digest(theta) -> str:
+    """sha256 (first 16 hex digits) of every coefficient of every term."""
+    fmt = theta.morphism.source.field.format
+    text = "\n".join(" ".join(fmt(c) for row in part.coeffs for c in row)
+                     for term in theta.terms
+                     for part in (term.xi, term.pi, term.phi))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# suite index -> digest of random_deformation(suite[i], 4, Random(i)):
+# Q 2->2, Q 3->1, Q 2->2, F5 2->1, F101 3->1, F101 1->1
+DRAWN = {5: "10c336e61ac2ca97", 17: "905f7c4b6ed1b92d",
+         48: "56a98decb3e8b502", 110: "d9fca8122c02e93d",
+         200: "ed0fb3bcfa379330", 215: "b4759815f2f0fcb4"}
+
+
+def test_random_deformation_draws_are_pinned(suite):
+    # a change in what random_deformation draws, or in what order, moves
+    # every series a seeded suite, demo or benchmark builds from it
+    for i, digest in DRAWN.items():
+        theta = random_deformation(suite[i], 4, random.Random(i))
+        assert _digest(theta) == digest, i

@@ -25,6 +25,7 @@ from zinbiel.deformation import (DeformationError, FormalIsomorphism,
                                  extend_from_cocycle, extend_one_order,
                                  invert_truncated, order_residual)
 from zinbiel.fields import QQ, PrimeField
+from zinbiel.morphism_complex import TripleCochain
 from zinbiel.sampling import (cocycle_basis, random_deformation,
                               random_formal_isomorphism, random_triple_cochain)
 
@@ -161,8 +162,9 @@ def test_conjugates_and_inverses_match_the_term_by_term_sums(series):
             mine = invert_truncated(phi, order)
             theirs = oracle.invert_truncated(phi, order)
             assert mine == theirs
-            assert repr([[c.coeffs for c in t] for t in mine.terms]) == \
-                repr([[c.coeffs for c in t] for t in theirs.terms])
+            assert repr([[t.xi.coeffs, t.pi.coeffs]
+                         for t in mine.terms]) == \
+                repr([[t.xi.coeffs, t.pi.coeffs] for t in theirs.terms])
 
 
 # coprime denominators of the hand-built isomorphisms' terms, by order
@@ -182,8 +184,8 @@ def _hand_built_isomorphism(f, order, rng):
             [field.coerce(Fraction(rng.randint(-2, 2), den))
              for _ in range(algebra.dim)] for _ in range(algebra.dim)])
     terms = FormalIsomorphism.identity(f, order).terms
-    terms[1:] = [(part(f.source, ISO_DENS[k % 3]),
-                  part(f.target, ISO_DENS[(k + 1) % 3]))
+    terms[1:] = [TripleCochain(f, 1, part(f.source, ISO_DENS[k % 3]),
+                               part(f.target, ISO_DENS[(k + 1) % 3]), None)
                  for k in range(1, order + 1)]
     return FormalIsomorphism(f, terms)
 
@@ -191,7 +193,7 @@ def _hand_built_isomorphism(f, order, rng):
 def _denominators(series) -> int:
     """The least common denominator of every coefficient of a series."""
     return lcm(*(x.denominator for t in series.terms
-                 for c in (t if isinstance(t, tuple) else (t.xi, t.pi, t.phi))
+                 for c in (t.xi, t.pi, t.phi) if c is not None
                  for row in c.coeffs for x in row))
 
 
@@ -218,8 +220,9 @@ def test_int_conjugation_divides_exactly(field):
             mine = invert_truncated(phi, top)
             theirs = oracle.invert_truncated(phi, top)
             assert mine == theirs
-            assert repr([[c.coeffs for c in t] for t in mine.terms]) == \
-                repr([[c.coeffs for c in t] for t in theirs.terms])
+            assert repr([[t.xi.coeffs, t.pi.coeffs]
+                         for t in mine.terms]) == \
+                repr([[t.xi.coeffs, t.pi.coeffs] for t in theirs.terms])
     # over Q the values reach the denominators 2, 3, 5 and 7
     assert field is not QQ or seen % (2 * 3 * 5 * 7) == 0
 

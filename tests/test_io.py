@@ -329,9 +329,9 @@ def test_built_isomorphism_has_identity_constant_term():
     problem = parse(FULL)
     iso = problem.build_isomorphism("Phi")
     assert iso.order == 1
-    pr, ps = iso.terms[1]
-    assert pr.coeffs[0][1].value == 3
-    assert ps.coeffs[0][0].value == 2
+    term = iso.terms[1]
+    assert term.xi.coeffs[0][1].value == 3
+    assert term.pi.coeffs[0][0].value == 2
 
 
 def test_comments_and_blank_lines_ignored():
@@ -374,8 +374,8 @@ def _generated_problem(field, seed, order, dims):
             for k, c in enumerate(a.gamma[i][j]) if c])
 
     iso_entries = sorted(
-        ((k, comp, i, b, c) for k, pair in enumerate(iso.terms[1:], start=1)
-         for comp, one in zip("RS", pair)
+        ((k, comp, i, b, c) for k, t in enumerate(iso.terms[1:], start=1)
+         for comp, one in (("R", t.xi), ("S", t.pi))
          for i, row in enumerate(one.coeffs) for b, c in enumerate(row) if c),
         key=lambda e: e[:-1])
     return Problem(

@@ -33,6 +33,23 @@ def test_push_forward_zero_morphism(rng):
     assert push_forward_right(f, xi).is_zero()
 
 
+def test_push_forwards_refuse_other_coefficients():
+    # a cochain on R (on S) with coefficients of the same dimension as R
+    # (as S) but not R (not S) itself was once read in R's (S's) basis
+    t2 = truncated_polynomials(QQ, 2)
+    f = zero_morphism(t2, zero_algebra(QQ, 2))
+    xi = Cochain(t2, f.as_bimodule(), 1, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError) as err:
+        push_forward_left(f, xi)
+    assert str(err.value) == "cochain must map the source of f into itself"
+    g = zero_morphism(zero_algebra(QQ, 2), t2)
+    h = zero_morphism(t2, zero_algebra(QQ, 2))
+    pi = Cochain(t2, h.as_bimodule(), 1, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError) as err:
+        push_forward_right(g, pi)
+    assert str(err.value) == "cochain must map the target of f into itself"
+
+
 def test_push_forward_of_product():
     algebra = truncated_polynomials(QQ, 2)
     f = identity_morphism(algebra)

@@ -20,8 +20,10 @@ from pathlib import Path
 import pytest
 
 from instances import FIELDS, SEED
-from zinbiel.algebra import identity_morphism, zero_morphism
-from zinbiel.catalog import truncated_polynomials, weight_scaling
+from zinbiel.algebra import (AlgebraMorphism, Bimodule, ZinbielAlgebra,
+                             identity_morphism, zero_morphism)
+from zinbiel.catalog import (change_of_basis, direct_sum,
+                             truncated_polynomials, weight_scaling)
 from zinbiel.cochains import (Cochain, coboundary_preimage, differential,
                               identity_cochain)
 from zinbiel.deformation import (FormalIsomorphism, TruncatedDeformation,
@@ -29,9 +31,11 @@ from zinbiel.deformation import (FormalIsomorphism, TruncatedDeformation,
                                  invert_truncated, obstruction,
                                  order_residual, theta_zero)
 from zinbiel.fields import QQ, FieldError, ModInt, PrimeField
+from zinbiel.linalg import Matrix, inverse
 from zinbiel.morphism_complex import TripleCochain
 from zinbiel.problem_io import (AlgebraSpec, CochainSpec, DeformationSpec,
-                                MorphismSpec, Problem, parse)
+                                IsomorphismSpec, MorphismSpec, Problem,
+                                parse)
 from zinbiel.sampling import (random_cochain, random_deformation,
                               random_formal_isomorphism, random_scalar,
                               random_triple_cochain)
@@ -109,6 +113,9 @@ def test_deformation_outputs_hold_scalars_of_their_field(small_suite, field):
             and f.source.dim + f.target.dim > 0]
     steps = 0
     for f in pool[:12]:
+        # the constant terms, built from the objects' own values
+        _guard(theta_zero(f))
+        _guard(FormalIsomorphism.identity(f).terms[0])
         theta = random_deformation(f, 2, rng)
         phi = random_formal_isomorphism(f, 2, rng)
         # a series with a random order-2 term fails at order 2
@@ -119,9 +126,8 @@ def test_deformation_outputs_hold_scalars_of_their_field(small_suite, field):
         _guard(obstruction(theta))
         for term in conjugate(theta, phi).terms + theta.terms:
             _guard(term)
-        for pair in invert_truncated(phi, 3).terms:
-            for c in pair:
-                _guard(c)
+        for term in invert_truncated(phi, 3).terms:
+            _guard(term)
         step = extend_one_order(theta)
         _guard(step.obstruction)
         if step.succeeded:
@@ -144,6 +150,9 @@ def test_parsed_triples_hold_scalars_of_their_field():
             _, terms, _ = problem.deformation_candidate(name)
             for term in terms[1:]:
                 seen += _guard(term)
+        for name in problem.isomorphisms:
+            for term in problem.build_isomorphism(name).terms[1:]:
+                seen += _guard(term)
     assert seen > 0
 
 
@@ -157,11 +166,15 @@ def test_hand_built_entries_outside_the_field_are_refused(field, bad):
         morphisms={"f": MorphismSpec("f", "A", "A", [(0, 0, 1)])},
         cochains={"c": CochainSpec("c", "f", 2, [("f", (0,), 0, bad)])},
         deformations={"D": DeformationSpec("D", "f", 1,
-                                           [(1, "R", (0, 0), 0, bad)])})
+                                           [(1, "R", (0, 0), 0, bad)])},
+        isomorphisms={"P": IsomorphismSpec("P", "f", 1,
+                                           [(1, "S", 0, 0, bad)])})
     with pytest.raises(FieldError):
         problem.build_cochain("c")
     with pytest.raises(FieldError):
         problem.deformation_candidate("D")
+    with pytest.raises(FieldError):
+        problem.build_isomorphism("P")
 
 
 def _t2(field):
@@ -177,7 +190,39 @@ def test_public_constructors_keep_every_check():
     flat = [0] * 8
     zero_triple = [0] * 20   # xi 8, pi 8, phi 4
     xi = Cochain.zero(r, reg, 2)
+    one = Cochain.zero(r, reg, 1)
+    m = Matrix(f.source.field, [[1, 0]])
     cases = [
+        # Matrix: ragged rows, a declared width the rows lack, a vector
+        # of another length, a product across fields, a non-square inverse
+        (lambda: Matrix(r.field, [[0, 0], [0]]), ValueError,
+         "ragged matrix rows"),
+        (lambda: Matrix(r.field, [[0, 0]], 3), ValueError,
+         "declared 3 columns, rows have 2"),
+        (lambda: m.matvec([1]), ValueError,
+         "vector of length 1 against 2 columns"),
+        (lambda: m @ Matrix(QQ, [[1], [0]]), FieldError,
+         "matrix product across different fields"),
+        (lambda: inverse(m), ValueError, "inverse of a non-square matrix"),
+        # algebras, bimodules and morphisms of the wrong shape
+        (lambda: AlgebraMorphism(r, s, [[1, 0]]), ValueError,
+         "matrix must be 2x2, got 1x2"),
+        (lambda: ZinbielAlgebra(r.field, -1, []), ValueError,
+         "dimension must be nonnegative"),
+        (lambda: Bimodule(r, -1, [], []), ValueError,
+         "module dimension must be nonnegative"),
+        (lambda: Bimodule(r, 1, [[[0]]], [[[0], [0]]]), ValueError,
+         "left action must be 2x1x1"),
+        (lambda: Bimodule(r, 1, [[[0]], [[0]]], [[[0]]]), ValueError,
+         "right action must be 1x2x1"),
+        # catalog builders: a matrix of the wrong shape, a singular one,
+        # summands over different fields
+        (lambda: change_of_basis(r, Matrix(r.field, [[1]])), ValueError,
+         "change of basis matrix has wrong shape"),
+        (lambda: change_of_basis(r, Matrix(r.field, [[1, 1], [1, 1]])),
+         ValueError, "change of basis matrix is singular"),
+        (lambda: direct_sum(r, other), ValueError,
+         "direct sum across different fields"),
         # Cochain: ragged rows, the wrong module, a float, another prime
         (lambda: Cochain(r, reg, 2, rows[:3] + [[0]]), ValueError,
          "coefficients must be 4 rows of length 2"),
@@ -190,6 +235,7 @@ def test_public_constructors_keep_every_check():
         (lambda: Cochain(_t2(QQ).source, _t2(QQ).source.regular_bimodule(),
                          1, [[0.5, 0], [0, 0]]), FieldError,
          "not a rational scalar: 0.5"),
+        (lambda: Cochain(r, reg, 5, rows), ValueError, "arity 5 outside 0..4"),
         # Cochain.from_flat
         (lambda: Cochain.from_flat(r, reg, 2, flat[:7]), ValueError,
          "expected 8 coefficients"),
@@ -209,6 +255,12 @@ def test_public_constructors_keep_every_check():
          "degree-2 triple needs a third component"),
         (lambda: TripleCochain(f, 5, xi, xi, None), ValueError,
          "degree 5 outside 1..4"),
+        (lambda: TripleCochain(f, 1, one, one, Cochain(
+            r, f.as_bimodule(), 0, [[1, 0]])), ValueError,
+         "degree-1 triples have a zero third component"),
+        (lambda: TripleCochain(f, 2, xi, xi, Cochain.zero(
+            r, f.as_bimodule(), 2)), ValueError,
+         "third component has the wrong shape"),
         # phi over S through another morphism g: R -> S
         (lambda: TripleCochain(f, 2, xi, xi, Cochain.zero(
             r, zero_morphism(r, s).as_bimodule(), 1)), ValueError,
@@ -228,8 +280,8 @@ def test_public_constructors_keep_every_check():
         # the two series: a wrong constant term
         (lambda: TruncatedDeformation(f, [TripleCochain.zero(f, 2)]),
          ValueError, "constant term differs from (m_R; m_S; f)"),
-        (lambda: FormalIsomorphism(f, [(Cochain.zero(r, reg, 1),
-                                        identity_cochain(s))]),
+        (lambda: FormalIsomorphism(f, [TripleCochain(
+            f, 1, Cochain.zero(r, reg, 1), identity_cochain(s), None)]),
          ValueError, "constant term must be the identity pair"),
     ]
     for build, error, message in cases:
@@ -240,7 +292,7 @@ def test_public_constructors_keep_every_check():
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(5)), ids=str)
 def test_a_constant_term_off_by_one_entry_is_rejected(field):
-    # the in-place comparison with theta_zero(f) misses no entry and no
+    # the comparison with theta_zero(f) misses no entry and no
     # coefficient module
     f = weight_scaling(truncated_polynomials(field, 2), 2)
     zero = theta_zero(f)
@@ -255,7 +307,7 @@ def test_a_constant_term_off_by_one_entry_is_rejected(field):
     # f's columns as a 1-cochain through another morphism between the
     # same algebras: equal coefficients, a different bimodule.  The
     # checked triple constructor refuses it, so it is built unchecked to
-    # reach the in-place comparison
+    # reach the comparison
     g = identity_morphism(f.source)
     phi = Cochain(f.source, g.as_bimodule(), 1, zero.phi.coeffs)
     with pytest.raises(ValueError) as err:
