@@ -35,7 +35,7 @@ from .deformation import (DeformationError, check_deformation,
                           normalize_leading_term, obstruction,
                           obstruction_naturality, rigidity_check)
 from .fields import FieldError, field_from_spec
-from .morphism_complex import (morphism_cohomology_dim,
+from .morphism_complex import (_spaces, morphism_cohomology_dim,
                                morphism_differential_matrix,
                                push_forward_left, push_forward_right)
 from .problem_io import ProblemFileError, parse, serialize
@@ -83,11 +83,9 @@ def _emit_cochain_entries(emit, key: str, name: str, cochain) -> int:
 
 
 def _emit_triple(emit, key: str, triple) -> int:
-    n = _emit_cochain_entries(emit, key, "R", triple.xi)
-    n += _emit_cochain_entries(emit, key, "S", triple.pi)
-    if triple.phi is not None:
-        n += _emit_cochain_entries(emit, key, "f", triple.phi)
-    return n
+    return sum(_emit_cochain_entries(emit, key, name, part)
+               for (name, *_), part
+               in zip(_spaces(triple.morphism, triple.degree), triple.parts))
 
 
 def _emit_violations(emit, field, key: str, name: str, violations) -> None:
@@ -98,10 +96,14 @@ def _emit_violations(emit, field, key: str, name: str, violations) -> None:
                     f"{_fmt_vector(field, v.residual)}")
 
 
-def _condition_label(v) -> str:
-    if v.kind == "product":
-        return f"P_{v.order}({v.component})"
-    return f"M_{v.order}"
+def _failed_condition(v, field=None) -> str:
+    """A failed deformation condition as reported: P_n(R), P_n(S) or M_n,
+    where it fails and, given the field, its residual."""
+    label = (f"P_{v.order}({v.component})" if v.kind == "product"
+             else f"M_{v.order}")
+    text = f"{label} fails at {_fmt_basis(v.where)}"
+    return text if field is None else \
+        f"{text}: residual {_fmt_vector(field, v.residual)}"
 
 
 # the smallest meaningful value of each integer option, per subcommand
@@ -147,9 +149,7 @@ def _deformation(problem, args, emit, order=None, explain=False, least=0):
         return name, check_deformation(
             f, terms, top if order is None else min(top, order))
     except DeformationError as e:
-        v = e.violations[0]
-        why = (f": {_condition_label(v)} fails at {_fmt_basis(v.where)}"
-               if explain else "")
+        why = f": {_failed_condition(e.violations[0])}" if explain else ""
         emit("status", "fail")
         emit("reason", "invalid-deformation",
              report=f"deformation {name} is itself invalid{why}")
@@ -215,11 +215,9 @@ def _cmd_validate(problem, args, emit) -> int:
                  f"{name}: conditions hold through order {order}")
         except DeformationError as e:
             failed += 1
-            v = e.violations[0]
             emit("deformation", name, "violated", e.order,
-                 report=f"deformation {name}: {_condition_label(v)} fails "
-                        f"at {_fmt_basis(v.where)}: residual "
-                        f"{_fmt_vector(problem.field, v.residual)}")
+                 report=f"deformation {name}: "
+                        f"{_failed_condition(e.violations[0], problem.field)}")
     for name, spec in problem.isomorphisms.items():
         if not skipped("isomorphism", name, spec):
             problem.build_isomorphism(name)
@@ -257,9 +255,7 @@ def _cmd_check_deformation(problem, args, emit) -> int:
         for v in e.violations:
             emit("violation", v.kind, v.component, v.order, _indices(v.where),
                  *map(problem.field.format, v.residual),
-                 report=f"{_condition_label(v)} fails at "
-                        f"{_fmt_basis(v.where)}: residual "
-                        f"{_fmt_vector(problem.field, v.residual)}")
+                 report=_failed_condition(v, problem.field))
         return 1
     emit("status", "ok")
     emit("order", order, report=f"deformation {name}: conditions hold "

@@ -44,9 +44,11 @@ order's conditions off the whole int sums, as `zinbiel.algebra` reads
 the identities (`_found`), so a residual vector is built only for a
 basis tuple where a condition fails, and no residual triple at all.
 `deformation_violations` runs it on orders 1..N, and `extend_one_order`
-on the new order N+1 of the grown series.  The residuals, obstructions
-and conjugates that are returned are built unchecked
-(`TripleCochain._of`, `Cochain._of`).
+on the new order N+1 of the grown series.  Each triple is read part by
+part (`TripleCochain.parts`), and the residuals, conjugates and inverse
+series that are returned are written by the one writer `_triple`, which
+builds them unchecked, part by part over the components of C^n(f)
+(`morphism_complex._spaces`).
 
 Deformations and formal isomorphisms are one series type, `_Series`, of
 elements of C^2(f) and of C^1(f) = C^1(R,R) (+) C^1(S,S): it holds the
@@ -64,7 +66,7 @@ from .algebra import (AlgebraMorphism, _found, _morphism_sums, _product_sums,
 from .cochains import (Cochain, all_tuples, coboundary_preimage,
                        differential, identity_cochain, product_cochain)
 from .linalg import _dense, _ints
-from .morphism_complex import (TripleCochain, morphism_cochain,
+from .morphism_complex import (TripleCochain, _spaces, morphism_cochain,
                                morphism_cohomology_dim, push_forward_left,
                                push_forward_right)
 
@@ -205,11 +207,15 @@ def trivial_deformation(f: AlgebraMorphism,
     return TruncatedDeformation._trivial(f, order)
 
 
-def _cochain(source, module, arity: int, rows, den: int) -> Cochain:
-    """The dense cochain with the given rows of (output, int) pairs, each
-    int divided by den (1 over F_p)."""
-    return Cochain._of(source, module, arity,
-                       _dense(source.field, module.dim, rows, den))
+def _triple(f: AlgebraMorphism, degree: int, rows, dens) -> TripleCochain:
+    """The degree-`degree` triple whose parts, in the order of `_spaces`,
+    have the given rows of (output, int) pairs, each int divided by that
+    part's den (1 over F_p)."""
+    return TripleCochain._of(f, degree, *(
+        Cochain._of(source, module, arity,
+                    _dense(source.field, module.dim, part, den))
+        for (_, source, module, arity), part, den
+        in zip(_spaces(f, degree), rows, dens)))
 
 
 def _pairs(n: int, top: int) -> list:
@@ -227,7 +233,7 @@ def _read_series(f: AlgebraMorphism, terms: list[TripleCochain]) -> tuple:
     """The m_R, m_S and f series of the terms, each term as sparse rows of
     ints, and their common denominator, as `_ints` reads them: so the
     sums run on ints over both fields."""
-    groups, den = _ints([c.coeffs for t in terms for c in (t.xi, t.pi, t.phi)],
+    groups, den = _ints([c.coeffs for t in terms for c in t.parts],
                         f.source.field.characteristic)
     return groups[0::3], groups[1::3], groups[2::3], den
 
@@ -244,15 +250,12 @@ def _contract(f: AlgebraMorphism, series: tuple, n: int) -> tuple:
     ms_r, ms_s, fs, den = series
     top = len(fs) - 1
     pairs = _pairs(n, top)
-    return (("R", r, r.regular_bimodule(), 3,
-             _product_sums(r.dim, ms_r, pairs, all_tuples(r.dim, 3)),
-             den ** 2),
-            ("S", s, s.regular_bimodule(), 3,
-             _product_sums(s.dim, ms_s, pairs, all_tuples(s.dim, 3)),
-             den ** 2),
-            ("f", r, f.as_bimodule(), 2,
-             _morphism_sums(r.dim, s.dim, ms_r, ms_s, fs, pairs,
-                            _triples(n, top), den), den ** 3))
+    sums = (_product_sums(r.dim, ms_r, pairs, all_tuples(r.dim, 3)),
+            _product_sums(s.dim, ms_s, pairs, all_tuples(s.dim, 3)),
+            _morphism_sums(r.dim, s.dim, ms_r, ms_s, fs, pairs,
+                           _triples(n, top), den))
+    return tuple(space + (part, scale) for space, part, scale
+                 in zip(_spaces(f, 3), sums, (den ** 2, den ** 2, den ** 3)))
 
 
 def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
@@ -261,10 +264,10 @@ def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
     the product residual on basis triples of R and of S, the morphism
     residual on basis pairs of R.  Terms past the end of the series count
     as zero; terms[0] is expected to be (m_R; m_S; f)."""
-    return TripleCochain._of(f, 3, *(
-        _cochain(source, module, arity, (a.items() for a in sums), scale)
-        for _, source, module, arity, sums, scale
-        in _contract(f, _read_series(f, terms[:n + 1]), n)))
+    contracted = _contract(f, _read_series(f, terms[:n + 1]), n)
+    return _triple(f, 3, [(a.items() for a in sums)
+                          for *_, sums, _ in contracted],
+                   [scale for *_, scale in contracted])
 
 
 def _violations(f: AlgebraMorphism, series: tuple, n: int):
@@ -412,13 +415,11 @@ def invert_truncated(phi: FormalIsomorphism,
     r, s = f.source, f.target
     p = r.field.characteristic
     groups, den = _ints([c.coeffs for t in phi.padded(order)
-                         for c in (t.xi, t.pi)], p)
+                         for c in t.parts], p)
     psi_r = _invert_series(groups[0::2], order, r.dim, den, p)
     psi_s = _invert_series(groups[1::2], order, s.dim, den, p)
-    return FormalIsomorphism._of(f, [TripleCochain._of(
-        f, 1, _cochain(r, r.regular_bimodule(), 1, qr, den ** order),
-        _cochain(s, s.regular_bimodule(), 1, qs, den ** order), None)
-        for qr, qs in zip(psi_r, psi_s)])
+    return FormalIsomorphism._of(f, [_triple(f, 1, rows, (den ** order,) * 2)
+                                     for rows in zip(psi_r, psi_s)])
 
 
 def conjugate(theta: TruncatedDeformation,
@@ -438,7 +439,7 @@ def conjugate(theta: TruncatedDeformation,
     p = r.field.characteristic
     # phi_R, phi_S, m_R, m_S and f, order by order, over one den
     groups, den = _ints([c.coeffs for t, u in zip(phi.padded(top), theta.terms)
-                         for c in (t.xi, t.pi, u.xi, u.pi, u.phi)], p)
+                         for c in t.parts + u.parts], p)
     pr, ps, ms_r, ms_s, fs = (groups[i::5] for i in range(5))
     qr = _invert_series(pr, top, r.dim, den, p)
     qs = _invert_series(ps, top, s.dim, den, p)
@@ -461,10 +462,7 @@ def conjugate(theta: TruncatedDeformation,
     # psi, den for each other factor
     products, map_den = den ** (2 * top + 2), den ** (top + 2)
     return TruncatedDeformation(f, [
-        TripleCochain._of(
-            f, 2, _cochain(r, r.regular_bimodule(), 2, xi[n], products),
-            _cochain(s, s.regular_bimodule(), 2, pi[n], products),
-            _cochain(r, f.as_bimodule(), 1, maps[n], map_den))
+        _triple(f, 2, (xi[n], pi[n], maps[n]), (products, products, map_den))
         for n in range(top + 1)])
 
 

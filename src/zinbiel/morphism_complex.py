@@ -4,7 +4,12 @@ Degree-n elements are triples (xi; pi; phi) with xi an n-cochain on R,
 pi an n-cochain on S (both with regular coefficients) and phi an
 (n-1)-cochain R -> S with coefficients in S viewed as an R-bimodule
 through f.  The degree-0 corner of the phi column is the zero space, so
-degree-1 triples are just pairs (xi; pi).  The differential is
+degree-1 triples are just pairs (xi; pi).  `_spaces(f, n)` is the one
+list of these components, (name, source, module, arity) in the order of
+`flatten`, and `TripleCochain.parts` the components a triple has in that
+order: every builder, reader and writer of triples walks the two, here
+and in `zinbiel.deformation`, `.sampling`, `.problem_io` and `.cli`.
+The differential is
 
     d(xi; pi; phi) = (d xi; d pi; f.xi - pi.f - d phi)
 
@@ -25,9 +30,8 @@ solve against it.  The tuple-by-tuple differential, built from the tuple
 formulas and the tuple push-forwards, is kept in the tests as the oracle.
 
 `TripleCochain(...)` and `from_flat` check their parts; `TripleCochain._of`
-takes parts the library built as they are, as `Cochain._of` does rows.
-It is used by `_rebuild` and by the constant terms, residuals,
-obstructions, conjugates and inverse series of `zinbiel.deformation`.
+takes parts the library built as they are, as `Cochain._of` does rows,
+for `_rebuild` and the writers of `zinbiel.deformation`.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ class TripleCochain(ComplexElement):
     __slots__ = ("morphism", "degree", "xi", "pi", "phi")
 
     def __init__(self, morphism: AlgebraMorphism, degree: int, xi: Cochain,
-                 pi: Cochain, phi: Cochain | None):
+                 pi: Cochain, phi: Cochain | None = None):
         if not 1 <= degree <= MAX_ARITY:
             raise ValueError(f"degree {degree} outside 1..{MAX_ARITY}")
         r, s = morphism.source, morphism.target
@@ -112,9 +116,16 @@ class TripleCochain(ComplexElement):
     def _space(self) -> tuple:
         return self.morphism, self.degree
 
+    @property
+    def parts(self) -> tuple:
+        """The components the triple has, in the order of `_spaces`."""
+        if self.phi is None:
+            return self.xi, self.pi
+        return self.xi, self.pi, self.phi
+
     @classmethod
     def _of(cls, morphism: AlgebraMorphism, degree: int, xi: Cochain,
-            pi: Cochain, phi: Cochain | None) -> "TripleCochain":
+            pi: Cochain, phi: Cochain | None = None) -> "TripleCochain":
         """The triple with these parts, taken as they are and unchecked:
         only for parts the library built in the spaces of that degree,
         phi None at degree 1."""
@@ -132,23 +143,15 @@ class TripleCochain(ComplexElement):
 
     @classmethod
     def zero(cls, morphism: AlgebraMorphism, degree: int) -> "TripleCochain":
-        r, s = morphism.source, morphism.target
-        xi = Cochain.zero(r, r.regular_bimodule(), degree)
-        pi = Cochain.zero(s, s.regular_bimodule(), degree)
-        phi = None
-        if degree > 1:
-            phi = Cochain.zero(r, morphism.as_bimodule(), degree - 1)
-        return cls(morphism, degree, xi, pi, phi)
+        return cls(morphism, degree, *(
+            Cochain.zero(source, module, arity)
+            for _, source, module, arity in _spaces(morphism, degree)))
 
     def is_zero(self) -> bool:
-        return (self.xi.is_zero() and self.pi.is_zero()
-                and (self.phi is None or self.phi.is_zero()))
+        return all(part.is_zero() for part in self.parts)
 
     def flatten(self) -> list:
-        flat = self.xi.flatten() + self.pi.flatten()
-        if self.phi is not None:
-            flat += self.phi.flatten()
-        return flat
+        return sum((part.flatten() for part in self.parts), [])
 
     @classmethod
     def from_flat(cls, morphism: AlgebraMorphism, degree: int,
@@ -163,36 +166,40 @@ class TripleCochain(ComplexElement):
         if not isinstance(other, TripleCochain):
             return NotImplemented
         return (self.morphism == other.morphism
-                and self.degree == other.degree and self.xi == other.xi
-                and self.pi == other.pi and self.phi == other.phi)
+                and self.degree == other.degree and self.parts == other.parts)
 
     def __repr__(self):
         return f"TripleCochain(degree={self.degree})"
 
 
-def _split(f: AlgebraMorphism, degree: int, flat: list) -> tuple:
-    """(xi, pi, phi) cut from a flat vector of field values in the layout
-    of `TripleCochain.flatten`, built unchecked (`Cochain._of`); phi is
-    None at degree 1."""
+def _spaces(f: AlgebraMorphism, n: int) -> tuple:
+    """The components of C^n(f), in the order of `TripleCochain.flatten`:
+    (name, source, module, arity) for xi in C^n(R,R), pi in C^n(S,S) and,
+    past degree 1, phi in C^(n-1)(R,S_f)."""
     r, s = f.source, f.target
-    nr, ns = r.dim ** degree, s.dim ** degree
-    phi = None
-    if degree > 1:
-        phi = Cochain._of(r, f.as_bimodule(), degree - 1, _rows(
-            flat, r.dim ** (degree - 1), s.dim, nr * r.dim + ns * s.dim))
-    return (Cochain._of(r, r.regular_bimodule(), degree,
-                        _rows(flat, nr, r.dim)),
-            Cochain._of(s, s.regular_bimodule(), degree,
-                        _rows(flat, ns, s.dim, nr * r.dim)), phi)
+    spaces = (("R", r, r.regular_bimodule(), n),
+              ("S", s, s.regular_bimodule(), n))
+    if n > 1:
+        spaces += (("f", r, f.as_bimodule(), n - 1),)
+    return spaces
+
+
+def _split(f: AlgebraMorphism, degree: int, flat: list) -> list:
+    """The parts cut from a flat vector of field values in the layout of
+    `TripleCochain.flatten`, built unchecked (`Cochain._of`)."""
+    parts, start = [], 0
+    for _, source, module, arity in _spaces(f, degree):
+        nrows = source.dim ** arity
+        parts.append(Cochain._of(source, module, arity,
+                                 _rows(flat, nrows, module.dim, start)))
+        start += nrows * module.dim
+    return parts
 
 
 def triple_dim(f: AlgebraMorphism, n: int) -> int:
     """Dimension of the degree-n piece of the deformation complex of f."""
-    r, s = f.source, f.target
-    base = r.dim ** n * r.dim + s.dim ** n * s.dim
-    if n > 1:
-        base += r.dim ** (n - 1) * s.dim
-    return base
+    return sum(source.dim ** arity * module.dim
+               for _, source, module, arity in _spaces(f, n))
 
 
 # the one differential of both complexes, under its deformation-complex name

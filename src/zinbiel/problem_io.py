@@ -63,7 +63,7 @@ from .algebra import AlgebraMorphism, ZinbielAlgebra
 from .cochains import MAX_ARITY, Cochain, tuple_index
 from .deformation import FormalIsomorphism, theta_zero
 from .fields import Field, FieldError, field_from_spec
-from .morphism_complex import TripleCochain
+from .morphism_complex import TripleCochain, _spaces
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"\S+")
@@ -144,8 +144,9 @@ class Problem:
             z = self.field.zero()
             gamma = [[[z] * spec.dim for _ in range(spec.dim)]
                      for _ in range(spec.dim)]
-            for (i, j, k, c) in spec.entries:
-                gamma[i][j][k] = c
+            for entry in spec.entries:
+                i, j, k = _fit(entry, entry[:3], (spec.dim,) * 3)
+                gamma[i][j][k] = entry[3]
             self._built_algebras[name] = ZinbielAlgebra(
                 self.field, spec.dim, gamma)
         return self._built_algebras[name]
@@ -157,30 +158,33 @@ class Problem:
             tgt = self.build_algebra(spec.target)
             z = self.field.zero()
             rows = [[z] * src.dim for _ in range(tgt.dim)]
-            for (b, i, c) in spec.entries:
-                rows[b][i] = c
+            for entry in spec.entries:
+                b, i = _fit(entry, entry[:2], (tgt.dim, src.dim))
+                rows[b][i] = entry[2]
             self._built_morphisms[name] = AlgebraMorphism(src, tgt, rows)
         return self._built_morphisms[name]
 
     def _triple_from_entries(self, f: AlgebraMorphism, degree: int,
                              entries) -> TripleCochain:
-        """The triple of these entries: each value is coerced into the
-        field once, which also checks a hand-built spec, and the rows of
-        the right shape are taken unchecked (`Cochain._of`)."""
-        r, s = f.source, f.target
+        """The triple of entries ending (component, indices, b, scalar),
+        each checked against its component of C^degree(f) (`_spaces`) and
+        its value coerced into the field once, as a hand-built spec needs;
+        the rows are then taken unchecked (`Cochain._of`)."""
+        spaces = {name: space for name, *space in _spaces(f, degree)}
         z = self.field.zero()
-        rows = {"R": [[z] * r.dim for _ in range(r.dim ** degree)],
-                "S": [[z] * s.dim for _ in range(s.dim ** degree)],
-                "f": [[z] * s.dim for _ in range(r.dim ** (degree - 1))]}
-        for (component, indices, b, c) in entries:
-            dim = s.dim if component == "S" else r.dim
-            rows[component][tuple_index(dim, indices)][b] = \
+        rows = {name: [[z] * module.dim for _ in range(source.dim ** arity)]
+                for name, (source, module, arity) in spaces.items()}
+        for entry in entries:
+            component, indices, b, c = entry[-4:]
+            if component not in spaces:
+                raise ValueError(f"entry {entry!r}: C^{degree}(f) has no "
+                                 f"component {component!r}")
+            source, module, arity = spaces[component]
+            _fit(entry, (*indices, b), (source.dim,) * arity + (module.dim,))
+            rows[component][tuple_index(source.dim, indices)][b] = \
                 self.field.coerce(c)
-        phi = None if degree == 1 else \
-            Cochain._of(r, f.as_bimodule(), degree - 1, rows["f"])
-        return TripleCochain._of(
-            f, degree, Cochain._of(r, r.regular_bimodule(), degree, rows["R"]),
-            Cochain._of(s, s.regular_bimodule(), degree, rows["S"]), phi)
+        return TripleCochain._of(f, degree, *(
+            Cochain._of(*space, rows[name]) for name, space in spaces.items()))
 
     def build_cochain(self, name: str) -> TripleCochain:
         spec = self.cochains[name]
@@ -192,8 +196,10 @@ class Problem:
         """Terms 1..order of a series: its entries (k, component, indices,
         b, scalar) grouped by k, each group a triple of the given degree."""
         by_order: dict[int, list] = {}
-        for (k, *entry) in entries:
-            by_order.setdefault(k, []).append(entry)
+        for entry in entries:
+            if not 1 <= entry[0] <= order:
+                raise ValueError(f"entry {entry!r}: term outside 1..{order}")
+            by_order.setdefault(entry[0], []).append(entry)
         return [self._triple_from_entries(f, degree, by_order.get(k, []))
                 for k in range(1, order + 1)]
 
@@ -214,6 +220,16 @@ class Problem:
         return FormalIsomorphism(f, FormalIsomorphism.identity(f).terms
                                  + self._series_terms(f, 1, spec.order,
                                                       entries))
+
+
+def _fit(entry: tuple, indices: tuple, dims: tuple) -> tuple:
+    """The indices of a hand-built entry, one in 0..d-1 for each d of dims,
+    or a ValueError naming the entry; a parsed file's are checked as read."""
+    if len(indices) != len(dims) or not all(
+            0 <= i < d for i, d in zip(indices, dims)):
+        raise ValueError(f"entry {entry!r}: indices {indices} do not fit "
+                         f"dimensions {dims}")
+    return indices
 
 
 # kind -> (spec class, header directives in the order of its fields, entry

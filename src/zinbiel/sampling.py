@@ -24,7 +24,8 @@ from .deformation import (FormalIsomorphism, TruncatedDeformation,
                           conjugate, trivial_deformation)
 from .fields import Field, PrimeField
 from .linalg import Matrix, rank_nullspace
-from .morphism_complex import TripleCochain, morphism_differential_matrix
+from .morphism_complex import (TripleCochain, _spaces,
+                               morphism_differential_matrix)
 
 
 def random_scalar(field: Field, rng: random.Random, nonzero: bool = False):
@@ -190,20 +191,17 @@ def random_cochain(r: ZinbielAlgebra, module: Bimodule, arity: int,
 def random_triple_cochain(f: AlgebraMorphism, degree: int,
                           rng: random.Random,
                           density: float = 0.5) -> TripleCochain:
-    r, s = f.source, f.target
-    xi = random_cochain(r, r.regular_bimodule(), degree, rng, density)
-    pi = random_cochain(s, s.regular_bimodule(), degree, rng, density)
-    phi = None
-    if degree > 1:
-        phi = random_cochain(r, f.as_bimodule(), degree - 1, rng, density)
-    return TripleCochain(f, degree, xi, pi, phi)
+    return TripleCochain(f, degree, *(
+        random_cochain(source, module, arity, rng, density)
+        for _, source, module, arity in _spaces(f, degree)))
 
 
 def random_formal_isomorphism(f: AlgebraMorphism, order: int,
                               rng: random.Random) -> FormalIsomorphism:
-    terms = FormalIsomorphism.identity(f, order).terms
-    terms[1:] = [random_triple_cochain(f, 1, rng, 0.7) for _ in range(order)]
-    return FormalIsomorphism(f, terms)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return FormalIsomorphism(f, FormalIsomorphism.identity(f).terms + [
+        random_triple_cochain(f, 1, rng, 0.7) for _ in range(order)])
 
 
 def cocycle_basis(f: AlgebraMorphism) -> list[TripleCochain]:

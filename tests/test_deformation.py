@@ -579,3 +579,20 @@ def test_random_deformation_draws_are_pinned(suite):
     for i, digest in DRAWN.items():
         theta = random_deformation(suite[i], 4, random.Random(i))
         assert _digest(theta) == digest, i
+
+
+def test_random_formal_isomorphism_builds_no_zero_term(monkeypatch):
+    # every term past the identity pair is drawn, so none is zero-padded
+    # first and then overwritten
+    f = identity_morphism(truncated_polynomials(QQ, 2))
+    calls = []
+    zero = TripleCochain.zero
+
+    def counted(cls, morphism, degree):
+        calls.append(degree)
+        return zero(morphism, degree)
+
+    monkeypatch.setattr(TripleCochain, "zero", classmethod(counted))
+    phi = random_formal_isomorphism(f, 4, random.Random(0))
+    assert phi.order == 4
+    assert calls == []

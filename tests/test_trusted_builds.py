@@ -9,8 +9,10 @@ its field (a raw int would compare equal to a `ModInt` and slip past
 public constructors build from the same rows.  The triples `Problem`
 builds from the cochains and deformation terms of `problems/*.zb` are
 guarded too; a hand-built `Problem` whose entries are not scalars of its
-field is still refused.  The public constructors keep every check: each
-is driven with bad input and must fail with its message.
+field is still refused, and so is one with an entry outside its space
+(an index out of range, a component or term the object lacks).  The
+public constructors keep every check: each is driven with bad input and
+must fail with its message.
 """
 
 import random
@@ -175,6 +177,58 @@ def test_hand_built_entries_outside_the_field_are_refused(field, bad):
         problem.deformation_candidate("D")
     with pytest.raises(FieldError):
         problem.build_isomorphism("P")
+
+
+# case -> (what is built, its one malformed entry, the entry as the error
+# names it when that differs)
+_MALFORMED = {
+    "cochain-negative-input": ("cochain", ("R", (-1, 0), 0, 1), None),
+    "cochain-too-few-inputs": ("cochain", ("R", (0,), 0, 1), None),
+    "cochain-input-too-large": ("cochain", ("R", (7, 0), 0, 1), None),
+    "cochain-output-too-large": ("cochain", ("R", (0, 0), 9, 1), None),
+    "cochain-no-such-component": ("cochain", ("X", (0, 0), 0, 1), None),
+    "pair-phi": ("pair", ("f", (), 0, 1), None),
+    "isomorphism-phi": ("isomorphism", (1, "f", 0, 0, 1),
+                        (1, "f", (0,), 0, 1)),
+    "deformation-term-past-order": ("deformation", (2, "R", (0, 0), 0, 1),
+                                    None),
+    "deformation-term-zero": ("deformation", (0, "R", (0, 0), 0, 1), None),
+    "algebra-negative-index": ("algebra", (-1, 0, 0, 1), None),
+    "algebra-index-too-large": ("algebra", (0, 2, 0, 1), None),
+    "morphism-negative-index": ("morphism", (-1, 0, 1), None),
+    "morphism-index-too-large": ("morphism", (0, 2, 1), None),
+}
+
+
+@pytest.mark.parametrize("what, entry, named", _MALFORMED.values(),
+                         ids=_MALFORMED)
+def test_hand_built_entries_outside_their_space_are_refused(what, entry,
+                                                            named):
+    # over Q, A of dim 2 with the zero product and f = id_A: each object
+    # has the one malformed entry, which is refused, not wrapped, dropped
+    # or left to a bare KeyError or IndexError
+    def one(kind):
+        return [entry] if what == kind else []
+
+    problem = Problem(
+        QQ, algebras={"A": AlgebraSpec("A", 2, one("algebra"))},
+        morphisms={"f": MorphismSpec("f", "A", "A", [(0, 0, 1), (1, 1, 1)]
+                                     + one("morphism"))},
+        cochains={"c": CochainSpec("c", "f", 2, one("cochain")),
+                  "p": CochainSpec("p", "f", 1, one("pair"))},
+        deformations={"D": DeformationSpec("D", "f", 1, one("deformation"))},
+        isomorphisms={"P": IsomorphismSpec("P", "f", 1, one("isomorphism"))})
+    build = {"algebra": lambda: problem.build_algebra("A"),
+             "morphism": lambda: problem.build_morphism("f"),
+             "cochain": lambda: problem.build_cochain("c"),
+             "pair": lambda: problem.build_cochain("p"),
+             "deformation": lambda: problem.deformation_candidate("D"),
+             "isomorphism": lambda: problem.build_isomorphism("P")}[what]
+    with pytest.raises(ValueError) as caught:
+        build()
+    message = str(caught.value)
+    assert message.startswith(f"entry {named or entry!r}: ")
+    assert "\n" not in message
 
 
 def _t2(field):
