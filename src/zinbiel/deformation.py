@@ -359,9 +359,8 @@ class FormalIsomorphism(_Series):
     def single_term(cls, morphism: AlgebraMorphism, order: int,
                     term: TripleCochain) -> "FormalIsomorphism":
         """Id + term t^order, term a degree-1 triple."""
-        terms = cls.identity(morphism, order).terms
-        terms[order] = term
-        return cls(morphism, terms)
+        head = cls.identity(morphism, order - 1).terms if order else []
+        return cls(morphism, head + [term])
 
 
 def _compose_series(outer: list, inner: list, top: int, p: int) -> list:

@@ -6,29 +6,34 @@ nonzero rows are held, one dict (column -> nonzero int) per row, keyed by
 row index in ascending order; a missing row is zero.  Field values are
 read into ints by one reader, `_ints`, and written back by one writer,
 `_scalar`/`_dense`.  `Matrix(...)` reads its values with `_ints`;
-`zeros`, `identity`, `@`, `inverse` and the differentials of
-`zinbiel.cochains` and `zinbiel.morphism_complex` build their int rows
-directly (`Matrix._assembled`), creating a row only when they first
-write to it.  The elimination, `is_zero` and the assemblers walk the
-nonzero rows only.  The readers that need row positions work on every
-row, expanded by `_flat`: `rows`, `column` and `matvec` write field
-values with `_scalar` only for what they return, and `==` compares the
-int rows, each side scaled by the other's denominator.
+`zeros`, `identity`, `@` and the differentials of `zinbiel.cochains`
+and `zinbiel.morphism_complex` build their int rows directly
+(`Matrix._assembled`), creating a row only when they first write to it.
+The elimination, `is_zero` and the assemblers walk the nonzero rows
+only.  The readers that need row positions work on every row, expanded
+by `_flat`: `rows`, `column` and `matvec` write field values with
+`_scalar` only for what they return, and `==` compares the int rows,
+each side scaled by the other's denominator.
 
-Every elimination goes through one routine, `_reduce`, which brings sparse
-int rows to reduced row echelon form with each pivot on the leftmost
-nonzero column of its row: over F_p on plain ints mod p, over Q on
-primitive integer rows (fraction-free, each row standing for its rational
-multiples).  The results are turned back into field values only at the
-end.
+Every elimination goes through one routine, `_reduce`, with one
+contract: it returns the reduced row echelon form of the rows it is
+given, over all their columns, with each pivot the leftmost nonzero
+entry of its row.  Over F_p it works on plain ints mod p and each pivot
+is 1; over Q on primitive integer rows (fraction-free, each row standing
+for its rational multiples), each with a positive pivot.  The results
+are turned back into field values only at the end, each divided by its
+row's pivot entry.
 
-The reduced row echelon form of a matrix is unique: its pivot columns and
-its rows depend only on the row space, not on the order in which rows
+That form is unique: its pivot columns and its rows depend only on the
+row space, not on the order of the rows or on the order in which they
 are combined.  So the results are reproducible and do not depend on the
 elimination strategy: the nullspace basis has one vector per free column
 in ascending order with a 1 in the free position, and a particular
-solution sets every free variable to zero.  Matrices are immutable after
-construction and all operations return fresh values.
+solution sets every free variable to zero.  Every exact answer reads
+this form: `rank_nullspace` the pivot rows of m, `solve` those of
+(m | b), which is inconsistent exactly when a pivot falls in b's column,
+and `inverse` the solutions of m x = e_j, one column each.  Matrices are
+immutable after construction and all operations return fresh values.
 
 `rank_nullspace` reads the pivot rows off `_echelon`, which keeps them on
 the matrix for as long as the matrix lives.  An assembled matrix may
@@ -295,38 +300,35 @@ def _eliminate(row: dict, prow: dict, c: int, p: int) -> dict:
     return row if g <= 1 else {k: v // g for k, v in row.items()}
 
 
-def _reduce(rows: list, width: int, p: int,
-            pivots: dict | None = None) -> tuple[dict, list]:
-    """Reduced row echelon form of kernel rows (see `_int_rows`), with
-    pivots searched in the columns below width only; row operations apply
-    to whole rows.  Over F_p each pivot entry is 1; over Q it is the scale
-    of its row.  Returns (pivots, rest): pivots maps each pivot column to
-    its row, rest holds the nonzero rows left with no entry below width.
-    A given pivots dict, already in this form, is the start and is
-    extended in place; its rows are edited, so they must be copies.
+def _reduce(rows: list, p: int, pivots: dict | None = None) -> dict:
+    """The reduced row echelon form of kernel rows (see `_int_rows`), as a
+    dict from each pivot column to its row.  Each pivot is the leftmost
+    nonzero entry of its row; over F_p it is 1, over Q the row is
+    primitive and its pivot positive, so the form is unique.  A given
+    pivots dict, already in this form, is the start and is extended in
+    place; its rows are edited, so they must be copies.
     """
     if pivots is None:
         pivots = {}
-    rest = []
     for row in rows:
         # every pivot row is zero in the other pivot columns, so one pass
         # over the pivot columns of row clears them all
         for c in [c for c in row if c in pivots]:
             row = _eliminate(row, pivots[c], c, p)
-        lead = min(row, default=width)
-        if lead >= width:
-            if row:
-                rest.append(row)
+        if not row:
             continue
+        lead = min(row)
         if p and row[lead] != 1:
             inv = pow(row[lead], -1, p)
             row = {k: v * inv % p for k, v in row.items()}
+        elif not p and row[lead] < 0:
+            row = {k: -v for k, v in row.items()}
         # keep the earlier pivot rows zero in the new pivot column
         for c, prow in pivots.items():
             if lead in prow:
                 pivots[c] = _eliminate(prow, row, lead, p)
         pivots[lead] = row
-    return pivots, rest
+    return pivots
 
 
 def _seeded(m: Matrix) -> dict:
@@ -354,8 +356,7 @@ def _echelon(m: Matrix) -> dict:
     from its blocks' pivot rows, then its nonzero int rows."""
     if m._pivots is None:
         p = m.field.characteristic
-        m._pivots, _ = _reduce(_int_rows(p, m._ints.values()), m.ncols, p,
-                               _seeded(m))
+        m._pivots = _reduce(_int_rows(p, m._ints.values()), p, _seeded(m))
     return m._pivots
 
 
@@ -402,8 +403,9 @@ def solve(m: Matrix, b: list) -> list | None:
         aug = [{j: v * bden for j, v in row.items()} for row in aug]
     for i, v in bs:
         aug[i][n] = v * den
-    pivots, rest = _reduce(_int_rows(p, aug), n, p)
-    if rest:
+    pivots = _reduce(_int_rows(p, aug), p)
+    # a pivot in b's column is a row reading 0 = nonzero
+    if n in pivots:
         return None
     x = zero_vector(m.field, n)
     for c, row in pivots.items():
@@ -413,21 +415,16 @@ def solve(m: Matrix, b: list) -> list | None:
 
 
 def inverse(m: Matrix) -> Matrix | None:
-    """Exact inverse of a square matrix, or None when singular."""
+    """Exact inverse of a square matrix, or None when singular: column j
+    is the solution of m x = e_j."""
     if m.nrows != m.ncols:
         raise ValueError("inverse of a non-square matrix")
-    p = m.field.characteristic
-    n = m.nrows
-    # each row of (m | identity) times the denominator of m
-    aug, den = _flat(m)
-    for i, row in enumerate(aug):
-        row[n + i] = den
-    pivots, _ = _reduce(_int_rows(p, aug), n, p)
-    if len(pivots) != n:
-        return None
-    # row c of the inverse is the right half of pivot row c over its
-    # pivot entry, 1 over F_p
-    den = lcm(*(pivots[c][c] for c in range(n)))
-    out = {c: {j - n: x * (den // pivots[c][c])
-               for j, x in pivots[c].items() if j >= n} for c in range(n)}
-    return Matrix._assembled(m.field, n, n, out, den)
+    field, n = m.field, m.nrows
+    columns = []
+    for j in range(n):
+        x = solve(m, [field.one() if i == j else field.zero()
+                      for i in range(n)])
+        if x is None:
+            return None
+        columns.append(x)
+    return Matrix(field, zip(*columns), n)

@@ -126,6 +126,8 @@ class Problem:
     Structural errors (shape, bounds, references) are caught at parse
     time; mathematical validation happens in the build_* methods so the
     command layer can map the two failure kinds to distinct exit codes.
+    A Problem built by hand, not parsed, gets the same structural checks
+    from the build_* methods, each as a one-line ValueError.
     """
     field: Field
     algebras: dict = dc_field(default_factory=dict)
@@ -138,9 +140,20 @@ class Problem:
         self._built_algebras = {}
         self._built_morphisms = {}
 
+    def _spec(self, kind: str, name: str):
+        """The named spec of a section kind, its headers checked as parse()
+        checks them (`_refused`), so that a hand-built spec out of bounds
+        or naming an undefined section gets a one-line ValueError."""
+        spec = getattr(self, kind + "s")[name]
+        for directive in _SECTIONS[kind][1]:
+            fault = _refused(self, directive, getattr(spec, directive))
+            if fault is not None:
+                raise ValueError(f"{kind} {spec.name!r}: {fault}")
+        return spec
+
     def build_algebra(self, name: str) -> ZinbielAlgebra:
         if name not in self._built_algebras:
-            spec = self.algebras[name]
+            spec = self._spec("algebra", name)
             z = self.field.zero()
             gamma = [[[z] * spec.dim for _ in range(spec.dim)]
                      for _ in range(spec.dim)]
@@ -153,7 +166,7 @@ class Problem:
 
     def build_morphism(self, name: str) -> AlgebraMorphism:
         if name not in self._built_morphisms:
-            spec = self.morphisms[name]
+            spec = self._spec("morphism", name)
             src = self.build_algebra(spec.source)
             tgt = self.build_algebra(spec.target)
             z = self.field.zero()
@@ -187,7 +200,7 @@ class Problem:
             Cochain._of(*space, rows[name]) for name, space in spaces.items()))
 
     def build_cochain(self, name: str) -> TripleCochain:
-        spec = self.cochains[name]
+        spec = self._spec("cochain", name)
         f = self.build_morphism(spec.morphism)
         return self._triple_from_entries(f, spec.degree, spec.entries)
 
@@ -207,13 +220,13 @@ class Problem:
             self, name: str
     ) -> tuple[AlgebraMorphism, list[TripleCochain], int]:
         """The declared series with its implied constant term, unvalidated."""
-        spec = self.deformations[name]
+        spec = self._spec("deformation", name)
         f = self.build_morphism(spec.morphism)
         return f, [theta_zero(f)] + self._series_terms(
             f, 2, spec.order, spec.entries), spec.order
 
     def build_isomorphism(self, name: str) -> FormalIsomorphism:
-        spec = self.isomorphisms[name]
+        spec = self._spec("isomorphism", name)
         f = self.build_morphism(spec.morphism)
         # an isomorphism entry names its one input as an index, not a tuple
         entries = [(k, side, (i,), b, c) for k, side, i, b, c in spec.entries]
@@ -418,18 +431,27 @@ def _header(line: _Line, directive: str, problem: Problem):
     """A count within its bounds, or the name of a section defined above;
     the value is the line's second word."""
     if directive in _REFERENCES:
-        kind = _REFERENCES[directive]
-        ref = line.name(directive)
-        line.done()
-        if ref not in getattr(problem, kind + "s"):
-            raise line.error(1, f"unknown {kind} {ref!r}")
-        return ref
-    what, least, most, message = _COUNTS[directive]
-    n = line.take_int(what)
-    if n < least or most is not None and n > most:
-        raise line.error(1, message)
+        value = line.name(directive)
+        line.done()     # a trailing word is named before an unknown name
+    else:
+        value = line.take_int(_COUNTS[directive][0])
+    fault = _refused(problem, directive, value)
+    if fault is not None:
+        raise line.error(1, fault)
     line.done()
-    return n
+    return value
+
+
+def _refused(problem: Problem, directive: str, value) -> str | None:
+    """Why a header's value is refused: a count outside its bounds, or the
+    name of a section the problem does not define; None when it is not."""
+    if directive in _REFERENCES:
+        kind = _REFERENCES[directive]
+        return None if value in getattr(problem, kind + "s") \
+            else f"unknown {kind} {value!r}"
+    _, least, most, message = _COUNTS[directive]
+    return message if value < least or most is not None and value > most \
+        else None
 
 
 def _dims(problem: Problem, head: dict) -> tuple[int, int]:

@@ -62,12 +62,11 @@ def random_invertible(field: Field, dim: int, rng: random.Random) -> Matrix:
 def random_dense_invertible(field: Field, dim: int,
                             rng: random.Random) -> Matrix:
     """Rejection-sample a fully random invertible matrix (dense entries)."""
-    from .linalg import inverse
     while True:
         rows = [[random_scalar(field, rng) for _ in range(dim)]
                 for _ in range(dim)]
         m = Matrix(field, rows, dim)
-        if dim == 0 or inverse(m) is not None:
+        if rank_nullspace(m)[0] == dim:
             return m
 
 

@@ -483,9 +483,10 @@ def _identity_pair(f):
     lambda f: invert_truncated(FormalIsomorphism.identity(f, 2), -5),
     lambda f: trivial_deformation(f, -1),
     lambda f: FormalIsomorphism.identity(f, -1),
+    lambda f: FormalIsomorphism.single_term(f, -1, _identity_pair(f)),
 ], ids=["truncate", "check_deformation", "identity_padded",
         "deformation_padded", "invert_truncated", "trivial_deformation",
-        "identity"])
+        "identity", "single_term"])
 def test_negative_orders_are_rejected(call):
     with pytest.raises(ValueError, match="order must be nonnegative"):
         call(_identity_t2())
@@ -596,3 +597,30 @@ def test_random_formal_isomorphism_builds_no_zero_term(monkeypatch):
     phi = random_formal_isomorphism(f, 4, random.Random(0))
     assert phi.order == 4
     assert calls == []
+
+
+def test_single_term_builds_no_zero_term_to_overwrite(monkeypatch):
+    # at order 1 the series is the identity pair and the term as they
+    # are; a zero term is made only for an order in between
+    f = identity_morphism(truncated_polynomials(QQ, 2))
+    term = random_triple_cochain(f, 1, random.Random(0))
+    zero = TripleCochain.zero(f, 1)
+    calls = []
+    made = TripleCochain.zero
+
+    def counted(cls, morphism, degree):
+        calls.append(degree)
+        return made(morphism, degree)
+
+    monkeypatch.setattr(TripleCochain, "zero", classmethod(counted))
+    phi = FormalIsomorphism.single_term(f, 1, term)
+    assert phi.terms == [_identity_pair(f), term]
+    assert calls == []
+    phi = FormalIsomorphism.single_term(f, 3, term)
+    assert phi.terms == [_identity_pair(f), zero, zero, term]
+    assert calls == [1]
+    assert FormalIsomorphism.single_term(f, 0, _identity_pair(f)) == \
+        FormalIsomorphism.identity(f)
+    with pytest.raises(ValueError) as err:
+        FormalIsomorphism.single_term(f, 0, term)
+    assert str(err.value) == "constant term must be the identity pair"

@@ -1,7 +1,8 @@
 """The sparse elimination against the dense Gauss-Jordan oracle, the
 int product `@` against the dense product of field values, and the
 readers of the int rows (`rows`, `column`, `matvec`, `==`) against dense
-field arithmetic on `rows`.
+field arithmetic on `rows`, and each answer of the elimination against
+the same answer for the rows in another order.
 
 Results must agree byte for byte: the same rank, the same nullspace basis
 vectors, the same particular solutions, inverses, products, columns and
@@ -20,7 +21,7 @@ from instances import SEED
 from zinbiel.algebra import AlgebraMorphism, zero_morphism
 from zinbiel.catalog import single_product_algebra
 from zinbiel.fields import QQ, PrimeField
-from zinbiel.linalg import Matrix, inverse, rank_nullspace, solve
+from zinbiel.linalg import Matrix, _echelon, inverse, rank_nullspace, solve
 from zinbiel.morphism_complex import morphism_differential_matrix
 
 ORACLE_FIELDS = {"Q": QQ, "F5": PrimeField(5), "F7": PrimeField(7),
@@ -95,6 +96,9 @@ def sparse_matrices(draw):
 @example((Matrix.zeros(PrimeField(7), 3, 3), [0, 5, 0]))  # all zero
 @example((Matrix(QQ, [[1, 2], [2, 4]]), [1, 3]))        # inconsistent
 @example((Matrix(PrimeField(101), [[0, 3], [7, 1]]), [1, 1]))  # invertible
+# 0 = 1 first, so the later rows reduce against a pivot in b's column
+@example((Matrix(QQ, [[0, 0], [1, 2], [2, 1]]), [1, 1, 3]))
+@example((Matrix(PrimeField(5), [[1, 2], [3, 1]]), [1, 0]))    # singular
 def test_sparse_matrices_match_the_oracle(case):
     m, b = case
     rank, basis = dense_oracle.rank_nullspace(m)
@@ -111,6 +115,46 @@ def test_sparse_matrices_match_the_oracle(case):
             assert [_text(r) for r in got.rows] == \
                 [_text(r) for r in expected.rows]
             assert got == expected
+
+
+READ_FIELDS = {"Q": QQ, "F5": PrimeField(5), "F101": PrimeField(101)}
+
+
+@st.composite
+def permuted_matrices(draw):
+    """(m, b, order): a sparse matrix, a right-hand side and an order of
+    their rows."""
+    field = READ_FIELDS[draw(st.sampled_from(sorted(READ_FIELDS)))]
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = _entries(field)
+    rows = draw(_rows(entry, nrows, ncols))
+    b = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    return Matrix(field, rows, ncols), b, draw(st.permutations(range(nrows)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(permuted_matrices())
+@example((Matrix(QQ, [[1, 1], [1, -1]]), [1, 0], [1, 0]))  # pivot signs
+def test_row_order_changes_no_elimination(case):
+    # the reduced echelon form is unique, so every answer read off it is
+    # the same for the rows in any order; inverse(P m) = inverse(m) P^-1
+    m, b, order = case
+    pm = Matrix(m.field, [m.rows[i] for i in order], m.ncols)
+    assert _echelon(pm) == _echelon(m)
+    rank, basis = rank_nullspace(m)
+    prank, pbasis = rank_nullspace(pm)
+    assert prank == rank
+    assert list(map(_text, pbasis)) == list(map(_text, basis))
+    image = m.matvec([m.field.from_int(i + 1) for i in range(m.ncols)])
+    for rhs in (image, b):
+        assert _text(solve(pm, [rhs[i] for i in order])) == \
+            _text(solve(m, rhs))
+    if m.nrows == m.ncols:
+        got, expected = inverse(pm), inverse(m)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert [_text(got.column(k)) for k in range(m.ncols)] == \
+                [_text(expected.column(i)) for i in order]
 
 
 @st.composite
@@ -140,9 +184,6 @@ def test_products_match_the_dense_product(case):
     assert (got.nrows, got.ncols) == (a.nrows, b.ncols)
     assert list(map(_text, got.rows)) == list(map(_text, expected))
     assert got == Matrix(a.field, expected, b.ncols)
-
-
-READ_FIELDS = {"Q": QQ, "F5": PrimeField(5), "F101": PrimeField(101)}
 
 
 def _scaling(field):

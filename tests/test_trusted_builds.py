@@ -231,6 +231,48 @@ def test_hand_built_entries_outside_their_space_are_refused(what, entry,
     assert "\n" not in message
 
 
+# case -> (the spec that is built, with one header outside its rules, and
+# the one-line error it gets)
+_BAD_HEADERS = {
+    "cochain-degree-0": (CochainSpec("c", "f", 0, []),
+                         "cochain 'c': degree must be within 1..4"),
+    "cochain-degree-5": (CochainSpec("c", "f", 5, []),
+                         "cochain 'c': degree must be within 1..4"),
+    "isomorphism-order-negative": (
+        IsomorphismSpec("P", "f", -1, []),
+        "isomorphism 'P': order must be nonnegative"),
+    "deformation-order-negative": (
+        DeformationSpec("D", "f", -1, []),
+        "deformation 'D': order must be nonnegative"),
+    "cochain-unknown-morphism": (CochainSpec("c", "g", 2, []),
+                                 "cochain 'c': unknown morphism 'g'"),
+    "morphism-unknown-algebra": (MorphismSpec("f", "A", "B", []),
+                                 "morphism 'f': unknown algebra 'B'"),
+}
+
+
+@pytest.mark.parametrize("spec, message", _BAD_HEADERS.values(),
+                         ids=_BAD_HEADERS)
+def test_hand_built_headers_outside_their_rules_are_refused(spec, message):
+    # over Q, A of dim 2 with the zero product and f = id_A; the one bad
+    # spec is refused by the parser's own header rules, not built
+    # unchecked, cut to another order or left to a bare KeyError
+    kind = {CochainSpec: "cochain", DeformationSpec: "deformation",
+            IsomorphismSpec: "isomorphism", MorphismSpec: "morphism"}[
+                type(spec)]
+    problem = Problem(
+        QQ, algebras={"A": AlgebraSpec("A", 2)},
+        morphisms={"f": MorphismSpec("f", "A", "A", [(0, 0, 1), (1, 1, 1)])})
+    getattr(problem, kind + "s")[spec.name] = spec
+    build = {"cochain": problem.build_cochain,
+             "deformation": problem.deformation_candidate,
+             "isomorphism": problem.build_isomorphism,
+             "morphism": problem.build_morphism}[kind]
+    with pytest.raises(ValueError) as caught:
+        build(spec.name)
+    assert str(caught.value) == message
+
+
 def _t2(field):
     return identity_morphism(truncated_polynomials(field, 2))
 
