@@ -45,7 +45,9 @@ columns, and written with `linalg._dense`.
 
 A `Bimodule` and an `AlgebraMorphism` keep, in `_ranks`, the rank of
 each differential of their complex once it has been computed (see
-`zinbiel.cochains.cohomology_from`): plain ints, no matrix.
+`zinbiel.cochains.cohomology_from`): plain ints, no matrix.  A morphism
+also keeps its constant term theta_0 = (m_R; m_S; f) once built (see
+`zinbiel.deformation.theta_zero`).
 """
 
 from __future__ import annotations
@@ -376,7 +378,7 @@ class AlgebraMorphism:
     """
 
     __slots__ = ("source", "target", "matrix", "_bimodule", "_ranks",
-                 "_f_ints")
+                 "_f_ints", "_theta_zero")
 
     def __init__(self, source: ZinbielAlgebra, target: ZinbielAlgebra,
                  matrix: Matrix | list):
@@ -393,7 +395,7 @@ class AlgebraMorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
-        self._bimodule = None
+        self._bimodule = self._theta_zero = None
         self._ranks = {}
         # (cols, den): for each basis vector e_a of the source, the pairs
         # (b, v) of f(e_a) times den (see `linalg._columns`)

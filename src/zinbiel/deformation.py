@@ -31,7 +31,9 @@ call as sparse int rows (for each basis input, the pairs (output, value)
 of its nonzero values) by the one reader `linalg._ints`: every series of
 a call over one denominator den, 1 over F_p, where the ints are the
 values mod p.  The terms are accumulated straight from those rows, and
-each result is divided back once, by `linalg._scalar`.  The scalars are
+each result is divided back once, by `linalg._scalar`.  A zero term adds
+nothing, so the sums take only the orders of the nonzero terms of each
+series (`_orders`, `_pairs`, `_triples`).  The scalars are
 exact, so the order of summation changes no value.  Conjugation composes
 whole series: m with psi in its first slot, then in its second, then phi
 after it, each a convolution of two series, so every order is summed
@@ -96,9 +98,13 @@ class DeformationError(ValueError):
 
 
 def theta_zero(f: AlgebraMorphism) -> TripleCochain:
-    """The constant term (m_R; m_S; f) every deformation starts from."""
-    return TripleCochain._of(f, 2, product_cochain(f.source),
-                             product_cochain(f.target), morphism_cochain(f))
+    """The constant term (m_R; m_S; f) every deformation starts from,
+    built once per morphism and kept on it, read-only."""
+    if f._theta_zero is None:
+        f._theta_zero = TripleCochain._of(
+            f, 2, product_cochain(f.source), product_cochain(f.target),
+            morphism_cochain(f))
+    return f._theta_zero
 
 
 def _identity_pair(f: AlgebraMorphism) -> TripleCochain:
@@ -218,15 +224,22 @@ def _triple(f: AlgebraMorphism, degree: int, rows, dens) -> TripleCochain:
         in zip(_spaces(f, degree), rows, dens)))
 
 
-def _pairs(n: int, top: int) -> list:
-    """(l, n - l) with both indices at most top."""
-    return [(l, n - l) for l in range(max(0, n - top), min(n, top) + 1)]
+def _orders(series: list) -> set:
+    """The orders of the nonzero terms of a series of sparse rows."""
+    return {i for i, rows in enumerate(series) if any(rows)}
 
 
-def _triples(n: int, top: int) -> list:
-    """(i, j, k) with i + j + k = n and every index at most top."""
-    return [(i, j, n - i - j) for i in range(min(n, top) + 1)
-            for j in range(max(0, n - i - top), min(n - i, top) + 1)]
+def _pairs(n: int, a: set, b: set) -> list:
+    """(l, n - l) with l in the orders a and n - l in the orders b: a
+    zero term adds nothing to a sum."""
+    return [(l, n - l) for l in a if l <= n and n - l in b]
+
+
+def _triples(n: int, a: set, b: set, c: set) -> list:
+    """(i, j, n - i - j) with i in the orders a, j in b and n - i - j in
+    c."""
+    return [(i, j, n - i - j) for i in a if i <= n for j in b
+            if i + j <= n and n - i - j in c]
 
 
 def _read_series(f: AlgebraMorphism, terms: list[TripleCochain]) -> tuple:
@@ -245,15 +258,17 @@ def _contract(f: AlgebraMorphism, series: tuple, n: int) -> tuple:
     arity-tuple of source, each the residual in module times scale.  They
     are the product sums on basis triples of R and of S, scaled by den^2,
     and the morphism sums on basis pairs of R, scaled by den^3.  Terms
-    past the end of the series count as zero."""
+    past the end of the series, and zero terms, add nothing."""
     r, s = f.source, f.target
     ms_r, ms_s, fs, den = series
-    top = len(fs) - 1
-    pairs = _pairs(n, top)
-    sums = (_product_sums(r.dim, ms_r, pairs, all_tuples(r.dim, 3)),
-            _product_sums(s.dim, ms_s, pairs, all_tuples(s.dim, 3)),
-            _morphism_sums(r.dim, s.dim, ms_r, ms_s, fs, pairs,
-                           _triples(n, top), den))
+    on_r, on_s, on_f = _orders(ms_r), _orders(ms_s), _orders(fs)
+    sums = (_product_sums(r.dim, ms_r, _pairs(n, on_r, on_r),
+                          all_tuples(r.dim, 3)),
+            _product_sums(s.dim, ms_s, _pairs(n, on_s, on_s),
+                          all_tuples(s.dim, 3)),
+            _morphism_sums(r.dim, s.dim, ms_r, ms_s, fs,
+                           _pairs(n, on_f, on_r),
+                           _triples(n, on_s, on_f, on_f), den))
     return tuple(space + (part, scale) for space, part, scale
                  in zip(_spaces(f, 3), sums, (den ** 2, den ** 2, den ** 3)))
 
@@ -367,9 +382,10 @@ def _compose_series(outer: list, inner: list, top: int, p: int) -> list:
     """sum_{a+c=n} outer[a] . inner[c] for every order n <= top, as sparse
     rows: outer[a] holds the sparse rows of a linear map, inner[c] one
     sparse vector of its input space per basis input."""
+    on_outer, on_inner = _orders(outer), _orders(inner)
     out = []
     for n in range(top + 1):
-        pairs = _pairs(n, n)
+        pairs = _pairs(n, on_outer, on_inner)
         rows = []
         for i in range(len(inner[0])):
             acc = {}

@@ -6,47 +6,43 @@ nonzero rows are held, one dict (column -> nonzero int) per row, keyed by
 row index in ascending order; a missing row is zero.  Field values are
 read into ints by one reader, `_ints`, and written back by one writer,
 `_scalar`/`_dense`.  `Matrix(...)` reads its values with `_ints`;
-`zeros`, `identity`, `@` and the differentials of `zinbiel.cochains`
-and `zinbiel.morphism_complex` build their int rows directly
-(`Matrix._assembled`), creating a row only when they first write to it.
-The elimination, `is_zero` and the assemblers walk the nonzero rows
-only.  The readers that need row positions work on every row, expanded
-by `_flat`: `rows`, `column` and `matvec` write field values with
-`_scalar` only for what they return, and `==` compares the int rows,
-each side scaled by the other's denominator.
+`zeros`, `identity`, `@`, `inverse` and the differentials of
+`zinbiel.cochains` and `zinbiel.morphism_complex` build their int rows
+directly (`Matrix._assembled`), creating a row only when they first
+write to it.  Every reader walks the nonzero rows only: the elimination,
+`is_zero` and the assemblers the held ones, the others those `_flat`
+gives, blocks included (below), over one denominator.  `rows`, `column`
+and `matvec` write field values with `_scalar` only for what they
+return, zero for a missing row; `==` compares the int rows, each side
+scaled by the other's denominator.
 
-Every elimination goes through one routine, `_reduce`, with one
-contract: it returns the reduced row echelon form of the rows it is
-given, over all their columns, with each pivot the leftmost nonzero
-entry of its row.  Over F_p it works on plain ints mod p and each pivot
-is 1; over Q on primitive integer rows (fraction-free, each row standing
-for its rational multiples), each with a positive pivot.  The results
-are turned back into field values only at the end, each divided by its
-row's pivot entry.
-
-That form is unique: its pivot columns and its rows depend only on the
-row space, not on the order of the rows or on the order in which they
-are combined.  So the results are reproducible and do not depend on the
-elimination strategy: the nullspace basis has one vector per free column
-in ascending order with a 1 in the free position, and a particular
-solution sets every free variable to zero.  Every exact answer reads
-this form: `rank_nullspace` the pivot rows of m, `solve` those of
-(m | b), which is inconsistent exactly when a pivot falls in b's column,
-and `inverse` the solutions of m x = e_j, one column each.  Matrices are
-immutable after construction and all operations return fresh values.
+Every answer is one elimination, `_reduce`, with one contract: it
+returns the reduced row echelon form of the int rows it is given, as
+they are, over all their columns, with each pivot the leftmost nonzero
+entry of its row.  It copies each row and normalizes each new pivot
+row: over F_p its pivot is 1, over Q it is primitive (fraction-free,
+standing for its rational multiples) with a positive pivot.  That form
+is unique: it depends only on the row space, not on the order of the
+rows or of their combination.  So the nullspace basis has one vector per
+free column in ascending order with a 1 in the free position, and a
+particular solution sets every free variable to zero.  `rank_nullspace`
+reads the pivot rows of m; `solve` those of (m | b), inconsistent
+exactly when a pivot falls in b's column, so no row goes in after that
+pivot; `inverse` those of (m | 1), which are (1 | m^-1) exactly when
+every column of m has a pivot.  Field values are written only at the
+end, each divided by its row's pivot entry.  Matrices are immutable
+after construction and all operations return fresh values.
 
 `rank_nullspace` reads the pivot rows off `_echelon`, which keeps them on
 the matrix for as long as the matrix lives.  An assembled matrix may
 declare diagonal blocks (`Matrix._blocks`), as the morphism complex's
 d^n does with d^n on R and on S.  Its rows are the blocks' rows, each
-shifted to its columns, then its own int rows; `_flat` gives them all
-over one denominator, in that order.  The block rows touch disjoint
-columns and never combine, so the shifted pivot rows of the blocks
-together are already the reduced echelon form of those rows.  The
+shifted to its columns, then its own int rows.  The block rows touch
+disjoint columns and never combine, so the shifted pivot rows of the
+blocks together are already the reduced echelon form of those rows.  The
 elimination starts from copies of them (`_seeded`) and reduces only the
 matrix's own rows; a block that occurs twice is eliminated once.  Since
-that form is unique, the pivot columns and rows, hence every rank,
-nullspace basis and solution, are the ones that eliminating all rows
+that form is unique, every answer is the one that eliminating all rows
 would give.
 """
 
@@ -147,14 +143,16 @@ class Matrix:
     def rows(self) -> list:
         """The rows as dense lists of field values."""
         rows, den = _flat(self)
-        return _dense(self.field, self.ncols, (r.items() for r in rows), den)
+        empty = {}
+        return _dense(self.field, self.ncols, (
+            rows.get(i, empty).items() for i in range(self.nrows)), den)
 
     def column(self, j: int) -> list:
         if not 0 <= j < self.ncols:
             raise ValueError(f"no column {j} in {self.ncols} columns")
-        p = self.field.characteristic
-        rows, den = _flat(self)
-        return [_scalar(p, r.get(j, 0), den) for r in rows]
+        one, zero = self.field.one(), self.field.zero()
+        return self.matvec([one if k == j else zero
+                            for k in range(self.ncols)])
 
     def matvec(self, v: list) -> list:
         if len(v) != self.ncols:
@@ -165,8 +163,11 @@ class Matrix:
         x = dict(xs)
         rows, den = _flat(self)
         den *= vden
-        return [_scalar(p, sum(a * x[j] for j, a in r.items() if j in x),
-                        den) for r in rows]
+        out = zero_vector(self.field, self.nrows)
+        for i, r in rows.items():
+            out[i] = _scalar(p, sum(a * x[j] for j, a in r.items() if j in x),
+                             den)
+        return out
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -180,12 +181,10 @@ class Matrix:
         rows, den = _flat(self)
         brows, bden = _flat(other)
         out = {}
-        for i, arow in enumerate(rows):
-            if not arow:
-                continue
+        for i, arow in rows.items():
             out[i] = crow = {}
             for k, a in arow.items():
-                for j, b in brows[k].items():
+                for j, b in brows.get(k, {}).items():
                     crow[j] = crow.get(j, 0) + a * b
         return Matrix._assembled(self.field, self.nrows, other.ncols, out,
                                  den * bden)
@@ -201,8 +200,10 @@ class Matrix:
         (rows, den), (orows, oden) = _flat(self), _flat(other)
         return (self.field == other.field and self.nrows == other.nrows
                 and self.ncols == other.ncols
-                and [{j: v * oden for j, v in r.items()} for r in rows]
-                == [{j: v * den for j, v in r.items()} for r in orows])
+                and {i: {j: v * oden for j, v in r.items()}
+                     for i, r in rows.items()}
+                == {i: {j: v * den for j, v in r.items()}
+                    for i, r in orows.items()})
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
@@ -245,17 +246,20 @@ def _dense(field: Field, n: int, rows, den: int) -> list:
     return out
 
 
-def _flat(m: Matrix) -> tuple[list, int]:
-    """Every row of m as a fresh int dict, over one denominator den: the
-    rows of its blocks, shifted to their columns, then its own rows, the
-    zero ones included, each rescaled to den, the least common multiple of
-    their denominators."""
-    parts = [(col0, *_flat(block)) for col0, block in m._blocks]
-    own, empty = m.nrows - sum(b.nrows for _, b in m._blocks), {}
-    parts.append((0, [m._ints.get(i, empty) for i in range(own)], m._den))
-    den = lcm(*(d for _, _, d in parts))
-    return [{col0 + j: v * (den // d) for j, v in r.items()}
-            for col0, rows, d in parts for r in rows], den
+def _flat(m: Matrix) -> tuple[dict, int]:
+    """The nonzero rows of m as fresh int dicts keyed by row index,
+    ascending, over one denominator den: the rows of its blocks, each
+    block shifted to its columns and below the blocks before it, then its
+    own rows, each rescaled to den, the least common multiple of their
+    denominators.  A missing row is zero."""
+    parts, row0 = [], 0
+    for col0, block in m._blocks:
+        parts.append((row0, col0, *_flat(block)))
+        row0 += block.nrows
+    parts.append((row0, 0, m._ints, m._den))
+    den = lcm(*(d for *_, d in parts))
+    return {row0 + i: {col0 + j: v * (den // d) for j, v in r.items()}
+            for row0, col0, rows, d in parts for i, r in rows.items()}, den
 
 
 def _columns(m: Matrix) -> tuple[list, int]:
@@ -263,17 +267,10 @@ def _columns(m: Matrix) -> tuple[list, int]:
     rows ascending, over the one denominator den of `_flat`."""
     rows, den = _flat(m)
     cols = [[] for _ in range(m.ncols)]
-    for i, r in enumerate(rows):
+    for i, r in rows.items():
         for j, v in r.items():
             cols[j].append((i, v))
     return cols, den
-
-
-def _primitive(row: dict) -> dict:
-    """A row of nonzero ints divided by the gcd of its entries, as a new
-    dict."""
-    g = gcd(*row.values())
-    return {j: x // g for j, x in row.items()} if g > 1 else dict(row)
 
 
 def _eliminate(row: dict, prow: dict, c: int, p: int) -> dict:
@@ -300,17 +297,20 @@ def _eliminate(row: dict, prow: dict, c: int, p: int) -> dict:
     return row if g <= 1 else {k: v // g for k, v in row.items()}
 
 
-def _reduce(rows: list, p: int, pivots: dict | None = None) -> dict:
-    """The reduced row echelon form of kernel rows (see `_int_rows`), as a
-    dict from each pivot column to its row.  Each pivot is the leftmost
-    nonzero entry of its row; over F_p it is 1, over Q the row is
-    primitive and its pivot positive, so the form is unique.  A given
-    pivots dict, already in this form, is the start and is extended in
-    place; its rows are edited, so they must be copies.
+def _reduce(rows, p: int, pivots: dict | None = None) -> dict:
+    """The reduced row echelon form of int rows, as a dict from each pivot
+    column to its row.  rows is any iterable of mappings from columns to
+    ints (mod p over F_p), any multiple of a row standing for it; each is
+    copied, and none is edited.  Each pivot is the leftmost nonzero entry
+    of its row; over F_p it is 1, over Q the row is primitive and its
+    pivot positive, so the form is unique.  A given pivots dict, already
+    in this form, is the start and is extended in place; its rows are
+    edited, so they must be copies.
     """
     if pivots is None:
         pivots = {}
     for row in rows:
+        row = dict(row)
         # every pivot row is zero in the other pivot columns, so one pass
         # over the pivot columns of row clears them all
         for c in [c for c in row if c in pivots]:
@@ -321,8 +321,11 @@ def _reduce(rows: list, p: int, pivots: dict | None = None) -> dict:
         if p and row[lead] != 1:
             inv = pow(row[lead], -1, p)
             row = {k: v * inv % p for k, v in row.items()}
-        elif not p and row[lead] < 0:
-            row = {k: -v for k, v in row.items()}
+        elif not p:
+            # primitive, with the sign of the pivot folded into the gcd
+            g = gcd(*row.values()) * (1 if row[lead] > 0 else -1)
+            if g != 1:
+                row = {k: v // g for k, v in row.items()}
         # keep the earlier pivot rows zero in the new pivot column
         for c, prow in pivots.items():
             if lead in prow:
@@ -342,21 +345,12 @@ def _seeded(m: Matrix) -> dict:
     return pivots
 
 
-def _int_rows(p: int, rows) -> list:
-    """The nonzero int rows among rows as fresh dicts, the input of an
-    elimination: made primitive over Q (any multiple of a row stands for
-    it)."""
-    if p:
-        return [dict(r) for r in rows if r]
-    return [_primitive(r) for r in rows if r]
-
-
 def _echelon(m: Matrix) -> dict:
     """The pivot rows of m (see `_reduce`), computed once per matrix:
     from its blocks' pivot rows, then its nonzero int rows."""
     if m._pivots is None:
         p = m.field.characteristic
-        m._pivots = _reduce(_int_rows(p, m._ints.values()), p, _seeded(m))
+        m._pivots = _reduce(m._ints.values(), p, _seeded(m))
     return m._pivots
 
 
@@ -394,17 +388,19 @@ def solve(m: Matrix, b: list) -> list | None:
     if len(b) != m.nrows:
         raise ValueError(
             f"right-hand side of length {len(b)} against {m.nrows} rows")
-    p = m.field.characteristic
-    n = m.ncols
-    # each row of (m | b) times the product of both denominators
+    p, n = m.field.characteristic, m.ncols
+    # each nonzero row of (m | b) times the product of both denominators
     aug, den = _flat(m)
     [[bs]], bden = _ints([[list(map(m.field.coerce, b))]], p)
     if bden > 1:
-        aug = [{j: v * bden for j, v in row.items()} for row in aug]
+        aug = {i: {j: v * bden for j, v in row.items()}
+               for i, row in aug.items()}
     for i, v in bs:
-        aug[i][n] = v * den
-    pivots = _reduce(_int_rows(p, aug), p)
-    # a pivot in b's column is a row reading 0 = nonzero
+        aug.setdefault(i, {})[n] = v * den
+    # a pivot in b's column is a row reading 0 = nonzero: no row goes in
+    # after it, since none can change the answer
+    pivots = {}
+    _reduce((aug[i] for i in sorted(aug) if n not in pivots), p, pivots)
     if n in pivots:
         return None
     x = zero_vector(m.field, n)
@@ -415,16 +411,19 @@ def solve(m: Matrix, b: list) -> list | None:
 
 
 def inverse(m: Matrix) -> Matrix | None:
-    """Exact inverse of a square matrix, or None when singular: column j
-    is the solution of m x = e_j."""
+    """Exact inverse of a square matrix, or None when singular: the
+    reduced echelon form of (m | 1) is (1 | m^-1) exactly when every
+    column of m has a pivot."""
     if m.nrows != m.ncols:
         raise ValueError("inverse of a non-square matrix")
-    field, n = m.field, m.nrows
-    columns = []
-    for j in range(n):
-        x = solve(m, [field.one() if i == j else field.zero()
-                      for i in range(n)])
-        if x is None:
-            return None
-        columns.append(x)
-    return Matrix(field, zip(*columns), n)
+    n = m.nrows
+    rows, den = _flat(m)
+    pivots = _reduce(({**rows.get(i, {}), n + i: den} for i in range(n)),
+                     m.field.characteristic)
+    if any(c not in pivots for c in range(n)):
+        return None
+    # row c of m^-1 is pivot row c past column n, over its pivot entry
+    den = lcm(*(row[c] for c, row in pivots.items()))
+    return Matrix._assembled(m.field, n, n, {
+        c: {j - n: v * (den // row[c]) for j, v in row.items() if j >= n}
+        for c, row in pivots.items()}, den)

@@ -312,6 +312,18 @@ def test_verify_identities_computes_each_obstruction_once(monkeypatch,
     assert "verified: deformation D: obstruction naturality\n" in out
 
 
+def test_check_deformation_builds_theta_zero_once(monkeypatch, capsys):
+    # theta_0 = (m_R; m_S; f) is kept on f: the file's series starts with
+    # it, and the constructor's constant-term check reads the same triple
+    calls = _counted(monkeypatch, "morphism_cochain")
+    code = cli.main(["check-deformation", str(PROBLEMS / "graded_dim3.zb"),
+                     "--deformation", "D"])
+    assert code == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        "deformation D: conditions hold through order 1\n")
+
+
 def test_extend_from_cochain_checks_the_cocycle_once(monkeypatch, capsys,
                                                      tmp_path):
     path = tmp_path / "failing.zb"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from zinbiel import deformation
 from zinbiel.algebra import identity_morphism, zero_morphism
 from zinbiel.catalog import truncated_polynomials, zero_algebra
 from zinbiel.cochains import Cochain, identity_cochain
@@ -624,3 +625,20 @@ def test_single_term_builds_no_zero_term_to_overwrite(monkeypatch):
     with pytest.raises(ValueError) as err:
         FormalIsomorphism.single_term(f, 0, term)
     assert str(err.value) == "constant term must be the identity pair"
+
+
+def test_validation_sums_no_zero_term(monkeypatch):
+    # id of the 1-dim zero algebra: both products are zero in every order,
+    # so every product and morphism sum of a series with no term past
+    # theta_0 is empty, however long the series
+    f = identity_morphism(zero_algebra(QQ, 1))
+    received = []
+    for name in ("_pairs", "_triples"):
+        def counting(n, *orders, original=getattr(deformation, name)):
+            out = original(n, *orders)
+            received.extend(out)
+            return out
+        monkeypatch.setattr(deformation, name, counting)
+    theta = check_deformation(f, [theta_zero(f)], order=300)
+    assert theta.order == 300 and theta.is_trivial()
+    assert received == []

@@ -241,8 +241,8 @@ def test_dropping_the_top_morphism_term_is_caught(monkeypatch, series):
     # validates order N+1
     original = deformation._triples
 
-    def dropped(n, top):
-        return [t for t in original(n, top) if t[1] != n]
+    def dropped(n, *orders):
+        return [t for t in original(n, *orders) if t[1] != n]
     monkeypatch.setattr(deformation, "_triples", dropped)
     assert not all(_residuals_agree(theta) for theta in series)
 
@@ -253,8 +253,8 @@ def test_dropping_one_conjugation_term_is_caught(monkeypatch, series):
     # sums
     original = deformation._pairs
 
-    def dropped(n, top):
-        pairs = original(n, top)
+    def dropped(n, *orders):
+        pairs = original(n, *orders)
         if sys._getframe(1).f_code is deformation._compose_series.__code__:
             return [s for s in pairs if s != (1, 0)]
         return pairs

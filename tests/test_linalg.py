@@ -1,7 +1,19 @@
+import copy
+import random
+import tracemalloc
+from fractions import Fraction
+
 import pytest
 
+from zinbiel import linalg
+from zinbiel.algebra import identity_morphism
+from zinbiel.catalog import truncated_polynomials, zero_algebra
+from zinbiel.cochains import differential_matrix
 from zinbiel.fields import QQ, PrimeField
-from zinbiel.linalg import Matrix, inverse, rank_nullspace, solve
+from zinbiel.linalg import (Matrix, _echelon, _flat, _scalar, inverse,
+                            rank_nullspace, solve)
+from zinbiel.morphism_complex import morphism_differential_matrix
+from zinbiel.sampling import random_dense_invertible
 
 
 def test_identity_has_full_rank_empty_nullspace():
@@ -134,3 +146,119 @@ def test_matmul_zero_and_shapes():
     assert (a @ b).rows == [[QQ.from_int(-2)]]
     with pytest.raises(ValueError):
         b @ b
+
+
+# -- one elimination per answer, over the nonzero rows as they are ---------
+
+def _snapshot(m: Matrix):
+    """The int rows of m and of its blocks, as values (a deep copy)."""
+    return (copy.deepcopy(m._ints), m._den,
+            [_snapshot(block) for _, block in m._blocks])
+
+
+def _inputs(field, rng):
+    """Matrices whose rows are not in the elimination's normal form:
+    common factors, negative leading entries, fractions, zero rows; and
+    the morphism complex's d^2, which has blocks."""
+    for _ in range(20):
+        nrows = rng.randint(1, 6)
+        ncols = nrows if rng.random() < 0.5 else rng.randint(1, 6)
+        rows = [[field.coerce(Fraction(6 * rng.randint(-3, 3),
+                                       rng.choice((1, 1, 2, 3))))
+                 for _ in range(ncols)] if rng.random() < 0.8
+                else [field.zero()] * ncols for _ in range(nrows)]
+        yield Matrix(field, rows, ncols)
+    f = identity_morphism(truncated_polynomials(field, 2))
+    yield morphism_differential_matrix(f, 2)
+
+
+def test_the_elimination_leaves_its_input_rows_unchanged(field, rng):
+    for m in _inputs(field, rng):
+        before = _snapshot(m)
+        _echelon(m)
+        b = [field.coerce(rng.randint(-3, 3)) for _ in range(m.nrows)]
+        solve(m, b)
+        solve(m, m.matvec([field.one()] * m.ncols))
+        if m.nrows == m.ncols:
+            inverse(m)
+        assert _snapshot(m) == before
+
+
+def test_flat_gives_the_nonzero_rows_only(field, rng):
+    for m in _inputs(field, rng):
+        rows, den = _flat(m)
+        dense = m.rows
+        assert list(rows) == [i for i, r in enumerate(dense) if any(r)]
+        for i, r in rows.items():
+            assert {j: _scalar(field.characteristic, v, den)
+                    for j, v in r.items()} == {
+                j: x for j, x in enumerate(dense[i]) if x}
+
+
+def _counting_reduce(monkeypatch) -> list:
+    """Patch `_reduce` to record, for each call, how many rows it drew
+    from its input."""
+    original, fed = linalg._reduce, []
+
+    def counting(rows, p, pivots=None):
+        fed.append(0)
+
+        def drawn():
+            for row in rows:
+                fed[-1] += 1
+                yield row
+        return original(drawn(), p, pivots)
+    monkeypatch.setattr(linalg, "_reduce", counting)
+    return fed
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=str)
+def test_inverse_is_one_elimination(monkeypatch, field, rng):
+    m = random_dense_invertible(field, 4, rng)
+    singular = Matrix(field, m.rows[:3] + [m.rows[0]], 4)
+    fed = _counting_reduce(monkeypatch)
+    inv = inverse(m)
+    assert fed == [4]
+    assert m @ inv == Matrix.identity(field, 4)
+    assert inverse(singular) is None
+    assert fed == [4, 4]
+
+
+def test_an_inconsistent_solve_stops_at_its_first_pivot_in_b(monkeypatch):
+    # d^2 of id_T3 over Q is 189 x 63; a random right-hand side is
+    # inconsistent, and the elimination of (m | b) shows it after a few
+    # rows: no row after that pivot goes in
+    f = identity_morphism(truncated_polynomials(QQ, 3))
+    m = morphism_differential_matrix(f, 2)
+    assert (m.nrows, m.ncols) == (189, 63)
+    rng = random.Random(5)
+    fed = _counting_reduce(monkeypatch)
+    for _ in range(5):
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(m.nrows)]
+        assert solve(m, b) is None
+    assert len(fed) == 5 and max(fed) <= 25
+
+
+def _peak_mb(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_readers_walk_only_the_nonzero_rows():
+    # d^2 of the 16-dim zero algebra: 65,536 x 4,096 and no nonzero row
+    a = zero_algebra(QQ, 16)
+    d2 = differential_matrix(a, a.regular_bimodule(), 2)
+    assert (d2.nrows, d2.ncols) == (65536, 4096) and d2.is_zero()
+    b = [QQ.zero()] * d2.nrows
+    left = Matrix.zeros(QQ, 5, d2.nrows)
+    # reading b alone takes about 0.5 MB
+    assert _peak_mb(lambda: solve(d2, b)) < 1.0
+    assert _peak_mb(lambda: d2 == d2) < 0.1
+    assert _peak_mb(lambda: left @ d2) < 0.1
+    assert solve(d2, b) == [QQ.zero()] * d2.ncols
+    assert (left @ d2).is_zero()
