@@ -33,13 +33,14 @@ a call over one denominator den, 1 over F_p, where the ints are the
 values mod p.  The terms are accumulated straight from those rows, and
 each result is divided back once, by `linalg._scalar`.  A zero term adds
 nothing, so the sums take only the orders of the nonzero terms of each
-series (`_orders`, `_pairs`, `_triples`).  The scalars are
-exact, so the order of summation changes no value.  Conjugation composes
-whole series: m with psi in its first slot, then in its second, then phi
-after it, each a convolution of two series, so every order is summed
-once.  Its inverse series psi, to order N, is kept as psi times den^N
-(`_invert_series`), so the conjugated products are over den^(2N+2) and
-the conjugated maps over den^(N+2).
+series (`_pairs`, `_triples`), found once per read series (`_orders`).
+The scalars are exact, so the order of summation changes no value.
+Conjugation composes whole series: m with psi in its first slot, then in
+its second, then phi after it, each a convolution of two series, so
+every order is summed once.  Its inverse series psi, to order N, is kept
+as psi times den^N (`_invert_series`, which visits only the nonzero
+terms of phi), so the conjugated products are over den^(2N+2) and the
+conjugated maps over den^(N+2).
 
 Every order is validated on one path, `_violations`: it reads the
 order's conditions off the whole int sums, as `zinbiel.algebra` reads
@@ -48,14 +49,14 @@ basis tuple where a condition fails, and no residual triple at all.
 `deformation_violations` runs it on orders 1..N, and `extend_one_order`
 on the new order N+1 of the grown series.  Each triple is read part by
 part (`TripleCochain.parts`), and the residuals, conjugates and inverse
-series that are returned are written by the one writer `_triple`, which
-builds them unchecked, part by part over the components of C^n(f)
-(`morphism_complex._spaces`).
+series that are returned are written by the one writer `_triple`, part
+by part over the components of C^n(f) (`morphism_complex._spaces`): each
+part is taken unchecked (`Cochain._of`), the triple by its constructor.
 
 Deformations and formal isomorphisms are one series type, `_Series`, of
 elements of C^2(f) and of C^1(f) = C^1(R,R) (+) C^1(S,S): it holds the
 one shape check, zero term and constant-term check, against theta_zero(f)
-or the identity pair, both built unchecked from checked objects.
+or the identity pair.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def theta_zero(f: AlgebraMorphism) -> TripleCochain:
     """The constant term (m_R; m_S; f) every deformation starts from,
     built once per morphism and kept on it, read-only."""
     if f._theta_zero is None:
-        f._theta_zero = TripleCochain._of(
+        f._theta_zero = TripleCochain(
             f, 2, product_cochain(f.source), product_cochain(f.target),
             morphism_cochain(f))
     return f._theta_zero
@@ -109,8 +110,8 @@ def theta_zero(f: AlgebraMorphism) -> TripleCochain:
 
 def _identity_pair(f: AlgebraMorphism) -> TripleCochain:
     """The constant term (Id_R; Id_S) of every formal isomorphism."""
-    return TripleCochain._of(f, 1, identity_cochain(f.source),
-                             identity_cochain(f.target), None)
+    return TripleCochain(f, 1, identity_cochain(f.source),
+                         identity_cochain(f.target))
 
 
 class _Series:
@@ -217,7 +218,7 @@ def _triple(f: AlgebraMorphism, degree: int, rows, dens) -> TripleCochain:
     """The degree-`degree` triple whose parts, in the order of `_spaces`,
     have the given rows of (output, int) pairs, each int divided by that
     part's den (1 over F_p)."""
-    return TripleCochain._of(f, degree, *(
+    return TripleCochain(f, degree, *(
         Cochain._of(source, module, arity,
                     _dense(source.field, module.dim, part, den))
         for (_, source, module, arity), part, den
@@ -244,11 +245,13 @@ def _triples(n: int, a: set, b: set, c: set) -> list:
 
 def _read_series(f: AlgebraMorphism, terms: list[TripleCochain]) -> tuple:
     """The m_R, m_S and f series of the terms, each term as sparse rows of
-    ints, and their common denominator, as `_ints` reads them: so the
-    sums run on ints over both fields."""
+    ints, the orders of the nonzero terms of each (`_orders`) and their
+    common denominator, as `_ints` reads them: so the sums run on ints
+    over both fields."""
     groups, den = _ints([c.coeffs for t in terms for c in t.parts],
                         f.source.field.characteristic)
-    return groups[0::3], groups[1::3], groups[2::3], den
+    series = groups[0::3], groups[1::3], groups[2::3]
+    return series, tuple(map(_orders, series)), den
 
 
 def _contract(f: AlgebraMorphism, series: tuple, n: int) -> tuple:
@@ -260,8 +263,7 @@ def _contract(f: AlgebraMorphism, series: tuple, n: int) -> tuple:
     and the morphism sums on basis pairs of R, scaled by den^3.  Terms
     past the end of the series, and zero terms, add nothing."""
     r, s = f.source, f.target
-    ms_r, ms_s, fs, den = series
-    on_r, on_s, on_f = _orders(ms_r), _orders(ms_s), _orders(fs)
+    (ms_r, ms_s, fs), (on_r, on_s, on_f), den = series
     sums = (_product_sums(r.dim, ms_r, _pairs(n, on_r, on_r),
                           all_tuples(r.dim, 3)),
             _product_sums(s.dim, ms_s, _pairs(n, on_s, on_s),
@@ -404,13 +406,17 @@ def _invert_series(terms: list, order: int, d: int, den: int, p: int) -> list:
     psi[n-i] = 0 for 1 <= n <= order and psi[0] the identity, where
     terms[i] holds the sparse int rows of phi_i times den.  psi[n] is a
     sum of products of at most n terms, so den^n psi[n] is in ints and
-    each order's sums divide by den exactly."""
+    each order's sums divide by den exactly.  A zero term adds nothing,
+    so only the orders of the nonzero terms past 0 are visited, in
+    ascending order."""
+    nonzero = sorted(_orders(terms) - {0})
     psi = [[[(x, den ** order)] for x in range(d)]]
     for n in range(1, order + 1):
+        steps = [i for i in nonzero if i <= n]
         rows = []
         for x in range(d):
             acc = {}
-            for i in range(1, min(n, len(terms) - 1) + 1):
+            for i in steps:
                 term = terms[i]
                 for k, v in psi[n - i][x]:
                     for b, w in term[k]:
@@ -508,7 +514,7 @@ def obstruction(theta: TruncatedDeformation) -> TripleCochain:
         raise ValueError("obstruction needs order at least 1")
     f = theta.morphism
     res = order_residual(f, theta.terms, theta.order + 1)
-    return TripleCochain._of(f, 3, res.xi, res.pi, -res.phi)
+    return TripleCochain(f, 3, res.xi, res.pi, -res.phi)
 
 
 @dataclass

@@ -29,9 +29,9 @@ and `coboundary_preimage`, re-exported from this module, apply it and
 solve against it.  The tuple-by-tuple differential, built from the tuple
 formulas and the tuple push-forwards, is kept in the tests as the oracle.
 
-`TripleCochain(...)` and `from_flat` check their parts; `TripleCochain._of`
-takes parts the library built as they are, as `Cochain._of` does rows,
-for `_rebuild` and the writers of `zinbiel.deformation`.
+Every triple is built by `TripleCochain(...)`, which checks each part's
+source, module and arity against the objects the morphism holds; for
+parts the library built these are the same objects, so each check is O(1).
 """
 
 from __future__ import annotations
@@ -123,20 +123,9 @@ class TripleCochain(ComplexElement):
             return self.xi, self.pi
         return self.xi, self.pi, self.phi
 
-    @classmethod
-    def _of(cls, morphism: AlgebraMorphism, degree: int, xi: Cochain,
-            pi: Cochain, phi: Cochain | None = None) -> "TripleCochain":
-        """The triple with these parts, taken as they are and unchecked:
-        only for parts the library built in the spaces of that degree,
-        phi None at degree 1."""
-        triple = object.__new__(cls)
-        triple.morphism, triple.degree = morphism, degree
-        triple.xi, triple.pi, triple.phi = xi, pi, phi
-        return triple
-
     def _rebuild(self, flat: list, degree: int) -> "TripleCochain":
-        return TripleCochain._of(self.morphism, degree,
-                                 *_split(self.morphism, degree, flat))
+        return TripleCochain(self.morphism, degree,
+                             *_split(self.morphism, degree, flat))
 
     def _d_matrix(self, n: int) -> Matrix:
         return morphism_differential_matrix(self.morphism, n)

@@ -196,7 +196,7 @@ class Problem:
             _fit(entry, (*indices, b), (source.dim,) * arity + (module.dim,))
             rows[component][tuple_index(source.dim, indices)][b] = \
                 self.field.coerce(c)
-        return TripleCochain._of(f, degree, *(
+        return TripleCochain(f, degree, *(
             Cochain._of(*space, rows[name]) for name, space in spaces.items()))
 
     def build_cochain(self, name: str) -> TripleCochain:

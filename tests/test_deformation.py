@@ -642,3 +642,34 @@ def test_validation_sums_no_zero_term(monkeypatch):
     theta = check_deformation(f, [theta_zero(f)], order=300)
     assert theta.order == 300 and theta.is_trivial()
     assert received == []
+
+
+def test_validation_finds_the_nonzero_orders_once(monkeypatch):
+    # the orders of the nonzero terms are found once per read series, not
+    # again at every validated order
+    f = identity_morphism(zero_algebra(QQ, 1))
+    calls = []
+
+    def counting(series, original=deformation._orders):
+        calls.append(len(series))
+        return original(series)
+    monkeypatch.setattr(deformation, "_orders", counting)
+    theta = check_deformation(f, [theta_zero(f)], order=300)
+    assert theta.order == 300 and theta.is_trivial()
+    assert len(calls) <= 3
+
+
+def test_series_inversion_reads_no_zero_term():
+    # Id + 0 t + .. + 0 t^300 on a 2-dim space: every order of the inverse
+    # is zero, and no zero term of the series is read to find that
+    class Counting(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            Counting.reads += 1
+            return super().__getitem__(i)
+    terms = Counting([[[(0, 1)], [(1, 1)]]] + [[[], []]] * 300)
+    psi = deformation._invert_series(terms, 300, 2, 1, 0)
+    assert psi[0] == [[(0, 1)], [(1, 1)]]
+    assert all(rows == [[], []] for rows in psi[1:])
+    assert Counting.reads == 0

@@ -1,18 +1,18 @@
 """Values the library builds unchecked, and the checks it keeps.
 
-`Cochain._of` and `TripleCochain._of` take their parts as they are, so
-every value that reaches them must already be a scalar of the field.
-The guard below checks the output of each operation that builds through
-them, over Q, F5, F7 and F101: every entry has the exact scalar type of
-its field (a raw int would compare equal to a `ModInt` and slip past
-`==`), and each element equals, repr for repr, the one the checked
-public constructors build from the same rows.  The triples `Problem`
-builds from the cochains and deformation terms of `problems/*.zb` are
-guarded too; a hand-built `Problem` whose entries are not scalars of its
-field is still refused, and so is one with an entry outside its space
-(an index out of range, a component or term the object lacks).  The
-public constructors keep every check: each is driven with bad input and
-must fail with its message.
+`Cochain._of` takes its rows as they are, and the triple constructor
+checks only where its parts live, so every value that reaches them must
+already be a scalar of the field.  The guard below checks the output of
+each operation that builds through them, over Q, F5, F7 and F101: every
+entry has the exact scalar type of its field (a raw int would compare
+equal to a `ModInt` and slip past `==`), and each element equals, repr
+for repr, the one the checked public constructors build from the same
+rows.  The triples `Problem` builds from the cochains and deformation
+terms of `problems/*.zb` are guarded too; a hand-built `Problem` whose
+entries are not scalars of its field is still refused, and so is one
+with an entry outside its space (an index out of range, a component or
+term the object lacks).  The public constructors keep every check: each
+is driven with bad input and must fail with its message.
 """
 
 import random
@@ -402,15 +402,17 @@ def test_a_constant_term_off_by_one_entry_is_rejected(field):
         assert str(err.value) == "constant term differs from (m_R; m_S; f)"
     # f's columns as a 1-cochain through another morphism between the
     # same algebras: equal coefficients, a different bimodule.  The
-    # checked triple constructor refuses it, so it is built unchecked to
-    # reach the comparison
+    # triple constructor refuses it, so the test builds it around the
+    # constructor to reach the comparison
     g = identity_morphism(f.source)
     phi = Cochain(f.source, g.as_bimodule(), 1, zero.phi.coeffs)
     with pytest.raises(ValueError) as err:
         TripleCochain(f, 2, zero.xi, zero.pi, phi)
     assert str(err.value) == \
         "third component must take values in the target through f"
+    unchecked = object.__new__(TripleCochain)
+    unchecked.morphism, unchecked.degree = f, 2
+    unchecked.xi, unchecked.pi, unchecked.phi = zero.xi, zero.pi, phi
     with pytest.raises(ValueError) as err:
-        TruncatedDeformation(f, [TripleCochain._of(f, 2, zero.xi, zero.pi,
-                                                   phi)])
+        TruncatedDeformation(f, [unchecked])
     assert str(err.value) == "constant term differs from (m_R; m_S; f)"
