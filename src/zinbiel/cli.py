@@ -13,6 +13,10 @@ a command leaves the facts emitted before it on stdout.  `main` also
 echoes `command <name>` once the problem file has loaded (not for
 `roundtrip`, which prints the file itself).
 
+`validate` and `verify-identities` walk the file's objects once, in file
+order (`_objects`), which skips each object that uses an algebra or
+morphism that failed or was skipped.
+
 Human-readable reports label the per-order deformation conditions as
 P_n(R), P_n(S) (product condition at order n) and M_n (morphism
 condition at order n).  `--output machine` emits stable `key value`
@@ -33,13 +37,14 @@ from .cochains import (COHOMOLOGY_DEGREES, DEGREES, all_tuples,
 from .deformation import (DeformationError, check_deformation,
                           extend_from_cocycle, extend_to,
                           normalize_leading_term, obstruction,
-                          obstruction_naturality, rigidity_check)
-from .fields import FieldError, field_from_spec
+                          obstruction_naturality, rigidity_check, trivialize)
+from .fields import FieldError, field_from_spec, integer
 from .morphism_complex import (_spaces, morphism_cohomology_dim,
                                morphism_differential_matrix,
                                push_forward_left, push_forward_right)
-from .problem_io import ProblemFileError, parse, serialize
-from .sampling import random_cochain
+from .problem_io import (_REFERENCES, _SECTIONS, ProblemFileError, parse,
+                         serialize)
+from .sampling import random_cochain, random_deformation
 
 
 def _emitter(machine: bool):
@@ -114,7 +119,7 @@ _LEAST = {"check-deformation": {"--order": 0}, "obstruction": {"--order": 1},
 
 def _load(args):
     try:
-        with open(args.file, encoding="utf-8") as handle:
+        with open(args.file, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ProblemFileError(0, 0, f"cannot read {args.file}: {e}") from None
@@ -156,73 +161,72 @@ def _deformation(problem, args, emit, order=None, explain=False, least=0):
         return name, None
 
 
+# why an object is not built, by the kind of the failed object it uses
+_UNBUILT = {"algebra": "an algebra it uses is invalid",
+            "morphism": "its morphism was not validated"}
+
+
+def _objects(problem, kinds, skip):
+    """Build the objects of the given section kinds, kind by kind in file
+    order, and yield (kind, name, spec, built) for each: built is the
+    object, or the IdentityError/DeformationError its build raised.  An
+    object that uses a failed or skipped algebra or morphism (one its
+    spec's headers name) is not built: skip(kind, name, why) reports it,
+    and it counts as failed too."""
+    failed = set()      # (kind, name) of each object not built
+    for kind in kinds:
+        for name, spec in getattr(problem, kind + "s").items():
+            uses = [(_REFERENCES[h], getattr(spec, h))
+                    for h in _SECTIONS[kind][1] if h in _REFERENCES]
+            if failed.intersection(uses):
+                failed.add((kind, name))
+                skip(kind, name, _UNBUILT[uses[0][0]])
+                continue
+            try:
+                built = (check_deformation(*problem.deformation_candidate(name))
+                         if kind == "deformation"
+                         else getattr(problem, "build_" + kind)(name))
+            except (IdentityError, DeformationError) as e:
+                failed.add((kind, name))
+                built = e
+            yield kind, name, spec, built
+
+
 def _cmd_validate(problem, args, emit) -> int:
     failed = 0
-    bad_algebras = set()
-    bad_morphisms = set()
 
-    def skipped(kind: str, name: str, spec) -> bool:
-        skip = spec.morphism in bad_morphisms
-        if skip:
-            emit(kind, name, "skipped", report=f"{kind} {name}: skipped "
-                 "(its morphism was not validated)")
-        return skip
+    def skip(kind: str, name: str, why: str) -> None:
+        emit(kind, name, "skipped", report=f"{kind} {name}: skipped ({why})")
 
-    for name, spec in problem.algebras.items():
-        try:
-            problem.build_algebra(name)
-            emit("algebra", name, "ok", spec.dim ** 3,
+    for kind, name, spec, built in _objects(problem, _SECTIONS, skip):
+        failed += isinstance(built, Exception)
+        if isinstance(built, DeformationError):
+            emit(kind, name, "violated", built.order,
+                 report=f"deformation {name}: "
+                 f"{_failed_condition(built.violations[0], problem.field)}")
+        elif isinstance(built, IdentityError):
+            count = len(built.violations)
+            emit(kind, name, "violated", count, report=(
+                f"algebra {name}: Zinbiel identity FAILS on {count} of "
+                f"{spec.dim ** 3} triples" if kind == "algebra" else
+                f"morphism {name}: FAILS to respect products on {count} "
+                "pairs"))
+            _emit_violations(emit, problem.field, f"{kind}.violation", name,
+                             built.violations)
+        elif kind == "algebra":
+            emit(kind, name, "ok", spec.dim ** 3,
                  report=f"algebra {name}: Zinbiel identity verified on "
                         f"{spec.dim ** 3} triples")
-        except IdentityError as e:
-            failed += 1
-            bad_algebras.add(name)
-            emit("algebra", name, "violated", len(e.violations),
-                 report=f"algebra {name}: Zinbiel identity FAILS on "
-                        f"{len(e.violations)} of {spec.dim ** 3} triples")
-            _emit_violations(emit, problem.field, "algebra.violation", name,
-                             e.violations)
-    for name, spec in problem.morphisms.items():
-        if spec.source in bad_algebras or spec.target in bad_algebras:
-            bad_morphisms.add(name)
-            emit("morphism", name, "skipped", report=f"morphism {name}: "
-                 "skipped (an algebra it uses is invalid)")
-            continue
-        try:
-            f = problem.build_morphism(name)
-            emit("morphism", name, "ok", f.source.dim ** 2,
+        elif kind == "morphism":
+            emit(kind, name, "ok", built.source.dim ** 2,
                  report=f"morphism {name}: respects products on "
-                        f"{f.source.dim ** 2} pairs")
-        except IdentityError as e:
-            failed += 1
-            bad_morphisms.add(name)
-            emit("morphism", name, "violated", len(e.violations),
-                 report=f"morphism {name}: FAILS to respect products on "
-                        f"{len(e.violations)} pairs")
-            _emit_violations(emit, problem.field, "morphism.violation", name,
-                             e.violations)
-    for name, spec in problem.cochains.items():
-        if not skipped("cochain", name, spec):
-            problem.build_cochain(name)
-            emit("cochain", name, "ok", report=f"cochain {name}: well-formed")
-    for name, spec in problem.deformations.items():
-        if skipped("deformation", name, spec):
-            continue
-        f, terms, order = problem.deformation_candidate(name)
-        try:
-            check_deformation(f, terms, order)
-            emit("deformation", name, "ok", order, report=f"deformation "
-                 f"{name}: conditions hold through order {order}")
-        except DeformationError as e:
-            failed += 1
-            emit("deformation", name, "violated", e.order,
-                 report=f"deformation {name}: "
-                        f"{_failed_condition(e.violations[0], problem.field)}")
-    for name, spec in problem.isomorphisms.items():
-        if not skipped("isomorphism", name, spec):
-            problem.build_isomorphism(name)
-            emit("isomorphism", name, "ok", report=f"isomorphism {name}: "
-                 "well-formed (identity constant term)")
+                        f"{built.source.dim ** 2} pairs")
+        elif kind == "deformation":
+            emit(kind, name, "ok", built.order, report=f"deformation {name}: "
+                 f"conditions hold through order {built.order}")
+        else:
+            emit(kind, name, "ok", report=f"{kind} {name}: well-formed" + (
+                " (identity constant term)" if kind == "isomorphism" else ""))
     emit("status", "ok" if not failed else "fail")
     return 0 if not failed else 1
 
@@ -345,18 +349,23 @@ def _cmd_normalize(problem, args, emit) -> int:
 
 def _cmd_rigidity(problem, args, emit) -> int:
     name = _pick(problem.morphisms, args.morphism, "morphism")
-    rigidity = rigidity_check(problem.build_morphism(name),
-                              probe_order=args.probe_order,
-                              demo_count=args.demo, seed=args.seed)
+    f = problem.build_morphism(name)
+    rigidity = rigidity_check(f)
     emit("h2.dim", rigidity.h2_dim, report=f"dim H^2({name},{name}) = "
          f"{rigidity.h2_dim}, {rigidity.verdict}")
     emit("verdict", rigidity.verdict)
-    if rigidity.demos_run:
-        emit("demo.run", rigidity.demos_run,
-             report=f"trivialized {rigidity.demos_trivialized} of "
-                    f"{rigidity.demos_run} random order-"
-                    f"{rigidity.probe_order} deformations (seed {args.seed})")
-        emit("demo.trivialized", rigidity.demos_trivialized)
+    if args.demo and rigidity.certified_rigid:
+        # random valid deformations of the probe order, each trivialized
+        # by iterated normalization as a live demonstration
+        rng = random.Random(args.seed)
+        done = 0
+        for _ in range(args.demo):
+            _, final = trivialize(random_deformation(f, args.probe_order, rng))
+            done += final.is_trivial()
+        emit("demo.run", args.demo, report=f"trivialized {done} of "
+             f"{args.demo} random order-{args.probe_order} deformations "
+             f"(seed {args.seed})")
+        emit("demo.trivialized", done)
         emit("demo.seed", args.seed)
     emit("status", "ok")
     return 0
@@ -365,8 +374,9 @@ def _cmd_rigidity(problem, args, emit) -> int:
 def _cmd_verify_identities(problem, args, emit) -> int:
     rng = random.Random(args.seed)
     failed = 0
-    bad_algebras = set()
-    bad_morphisms = set()
+    built_as = {"algebra": "satisfies the Zinbiel identity",
+                "morphism": "respects products",
+                "deformation": "is a valid deformation"}
 
     def check(label: str, ok: bool) -> None:
         nonlocal failed
@@ -374,7 +384,8 @@ def _cmd_verify_identities(problem, args, emit) -> int:
         emit("identity", label.replace(" ", "-"), "ok" if ok else "fail",
              report=f"{'verified' if ok else 'FAILED'}: {label}")
 
-    def skip(label: str, why: str) -> None:
+    def skip(kind: str, name: str, why: str) -> None:
+        label = f"{kind} {name}: {built_as[kind]}"
         emit("identity", label.replace(" ", "-"), "skipped",
              report=f"skipped: {label} ({why})")
 
@@ -397,62 +408,40 @@ def _cmd_verify_identities(problem, args, emit) -> int:
         return x._rebuild(d_matrix(x._space()[:-1], n).matvec(x.flatten()),
                           n + 1)
 
-    for name in problem.algebras:
-        try:
-            algebra = problem.build_algebra(name)
-        except IdentityError:
-            bad_algebras.add(name)
-            check(f"algebra {name}: satisfies the Zinbiel identity", False)
-            continue
-        ds = {i: d_matrix((algebra, algebra.regular_bimodule()), i)
-              for i in DEGREES}
+    def squares_vanish(label: str, space: tuple) -> None:
+        ds = {i: d_matrix(space, i) for i in DEGREES}
         for i in DEGREES[:-1]:
-            check(f"algebra {name}: d{i + 1} after d{i} vanishes",
+            check(f"{label}: d{i + 1} after d{i} vanishes",
                   (ds[i + 1] @ ds[i]).is_zero())
-        check(f"algebra {name}: the product is a 2-cocycle",
-              d(product_cochain(algebra)).is_zero())
-    for name, spec in problem.morphisms.items():
-        label = f"morphism {name}: respects products"
-        if spec.source in bad_algebras or spec.target in bad_algebras:
-            bad_morphisms.add(name)
-            skip(label, "an algebra it uses is invalid")
-            continue
-        try:
-            f = problem.build_morphism(name)
-        except IdentityError:
-            bad_morphisms.add(name)
-            check(label, False)
-            continue
-        ds = {i: d_matrix((f,), i) for i in DEGREES}
-        for i in DEGREES[:-1]:
-            check(f"morphism {name}: d{i + 1} after d{i} vanishes",
-                  (ds[i + 1] @ ds[i]).is_zero())
-        r, s = f.source, f.target
-        for i in DEGREES:
-            xi = random_cochain(r, r.regular_bimodule(), i, rng)
-            pi = random_cochain(s, s.regular_bimodule(), i, rng)
-            ok = push_forward_left(f, d(xi)) == d(push_forward_left(f, xi))
-            ok = ok and (push_forward_right(f, d(pi))
-                         == d(push_forward_right(f, pi)))
-            check(f"morphism {name}: push-forwards commute with d{i}", ok)
-    for name, spec in problem.deformations.items():
-        label = f"deformation {name}: is a valid deformation"
-        if spec.morphism in bad_morphisms:
-            skip(label, "its morphism was not validated")
-            continue
-        f, terms, order = problem.deformation_candidate(name)
-        try:
-            theta = check_deformation(f, terms, order)
-        except DeformationError:
-            check(label, False)
-            continue
-        check(label, True)
-        if theta.order >= 1:
-            ob = obstruction(theta)
-            check(f"deformation {name}: obstruction is a 3-cocycle",
-                  d(ob).is_zero())
-            check(f"deformation {name}: obstruction naturality",
-                  obstruction_naturality(ob).ok)
+
+    for kind, name, _, built in _objects(
+            problem, ("algebra", "morphism", "deformation"), skip):
+        if isinstance(built, Exception):
+            check(f"{kind} {name}: {built_as[kind]}", False)
+        elif kind == "algebra":
+            squares_vanish(f"algebra {name}",
+                           (built, built.regular_bimodule()))
+            check(f"algebra {name}: the product is a 2-cocycle",
+                  d(product_cochain(built)).is_zero())
+        elif kind == "morphism":
+            squares_vanish(f"morphism {name}", (built,))
+            r, s = built.source, built.target
+            for i in DEGREES:
+                xi = random_cochain(r, r.regular_bimodule(), i, rng)
+                pi = random_cochain(s, s.regular_bimodule(), i, rng)
+                ok = (push_forward_left(built, d(xi))
+                      == d(push_forward_left(built, xi)))
+                ok = ok and (push_forward_right(built, d(pi))
+                             == d(push_forward_right(built, pi)))
+                check(f"morphism {name}: push-forwards commute with d{i}", ok)
+        else:
+            check(f"deformation {name}: {built_as[kind]}", True)
+            if built.order >= 1:
+                ob = obstruction(built)
+                check(f"deformation {name}: obstruction is a 3-cocycle",
+                      d(ob).is_zero())
+                check(f"deformation {name}: obstruction naturality",
+                      obstruction_naturality(ob).ok)
     emit("status", "ok" if not failed else "fail")
     return 0 if not failed else 1
 
@@ -490,7 +479,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="dimension of H^2 or H^3")
     common(p)
-    p.add_argument("--degree", type=int, choices=COHOMOLOGY_DEGREES,
+    p.add_argument("--degree", type=integer, choices=COHOMOLOGY_DEGREES,
                    required=True)
     which = p.add_mutually_exclusive_group()
     which.add_argument("--morphism", default=None)
@@ -502,7 +491,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="validate a deformation order by order")
     common(p)
     p.add_argument("--deformation", default=None)
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=integer, default=None,
                    help="validate only through this order")
     p.set_defaults(handler=_cmd_check_deformation)
 
@@ -510,7 +499,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="obstruction class of a deformation")
     common(p)
     p.add_argument("--deformation", default=None)
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=integer, default=None,
                    help="truncate the series to this order first")
     p.set_defaults(handler=_cmd_obstruction)
 
@@ -520,7 +509,7 @@ def _parser() -> argparse.ArgumentParser:
     start.add_argument("--deformation", default=None)
     start.add_argument("--cochain", default=None,
                        help="start from a 2-cocycle instead of a deformation")
-    p.add_argument("--target-order", type=int, required=True)
+    p.add_argument("--target-order", type=integer, required=True)
     p.set_defaults(handler=_cmd_extend)
 
     p = sub.add_parser("normalize",
@@ -532,16 +521,16 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rigidity", help="H^2 rigidity criterion")
     common(p)
     p.add_argument("--morphism", default=None)
-    p.add_argument("--probe-order", type=int, default=4)
-    p.add_argument("--demo", type=int, default=0,
+    p.add_argument("--probe-order", type=integer, default=4)
+    p.add_argument("--demo", type=integer, default=0,
                    help="when rigid, trivialize this many random deformations")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.set_defaults(handler=_cmd_rigidity)
 
     p = sub.add_parser("verify-identities",
                        help="machine-check the complex identities on the file")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.set_defaults(handler=_cmd_verify_identities)
 
     p = sub.add_parser("roundtrip",

@@ -1,6 +1,7 @@
 """Truncated deformations of a morphism: validation, infinitesimals,
 equivalence by formal isomorphisms, obstruction classes, order-by-order
-extension and the cohomological rigidity criterion.
+extension and the rigidity criterion (f is rigid when H^2(f) = 0, the
+one fact `rigidity_check` computes).
 
 A deformation of order N of f: R -> S is a list theta_0..theta_N of
 degree-2 triples, theta_0 = (m_R; m_S; f), such that for every order
@@ -36,8 +37,9 @@ nothing, so the sums take only the orders of the nonzero terms of each
 series (`_pairs`, `_triples`), found once per read series (`_orders`).
 The scalars are exact, so the order of summation changes no value.
 Conjugation composes whole series: m with psi in its first slot, then in
-its second, then phi after it, each a convolution of two series, so
-every order is summed once.  Its inverse series psi, to order N, is kept
+its second, then phi after it, each a convolution of two series: an
+order is summed once, or is zero rows when no pair of nonzero terms
+reaches it.  Its inverse series psi, to order N, is kept
 as psi times den^N (`_invert_series`, which visits only the nonzero
 terms of phi), so the conjugated products are over den^(2N+2) and the
 conjugated maps over den^(N+2).
@@ -388,6 +390,9 @@ def _compose_series(outer: list, inner: list, top: int, p: int) -> list:
     out = []
     for n in range(top + 1):
         pairs = _pairs(n, on_outer, on_inner)
+        if not pairs:       # no pair of nonzero terms: every row is zero
+            out.append([[] for _ in inner[0]])
+            continue
         rows = []
         for i in range(len(inner[0])):
             acc = {}
@@ -413,6 +418,9 @@ def _invert_series(terms: list, order: int, d: int, den: int, p: int) -> list:
     psi = [[[(x, den ** order)] for x in range(d)]]
     for n in range(1, order + 1):
         steps = [i for i in nonzero if i <= n]
+        if not steps:       # no nonzero term contributes: zero rows
+            psi.append([[] for _ in range(d)])
+            continue
         rows = []
         for x in range(d):
             acc = {}
@@ -656,38 +664,18 @@ def obstruction_naturality(ob: TripleCochain) -> Certificate:
 
 @dataclass
 class RigidityReport:
-    """H^2 criterion outcome, optionally with trivialization demos."""
+    """The H^2 criterion: f is certified rigid when H^2(f) = 0."""
     h2_dim: int
     certified_rigid: bool
-    probe_order: int
-    demos_run: int = 0
-    demos_trivialized: int = 0
 
     @property
     def verdict(self) -> str:
         return "rigid" if self.certified_rigid else "inconclusive"
 
 
-def rigidity_check(f: AlgebraMorphism, probe_order: int = 4,
-                   demo_count: int = 0, seed: int = 0) -> RigidityReport:
+def rigidity_check(f: AlgebraMorphism) -> RigidityReport:
     """Report rigidity when the degree-2 cohomology of the deformation
-    complex vanishes (a sufficient criterion; the converse is not claimed).
-
-    With demo_count > 0 and a vanishing H^2, random valid deformations of
-    the probe order are generated and trivialized by iterated
-    normalization as a live demonstration.
-    """
+    complex vanishes (a sufficient criterion; the converse is not
+    claimed)."""
     h2 = morphism_cohomology_dim(f, 2)
-    report = RigidityReport(h2, h2 == 0, probe_order)
-    if demo_count > 0 and h2 == 0:
-        import random
-
-        from .sampling import random_deformation
-        rng = random.Random(seed)
-        for _ in range(demo_count):
-            theta = random_deformation(f, probe_order, rng)
-            _, final = trivialize(theta)
-            report.demos_run += 1
-            if final.is_trivial():
-                report.demos_trivialized += 1
-    return report
+    return RigidityReport(h2, h2 == 0)

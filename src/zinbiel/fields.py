@@ -139,7 +139,18 @@ class ModInt:
         return f"ModInt({self.value}, {self.modulus})"
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# the one integer rule of files, flags and field descriptors: an optional
+# sign, then ASCII digits (`int` also reads other digits, `_` and blanks)
+_INTEGER = r"[+-]?[0-9]+"
+_INTEGER_RE = re.compile(_INTEGER)
+_RATIONAL_RE = re.compile(_INTEGER + r"(/[0-9]+)?")
+
+
+def integer(text: str) -> int:
+    """The integer `text` writes under the one integer rule, or FieldError."""
+    if _INTEGER_RE.fullmatch(text) is None:
+        raise FieldError(f"bad integer literal: {text!r}")
+    return int(text)
 
 
 class Field:
@@ -164,7 +175,7 @@ class Field:
     def parse(self, text: str):
         """Parse an exact literal ('a/b' or integer), or raise FieldError."""
         text = text.strip()
-        if not _RATIONAL_RE.match(text):
+        if not _RATIONAL_RE.fullmatch(text):
             raise FieldError(f"bad {self._literal} literal: {text!r}")
         num, _, den = text.partition("/")
         if not den:
@@ -269,8 +280,7 @@ def field_from_spec(text: str) -> Field:
     if text == "Q":
         return QQ
     if text.startswith("Fp:"):
-        tail = text[3:]
-        if not tail.isdecimal():
+        if _INTEGER_RE.fullmatch(text, 3) is None:
             raise FieldError(f"bad prime field descriptor: {text!r}")
-        return PrimeField(int(tail))
+        return PrimeField(int(text[3:]))
     raise FieldError(f"unknown field descriptor: {text!r}")

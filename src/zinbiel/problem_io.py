@@ -41,6 +41,10 @@ Grammar (one directive per line, '#' starts a comment, indices 1-based):
 
 Scalars are exact literals: 'a/b' or integers over Q, integers mod p over
 Fp:<p> (fractions with invertible denominators are accepted there too).
+Every integer (count, index, term order, the p of Fp:<p>, each part of a
+scalar) is an optional sign, then ASCII digits (`fields.integer`).  A
+line whose first word is 'end' closes its section; a word after it is
+an error.
 Names must be defined before they are referenced.  Each header directive
 (dim; source, target; morphism, degree; morphism, order) appears exactly
 once in its section, before the first entry.  Zero-valued entries are
@@ -62,7 +66,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import AlgebraMorphism, ZinbielAlgebra
 from .cochains import MAX_ARITY, Cochain, tuple_index
 from .deformation import FormalIsomorphism, theta_zero
-from .fields import Field, FieldError, field_from_spec
+from .fields import Field, FieldError, field_from_spec, integer
 from .morphism_complex import TripleCochain, _spaces
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -302,8 +306,8 @@ class _Line:
     def take_int(self, what: str) -> int:
         tok = self.take(what)
         try:
-            return int(tok)
-        except ValueError:
+            return integer(tok)
+        except FieldError:
             raise self.error(self.pos - 1,
                              f"expected {what}, got {tok!r}") from None
 
@@ -382,12 +386,13 @@ def parse(text: str, field_override: Field | None = None) -> Problem:
         if name in table:
             raise header.error(1, f"duplicate {kind} {name!r}")
         start = idx
-        while idx < len(lines) and lines[idx].words != ["end"]:
+        while idx < len(lines) and lines[idx].words[0] != "end":
             idx += 1
         if idx == len(lines):
             raise header.error(0, f"{kind} {name!r} is never closed by 'end'")
         table[name] = _section(problem, kind, name, header,
                                lines[start:idx])
+        lines[idx].done()
         idx += 1
     return problem
 

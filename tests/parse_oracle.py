@@ -1,17 +1,23 @@
 """Token-tuple problem-file parser: the reference for `zinbiel.problem_io.parse`.
 
-This is the library's former parser, kept unchanged as an independent
-code path: every logical line is tokenized by a regular expression into
-(token, 1-based column) pairs up front, and every error takes its column
-from the pair it names.  It shares the grammar tables (`_SECTIONS`,
+This is the library's former parser, kept as an independent code path
+and changed only where the language changed (the integer rule, and a
+line whose first word is `end`): every logical line is tokenized by a
+regular expression into (token, 1-based column) pairs up front, and
+every error takes its column from the pair it names.  It shares the grammar tables (`_SECTIONS`,
 `_COUNTS`, `_REFERENCES`) and the spec classes with the library, so the
 two parse the same language; the library must give the same `Problem`,
 or the same (line, column, detail) error, on every text.
 """
 
+import re
+
 from zinbiel.fields import Field, FieldError, field_from_spec
 from zinbiel.problem_io import (_COUNTS, _NAME_RE, _REFERENCES, _SECTIONS,
                                 _TOKEN_RE, Problem, ProblemFileError)
+
+# an integer is an optional sign and then ASCII digits
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class _Tokens:
@@ -33,11 +39,10 @@ class _Tokens:
 
     def take_int(self, what: str) -> tuple[int, int]:
         tok, col = self.take(what)
-        try:
-            return int(tok), col
-        except ValueError:
+        if not _INTEGER_RE.fullmatch(tok):
             raise ProblemFileError(self.lineno, col,
-                                   f"expected {what}, got {tok!r}") from None
+                                   f"expected {what}, got {tok!r}")
+        return int(tok), col
 
     def done(self) -> None:
         if self.pos < len(self.items):
@@ -118,14 +123,15 @@ def parse(text: str, field_override: Field | None = None) -> Problem:
             raise ProblemFileError(header.lineno, ncol,
                                    f"duplicate {kind} {name!r}")
         start = idx
-        while idx < len(lines) and not (len(lines[idx].items) == 1
-                                        and lines[idx].items[0][0] == "end"):
+        while idx < len(lines) and lines[idx].items[0][0] != "end":
             idx += 1
         if idx == len(lines):
             raise ProblemFileError(header.lineno, col,
                                    f"{kind} {name!r} is never closed by 'end'")
         table[name] = _section(problem, kind, name, header.lineno, col,
                                lines[start:idx])
+        lines[idx].take("directive")
+        lines[idx].done()
         idx += 1
     return problem
 

@@ -436,6 +436,24 @@ def test_rigidity_demo_keys_are_documented(capsys, tmp_path):
     assert all(documented.fullmatch(line.split(" ", 1)[0]) for line in lines)
 
 
+def test_rigidity_demo_trivializes_every_draw(capsys, tmp_path):
+    # the zero map of the zero algebra is rigid: both outputs give the
+    # verdict, then the demo's count of trivialized random deformations
+    path = tmp_path / "point.zb"
+    path.write_text("field Q\nalgebra Z\n  dim 0\nend\n"
+                    "morphism z\n  source Z\n  target Z\nend\n")
+    argv = ["rigidity", str(path), "--morphism", "z", "--demo", "2",
+            "--seed", "3"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "dim H^2(z,z) = 0, rigid",
+        "trivialized 2 of 2 random order-4 deformations (seed 3)"]
+    assert cli.main(argv + ["--output", "machine"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "command rigidity", "h2.dim 0", "verdict rigid", "demo.run 2",
+        "demo.trivialized 2", "demo.seed 3", "status ok"]
+
+
 def test_an_obstruction_that_is_a_coboundary_exits_0(capsys, tmp_path):
     # on id_T3, cocycle 2 of cocycle_basis as the linear term of an
     # order-1 deformation has a nonzero obstruction with a preimage
@@ -468,6 +486,45 @@ def test_a_missing_kind_is_named(capsys):
     code = cli.main(["obstruction", str(PROBLEMS / "nilpotent_dim2.zb")])
     assert code == 2
     assert capsys.readouterr().err == "error: the file has no deformation\n"
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check-deformation", "--order", "1_0"),
+    ("cohomology", "--degree", "\u0662"),
+])
+def test_an_integer_flag_takes_only_ascii_digits(capsys, command, flag,
+                                                  value):
+    # int() reads both as integers; the one integer rule refuses them
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, str(PROBLEMS / "graded_dim3.zb"), flag, value])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert errors == [f"zinbiel {command}: error: argument {flag}: "
+                      f"invalid integer value: {value!r}"]
+    assert err.endswith(errors[0] + "\n")
+
+
+def test_a_field_flag_takes_only_ascii_digits(capsys):
+    code = cli.main(["cohomology", str(PROBLEMS / "abelian_line.zb"),
+                     "--degree", "2", "--field", "Fp:\u0667"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: bad prime field descriptor: 'Fp:\u0667'\n")
+
+
+def test_a_byte_order_mark_changes_nothing(capsys, tmp_path):
+    original = PROBLEMS / "abelian_line.zb"
+    marked = tmp_path / "abelian_line.zb"
+    marked.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    runs = []
+    for path in (original, marked):
+        for output in ("report", "machine"):
+            code = cli.main(["validate", str(path), "--output", output])
+            runs.append((code, capsys.readouterr().out))
+    assert runs[:2] == runs[2:]
+    assert runs[0][0] == 0
 
 
 ORDER_ZERO = """field Q

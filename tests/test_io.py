@@ -139,6 +139,9 @@ ERRORS = [
     ("field Q Q\n", 1, 9, "unexpected trailing token 'Q'"),
     ("field Fp:6\n", 1, 7, "modulus 6 is not prime"),
     ("field Fp:²\n", 1, 7, "bad prime field descriptor: 'Fp:²'"),
+    # an integer is an optional sign and then ASCII digits, nothing else
+    ("field Fp:\u0667\n", 1, 7, "bad prime field descriptor: 'Fp:\u0667'"),
+    ("field Fp:1_1\n", 1, 7, "bad prime field descriptor: 'Fp:1_1'"),
     ("field Q\nfield Q\n", 2, 1, "duplicate field declaration"),
     # section headers
     ("field Q\nwidget W\nend\n", 2, 1, "unknown directive 'widget'"),
@@ -146,12 +149,18 @@ ERRORS = [
     ("field Q\nalgebra 1R\nend\n", 2, 9, "bad name '1R'"),
     ("field Q\nalgebra R S\nend\n", 2, 11, "unexpected trailing token 'S'"),
     (ONE, 2, 1, "algebra 'R' is never closed by 'end'"),
+    # a line whose first word is `end` closes the section
+    (ONE + "end extra\n", 4, 5, "unexpected trailing token 'extra'"),
     (ONE + "end\nalgebra R\n  dim 1\nend\n", 5, 9, "duplicate algebra 'R'"),
     # algebra
     ("field Q\nalgebra R\nend\n", 2, 1, "algebra 'R' has no dim"),
     ("field Q\nalgebra R\n  dim\nend\n", 3, 6, "expected dimension"),
     ("field Q\nalgebra R\n  dim two\nend\n", 3, 7,
      "expected dimension, got 'two'"),
+    ("field Q\nalgebra R\n  dim 1_0\nend\n", 3, 7,
+     "expected dimension, got '1_0'"),
+    ("field Q\nalgebra R\n  dim \u0662\nend\n", 3, 7,
+     "expected dimension, got '\u0662'"),
     ("field Q\nalgebra R\n  dim -1\nend\n", 3, 7,
      "dimension must be nonnegative"),
     ("field Q\nalgebra R\n  dim 1 2\nend\n", 3, 9,
@@ -168,6 +177,12 @@ ERRORS = [
     (ONE + "  gamma 1 1 1 : 1\nend\n", 4, 15, "expected '=', got ':'"),
     (ONE + "  gamma 1 1 1 =\nend\n", 4, 16, "expected scalar"),
     (ONE + "  gamma 1 1 1 = x\nend\n", 4, 17, "bad rational literal: 'x'"),
+    (ONE + "  gamma \u0661 1 1 = 1\nend\n", 4, 9,
+     "expected first index, got '\u0661'"),
+    (ONE + "  gamma 1 1 1 = \u0663/\u0662\nend\n", 4, 17,
+     "bad rational literal: '\u0663/\u0662'"),
+    (ONE + "  gamma 1 1 1 = 1/2_0\nend\n", 4, 17,
+     "bad rational literal: '1/2_0'"),
     (ONE.replace("Q", "Fp:5") + "  gamma 1 1 1 = 1/5\nend\n", 4, 17,
      "denominator of 1/5 is divisible by 5"),
     # a zero denominator over either field, once a traceback over F_p
@@ -250,6 +265,8 @@ ERRORS = [
      "morphism and order must precede term entries"),
     (DEFORMATION + "  term\nend\n", 19, 7, "expected term order"),
     (DEFORMATION + "  term x\nend\n", 19, 8, "expected term order, got 'x'"),
+    (DEFORMATION + "  term 1_0 R 1 1 1 = 1\nend\n", 19, 8,
+     "expected term order, got '1_0'"),
     (DEFORMATION + "  term 3 R 1 1 1 = 1\nend\n", 19, 8,
      "term order 3 outside 1..2"),
     (DEFORMATION + "  term 0 R 1 1 1 = 1\nend\n", 19, 8,
@@ -303,6 +320,15 @@ def test_error_positions_and_messages():
         assert (err.value.line, err.value.column, err.value.detail) == \
             (line, column, message), text
         assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+def test_a_signed_integer_is_read():
+    # the integer rule takes an optional sign before the ASCII digits
+    problem = parse("field Fp:+7\nalgebra R\n  dim +1\n"
+                    "  gamma +1 1 1 = +5\nend\n")
+    assert problem.field == PrimeField(7)
+    assert problem.algebras["R"].dim == 1
+    assert problem.algebras["R"].entries == [(0, 0, 0, 5)]
 
 
 def test_cochain_degree1_has_no_third_component():
