@@ -9,7 +9,8 @@ A bimodule over such an algebra carries left and right actions for which
 the same identity holds whenever exactly one of the three arguments comes
 from the module.  Everything is basis-presented through structure
 constants; `IdentityError` carries the full list of violations with exact
-residual vectors.
+residual vectors.  Every algebra given by its nonzero products (stock,
+parsed or sampled) is laid out by one builder, `_from_products`.
 
 Each identity is checked in one place, exhaustively on basis tuples:
 `ZinbielAlgebra` checks the Zinbiel identity, `AlgebraMorphism` checks
@@ -126,6 +127,18 @@ class ZinbielAlgebra:
         if bad:
             raise IdentityError(
                 f"Zinbiel identity fails on {len(bad)} basis triple(s)", bad)
+
+    @classmethod
+    def _from_products(cls, field: Field, dim: int,
+                       products) -> "ZinbielAlgebra":
+        """The checked algebra whose nonzero products are the given
+        e_i * e_j = c e_k, each an (i, j, k, c); of two at one place, the
+        later wins."""
+        z = field.zero()
+        gamma = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
+        for i, j, k, c in products:
+            gamma[i][j][k] = c
+        return cls(field, dim, gamma)
 
     def product_basis(self, i: int, j: int) -> list:
         """The vector e_i * e_j (a row of the structure tensor; treat as read-only)."""

@@ -11,9 +11,7 @@ from .linalg import Matrix, inverse
 
 def zero_algebra(field: Field, dim: int) -> ZinbielAlgebra:
     """All products zero; satisfies the Zinbiel identity trivially."""
-    z = field.zero()
-    gamma = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    return ZinbielAlgebra(field, dim, gamma)
+    return ZinbielAlgebra._from_products(field, dim, ())
 
 
 def truncated_polynomials(field: Field, dim: int) -> ZinbielAlgebra:
@@ -23,45 +21,26 @@ def truncated_polynomials(field: Field, dim: int) -> ZinbielAlgebra:
     cut off above degree dim; the grading makes the truncation closed under
     the Zinbiel identity.  dim=2 gives the e1*e1 = e2 algebra.
     """
-    z = field.zero()
-    gamma = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            k = i + j + 1
-            if k < dim:
-                gamma[i][j][k] = field.from_int(comb(i + j + 1, j + 1))
-    return ZinbielAlgebra(field, dim, gamma)
+    return ZinbielAlgebra._from_products(field, dim, (
+        (i, j, i + j + 1, field.from_int(comb(i + j + 1, j + 1)))
+        for i in range(dim) for j in range(dim) if i + j + 1 < dim))
 
 
 def single_product_algebra(field: Field, dim: int, i: int, j: int, k: int,
                            c) -> ZinbielAlgebra:
     """One nonzero product e_i*e_j = c e_k (validated on construction)."""
-    z = field.zero()
-    gamma = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-    gamma[i][j][k] = field.coerce(c)
-    return ZinbielAlgebra(field, dim, gamma)
+    return ZinbielAlgebra._from_products(field, dim, [(i, j, k, c)])
 
 
 def direct_sum(a: ZinbielAlgebra, b: ZinbielAlgebra) -> ZinbielAlgebra:
     """Componentwise product on the concatenated basis."""
     if a.field != b.field:
         raise ValueError("direct sum across different fields")
-    field = a.field
-    d = a.dim + b.dim
-    z = field.zero()
-    gamma = [[[z] * d for _ in range(d)] for _ in range(d)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k, g in enumerate(a.gamma[i][j]):
-                if g:
-                    gamma[i][j][k] = g
-    off = a.dim
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k, g in enumerate(b.gamma[i][j]):
-                if g:
-                    gamma[off + i][off + j][off + k] = g
-    return ZinbielAlgebra(field, d, gamma)
+    return ZinbielAlgebra._from_products(a.field, a.dim + b.dim, (
+        (off + i, off + j, off + k, g)
+        for summand, off in ((a, 0), (b, a.dim))
+        for i in range(summand.dim) for j in range(summand.dim)
+        for k, g in enumerate(summand.gamma[i][j]) if g))
 
 
 def change_of_basis(r: ZinbielAlgebra,

@@ -158,14 +158,10 @@ class Problem:
     def build_algebra(self, name: str) -> ZinbielAlgebra:
         if name not in self._built_algebras:
             spec = self._spec("algebra", name)
-            z = self.field.zero()
-            gamma = [[[z] * spec.dim for _ in range(spec.dim)]
-                     for _ in range(spec.dim)]
-            for entry in spec.entries:
-                i, j, k = _fit(entry, entry[:3], (spec.dim,) * 3)
-                gamma[i][j][k] = entry[3]
-            self._built_algebras[name] = ZinbielAlgebra(
-                self.field, spec.dim, gamma)
+            products = [(*_fit(entry, entry[:3], (spec.dim,) * 3), entry[3])
+                        for entry in spec.entries]
+            self._built_algebras[name] = ZinbielAlgebra._from_products(
+                self.field, spec.dim, products)
         return self._built_algebras[name]
 
     def build_morphism(self, name: str) -> AlgebraMorphism:

@@ -74,13 +74,11 @@ def _sparse_search(field: Field, dim: int,
                    rng: random.Random) -> ZinbielAlgebra | None:
     """Try 12 sparse random structure tensors against the validator."""
     for _ in range(12):
-        z = field.zero()
-        gamma = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
-        for _ in range(rng.randint(1, 2)):
-            i, j, k = (rng.randrange(dim) for _ in range(3))
-            gamma[i][j][k] = random_scalar(field, rng, nonzero=True)
+        products = [(*(rng.randrange(dim) for _ in range(3)),
+                     random_scalar(field, rng, nonzero=True))
+                    for _ in range(rng.randint(1, 2))]
         try:
-            return ZinbielAlgebra(field, dim, gamma)
+            return ZinbielAlgebra._from_products(field, dim, products)
         except IdentityError:
             continue
     return None

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -527,6 +528,38 @@ def test_a_byte_order_mark_changes_nothing(capsys, tmp_path):
     assert runs[0][0] == 0
 
 
+def test_an_algebra_failing_the_identity_exits_1(capsys, tmp_path):
+    # the IdentityError of a build is reported by main, after the command
+    path = tmp_path / "not_zinbiel.zb"
+    path.write_text("field Q\nalgebra A\n  dim 2\n  gamma 1 1 1 = 1\nend\n"
+                    "morphism m\n  source A\n  target A\n"
+                    "  entry 1 1 = 1\n  entry 2 2 = 1\nend\n",
+                    encoding="utf-8")
+    code = cli.main(["cohomology", str(path), "--degree", "2",
+                     "--morphism", "m", "--output", "machine"])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "command cohomology\n",
+        "error: Zinbiel identity fails on 1 basis triple(s)\n")
+
+
+def test_a_file_with_two_morphisms_needs_the_flag(capsys):
+    code = cli.main(["cohomology", str(PROBLEMS / "graded_dim3.zb"),
+                     "--degree", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: --morphism is required when the file has 2 of them\n"
+
+
+def test_roundtrip_reports_a_mismatch(capsys, monkeypatch):
+    # a serializer that drops the isomorphisms reads back as another file
+    monkeypatch.setattr(cli, "serialize", lambda problem: serialize(
+        dataclasses.replace(problem, isomorphisms={})))
+    code = cli.main(["roundtrip", str(PROBLEMS / "graded_dim3.zb")])
+    assert code == 1
+    assert capsys.readouterr() == ("", "round-trip mismatch\n")
+
+
 ORDER_ZERO = """field Q
 algebra L
   dim 1
@@ -710,6 +743,17 @@ ARGPARSE_ARGVS = [["--help"]] + [
 ]
 
 
+@contextlib.contextmanager
+def _chdir(path):
+    """`contextlib.chdir`, which Python 3.10 lacks."""
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
 def _transcripts(argvs=None):
     """Run the given argvs (by default every golden argv) in-process, in
     order, from a directory holding the problem files under their plain
@@ -719,7 +763,7 @@ def _transcripts(argvs=None):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in _golden_files().items():
             Path(tmp, name).write_text(text, encoding="utf-8")
-        with contextlib.chdir(tmp), \
+        with _chdir(tmp), \
                 mock.patch.dict(os.environ, {"COLUMNS": "80"}):
             for argv in _golden_argvs() if argvs is None else argvs:
                 out, err = io.StringIO(), io.StringIO()

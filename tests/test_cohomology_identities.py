@@ -7,7 +7,17 @@ the long exact sequence
   ... -> H^{n-1}(R,S_f) -> H^n(f) -> H^n(R) (+) H^n(S) -Phi*-> H^n(R,S_f)
 
 For f = id_A, Phi*(x, y) = x - y is onto in every degree, so the
-sequence gives dim H^n(id_A) = dim H^n(A, A).
+sequence gives dim H^n(id_A) = dim H^n(A, A).  For every f it gives
+
+  dim H^n(f) = (h^{n-1}(R,S_f) - rk Phi*_{n-1})
+               + (h^n(R) + h^n(S) - rk Phi*_n),
+
+a second route to dim H^n(f): rk Phi*_k is the rank of the images
+Phi(Z^k), with Z^k the cycles of d^k on R and on S, modulo the
+boundaries B^k, the columns of d^{k-1} on C(R,S_f) (B^1 = 0, the complex
+has no degree 0).  Phi is applied by the tuple push-forwards of
+differential_oracle.py, so the library's push-forward matrices enter on
+the side of `morphism_cohomology_dim` only.
 
 Change of basis.  Isomorphisms a: R -> R' and b: S -> S' carry the
 complex of f onto that of f' = b f a^-1, so H^n(f) and H^n(f') have the
@@ -32,17 +42,22 @@ binomial structure constants of the truncated polynomials vanish.
 
 import random
 
-from instances import FIELDS, SEED, grown_deformations
+import pytest
+
+from differential_oracle import push_forward_left, push_forward_right
+from instances import FIELDS, SEED, grown_deformations, seeded_suite
 from oracle_helpers import evaluate
+from zinbiel import morphism_complex
 from zinbiel.algebra import AlgebraMorphism, identity_morphism
 from zinbiel.catalog import (change_of_basis, truncated_polynomials,
                              weight_scaling)
 from zinbiel.cochains import (COHOMOLOGY_DEGREES, Cochain, all_tuples,
-                              cohomology_dim)
+                              cohomology_dim, complex_dim,
+                              differential_matrix)
 from zinbiel.deformation import (FormalIsomorphism, TruncatedDeformation,
                                  conjugate, extend_to, obstruction)
 from zinbiel.fields import QQ, PrimeField
-from zinbiel.linalg import inverse
+from zinbiel.linalg import Matrix, inverse, rank_nullspace
 from zinbiel.morphism_complex import TripleCochain, morphism_cohomology_dim
 from zinbiel.sampling import (random_dense_invertible,
                               random_formal_isomorphism)
@@ -65,6 +80,78 @@ def test_the_identity_has_the_cohomology_of_its_algebra(suite):
               if morphism_cohomology_dim(identity_morphism(algebra), n)
               != cohomology_dim(algebra, algebra.regular_bimodule(), n)]
     assert differ == []
+
+
+def _rank(field, vectors: list, width: int) -> int:
+    return rank_nullspace(Matrix(field, vectors, width))[0]
+
+
+def _connecting_rank(f, k: int) -> int:
+    """rk Phi*_k: rank(B^k + Phi(Z^k)) - rank(B^k) in C^k(R,S_f)."""
+    r, s, sf = f.source, f.target, f.as_bimodule()
+    width = complex_dim(r, sf, k)
+    bound = []
+    if k > 1:
+        d = differential_matrix(r, sf, k - 1)
+        bound = [d.column(j) for j in range(d.ncols)]
+    images = []
+    for algebra, push in ((r, push_forward_left), (s, push_forward_right)):
+        reg = algebra.regular_bimodule()
+        for z in rank_nullspace(differential_matrix(algebra, reg, k))[1]:
+            images.append(
+                push(f, Cochain.from_flat(algebra, reg, k, z)).flatten())
+    return (_rank(r.field, bound + images, width)
+            - _rank(r.field, bound, width))
+
+
+@pytest.fixture(scope="module")
+def sequence_dims(suite) -> tuple:
+    """dim H^n(f) from the long exact sequence, keyed by (index, n) over
+    the suite and the cohomology degrees, and the number of those with
+    rk Phi*_n > 0."""
+    dims, onto = {}, 0
+    for index, f in enumerate(suite):
+        r, s, sf = f.source, f.target, f.as_bimodule()
+        rk = {k: _connecting_rank(f, k) for k in (1, *COHOMOLOGY_DEGREES)}
+        h = {1: complex_dim(r, sf, 1)
+             - rank_nullspace(differential_matrix(r, sf, 1))[0]}
+        for n in COHOMOLOGY_DEGREES:
+            h[n] = cohomology_dim(r, sf, n)
+            dims[index, n] = (
+                h[n - 1] - rk[n - 1]
+                + cohomology_dim(r, r.regular_bimodule(), n)
+                + cohomology_dim(s, s.regular_bimodule(), n) - rk[n])
+            onto += rk[n] > 0
+    return dims, onto
+
+
+def _disagree(suite, dims: dict) -> list:
+    return [(index, n) for index, n in dims
+            if morphism_cohomology_dim(suite[index], n) != dims[index, n]]
+
+
+def test_the_long_exact_sequence_gives_the_cohomology_of_f(suite,
+                                                          sequence_dims):
+    dims, onto = sequence_dims
+    assert len(dims) == 448 and onto == 176
+    assert _disagree(suite, dims) == []
+
+
+@pytest.mark.parametrize("name, caught", [("_push_left_matrix", 52),
+                                          ("_push_right_matrix", 28)])
+def test_the_sequence_catches_a_zeroed_push_forward(monkeypatch, name,
+                                                    caught, sequence_dims):
+    # a fresh copy of the suite: its morphisms keep the ranks the mutant
+    # computes
+    suite = seeded_suite()
+    dims, _ = sequence_dims
+    push = getattr(morphism_complex, name)
+
+    def zeroed(f, n):
+        m = push(f, n)
+        return Matrix.zeros(m.field, m.nrows, m.ncols)
+    monkeypatch.setattr(morphism_complex, name, zeroed)
+    assert len(_disagree(suite, dims)) == caught
 
 
 def _moves(f, rng) -> tuple:

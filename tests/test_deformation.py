@@ -438,6 +438,17 @@ def test_normalize_rejects_non_coboundary():
         normalize_leading_term(theta)
 
 
+def test_normalize_checks_that_the_leading_term_is_gone(monkeypatch):
+    # a conjugation that changes nothing leaves the coboundary leading
+    # term of this order-1 extension in place
+    f = identity_morphism(truncated_polynomials(QQ, 2))
+    theta = extend_from_cocycle(f, cocycle_basis(f)[0], 1).deformation
+    monkeypatch.setattr(deformation, "conjugate", lambda theta, phi: theta)
+    with pytest.raises(AssertionError) as err:
+        normalize_leading_term(theta)
+    assert str(err.value) == "normalization left a nonzero term at order 1"
+
+
 def test_trivialize_conjugates_of_trivial(field, rng):
     # every leading term along the way is a coboundary, so iterated
     # normalization reaches the trivial deformation exactly

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from zinbiel.fields import (QQ, FieldError, PrimeField, _is_prime,
+from zinbiel.fields import (QQ, FieldError, ModInt, PrimeField, _is_prime,
                             field_from_spec)
 
 
@@ -70,6 +70,11 @@ def test_modint_int_interop():
     assert 2 * f.from_int(3) == f.from_int(1)
     assert sum([f.from_int(2), f.from_int(4)]) == f.one()
     assert f.from_int(3) - 1 == f.from_int(2)
+
+
+def test_modint_reflected_operators():
+    assert 3 - ModInt(1, 5) == ModInt(2, 5)
+    assert 1 / ModInt(2, 5) == ModInt(3, 5)
 
 
 def test_modint_division_by_zero():

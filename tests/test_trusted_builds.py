@@ -29,16 +29,20 @@ from zinbiel.catalog import (change_of_basis, direct_sum,
 from zinbiel.cochains import (Cochain, coboundary_preimage, differential,
                               identity_cochain)
 from zinbiel.deformation import (FormalIsomorphism, TruncatedDeformation,
-                                 conjugate, extend_one_order,
+                                 check_deformation, conjugate,
+                                 extend_from_cocycle, extend_one_order,
+                                 infinitesimal_difference_is_coboundary,
                                  invert_truncated, obstruction,
-                                 order_residual, theta_zero)
+                                 order_residual, theta_zero,
+                                 trivial_deformation)
 from zinbiel.fields import QQ, FieldError, ModInt, PrimeField
 from zinbiel.linalg import Matrix, inverse
 from zinbiel.morphism_complex import TripleCochain
 from zinbiel.problem_io import (AlgebraSpec, CochainSpec, DeformationSpec,
                                 IsomorphismSpec, MorphismSpec, Problem,
                                 parse)
-from zinbiel.sampling import (random_cochain, random_deformation,
+from zinbiel.sampling import (random_cochain, random_combination,
+                              random_deformation,
                               random_formal_isomorphism, random_scalar,
                               random_triple_cochain)
 
@@ -347,6 +351,9 @@ def test_public_constructors_keep_every_check():
         (lambda: TripleCochain(f, 2, Cochain.zero(
             other, other.regular_bimodule(), 2), xi, None), ValueError,
          "first component must have regular coefficients on the source"),
+        (lambda: TripleCochain(f, 2, xi, Cochain.zero(
+            other, other.regular_bimodule(), 2), None), ValueError,
+         "second component must have regular coefficients on the target"),
         (lambda: TripleCochain(f, 2, xi, xi, None), ValueError,
          "degree-2 triple needs a third component"),
         (lambda: TripleCochain(f, 5, xi, xi, None), ValueError,
@@ -379,6 +386,19 @@ def test_public_constructors_keep_every_check():
         (lambda: FormalIsomorphism(f, [TripleCochain(
             f, 1, Cochain.zero(r, reg, 1), identity_cochain(s), None)]),
          ValueError, "constant term must be the identity pair"),
+        # the builders of series and of random elements: no terms, an
+        # order too low, an empty basis
+        (lambda: check_deformation(f, []), ValueError,
+         "candidate series is empty"),
+        (lambda: infinitesimal_difference_is_coboundary(
+            trivial_deformation(f, 0), FormalIsomorphism.identity(f)),
+         ValueError, "needs a deformation of order at least 1"),
+        (lambda: extend_from_cocycle(f, TripleCochain.zero(f, 2), 0),
+         ValueError, "target order must be at least 1"),
+        (lambda: random_formal_isomorphism(f, -1, random.Random(0)),
+         ValueError, "order must be nonnegative"),
+        (lambda: random_combination([], random.Random(0)), ValueError,
+         "empty basis"),
     ]
     for build, error, message in cases:
         with pytest.raises(error) as err:
