@@ -15,14 +15,16 @@ parsed or sampled) is laid out by one builder, `_from_products`.
 Each identity is checked in one place, exhaustively on basis tuples:
 `ZinbielAlgebra` checks the Zinbiel identity, `AlgebraMorphism` checks
 f(xy) = f(x)f(y), and `Bimodule` checks the three mixed identities of
-the actions its caller supplies.  The first two checks are the order-0
-deformation conditions of (m_R; m_S; f) and share their sparse sums with
-`zinbiel.deformation`: `_product_sums` and `_morphism_sums` at order 0.
-The mixed identities are the Zinbiel identity of the square-zero
-extension R + A, so `_product_sums` computes them too, on the basis
-triples with exactly one argument in A only.  `_found` reads
-the failures off the accumulated sums and writes their values back with
-`linalg._dense`, here and for the deformation conditions of every order.
+the actions its caller supplies; the public `*_violations` checks run
+those constructors (`_violations_of`), shape checks included.  The first
+two checks are the order-0 deformation conditions of (m_R; m_S; f) and
+share their sparse sums with `zinbiel.deformation`: `_product_sums` and
+`_morphism_sums` at order 0.  The mixed identities are the Zinbiel
+identity of the square-zero extension R + A, so `_product_sums` computes
+them too, on the basis triples with exactly one argument in A only.
+`_found` reads the failures off the accumulated sums and writes their
+values back with `linalg._dense`, here and for the deformation
+conditions of every order.
 
 Each object reads its field values into ints once, in its constructor,
 and keeps that read: an algebra its product (`_gamma_ints`), a bimodule
@@ -79,11 +81,14 @@ class IdentityError(ValueError):
         self.violations = violations
 
 
-def _check_cube_shape(dim: int, gamma) -> None:
-    if len(gamma) != dim or any(
-            len(plane) != dim or any(len(row) != dim for row in plane)
-            for plane in gamma):
-        raise ValueError(f"structure tensor must be {dim}x{dim}x{dim}")
+def _violations_of(build, *args) -> list[Violation]:
+    """The violations of the IdentityError that build(*args) raises, or []
+    when it builds: each public `*_violations` check is its constructor."""
+    try:
+        build(*args)
+    except IdentityError as e:
+        return e.violations
+    return []
 
 
 def _coerced(field: Field, grid) -> list:
@@ -116,14 +121,21 @@ class ZinbielAlgebra:
     def __init__(self, field: Field, dim: int, gamma):
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        _check_cube_shape(dim, gamma)
+        if len(gamma) != dim or any(
+                len(plane) != dim or any(len(row) != dim for row in plane)
+                for plane in gamma):
+            raise ValueError(f"structure tensor must be {dim}x{dim}x{dim}")
         self.field = field
         self.dim = dim
         self.gamma = _coerced(field, gamma)
         self._regular = None
         # (rows, den): row i * dim + j holds e_i * e_j times den
-        self._gamma_ints = _grid_ints(field, self.gamma)
-        bad = _zinbiel_found(field, dim, *self._gamma_ints)
+        rows, den = self._gamma_ints = _grid_ints(field, self.gamma)
+        # the Zinbiel identity: the order-0 product sums
+        wheres = list(itertools.product(range(dim), repeat=3))
+        bad = _found(functools.partial(Violation, "zinbiel"), field, dim,
+                     wheres, _product_sums(dim, [rows], [(0, 0)], wheres),
+                     den ** 2)
         if bad:
             raise IdentityError(
                 f"Zinbiel identity fails on {len(bad)} basis triple(s)", bad)
@@ -181,18 +193,9 @@ class ZinbielAlgebra:
 
 def zinbiel_violations(field: Field, dim: int, gamma) -> list[Violation]:
     """Residuals of (x*y)*z - x*(y*z) - x*(z*y) on all basis triples: the
-    order-0 product sums of the deformation conditions."""
-    _check_cube_shape(dim, gamma)
-    return _zinbiel_found(field, dim,
-                          *_grid_ints(field, _coerced(field, gamma)))
-
-
-def _zinbiel_found(field: Field, dim: int, rows: tuple,
-                   den: int) -> list[Violation]:
-    """`zinbiel_violations` of the product with int rows over den."""
-    wheres = list(itertools.product(range(dim), repeat=3))
-    return _found(functools.partial(Violation, "zinbiel"), field, dim, wheres,
-                  _product_sums(dim, [rows], [(0, 0)], wheres), den ** 2)
+    order-0 product sums of the deformation conditions, as
+    `ZinbielAlgebra` finds them."""
+    return _violations_of(ZinbielAlgebra, field, dim, gamma)
 
 
 def _settle(acc: dict, p: int) -> list:
@@ -337,18 +340,16 @@ def _derived_bimodule(algebra: ZinbielAlgebra, dim: int, left, right,
 def bimodule_violations(algebra: ZinbielAlgebra, dim: int, left,
                         right) -> list[Violation]:
     """Mixed-identity residuals, one family per placement of the module
-    slot.  They are the Zinbiel identity of the square-zero extension
-    R + A, with product (x, a)(y, b) = (xy, x*b + a*y), on the triples
-    with one argument in A, so they are its order-0 product sums."""
-    field = algebra.field
-    return _bimodule_found(algebra, dim, *_grid_ints(
-        field, _coerced(field, left), _coerced(field, right)))
+    slot, as `Bimodule` finds them."""
+    return _violations_of(Bimodule, algebra, dim, left, right)
 
 
 def _bimodule_found(algebra: ZinbielAlgebra, dim: int, left: tuple,
                     right: tuple, aden: int) -> list[Violation]:
-    """`bimodule_violations` of the actions with int rows left and right
-    over aden (see `Bimodule._action_ints`)."""
+    """`Bimodule`'s failed mixed identities, of the actions with int rows
+    left and right over aden (see `Bimodule._action_ints`): the order-0
+    product sums of the square-zero extension R + A, with product
+    (x, a)(y, b) = (xy, x*b + a*y), on the triples with one argument in A."""
     field = algebra.field
     d = algebra.dim
     n = d + dim
@@ -412,9 +413,20 @@ class AlgebraMorphism:
         self._ranks = {}
         # (cols, den): for each basis vector e_a of the source, the pairs
         # (b, v) of f(e_a) times den (see `linalg._columns`)
-        cols, den = _columns(matrix)
-        self._f_ints = tuple(map(tuple, cols)), den
-        bad = _morphism_found(source, target, *self._f_ints)
+        cols, fden = _columns(matrix)
+        cols = tuple(map(tuple, cols))
+        self._f_ints = cols, fden
+        # the order-0 morphism sums, the two products over one den
+        (ms_r, rden), (ms_s, sden) = source._gamma_ints, target._gamma_ints
+        den = lcm(rden, sden)
+        wheres = itertools.product(range(source.dim), repeat=2)
+        bad = _found(functools.partial(Violation, "morphism"), source.field,
+                     target.dim, wheres,
+                     _morphism_sums(source.dim, target.dim,
+                                    [_rescaled(ms_r, den // rden)],
+                                    [_rescaled(ms_s, den // sden)], [cols],
+                                    [(0, 0)], [(0, 0, 0)], fden),
+                     den * fden ** 2)
         if bad:
             raise IdentityError(
                 f"map fails to respect products on {len(bad)} basis pair(s)",
@@ -445,23 +457,9 @@ class AlgebraMorphism:
 def morphism_violations(source: ZinbielAlgebra, target: ZinbielAlgebra,
                         matrix: Matrix) -> list[Violation]:
     """Residuals of f(e_i e_j) - f(e_i) f(e_j) on all basis pairs: the
-    order-0 morphism sums of the deformation conditions."""
-    return _morphism_found(source, target, *_columns(matrix))
-
-
-def _morphism_found(source: ZinbielAlgebra, target: ZinbielAlgebra,
-                    fs, fden: int) -> list[Violation]:
-    """`morphism_violations` of the map with int columns fs over fden (see
-    `linalg._columns`), from the two algebras' kept reads."""
-    (ms_r, rden), (ms_s, sden) = source._gamma_ints, target._gamma_ints
-    den = lcm(rden, sden)
-    wheres = itertools.product(range(source.dim), repeat=2)
-    return _found(functools.partial(Violation, "morphism"), source.field,
-                  target.dim, wheres,
-                  _morphism_sums(source.dim, target.dim,
-                                 [_rescaled(ms_r, den // rden)],
-                                 [_rescaled(ms_s, den // sden)], [fs],
-                                 [(0, 0)], [(0, 0, 0)], fden), den * fden ** 2)
+    order-0 morphism sums of the deformation conditions, as
+    `AlgebraMorphism` finds them."""
+    return _violations_of(AlgebraMorphism, source, target, matrix)
 
 
 def identity_morphism(algebra: ZinbielAlgebra) -> AlgebraMorphism:

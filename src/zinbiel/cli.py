@@ -2,8 +2,9 @@
 
 Exit codes: 0 = computed/verified, 1 = mathematical failure (an identity
 or deformation condition fails, an obstruction class is nontrivial, a
-leading term is not a coboundary), 2 = usage error (bad flags, unreadable
-or malformed problem file).
+leading term is not a coboundary) or a problem too large to compute (out
+of memory or recursion depth, one `error:` line), 2 = usage error (bad
+flags, unreadable or malformed problem file).
 
 Each handler states every fact once, as one `emit(key, *values,
 report=...)` call: an optional machine key with its values and an
@@ -37,7 +38,7 @@ from .cochains import (COHOMOLOGY_DEGREES, DEGREES, all_tuples,
 from .deformation import (DeformationError, check_deformation,
                           extend_from_cocycle, extend_to,
                           normalize_leading_term, obstruction,
-                          obstruction_naturality, rigidity_check, trivialize)
+                          rigidity_check, trivialize)
 from .fields import FieldError, field_from_spec, integer
 from .morphism_complex import (_spaces, morphism_cohomology_dim,
                                morphism_differential_matrix,
@@ -437,11 +438,12 @@ def _cmd_verify_identities(problem, args, emit) -> int:
         else:
             check(f"deformation {name}: {built_as[kind]}", True)
             if built.order >= 1:
-                ob = obstruction(built)
+                # the f-part of d(ob) is its naturality f.xi - pi.f - d phi
+                d_ob = d(obstruction(built))
                 check(f"deformation {name}: obstruction is a 3-cocycle",
-                      d(ob).is_zero())
+                      d_ob.is_zero())
                 check(f"deformation {name}: obstruction naturality",
-                      obstruction_naturality(ob).ok)
+                      d_ob.phi.is_zero())
     emit("status", "ok" if not failed else "fail")
     return 0 if not failed else 1
 
@@ -556,8 +558,11 @@ def main(argv=None) -> int:
     except (ProblemFileError, FieldError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except IdentityError as e:
+    except (IdentityError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -21,7 +21,7 @@ extends to order N+1 exactly when d(theta_{N+1}) = obstruction(theta) has
 a solution.
 
 Order 0 is never validated here.  With theta_0 = (m_R; m_S; f), which
-`TruncatedDeformation` checks, its conditions are the Zinbiel identities
+every entry point checks, its conditions are the Zinbiel identities
 of R and S and f(xy) = f(x)f(y), and the constructors in
 `zinbiel.algebra` verify exactly those, with the same order-0 sums.  So
 `deformation_violations` starts at order 1.
@@ -57,8 +57,10 @@ part is taken unchecked (`Cochain._of`), the triple by its constructor.
 
 Deformations and formal isomorphisms are one series type, `_Series`, of
 elements of C^2(f) and of C^1(f) = C^1(R,R) (+) C^1(S,S): it holds the
-one shape check, zero term and constant-term check, against theta_zero(f)
-or the identity pair.
+zero term and the one shape and constant-term check (`_checked`),
+against theta_zero(f) or the identity pair.  `deformation_violations`
+and `order_residual` run it, so `TruncatedDeformation`, which validates
+through the first, checks a series once.
 """
 
 from __future__ import annotations
@@ -125,15 +127,26 @@ class _Series:
     __slots__ = ("morphism", "order", "terms")
 
     def __init__(self, morphism: AlgebraMorphism, terms: list):
+        terms = self._checked(morphism, terms)
+        self.morphism, self.order, self.terms = morphism, len(terms) - 1, terms
+
+    @classmethod
+    def _checked(cls, morphism: AlgebraMorphism, terms: list,
+                 order: int = 0) -> list:
+        """The terms as a list, once they are triples of the series' degree
+        over the morphism led by its constant term and the order to read
+        them to is nonnegative; ValueError if not."""
         if not terms:
-            raise ValueError(self._empty)
+            raise ValueError(cls._empty)
         terms = list(terms)
         if any(not isinstance(t, TripleCochain) or t.morphism != morphism
-               or t.degree != self._degree for t in terms):
-            raise ValueError(self._wrong_shape)
-        if terms[0] != self._constant(morphism):
-            raise ValueError(self._wrong_constant)
-        self.morphism, self.order, self.terms = morphism, len(terms) - 1, terms
+               or t.degree != cls._degree for t in terms):
+            raise ValueError(cls._wrong_shape)
+        if terms[0] != cls._constant(morphism):
+            raise ValueError(cls._wrong_constant)
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        return terms
 
     @classmethod
     def _of(cls, morphism: AlgebraMorphism, terms: list):
@@ -179,8 +192,12 @@ class TruncatedDeformation(_Series):
     _wrong_constant = "constant term differs from (m_R; m_S; f)"
 
     def __init__(self, morphism: AlgebraMorphism, terms: list[TripleCochain]):
-        super().__init__(morphism, terms)
-        _raise_on(deformation_violations(morphism, self.terms, self.order))
+        # deformation_violations checks the series (`_checked`); theta_zero's
+        # own constant term is kept, so a later check compares by identity
+        terms = list(terms)
+        _raise_on(deformation_violations(morphism, terms, len(terms) - 1))
+        self.morphism, self.order = morphism, len(terms) - 1
+        self.terms = [theta_zero(morphism)] + terms[1:]
 
     def truncate(self, order: int) -> "TruncatedDeformation":
         return self if order >= self.order else self._of(
@@ -282,7 +299,9 @@ def order_residual(f: AlgebraMorphism, terms: list[TripleCochain],
     """The order-n deformation conditions of a series as a degree-3 triple:
     the product residual on basis triples of R and of S, the morphism
     residual on basis pairs of R.  Terms past the end of the series count
-    as zero; terms[0] is expected to be (m_R; m_S; f)."""
+    as zero.  ValueError unless the terms are degree-2 triples over f led
+    by (m_R; m_S; f) and n >= 0."""
+    terms = TruncatedDeformation._checked(f, terms, n)
     contracted = _contract(f, _read_series(f, terms[:n + 1]), n)
     return _triple(f, 3, [(a.items() for a in sums)
                           for *_, sums, _ in contracted],
@@ -310,10 +329,11 @@ def deformation_violations(f: AlgebraMorphism, terms: list[TripleCochain],
     """None when the conditions hold through the given order, otherwise
     (smallest failing order, list of ConditionViolation at that order).
 
-    Requires terms[0] == theta_zero(f), as TruncatedDeformation checks.
+    The series and the order are checked first (`_Series._checked`).
     Order 0 is then not evaluated: its conditions are the Zinbiel
     identities of R and S and f(xy) = f(x)f(y), which the constructors of
     R, S and f verified."""
+    terms = TruncatedDeformation._checked(f, terms, order)
     series = _read_series(f, terms[:order + 1])
     for n in range(1, order + 1):
         report = _violations(f, series, n)
@@ -650,13 +670,8 @@ def verify_obstruction_identity(theta: TruncatedDeformation) -> Certificate:
     morphism component.  The obstruction comes from the sparse deformation
     sums; f, the right push-forward and the differential are applied as
     assembled matrices, so the two sides run through independent code."""
-    return obstruction_naturality(obstruction(theta))
-
-
-def obstruction_naturality(ob: TripleCochain) -> Certificate:
-    """The naturality check of verify_obstruction_identity on an
-    obstruction already computed."""
-    f = ob.morphism
+    ob = obstruction(theta)
+    f = theta.morphism
     lhs = push_forward_left(f, ob.xi) - push_forward_right(f, ob.pi)
     residual = lhs - differential(ob.phi)
     return Certificate(residual.is_zero(), residual)

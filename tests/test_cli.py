@@ -356,12 +356,12 @@ def test_verify_identities_assembles_each_differential_once(monkeypatch,
     # the d^1..d^3 of its complex (its d^n on T3 once more, and d^1, d^2
     # on T3 through f inside) and the via-f d^1..d^3 of the push-forward
     # checks; the push-forwards' d^n on T3, the product's d^2 and the
-    # obstruction's d^3 are the command's matrices again, and only
-    # obstruction naturality assembles its via-f d^2 afresh
+    # obstruction's d^3 are the command's matrices again, and obstruction
+    # naturality is the f-part of that same d^3 of the obstruction
     calls = _counted(monkeypatch, "differential_matrix")
     code = cli.main(["verify-identities", str(PROBLEMS / "graded_dim3.zb")])
     assert code == 0
-    assert len(calls) == 3 + 2 * (5 + 3) + 1
+    assert len(calls) == 3 + 2 * (5 + 3)
     assert "FAILED" not in capsys.readouterr().out
 
 
@@ -541,6 +541,25 @@ def test_an_algebra_failing_the_identity_exits_1(capsys, tmp_path):
     assert capsys.readouterr() == (
         "command cohomology\n",
         "error: Zinbiel identity fails on 1 basis triple(s)\n")
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(), "error: out of memory"),
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: maximum recursion depth exceeded")], ids=["memory", "recursion"])
+def test_a_problem_too_large_to_compute_exits_1(capsys, monkeypatch, error,
+                                                line):
+    # a file such as `dim 100000` runs out of memory in its build; the
+    # builder is patched to raise instead of allocating
+    def build_algebra(self, name):
+        raise error
+    monkeypatch.setattr(Problem, "build_algebra", build_algebra)
+    code = cli.main(["cohomology", str(PROBLEMS / "graded_dim3.zb"),
+                     "--degree", "2", "--algebra", "T3"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == line + "\n"
+    assert "Traceback" not in err
 
 
 def test_a_file_with_two_morphisms_needs_the_flag(capsys):

@@ -23,13 +23,16 @@ import pytest
 
 from instances import FIELDS, SEED
 from zinbiel.algebra import (AlgebraMorphism, Bimodule, ZinbielAlgebra,
-                             identity_morphism, zero_morphism)
+                             bimodule_violations, identity_morphism,
+                             morphism_violations, zero_morphism,
+                             zinbiel_violations)
 from zinbiel.catalog import (change_of_basis, direct_sum,
                              truncated_polynomials, weight_scaling)
 from zinbiel.cochains import (Cochain, coboundary_preimage, differential,
                               identity_cochain)
 from zinbiel.deformation import (FormalIsomorphism, TruncatedDeformation,
                                  check_deformation, conjugate,
+                                 deformation_violations,
                                  extend_from_cocycle, extend_one_order,
                                  infinitesimal_difference_is_coboundary,
                                  invert_truncated, obstruction,
@@ -292,6 +295,18 @@ def test_public_constructors_keep_every_check():
     xi = Cochain.zero(r, reg, 2)
     one = Cochain.zero(r, reg, 1)
     m = Matrix(f.source.field, [[1, 0]])
+    a = truncated_polynomials(QQ, 2)
+    g = identity_morphism(truncated_polynomials(r.field, 3))
+    # series over the wrong morphism, of the wrong degree, with the wrong
+    # constant term, a right one read to a negative order, and no terms
+    series = [([theta_zero(g), TripleCochain.zero(g, 2)], 1,
+               "terms must be degree-2 triples over the morphism"),
+              ([theta_zero(f), TripleCochain.zero(f, 1)], 1,
+               "terms must be degree-2 triples over the morphism"),
+              ([TripleCochain.zero(f, 2)] * 2, 1,
+               "constant term differs from (m_R; m_S; f)"),
+              ([theta_zero(f)], -1, "order must be nonnegative"),
+              ([], 0, "a deformation needs at least its constant term")]
     cases = [
         # Matrix: ragged rows, a declared width the rows lack, a vector
         # of another length, a product across fields, a non-square inverse
@@ -315,6 +330,18 @@ def test_public_constructors_keep_every_check():
          "left action must be 2x1x1"),
         (lambda: Bimodule(r, 1, [[[0]], [[0]]], [[[0]]]), ValueError,
          "right action must be 1x2x1"),
+        # the public identity checks run those constructors, shape checks
+        # included
+        (lambda: zinbiel_violations(QQ, 2, [[[0]]]), ValueError,
+         "structure tensor must be 2x2x2"),
+        (lambda: bimodule_violations(a, 1, [[[0]], [[0]]], [[[0]]]),
+         ValueError, "right action must be 1x2x1"),
+        (lambda: bimodule_violations(a, 1, [[[0]]], [[[0], [0]]]),
+         ValueError, "left action must be 2x1x1"),
+        (lambda: morphism_violations(a, truncated_polynomials(QQ, 3), Matrix(
+            QQ, [[1, 0], [0, 1]])), ValueError, "matrix must be 3x2, got 2x2"),
+        (lambda: morphism_violations(a, a, Matrix(r.field, [[1, 0], [0, 1]])),
+         FieldError, "morphism matrix over another field"),
         # catalog builders: a matrix of the wrong shape, a singular one,
         # summands over different fields
         (lambda: change_of_basis(r, Matrix(r.field, [[1]])), ValueError,
@@ -399,6 +426,12 @@ def test_public_constructors_keep_every_check():
          ValueError, "order must be nonnegative"),
         (lambda: random_combination([], random.Random(0)), ValueError,
          "empty basis"),
+    ] + [
+        # the public deformation checks take the series' one check
+        (lambda check=check, terms=terms, n=n: check(f, terms, n),
+         ValueError, message)
+        for check in (deformation_violations, order_residual)
+        for terms, n, message in series
     ]
     for build, error, message in cases:
         with pytest.raises(error) as err:
